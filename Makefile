@@ -1,13 +1,27 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-pytest bench-smoke million million-smoke profile chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke trace-smoke-core trace-bench-gate list-scenarios clean
+.PHONY: test loc e2e e2e-service bench bench-pytest bench-smoke million million-smoke profile chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke trace-smoke-core trace-bench-gate list-scenarios clean
 
 # Scenario to profile with `make profile` (override: make profile SCENARIO=...).
 SCENARIO ?= bench/hashchain-heavy
 
 test:
 	$(PYTHON) -m pytest -q
+
+# Source line count, tracked per PR like a benchmark (ROADMAP item 2).
+loc:
+	@echo "src: $$(find src -name '*.py' -exec cat {} + | wc -l) lines"
+
+# The repo benchmark (BENCHMARK.json): all five pinned workloads, end-to-end
+# metrics only.  Reports land in the git-ignored benchmarks/e2e/out/.
+e2e:
+	python3 benchmarks/e2e/run.py --trace 0
+
+# The durable service workload with its traced pass: per-layer spans
+# (service.self_s, checkpoint first/last, scrape p50, host.calls_per_el).
+e2e-service:
+	python3 benchmarks/e2e/run.py --workload service-durable --trace 1
 
 # Wall-clock perf trajectory on the pinned bench-smoke set (repro.bench).
 bench:

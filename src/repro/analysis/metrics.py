@@ -116,6 +116,9 @@ class MetricsCollector:
         # polling happens every block at million-element scale.
         self._injected_total = 0
         self._committed_total = 0
+        #: Commits of elements this collector also saw injected: "committed
+        #: this run" for a service resumed on a replayed (uninjected) prefix.
+        self.committed_injected = 0
         #: Batch hashes whose elements already have ``in_ledger_at`` stamped.
         #: Every server re-reports every ledger batch; after the first report
         #: the remaining ``servers - 1`` are guaranteed no-ops, so they can
@@ -330,6 +333,8 @@ class MetricsCollector:
             if record.committed_at is None:
                 record.committed_at = time
                 self._committed_total += 1
+                if record.injected_at is not None:
+                    self.committed_injected += 1
                 if region is not None:
                     self.region_committed[region] = (
                         self.region_committed.get(region, 0) + 1)

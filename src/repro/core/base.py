@@ -202,6 +202,13 @@ class BaseSetchainServer(NetworkNode, Application):
         self._busy = False
         self._pipeline_run += 1  # orphan any queued continuation
 
+    @property
+    def accepts_adds(self) -> bool:
+        """Can this server take a brand-new element right now?  The one
+        predicate the shard router, service ingress and ``/healthz`` ask."""
+        return not (self.crashed or self.draining or self.departed
+                    or self.bootstrapping)
+
     # -- Byzantine behaviour strategies -------------------------------------------
 
     @property

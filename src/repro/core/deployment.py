@@ -331,8 +331,7 @@ class Deployment:
         """Live, caught-up servers of ``group`` other than ``exclude``."""
         return [server for server in self.servers
                 if server.name != exclude and server.algorithm_group() == group
-                and not server.crashed and not server.bootstrapping
-                and not server.draining and not server.departed]
+                and server.accepts_adds]
 
     def add_server(self, name: str | None = None, algorithm: str | None = None,
                    region: str | None = None) -> BaseSetchainServer:
@@ -779,17 +778,12 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deplo
 
     injected: list[Element] = []
 
-    def on_element(element: Element) -> None:
-        injected.append(element)
-        metrics.record_injected(element, sim.now)
-
     def on_elements(elements: list[Element]) -> None:
         injected.extend(elements)
         metrics.record_injected_many(elements, sim.now)
 
     clients = ClientPool(sim, targets=list(servers), workload=config.workload,
-                         on_element=on_element, on_elements=on_elements,
-                         router=shard_router)
+                         on_elements=on_elements, router=shard_router)
 
     # Sharded runs pin the membership f to the per-shard tolerance: joins and
     # leaves must never dilute a shard's f+1 commit quorum with the (much

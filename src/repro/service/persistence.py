@@ -207,6 +207,10 @@ class SqliteLedger(IdealLedger):
         #: Height already in the database when this process opened it.
         self.resumed_from = self._persisted_height()
         self._height = self.resumed_from
+        #: Digests durable in ``batches``.  A batch is named by the hash of
+        #: its contents, so none is written twice; grown only after a commit.
+        self._journaled: set[str] = {row[0] for row in self._conn.execute(
+            "SELECT batch_hash FROM batches")}
         self._bump_meta("opens", 1)
 
     # -- durability -------------------------------------------------------------
@@ -319,28 +323,37 @@ class SqliteLedger(IdealLedger):
     # -- out-of-band batch journal ----------------------------------------------
 
     def journal_batches(self, batches: dict[str, tuple[object, ...]]) -> int:
-        """Persist hashchain batch contents (hash → items), idempotently.
+        """Persist hashchain batch contents (hash → items), write-once.
 
         Hashchain keeps batch contents out-of-band (only 139-byte hash-batches
         reach the ledger), so the chain alone cannot rebuild the set.  The
         service checkpoints every server's :class:`BatchStore` here; restart
         preloads the stores from this journal before replaying the chain.
+
+        Only digests not yet in the file are encoded and written: the cost
+        is proportional to the new batches, and nothing new opens no
+        transaction.  Returns the number of batches newly journaled.
         """
         rows = []
         max_element = -1
         for batch_hash, items in batches.items():
+            if batch_hash in self._journaled:
+                continue
             encoded = [list(encode_payload(item)) for item in items]
             for item in items:
                 max_element = max(max_element, _max_element_id(item))
             rows.append((batch_hash, json.dumps(encoded)))
+        if not rows:
+            return 0
         with self._conn:
             self._conn.executemany(
-                "INSERT OR REPLACE INTO batches (batch_hash, items) VALUES (?, ?)",
+                "INSERT OR IGNORE INTO batches (batch_hash, items) VALUES (?, ?)",
                 rows)
             # Hashchain elements reach the database only through this journal
             # (the chain carries 139-byte hashes), so the id high-water mark a
             # restart advances past must be raised here too.
             self._raise_meta("max_element_id", max_element)
+        self._journaled.update(row[0] for row in rows)
         return len(rows)
 
     def journaled_batches(self) -> dict[str, tuple[object, ...]]:

@@ -20,16 +20,17 @@ from __future__ import annotations
 import threading
 from collections import deque
 from contextlib import nullcontext
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from ..analysis.throughput import PAPER_ROLLING_WINDOW, recent_throughput
 from ..api.results import RunResult
-from ..api.session import Session
-from ..config import ExperimentConfig
+from ..api.session import Session, _resolve_config
 from ..core.types import HashBatch
 from ..errors import ConfigurationError, SimulationError
-from ..workload.elements import make_element
+from ..workload.elements import Element, make_elements
 from ..workload.traces import WorkloadTrace
 from .persistence import SqliteLedger, ledger_db
 
@@ -50,13 +51,15 @@ class ServiceRuntime:
             raise ConfigurationError("queue_limit must be at least 1")
         if drain_per_tick is not None and drain_per_tick < 1:
             raise ConfigurationError("drain_per_tick must be at least 1")
+        if checkpoint_every < 1:
+            raise ConfigurationError("checkpoint_every must be at least 1")
         self.tick_duration = tick
         self.queue_limit = queue_limit
         self.drain_per_tick = drain_per_tick
         self.checkpoint_every = checkpoint_every
         self.db_path = str(db) if db is not None else None
 
-        config = self._resolve(scenario)
+        config = _resolve_config(scenario)
         if self.db_path is not None:
             config = config.with_overrides(ledger_backend="sqlite")
         binding = ledger_db(self.db_path) if self.db_path is not None else nullcontext()
@@ -87,12 +90,15 @@ class ServiceRuntime:
         self._trace_pos = 0
         self._trace_offset = 0.0
 
-    @staticmethod
-    def _resolve(scenario: Any) -> ExperimentConfig:
-        from ..api.session import _resolve_config
-        return _resolve_config(scenario)
-
     # -- restart restoration ------------------------------------------------------
+
+    def _batch_stores(self) -> Iterator[Any]:
+        """Every hashchain batch store in the deployment (own and shared)."""
+        for server in self.deployment.servers:
+            for attr in ("store", "shared_store"):
+                store = getattr(server, attr, None)
+                if store is not None:
+                    yield store
 
     def _restore(self) -> int:
         """Rebuild server state from a previously persisted ledger.
@@ -108,15 +114,9 @@ class ServiceRuntime:
             return 0
         self.restarts = 1
         batches = backend.journaled_batches()
-        for server in self.deployment.servers:
-            store = getattr(server, "store", None)
-            if store is not None:
-                for batch_hash, items in batches.items():
-                    store.register_remote(batch_hash, items)
-            shared = getattr(server, "shared_store", None)
-            if shared is not None:
-                for batch_hash, items in batches.items():
-                    shared.register_remote(batch_hash, items)
+        for store in self._batch_stores():
+            for batch_hash, items in batches.items():
+                store.register_remote(batch_hash, items)
         blocks = backend.persisted_blocks()
         by_name = {server.name: server for server in self.deployment.servers}
         for block in blocks:
@@ -139,28 +139,35 @@ class ServiceRuntime:
         submission was dropped.  Element ids are assigned at drain time, so a
         rejected submission costs nothing.
         """
-        size = size_bytes if size_bytes is not None else int(
-            self.config.workload.element_size_mean)
-        if size <= 0:
-            raise ConfigurationError("element size must be positive")
-        with self._lock:
-            if self._stopped or len(self._queue) >= self.queue_limit:
-                self.rejected += 1
-                return "rejected"
-            self._queue.append((client, size))
-            if len(self._queue) > self.queue_limit * DEFER_WATERMARK:
-                self.deferred += 1
-                return "deferred"
-            self.accepted += 1
-            return "accepted"
+        verdicts = self.submit_many(1, client=client, size_bytes=size_bytes)
+        return next(verdict for verdict, n in verdicts.items() if n)
 
     def submit_many(self, count: int, client: str = "service",
                     size_bytes: int | None = None) -> dict[str, int]:
-        """Submit ``count`` elements; returns verdict counts for the batch."""
-        verdicts = {"accepted": 0, "deferred": 0, "rejected": 0}
-        for _ in range(count):
-            verdicts[self.submit(client=client, size_bytes=size_bytes)] += 1
-        return verdicts
+        """Submit ``count`` elements; returns verdict counts for the batch.
+
+        The verdicts follow from the queue depth alone: submissions fit until
+        the queue is full, and one that fits is deferred once it lifts the
+        depth past the watermark.
+        """
+        size = size_bytes if size_bytes is not None else int(
+            self.config.workload.element_size_mean)
+        if size <= 0 or count < 0:
+            raise ConfigurationError(
+                "element size must be positive and the count non-negative")
+        with self._lock:
+            depth = len(self._queue)
+            room = 0 if self._stopped else max(0, self.queue_limit - depth)
+            taken = min(count, room)
+            headroom = max(0, int(self.queue_limit * DEFER_WATERMARK) - depth)
+            accepted = min(taken, headroom)
+            verdicts = {"accepted": accepted, "deferred": taken - accepted,
+                        "rejected": count - taken}
+            self._queue.extend([(client, size)] * taken)
+            self.accepted += verdicts["accepted"]
+            self.deferred += verdicts["deferred"]
+            self.rejected += verdicts["rejected"]
+            return verdicts
 
     def load_trace(self, trace: WorkloadTrace | str | Path) -> int:
         """Arm a recorded workload trace to drive ingest through ticks.
@@ -218,53 +225,50 @@ class ServiceRuntime:
             self.tick()
 
     def _drain(self) -> None:
+        """Move this tick's budget from the queue into the servers as one burst.
+
+        With nowhere to route — every server down, or no shard with a routable
+        quorum — the queue is kept for later.
+        """
         deployment = self.deployment
-        budget = self.drain_per_tick if self.drain_per_tick is not None else len(self._queue)
+        queue = self._queue
         servers = deployment.servers
         router = deployment.shard_router
-        while self._queue and budget > 0:
-            if router is not None:
-                # Sharded ingress: the element's id fixes its shard, the
-                # router round-robins within it.  No active shard (none with
-                # a routable quorum) keeps the queue for later, like the
-                # all-servers-down case below.
-                if not router.active_shards():
-                    return
-                client, size = self._queue.popleft()
-                budget -= 1
-                element = make_element(client=client, size_bytes=size,
-                                       created_at=deployment.sim.now)
-                routed = router.route_round_robin(element.element_id)
-                target = routed[0] if routed is not None else None
-                if target is not None and target.add(element):
-                    deployment.injected_elements.append(element)
-                    deployment.metrics.record_injected(element, deployment.sim.now)
-                    self.drained += 1
-                else:
-                    self.server_rejected += 1
-                continue
-            target = None
-            for _ in range(len(servers)):
-                candidate = servers[self._rr % len(servers)]
+        if router is not None:
+            active = router.active_shards()
+        else:
+            active = [i for i, s in enumerate(servers) if s.accepts_adds]
+        budget = min(len(queue), self.drain_per_tick or len(queue))
+        if not budget or not active:
+            return
+        burst = [queue.popleft() for _ in range(budget)]
+        now = deployment.sim.now
+        elements: list[Element] = []
+        for client, run in groupby(burst, key=itemgetter(0)):
+            elements += make_elements(client, [size for _, size in run],
+                                      created_at=now)
+        if router is not None:
+            # The element's id fixes its shard; round-robin within it.
+            buckets = router.route_many(elements, active=active)
+        else:
+            by_position: dict[int, list[Element]] = {}
+            for element in elements:
+                # Round-robin over the servers, stepping past refusing ones.
+                while (position := self._rr % len(servers)) not in active:
+                    self._rr += 1
                 self._rr += 1
-                # Draining servers refuse new adds and bootstrapping joiners
-                # are not yet members; route around both, like crashes.
-                if (not candidate.crashed and not candidate.draining
-                        and not candidate.bootstrapping):
-                    target = candidate
-                    break
-            if target is None:
-                return  # every server is down; keep the queue for later
-            client, size = self._queue.popleft()
-            budget -= 1
-            element = make_element(client=client, size_bytes=size,
-                                   created_at=deployment.sim.now)
-            if target.add(element):
-                deployment.injected_elements.append(element)
-                deployment.metrics.record_injected(element, deployment.sim.now)
-                self.drained += 1
-            else:
-                self.server_rejected += 1
+                by_position.setdefault(position, []).append(element)
+            buckets = [(servers[i], bucket) for i, bucket in by_position.items()]
+        metrics = deployment.metrics
+        admitted = sum(server.add_many(bucket) for server, bucket in buckets)
+        if admitted != budget:
+            # A server admits fresh valid ids all or none, so this is a
+            # refusal: keep only the elements some server recorded as added.
+            elements = [e for e in elements if e.element_id in metrics.elements]
+            self.server_rejected += budget - len(elements)
+        deployment.injected_elements.extend(elements)
+        metrics.record_injected_many(elements, now)
+        self.drained += len(elements)
 
     # -- operations ---------------------------------------------------------------
 
@@ -304,12 +308,14 @@ class ServiceRuntime:
             self.deployment.remove_server(name, drain=drain)
 
     def checkpoint(self) -> int:
-        """Journal every server's batch-store contents to the database.
+        """Journal the batches stored since the last checkpoint.
 
-        Returns the number of batches journaled (0 without a database).
-        The chain itself needs no checkpointing — blocks are durable the
-        moment they are cut.  Runs whose membership changed journal their
-        epoch timeline alongside, so offline audits can verify it.
+        Returns the number of batches *newly* journaled (0 without a
+        database): batches are content-addressed, so the journal is
+        write-once and a checkpoint costs what its new batches cost.  The
+        chain needs no checkpointing — blocks are durable the moment they are
+        cut.  Runs whose membership changed journal their epoch timeline
+        alongside, so offline audits can verify it.
         """
         backend = self.deployment.ledger_backend
         if not isinstance(backend, SqliteLedger):
@@ -319,13 +325,8 @@ class ServiceRuntime:
             backend.journal_membership(
                 [epoch.to_dict() for epoch in membership.epochs])
         batches: dict[str, tuple[object, ...]] = {}
-        for server in self.deployment.servers:
-            for attr in ("store", "shared_store"):
-                store = getattr(server, attr, None)
-                if store is not None and hasattr(store, "items"):
-                    batches.update(store.items())
-        if not batches:
-            return 0
+        for store in self._batch_stores():
+            batches.update(store.items())
         return backend.journal_batches(batches)
 
     # -- observation --------------------------------------------------------------
@@ -364,19 +365,15 @@ class ServiceRuntime:
             deployment = self.deployment
             membership = deployment.membership
 
-            def serving(server: Any) -> bool:
-                return not (server.crashed or server.draining
-                            or server.departed or server.bootstrapping)
-
             if membership is not None and membership.changed:
                 current = membership.current
                 members = set(current.members)
                 live = sum(1 for s in deployment.servers
-                           if s.name in members and serving(s))
+                           if s.name in members and s.accepts_adds)
                 quorum = current.quorum
                 epoch = current.index
             else:
-                live = sum(1 for s in deployment.servers if serving(s))
+                live = sum(1 for s in deployment.servers if s.accepts_adds)
                 quorum = self.config.setchain.quorum
                 epoch = 1
             healthy = live >= quorum
@@ -389,7 +386,7 @@ class ServiceRuntime:
             if router is not None:
                 shards: dict[str, Any] = {}
                 for index, servers in enumerate(router.shard_servers):
-                    shard_live = sum(1 for s in servers if serving(s))
+                    shard_live = sum(1 for s in servers if s.accepts_adds)
                     shards[str(index)] = {"live": shard_live,
                                           "quorum": router.quorum}
                     if shard_live < router.quorum:
@@ -413,12 +410,8 @@ class ServiceRuntime:
             metrics = deployment.metrics
             now = deployment.sim.now
             commit_times = metrics.commit_times()
-            injected_ids = {e.element_id for e in deployment.injected_elements}
             committed_total = metrics.committed_count
-            committed_this_run = sum(
-                1 for record in metrics.elements.values()
-                if record.committed_at is not None
-                and record.element_id in injected_ids)
+            committed_this_run = metrics.committed_injected
             injected = len(deployment.injected_elements)
             servers = {
                 server.name: {"crashed": server.crashed,
@@ -452,11 +445,7 @@ class ServiceRuntime:
                 "first_commit": commit_times[0] if commit_times else None,
                 "rolling_throughput": recent_throughput(commit_times, now),
                 "rolling_window_s": PAPER_ROLLING_WINDOW,
-                "ingress": {"accepted": self.accepted, "deferred": self.deferred,
-                            "rejected": self.rejected, "drained": self.drained,
-                            "server_rejected": self.server_rejected,
-                            "queue_depth": len(self._queue),
-                            "queue_limit": self.queue_limit},
+                "ingress": self.ingress_counters,
                 "servers": servers,
                 "ledger": ledger,
                 "recovered_blocks": self.recovered_blocks,

@@ -57,12 +57,6 @@ def shard_group(algorithm: str, shard_index: int | None) -> str:
     return f"{algorithm}{SHARD_GROUP_SEPARATOR}{shard_index}"
 
 
-def _routable(server: Any) -> bool:
-    """Can this server accept a brand-new element right now?"""
-    return not (server.crashed or server.draining or server.departed
-                or server.bootstrapping)
-
-
 class ShardRouter:
     """Routes elements to shards; owns the admission-control counters.
 
@@ -126,7 +120,7 @@ class ShardRouter:
     def active_shards(self) -> list[int]:
         """Shards currently taking new elements: quorum-many routable members."""
         return [index for index, servers in enumerate(self.shard_servers)
-                if sum(1 for s in servers if _routable(s)) >= self.quorum]
+                if sum(1 for s in servers if s.accepts_adds) >= self.quorum]
 
     def shard_for(self, element_id: int,
                   active: Sequence[int] | None = None) -> int | None:
@@ -137,46 +131,62 @@ class ShardRouter:
             return None
         return active[shard_slot(element_id, len(active))]
 
-    def route(self, element_id: int, preference: int = 0) -> tuple[Any, int] | None:
+    def route(self, element_id: int, preference: int | None = 0,
+              active: Sequence[int] | None = None) -> tuple[Any, int] | None:
         """Pick ``(server, shard)`` for one element; count the admission.
 
         ``preference`` selects the within-shard position the caller would
         normally hit (the batch workload pins client *i* to position
         ``i % shard size``, mirroring the unsharded one-client-per-server
-        layout); an unroutable preferred server fails over to the next
-        routable one in the same shard and counts as *deferred*.  Returns
-        ``None`` — and counts a rejection — when no shard is active.
+        layout; ``None`` round-robins instead); an unroutable preferred
+        server fails over to the next routable one in the same shard and
+        counts as *deferred*.  Returns ``None`` — and counts a rejection —
+        when no shard is active.  ``active`` is a burst's one
+        :meth:`active_shards` scan.
         """
-        shard = self.shard_for(element_id)
+        shard = self.shard_for(element_id, active)
         if shard is None:
             self.rejected += 1
             return None
         servers = self.shard_servers[shard]
-        start = preference % len(servers)
+        start = self._rr[shard] if preference is None else preference
         for offset in range(len(servers)):
             candidate = servers[(start + offset) % len(servers)]
-            if _routable(candidate):
+            if candidate.accepts_adds:
                 self.routed += 1
                 self.per_shard_routed[shard] += 1
                 if offset:
                     self.deferred += 1
+                if preference is None:
+                    self._rr[shard] += 1
                 return candidate, shard
-        # The shard passed the active check yet every member refused: it lost
-        # its last routable member between the two looks.  Treat as rejected.
+        # Only from a stale ``active`` list: every member of the shard refuses.
         self.rejected += 1
         return None
 
-    def route_round_robin(self, element_id: int) -> tuple[Any, int] | None:
+    def route_round_robin(self, element_id: int,
+                          active: Sequence[int] | None = None
+                          ) -> tuple[Any, int] | None:
         """Service-ingress variant: per-shard round-robin instead of a pinned
         preference (the ingress queue has no per-client affinity)."""
-        shard = self.shard_for(element_id)
-        if shard is None:
-            self.rejected += 1
-            return None
-        result = self.route(element_id, preference=self._rr[shard])
-        if result is not None:
-            self._rr[shard] += 1
-        return result
+        return self.route(element_id, None, active)
+
+    def route_many(self, elements: Sequence[Any], preference: int | None = None,
+                   active: Sequence[int] | None = None
+                   ) -> list[tuple[Any, list[Any]]]:
+        """Route one burst: ``(server, its elements)`` in first-routed order.
+
+        One shard scan serves the burst (adds never crash or drain a server);
+        elements without an active shard are left out and counted rejected.
+        """
+        if active is None:
+            active = self.active_shards()
+        buckets: dict[str, tuple[Any, list[Any]]] = {}
+        for element in elements:
+            routed = self.route(element.element_id, preference, active)
+            if routed is not None:
+                buckets.setdefault(routed[0].name, (routed[0], []))[1].append(element)
+        return list(buckets.values())
 
     # -- reporting ----------------------------------------------------------------
 

@@ -50,30 +50,11 @@ class RoutedTarget:
         self.preference = preference
 
     def add(self, element: Element) -> bool:
-        routed = self.router.route(element.element_id, self.preference)
-        if routed is None:
-            return False
-        server, _shard = routed
-        return server.add(element)
+        return self.add_many([element]) == 1
 
     def add_many(self, elements: list[Element]) -> int:
-        route = self.router.route
-        preference = self.preference
-        by_server: dict[str, tuple[object, list[Element]]] = {}
-        for element in elements:
-            routed = route(element.element_id, preference)
-            if routed is None:
-                continue
-            server, _shard = routed
-            bucket = by_server.get(server.name)
-            if bucket is None:
-                by_server[server.name] = (server, [element])
-            else:
-                bucket[1].append(element)
-        accepted = 0
-        for server, batch in by_server.values():
-            accepted += server.add_many(batch)  # type: ignore[attr-defined]
-        return accepted
+        return sum(server.add_many(bucket) for server, bucket
+                   in self.router.route_many(elements, self.preference))
 
 
 class InjectionClient:

@@ -200,6 +200,104 @@ def test_reopen_advances_element_and_tx_id_counters(tmp_path):
     second.stop()
 
 
+# -- the write-once batch journal -------------------------------------------------
+
+
+def _journal_rows(db):
+    conn = sqlite3.connect(str(db))
+    try:
+        return dict(conn.execute("SELECT batch_hash, items FROM batches"))
+    finally:
+        conn.close()
+
+
+def _stored_batches(runtime):
+    return {batch_hash: items for server in runtime.deployment.servers
+            for batch_hash, items in server.store.items()}
+
+
+def test_batch_journal_is_write_once_across_checkpoints_and_reopen(
+        tmp_path, monkeypatch):
+    from repro.service import persistence
+
+    encoded: dict[int, int] = {}
+    original = persistence.encode_payload
+
+    def counting(payload):
+        if isinstance(payload, Element):
+            encoded[payload.element_id] = encoded.get(payload.element_id, 0) + 1
+        return original(payload)
+
+    monkeypatch.setattr(persistence, "encode_payload", counting)
+    db = tmp_path / "journal.sqlite"
+    scenario = small_scenario("hashchain")
+    # Only the explicit checkpoints below journal anything.
+    runtime = ServiceRuntime(scenario, db=db, seed=3, checkpoint_every=10**6)
+    backend = runtime.deployment.ledger_backend
+    journaled = []
+    for _ in range(3):  # three checkpoints over a growing store
+        runtime.submit_many(80)
+        runtime.run_for(2.0)
+        journaled.append(runtime.checkpoint())
+    stored = _stored_batches(runtime)
+    assert all(count > 0 for count in journaled)
+    assert sum(journaled) == len(stored) == len(_journal_rows(db))
+    # (a) every element was encoded exactly once, however often its batch
+    # was offered for journaling.
+    assert set(encoded) == {e.element_id
+                            for e in runtime.deployment.injected_elements}
+    assert set(encoded.values()) == {1}
+    # (b) an unchanged store journals nothing and writes no row.
+    changes = backend._conn.total_changes
+    assert runtime.checkpoint() == 0
+    assert backend._conn.total_changes == changes
+    assert not backend._conn.in_transaction
+    # (c) a kill right after a checkpoint loses no journaled batch.
+    runtime.kill()
+    reopened = ServiceRuntime(scenario, db=db, seed=3, checkpoint_every=10**6)
+    backend = reopened.deployment.ledger_backend
+    assert backend.journaled_batches() == stored
+    # (d) the reopened ledger knows what the file holds: the preloaded
+    # stores are offered again, nothing is re-encoded or rewritten.
+    rows = _journal_rows(db)
+    changes = backend._conn.total_changes
+    assert reopened.checkpoint() == 0
+    assert backend._conn.total_changes == changes
+    assert set(encoded.values()) == {1}
+    reopened.stop()
+    assert _journal_rows(db) == rows
+
+
+def test_failed_journal_transaction_is_retried_by_the_next_checkpoint(tmp_path):
+    db = tmp_path / "retry.sqlite"
+    runtime = ServiceRuntime(small_scenario("hashchain"), db=db, seed=3,
+                             checkpoint_every=10**6)
+    backend = runtime.deployment.ledger_backend
+    runtime.submit_many(80)
+    runtime.run_for(2.0)
+    assert runtime.checkpoint() > 0
+    durable = set(_journal_rows(db))
+    runtime.submit_many(80)
+    runtime.run_for(2.0)
+    fresh = set(_stored_batches(runtime)) - durable
+    assert fresh
+
+    def failing(key, value):  # raises after the rows were inserted
+        raise sqlite3.OperationalError("disk I/O error")
+
+    backend._raise_meta = failing
+    with pytest.raises(sqlite3.OperationalError):
+        runtime.checkpoint()
+    del backend._raise_meta
+    # (e) the transaction rolled back and its digests stayed un-marked ...
+    assert set(_journal_rows(db)) == durable
+    assert backend._journaled == durable
+    # ... so the next checkpoint journals exactly those.
+    assert runtime.checkpoint() == len(fresh)
+    assert set(_journal_rows(db)) == durable | fresh
+    runtime.stop()
+
+
 # -- audit ----------------------------------------------------------------------
 
 

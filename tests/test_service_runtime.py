@@ -95,9 +95,19 @@ def test_invalid_parameters_rejected():
         small_runtime(tick=0.0)
     with pytest.raises(ConfigurationError):
         small_runtime(queue_limit=0)
+    with pytest.raises(ConfigurationError):
+        small_runtime(drain_per_tick=0)
+    # checkpoint_every=0 used to divide by zero on the first durable tick,
+    # and a negative value checkpointed on a nonsense cadence.
+    for cadence in (0, -3):
+        with pytest.raises(ConfigurationError, match="checkpoint_every"):
+            small_runtime(checkpoint_every=cadence)
     runtime = small_runtime()
     with pytest.raises(ConfigurationError):
         runtime.submit(size_bytes=0)
+    with pytest.raises(ConfigurationError):
+        runtime.submit_many(-1)  # would drive the ingress counters backwards
+    assert runtime.submit_many(0) == {"accepted": 0, "deferred": 0, "rejected": 0}
     with pytest.raises(ConfigurationError):
         runtime.run_for(-1.0)
     runtime.stop()

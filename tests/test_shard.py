@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.api import RunResult, Scenario, ScenarioBuilder, run
+from repro.core.base import BaseSetchainServer
 from repro.errors import ConfigurationError
 from repro.shard import SHARD_GROUP_SEPARATOR, ShardRouter, shard_group, shard_slot
 
@@ -52,6 +53,9 @@ def test_shard_group_key_shape():
 
 
 class FakeServer:
+    #: The real predicate over the fake's four flags.
+    accepts_adds = BaseSetchainServer.accepts_adds
+
     def __init__(self, name):
         self.name = name
         self.crashed = False
