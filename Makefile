@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc e2e e2e-service bench bench-pytest bench-smoke million million-smoke profile chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke trace-smoke-core trace-bench-gate list-scenarios clean
+.PHONY: test loc e2e e2e-one bench bench-pytest bench-smoke million million-smoke profile chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke trace-smoke-core trace-bench-gate list-scenarios clean
 
 # Scenario to profile with `make profile` (override: make profile SCENARIO=...).
 SCENARIO ?= bench/hashchain-heavy
@@ -18,10 +18,12 @@ loc:
 e2e:
 	python3 benchmarks/e2e/run.py --trace 0
 
-# The durable service workload with its traced pass: per-layer spans
-# (service.self_s, checkpoint first/last, scrape p50, host.calls_per_el).
-e2e-service:
-	python3 benchmarks/e2e/run.py --workload service-durable --trace 1
+# One workload with its traced pass (per-layer spans, host.calls_per_el):
+# make e2e-one WORKLOAD=perelement-vanilla.  Exits non-zero on a failed
+# output check, never on a wall-clock number.
+WORKLOAD ?= service-durable
+e2e-one:
+	python3 benchmarks/e2e/run.py --workload $(WORKLOAD) --trace 1
 
 # Wall-clock perf trajectory on the pinned bench-smoke set (repro.bench).
 bench:

@@ -15,7 +15,7 @@ ledger nodes' mempool arrival tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..obs.trace import TRACK_LEDGER
 from ..workload.elements import Element
@@ -215,21 +215,10 @@ class MetricsCollector:
             self.tracer.injected_many(
                 [element.element_id for element in elements], time)
 
-    def record_added(self, element: Element, server: str, time: float) -> None:
-        record = self._record(element.element_id)
-        record.size_bytes = element.size_bytes
-        if record.added_at is None:
-            record.added_at = time
-            region = self.region_of.get(server)
-            if region is not None:
-                self.region_added[region] = self.region_added.get(region, 0) + 1
-            shard = self.shard_of.get(server)
-            if shard is not None:
-                self.shard_added[shard] = self.shard_added.get(shard, 0) + 1
-
     def record_added_many(self, elements: Iterable[Element], server: str,
                           time: float) -> None:
-        """Batch :meth:`record_added`: one pass, one region-counter update."""
+        """Elements first accepted by ``server``: one pass, one region- and
+        shard-counter update."""
         records = self.elements
         make = ElementRecord
         region = self.region_of.get(server)
@@ -256,17 +245,32 @@ class MetricsCollector:
                                    element_ids: Iterable[int]) -> None:
         self.hash_elements.setdefault(batch_hash, list(element_ids))
 
-    def record_in_ledger(self, element_id: int, time: float) -> None:
-        record = self._record(element_id)
-        if record.in_ledger_at is None:
-            record.in_ledger_at = time
+    def record_in_ledger_run(self, element_ids: Sequence[int],
+                             times: Sequence[float]) -> None:
+        """One server's run of ledger observations, each at its own instant.
+
+        Keeps the *earliest* instant per element (as does
+        :meth:`record_in_ledger_many`), not the first report's: a run reports
+        past instants, so reports do not arrive in time order.
+        """
+        records = self.elements
+        make = ElementRecord
+        for element_id, time in zip(element_ids, times):
+            record = records.get(element_id)
+            if record is None:
+                records[element_id] = record = make(element_id=element_id)
+            if record.in_ledger_at is None or time < record.in_ledger_at:
+                record.in_ledger_at = time
         if self.tracer is not None:
-            self.tracer.phase_one(element_id, "in_ledger", time, TRACK_LEDGER)
+            phase_many = self.tracer.phase_many
+            for element_id, time in zip(element_ids, times):
+                phase_many((element_id,), "in_ledger", time, TRACK_LEDGER)
 
     def record_in_ledger_many(self, element_ids: Iterable[int],
                               time: float) -> None:
-        """Batch :meth:`record_in_ledger` — every server re-observes every
-        ledger batch, so this runs ``servers × elements`` times per run."""
+        """Every element of one ledger batch, observed at one instant — every
+        server re-observes every batch, so this runs ``servers × elements``
+        times per run."""
         if self.tracer is not None:
             element_ids = list(element_ids)
         records = self.elements
@@ -275,7 +279,7 @@ class MetricsCollector:
             record = records.get(element_id)
             if record is None:
                 records[element_id] = record = make(element_id=element_id)
-            if record.in_ledger_at is None:
+            if record.in_ledger_at is None or time < record.in_ledger_at:
                 record.in_ledger_at = time
         if self.tracer is not None:
             self.tracer.phase_many(element_ids, "in_ledger", time, TRACK_LEDGER)
@@ -288,16 +292,9 @@ class MetricsCollector:
             self._ledger_hash_done.add(batch_hash)
             self.record_in_ledger_many(ids, time)
 
-    def record_epoch_assigned(self, element_id: int, epoch_number: int,
-                              time: float) -> None:
-        record = self._record(element_id)
-        if record.epoch_assigned_at is None:
-            record.epoch_assigned_at = time
-            record.epoch_number = epoch_number
-
     def record_epoch_assigned_many(self, element_ids: Iterable[int],
                                    epoch_number: int, time: float) -> None:
-        """Batch :meth:`record_epoch_assigned` for one epoch creation."""
+        """One epoch creation: the first epoch an element lands in wins."""
         records = self.elements
         make = ElementRecord
         for element_id in element_ids:

@@ -277,7 +277,8 @@ class Session:
         raise ConfigurationError(f"no server {server!r} in this deployment")
 
     def backlog(self) -> dict[str, int]:
-        """Pending block-processing work items per server (stress indicator)."""
+        """Finalized transactions each server has yet to start on (stress
+        indicator)."""
         return {s.name: s.backlog for s in self.deployment.servers}
 
     @property

@@ -7,17 +7,22 @@ A :class:`BaseSetchainServer` is simultaneously:
 * an ABCI :class:`~repro.ledger.abci.Application` receiving ``FinalizeBlock``
   callbacks from its co-located ledger node — the paper's ``new_block(B)``.
 
-Block processing runs through a *serial work queue* with modelled service
+Block processing runs through a *serial pipeline* with modelled service
 times (per-transaction overhead plus per-element validation cost for foreign
 batches).  This is what turns the paper's observed processing bottlenecks —
 Compresschain's decompression/validation and Hashchain's hash-reversal — into
 measurable backlog in the simulation instead of instantaneous handlers.
+
+The pipeline is a queue of *blocks* and a cursor into the head block; one
+step handles one transaction or, where the algorithm can, a whole run of
+them (:meth:`BaseSetchainServer._handle_txs`), then one continuation.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from math import inf
+from typing import TYPE_CHECKING, Sequence
 
 from ..config import SetchainConfig
 from ..crypto.keys import KeyPair
@@ -30,7 +35,6 @@ from ..sim.scheduler import Simulator
 from ..workload.elements import Element
 from .proofs import create_epoch_proof
 from .types import EpochProof, SetchainView, epoch_proof_payload
-from .validation import valid_element
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.metrics import MetricsCollector
@@ -76,8 +80,12 @@ class BaseSetchainServer(NetworkNode, Application):
         self._future_proofs: set[EpochProof] = set()
         # Ledger hookup.
         self._ledger: LedgerInterface | None = None
-        # Serial block-processing pipeline.
-        self._work: deque[tuple[str, Block, Transaction | None]] = deque()
+        # Serial block-processing pipeline: finalized blocks not yet fully
+        # handled, each with the transactions that are this server's to
+        # handle (``None``: a quorum boundary riding ahead of the block), and
+        # the index in the head block of the next transaction to start.
+        self._blocks: deque[tuple[Block, Sequence[Transaction] | None]] = deque()
+        self._cursor = self._backlog = 0
         self._busy = False
         # Pipeline generation: scheduled continuations carry the generation
         # they belong to and die if a crash has bumped it since — a crash
@@ -197,10 +205,8 @@ class BaseSetchainServer(NetworkNode, Application):
         self.departed = True
         self.draining = False
         self.retired_at = self.sim.now
-        self._work.clear()
+        self._halt_pipeline()
         self._missed_blocks.clear()
-        self._busy = False
-        self._pipeline_run += 1  # orphan any queued continuation
 
     @property
     def accepts_adds(self) -> bool:
@@ -291,28 +297,7 @@ class BaseSetchainServer(NetworkNode, Application):
         ignored.  A crash-faulted server refuses adds entirely (the client's
         request fails against a downed host).
         """
-        if self.crashed:
-            self.crashed_rejects += 1
-            return False
-        if self.draining or self.departed:
-            self.drained_rejects += 1
-            return False
-        if not valid_element(element):
-            self.rejected_elements += 1
-            return False
-        if element.element_id in self._the_set:
-            self.duplicate_adds += 1
-            return False
-        self._the_set[element.element_id] = element
-        if self.metrics is not None:
-            self.metrics.record_added(element, self.name, self.sim.now)
-        if self.tracer is not None:
-            self.tracer.phase_one(element.element_id, "collector_queued",
-                                  self.sim.now, self.name)
-        byz = self._byz
-        if byz is None or not byz.on_after_add(self, element):
-            self._after_add(element)
-        return True
+        return self.add_many([element]) == 1
 
     def add_many(self, elements: list[Element]) -> int:
         """Batched ``S.add_v``: one pass over a same-tick injection burst.
@@ -321,7 +306,7 @@ class BaseSetchainServer(NetworkNode, Application):
         accept/reject verdict, ``the_set`` content, collector flush
         boundaries, ledger appends, metrics — is exactly that of calling
         :meth:`add` element by element; only the per-call dispatch is
-        amortised.  Byzantine servers fall back to the scalar path so
+        amortised.  Byzantine servers take their elements one at a time so
         behaviour hooks observe every element individually.
         """
         if self.crashed:
@@ -330,7 +315,8 @@ class BaseSetchainServer(NetworkNode, Application):
         if self.draining or self.departed:
             self.drained_rejects += len(elements)
             return 0
-        if self._byz is not None:
+        byz = self._byz
+        if byz is not None and len(elements) > 1:
             add = self.add
             return sum(1 for element in elements if add(element))
         the_set = self._the_set
@@ -358,7 +344,8 @@ class BaseSetchainServer(NetworkNode, Application):
                 self.tracer.phase_many([e.element_id for e in accepted],
                                        "collector_queued", self.sim.now,
                                        self.name)
-            self._after_add_many(accepted)
+            if byz is None or not byz.on_after_add(self, accepted[0]):
+                self._after_add_many(accepted)
         return len(accepted)
 
     def get(self) -> SetchainView:
@@ -382,12 +369,6 @@ class BaseSetchainServer(NetworkNode, Application):
     def committed_epoch_numbers(self) -> set[int]:
         """Epochs this server has seen reach f+1 distinct proofs."""
         return set(self._committed_epochs)
-
-    def _known_in_history(self, element: Element) -> bool:
-        return element.element_id in self._epoched_ids
-
-    def _add_to_the_set(self, element: Element) -> None:
-        self._the_set.setdefault(element.element_id, element)
 
     def _record_new_epoch(self, elements: set[Element], block: Block) -> EpochProof:
         """Create epoch ``self._epoch + 1`` from ``elements`` and sign its proof.
@@ -416,16 +397,6 @@ class BaseSetchainServer(NetworkNode, Application):
                 self._future_proofs.difference_update(ready)
                 self._absorb_proofs(ready)
         return proof
-
-    def _proof_matches_local_epoch(self, proof: EpochProof) -> bool:
-        """Equivalent of ``valid_proof`` using the cached local epoch hash."""
-        expected = self._epoch_hashes.get(proof.epoch_number)
-        if expected is None or expected != proof.epoch_hash:
-            return False
-        return self.scheme.verify(
-            proof.signer,
-            epoch_proof_payload(proof.epoch_number, proof.epoch_hash),
-            proof.signature)
 
     def _absorb_proofs(self, candidates: list[EpochProof]) -> None:
         """Validate and store epoch-proofs, tracking the f+1 commit rule.
@@ -494,13 +465,16 @@ class BaseSetchainServer(NetworkNode, Application):
             signers.add(proof.signer)
             if (len(signers) >= quorum
                     and proof.epoch_number not in committed):
-                committed.add(proof.epoch_number)
-                if self.first_commit_at is None:
-                    self.first_commit_at = self.sim.now
-                if self.metrics is not None:
-                    self.metrics.record_epoch_committed(
-                        proof.epoch_number, elements, self.sim.now,
-                        observer=self.name)
+                self._commit_epoch(proof.epoch_number, elements)
+
+    def _commit_epoch(self, epoch_number: int, elements: set[Element]) -> None:
+        """This server has seen f+1 distinct proofs of the epoch."""
+        self._committed_epochs.add(epoch_number)
+        if self.first_commit_at is None:
+            self.first_commit_at = self.sim.now
+        if self.metrics is not None:
+            self.metrics.record_epoch_committed(epoch_number, elements,
+                                                self.sim.now, observer=self.name)
 
     def _on_quorum_change(self, quorum: int, block: Block) -> None:
         """React to a membership epoch boundary changing the f+1 quorum.
@@ -514,13 +488,7 @@ class BaseSetchainServer(NetworkNode, Application):
             if (len(signers) >= quorum
                     and epoch_number not in self._committed_epochs
                     and epoch_number in self._history):
-                self._committed_epochs.add(epoch_number)
-                if self.first_commit_at is None:
-                    self.first_commit_at = self.sim.now
-                if self.metrics is not None:
-                    self.metrics.record_epoch_committed(
-                        epoch_number, self._history[epoch_number],
-                        self.sim.now, observer=self.name)
+                self._commit_epoch(epoch_number, self._history[epoch_number])
 
     def _append_to_ledger(self, payload: object, size_bytes: int) -> Transaction:
         """``L.append`` with bookkeeping of the originating server."""
@@ -559,63 +527,83 @@ class BaseSetchainServer(NetworkNode, Application):
                 # transaction prefix on every server, so the boundary rides
                 # the serial pipeline ahead of this block's transactions
                 # instead of firing while the pipeline may still lag.
-                self._work.append(("quorum", block, None))
+                self._blocks.append((block, None))
         self.blocks_processed += 1
         peers = self.shard_peers
-        if peers is None:
-            for tx in block.transactions:
-                self._work.append(("tx", block, tx))
-        else:
-            # Shard isolation: tenants sharing the ledger run the *same*
-            # algorithm, so payload types cannot discriminate — only
-            # transactions originated by this server's own shard are ours.
-            # Crash recovery replays blocks through this same path, so the
-            # filter survives replay unchanged.
-            for tx in block.transactions:
-                if tx.origin in peers:
-                    self._work.append(("tx", block, tx))
-        self._work.append(("end", block, None))
+        # Shard isolation: tenants sharing the ledger run the *same*
+        # algorithm, so payload types cannot discriminate — only transactions
+        # originated by this server's own shard are ours.  Crash recovery
+        # replays blocks through this same path, so the filter survives
+        # replay unchanged.
+        txs = block.transactions if peers is None else [
+            tx for tx in block.transactions if tx.origin in peers]
+        self._blocks.append((block, txs))
+        self._backlog += len(txs)
         if not self._busy:
             self._busy = True
-            self._schedule_pipeline(0.0)
+            self._finish_at(self.sim.now)
 
     @property
     def backlog(self) -> int:
-        """Pending work items (a stressed server accumulates backlog here)."""
-        return len(self._work)
+        """Finalized transactions whose pipeline step has not begun (a stressed
+        server accumulates them).  The step in flight, one transaction or a
+        whole run, has left the count: only its service time remains."""
+        return self._backlog
 
-    def _process_next(self) -> None:
-        if not self._work:
+    @property
+    def pipeline_idle(self) -> bool:
+        """No block queued and no step in flight, awaited reply included."""
+        return not self._busy
+
+    def _pipeline_step(self, generation: int) -> None:
+        """One step: a quorum boundary, a run of transactions, or a block end."""
+        if generation != self._pipeline_run:
+            return  # continuation of a pipeline that died in a crash
+        self._settle(inf)
+        if not self._blocks:
             self._busy = False
             return
-        kind, block, tx = self._work.popleft()
-        if kind == "tx":
-            assert tx is not None
-            self._handle_tx(block, tx)
-        elif kind == "quorum":
+        block, txs = self._blocks[0]
+        if txs is not None and self._cursor < len(txs):
+            handled = self._handle_txs(block, txs, self._cursor)
+            self._cursor += handled
+            self._backlog -= handled
+            return
+        self._blocks.popleft()
+        self._cursor = 0
+        if txs is None:
             self._on_quorum_change(self._quorum_at(block.height), block)
-            self._finish_after(0.0)
         else:
             byz = self._byz
             if byz is None or not byz.on_block_end(self, block):
                 self._handle_block_end(block)
-            self._finish_after(0.0)
+        self._finish_at(self.sim.now)
 
     def _finish_after(self, duration: float) -> None:
-        """Mark the current work item done after ``duration`` seconds of service time."""
-        self._schedule_pipeline(duration)
+        """Mark the step in flight done after ``duration`` seconds of service time."""
+        self._finish_at(self.sim.now + duration)
 
-    def _schedule_pipeline(self, delay: float) -> None:
-        run = self._pipeline_run
-        if delay <= 0:
-            self.sim.call_soon(lambda: self._pipeline_step(run))
-        else:
-            self.sim.call_in(delay, lambda: self._pipeline_step(run))
+    def _finish_at(self, time: float) -> None:
+        """Mark the step in flight done at the absolute instant ``time``."""
+        generation = self._pipeline_run
+        self.sim.call_at(time, lambda: self._pipeline_step(generation))
 
-    def _pipeline_step(self, run: int) -> None:
-        if run != self._pipeline_run:
-            return  # continuation of a pipeline that died in a crash
-        self._process_next()
+    def _settle(self, before: float) -> None:
+        """Publish what the run in flight owes for instants ``< before``: a
+        run knows its whole schedule when it begins, but only instants that
+        have passed may show outside the server — ``inf`` at its
+        continuation, ``now`` when a crash or retirement cuts it, just past
+        ``now`` when the clock stops (``Simulator.on_pause``)."""
+
+    def _halt_pipeline(self) -> list[Block]:
+        """Drop the pipeline (crash, retirement); returns the blocks it held."""
+        self._settle(self.sim.now)
+        interrupted = [block for block, txs in self._blocks if txs is not None]
+        self._blocks.clear()
+        self._cursor = self._backlog = 0
+        self._busy = False
+        self._pipeline_run += 1  # orphan any queued continuation
+        return interrupted
 
     # -- crash faults ---------------------------------------------------------------
 
@@ -631,19 +619,11 @@ class BaseSetchainServer(NetworkNode, Application):
         ``the_set``, history, the batch store (disk in the paper's
         deployment) — survives.
         """
-        interrupted: list[Block] = []
-        seen: set[int] = set()
-        for _kind, block, _tx in self._work:
-            if id(block) not in seen:
-                seen.add(id(block))
-                interrupted.append(block)
+        interrupted = self._halt_pipeline()
         self._missed_blocks.extend(interrupted)
         # Interrupted blocks were counted when first enqueued and will be
         # counted again when the recovery replay re-finalizes them.
         self.blocks_processed -= len(interrupted)
-        self._work.clear()
-        self._busy = False
-        self._pipeline_run += 1  # orphan any queued continuation
 
     def _on_recover(self) -> None:
         """Replay every block missed while down, in commit order."""
@@ -673,6 +653,20 @@ class BaseSetchainServer(NetworkNode, Application):
         after_add = self._after_add
         for element in elements:
             after_add(element)
+
+    def _handle_txs(self, block: Block, txs: Sequence[Transaction],
+                    start: int) -> int:
+        """Handle ``txs[start]`` plus as many successors as form a run with
+        it; returns how many (at least one).
+
+        A run holds only transactions that touch nothing outside the server,
+        ends in one :meth:`_finish_at` at the instant the per-transaction
+        schedule would have finished its last member (``t = t + step`` per
+        member, the very additions ``now + delay`` made), and leaves what it
+        owes the outside to :meth:`_settle`.  Default: the run of one.
+        """
+        self._handle_tx(block, txs[start])
+        return 1
 
     def _handle_tx(self, block: Block, tx: Transaction) -> None:
         """Process one ledger transaction; must call :meth:`_finish_after` exactly once."""

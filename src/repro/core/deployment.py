@@ -408,8 +408,7 @@ class Deployment:
         def _check_caught_up() -> None:
             if server.departed:
                 return  # left again before ever catching up
-            pending = getattr(server, "_pending", None)
-            if server.backlog == 0 and not server._busy and pending is None:
+            if server.pipeline_idle:
                 server.end_bootstrap()
                 epoch = log.join(name, at=join_record_at,
                                  effective_height=self._backend_height() + 2)
@@ -478,11 +477,10 @@ class Deployment:
         def _check_drained() -> None:
             if server.departed:
                 return  # crashed-and-removed or retired through another path
-            pending = getattr(server, "_pending", None)
             collector = getattr(server, "collector", None)
             collector_empty = collector is None or not collector.pending_view()
-            if (server.backlog == 0 and not server._busy and pending is None
-                    and collector_empty and _shard_pipeline_dry()):
+            if (server.pipeline_idle and collector_empty
+                    and _shard_pipeline_dry()):
                 self._retire_server(server, drained=True)
                 return
             self.sim.call_in(_MEMBERSHIP_POLL, _check_drained)

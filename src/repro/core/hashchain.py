@@ -186,7 +186,8 @@ class HashchainServer(BaseSetchainServer):
     def _on_batch_response(self, message: Message) -> None:
         """Handle a Request_batch reply: in-flight wait or background retry."""
         responded_hash, items = message.payload
-        valid = items is not None and batch_matches_hash(items, responded_hash)
+        valid = items is not None and batch_matches_hash(
+            items, responded_hash, self.scheme.batch_digests)
         if valid:
             # Opportunistically keep any batch we learn about.
             self.store.register_remote(responded_hash, tuple(items))
@@ -480,13 +481,6 @@ class HashchainServer(BaseSetchainServer):
         super().begin_drain()
         self.collector.flush_now()
 
-    def retire(self) -> None:
-        """Also tear down the in-flight request and retry machinery."""
-        super().retire()
-        self._request_timer.cancel()
-        self._pending = None
-        self._unresolved.clear()
-
     def _on_quorum_change(self, quorum: int, block: Block) -> None:
         """A shrunk quorum can retro-trigger consolidation of known hashes.
 
@@ -508,16 +502,21 @@ class HashchainServer(BaseSetchainServer):
 
     # -- crash faults ------------------------------------------------------------
 
-    def _on_crash(self) -> None:
-        """Volatile hashchain state: the collector, the in-flight request and
-        the retry loops die with the process; the batch store (disk in the
-        paper's deployment), the ledger-derived consolidation queue, and the
-        Setchain state survive for recovery."""
-        super()._on_crash()
-        self.collector.clear()
+    def _halt_pipeline(self) -> list[Block]:
+        """The in-flight request and the retry loops die with the pipeline,
+        on a crash and on retirement alike."""
         self._request_timer.cancel()
         self._pending = None
         self._unresolved.clear()
+        return super()._halt_pipeline()
+
+    def _on_crash(self) -> None:
+        """Volatile hashchain state: the collector dies with the process (as
+        does the pipeline); the batch store (disk in the paper's deployment),
+        the ledger-derived consolidation queue, and the Setchain state
+        survive for recovery."""
+        super()._on_crash()
+        self.collector.clear()
 
     def _on_recover(self) -> None:
         """Replay missed blocks, then re-arm retries for still-missing contents."""

@@ -55,28 +55,23 @@ def valid_hash_batch(hash_batch_obj: object, scheme: SignatureScheme) -> bool:
                          hash_batch_obj.signature)
 
 
-#: Identity-keyed memo of ``hash_batch`` results: batches travel through the
-#: simulation by reference, so every server that resolves the same hash
-#: validates the *same tuple object*.  Entries pin the tuple (a strong
-#: reference), which is what makes the ``id`` key safe — a pinned object's id
-#: cannot be reused.  Cleared wholesale at capacity to stay bounded across
-#: sweeps.
-_MATCH_MEMO: dict[int, tuple[tuple[object, ...], str]] = {}
-_MATCH_MEMO_MAX = 4096
+def batch_matches_hash(items: Iterable[object], expected_hash: str,
+                       memo: dict[int, tuple[object, str]] | None = None) -> bool:
+    """True iff ``Hash(items)`` equals the hash a hash-batch advertised.
 
-
-def batch_matches_hash(items: Iterable[object], expected_hash: str) -> bool:
-    """True iff ``Hash(items)`` equals the hash a hash-batch advertised."""
-    if isinstance(items, tuple):
-        entry = _MATCH_MEMO.get(id(items))
-        if entry is not None and entry[0] is items:
-            return entry[1] == expected_hash
-        digest = hash_batch(items)
-        if len(_MATCH_MEMO) >= _MATCH_MEMO_MAX:
-            _MATCH_MEMO.clear()
-        _MATCH_MEMO[id(items)] = (items, digest)
-        return digest == expected_hash
-    return hash_batch(items) == expected_hash
+    ``memo`` is an identity-keyed store of ``hash_batch`` results: batches
+    travel through the simulation by reference, so every server that resolves
+    the same hash validates the *same tuple object*.  Entries pin the tuple (a
+    strong reference), which is what makes the ``id`` key safe — a pinned
+    object's id cannot be reused.  The caller owns it for the lifetime of its
+    deployment (``SignatureScheme.batch_digests``).
+    """
+    if memo is None or not isinstance(items, tuple):
+        return hash_batch(items) == expected_hash
+    entry = memo.get(id(items))
+    if entry is None or entry[0] is not items:
+        memo[id(items)] = entry = (items, hash_batch(items))
+    return entry[1] == expected_hash
 
 
 def split_batch(items: Iterable[object]) -> tuple[list[Element], list[EpochProof]]:
@@ -88,25 +83,4 @@ def split_batch(items: Iterable[object]) -> tuple[list[Element], list[EpochProof
             elements.append(item)
         elif isinstance(item, EpochProof):
             proofs.append(item)
-    return elements, proofs
-
-
-def split_batch_valid(items: Iterable[object]) -> tuple[list[Element], list[EpochProof]]:
-    """One-pass :func:`split_batch` + :func:`valid_element` filter.
-
-    Exactly equivalent to splitting and then testing each element — invalid
-    elements are silently dropped, order is preserved — but the batch hot
-    paths (Hashchain absorb, Compresschain decompress) pay one type dispatch
-    per item instead of three predicate calls.
-    """
-    elements: list[Element] = []
-    proofs: list[EpochProof] = []
-    element_append = elements.append
-    proof_append = proofs.append
-    for item in items:
-        if isinstance(item, Element):
-            if item.valid and item.size_bytes > 0:
-                element_append(item)
-        elif isinstance(item, EpochProof):
-            proof_append(item)
     return elements, proofs

@@ -10,6 +10,10 @@ baseline the other two algorithms improve on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import inf, nextafter
+from typing import Sequence
+
 from ..config import EPOCH_PROOF_SIZE, SetchainConfig
 from ..crypto.keys import KeyPair
 from ..crypto.signatures import SignatureScheme
@@ -18,7 +22,6 @@ from ..sim.scheduler import Simulator
 from ..workload.elements import Element
 from .base import BaseSetchainServer
 from .types import EpochProof
-from .validation import valid_element
 
 
 class VanillaServer(BaseSetchainServer):
@@ -32,6 +35,11 @@ class VanillaServer(BaseSetchainServer):
         #: Valid elements of the block currently being processed (the epoch
         #: candidate set G of Appendix B, line 13).
         self._block_elements: dict[int, Element] = {}
+        #: What the run in flight owes the metrics: ids and instants of the
+        #: elements it saw in the ledger, instants of those it refused.
+        self._run: tuple[list[int], list[float], list[float]] = ([], [], [])
+        # A stopped clock shows every instant up to and including ``now``.
+        sim.on_pause.append(lambda: self._settle(nextafter(sim.now, inf)))
 
     # -- add path -----------------------------------------------------------------
 
@@ -41,43 +49,56 @@ class VanillaServer(BaseSetchainServer):
         if self.metrics is not None:
             self.metrics.record_tx_elements(tx.tx_id, [element.element_id])
 
-    def _after_add_many(self, elements: list[Element]) -> None:
-        # Still one ledger transaction per element (Vanilla's defining cost);
-        # only the per-call dispatch is hoisted out of the loop.
-        metrics = self.metrics
-        if metrics is None:
-            append = self._append_to_ledger
-            for element in elements:
-                append(element, element.size_bytes)
-            return
-        append = self._append_to_ledger
-        record = metrics.record_tx_elements
-        for element in elements:
-            tx = append(element, element.size_bytes)
-            record(tx.tx_id, [element.element_id])
-
     # -- block processing -----------------------------------------------------------
 
-    def _handle_tx(self, block: Block, tx: Transaction) -> None:
-        payload = tx.payload
-        duration = self.config.tx_processing_overhead
-        if isinstance(payload, EpochProof):
-            # Appendix B lines 11-12: absorb valid epoch-proofs.
-            self._absorb_proofs([payload])
-        elif isinstance(payload, Element):
-            duration += self.config.element_validation_time
-            if not valid_element(payload):
+    def _handle_txs(self, block: Block, txs: Sequence[Transaction],
+                    start: int) -> int:
+        payload = txs[start].payload
+        overhead = self.config.tx_processing_overhead
+        if not isinstance(payload, Element):
+            if isinstance(payload, EpochProof):
+                # Appendix B lines 11-12: absorb valid epoch-proofs.
+                self._absorb_proofs([payload])
+            # Anything else (a Byzantine server appended garbage) is skipped.
+            self._finish_after(overhead)
+            return 1
+        # Every consecutive element of the block is one run: an element reads
+        # ``_epoched_ids`` (written at block ends, which no run spans) and
+        # writes the epoch candidates, both private; the stamp or refusal
+        # count it owes the metrics waits in ``_run`` for :meth:`_settle`.
+        step = overhead + self.config.element_validation_time
+        at = self.sim.now
+        epoched = self._epoched_ids
+        candidates = self._block_elements
+        ids, times, refused = self._run
+        handled = 0
+        for tx in txs[start:]:
+            element = tx.payload
+            if not isinstance(element, Element):
+                break
+            if not (element.valid and element.size_bytes > 0):
                 # A Byzantine server appended an invalid element; refuse it.
-                if self.metrics is not None:
-                    self.metrics.record_byzantine(self.name,
-                                                  "invalid_elements_refused")
-            elif (not self._known_in_history(payload)
-                    and payload.element_id not in self._block_elements):
-                self._block_elements[payload.element_id] = payload
-                if self.metrics is not None:
-                    self.metrics.record_in_ledger(payload.element_id, self.sim.now)
-        # Anything else (a Byzantine server appended garbage) is simply skipped.
-        self._finish_after(duration)
+                refused.append(at)
+            elif (element.element_id not in epoched
+                    and element.element_id not in candidates):
+                candidates[element.element_id] = element
+                ids.append(element.element_id)
+                times.append(at)
+            at += step
+            handled += 1
+        self._finish_at(at)
+        return handled
+
+    def _settle(self, before: float) -> None:
+        ids, times, refused = self._run
+        stamped = bisect_left(times, before)
+        counted = bisect_left(refused, before)
+        if self.metrics is not None and (stamped or counted):
+            self.metrics.record_in_ledger_run(ids[:stamped], times[:stamped])
+            for _ in range(counted):
+                self.metrics.record_byzantine(self.name,
+                                              "invalid_elements_refused")
+        del ids[:stamped], times[:stamped], refused[:counted]
 
     def _handle_block_end(self, block: Block) -> None:
         # Appendix B lines 13-18: the block's valid new elements become an epoch.
@@ -85,16 +106,20 @@ class VanillaServer(BaseSetchainServer):
             return
         new_epoch = set(self._block_elements.values())
         self._block_elements = {}
+        the_set = self._the_set
         for element in new_epoch:
-            self._add_to_the_set(element)
+            the_set.setdefault(element.element_id, element)
         proof = self._byz_outgoing_proof(self._record_new_epoch(new_epoch, block))
         if proof is not None and not self.bootstrapping:
             self._append_to_ledger(proof, EPOCH_PROOF_SIZE)
 
     # -- crash faults ------------------------------------------------------------
 
-    def _on_crash(self) -> None:
+    def _halt_pipeline(self) -> list[Block]:
         """The epoch-candidate set of the interrupted block is in-memory
-        state; the block itself is replayed in full on recovery."""
-        super()._on_crash()
+        state (the block is replayed in full on recovery), and what a cut
+        run owed for instants it never reached is void."""
+        interrupted = super()._halt_pipeline()
         self._block_elements = {}
+        self._run = ([], [], [])
+        return interrupted

@@ -62,6 +62,10 @@ class SignatureScheme(ABC):
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
+        #: Memo of ``core.validation.batch_matches_hash``, kept here because
+        #: the scheme is what all servers of one deployment share, and it dies
+        #: with the deployment.
+        self.batch_digests: dict[int, tuple[object, str]] = {}
 
     @abstractmethod
     def generate_keypair(self, owner: str, deployment_seed: int = 0) -> KeyPair:

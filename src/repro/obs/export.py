@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import ConfigurationError
-from .trace import Tracer
+from .trace import Tracer, _us
 
 #: Bumped whenever either trace layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
@@ -46,9 +46,9 @@ def export_chrome(tracer: Tracer, label: str = "") -> str:
     for track in tracks:
         events.append({"args": {"name": track}, "name": "thread_name",
                        "ph": "M", "pid": 0, "tid": tid_of[track]})
-    for ts_us, track, name, count in tracer.events:
+    for t, track, name, count in tracer.timeline():
         event: dict[str, Any] = {"name": name, "ph": "i", "pid": 0,
-                                 "s": "t", "tid": tid_of[track], "ts": ts_us}
+                                 "s": "t", "tid": tid_of[track], "ts": _us(t)}
         if count:
             event["args"] = {"count": count}
         events.append(event)
@@ -64,20 +64,16 @@ def export_jsonl(tracer: Tracer, label: str = "") -> str:
                          "schema_version": TRACE_SCHEMA_VERSION,
                          "tracks": tracer.tracks(),
                          "type": "header"}, **_JSON_COMPACT)]
-    for ts_us, track, name, count in tracer.events:
+    for t, track, name, count in tracer.timeline():
         lines.append(json.dumps({"count": count, "name": name,
-                                 "track": track, "ts_us": ts_us,
+                                 "track": track, "ts_us": _us(t),
                                  "type": "event"}, **_JSON_COMPACT))
     spans = tracer.spans()
     for element_id in sorted(spans):
-        phases = {phase: _int_us(t) for phase, t in spans[element_id].items()}
+        phases = {phase: _us(t) for phase, t in spans[element_id].items()}
         lines.append(json.dumps({"element_id": element_id, "phases": phases,
                                  "type": "span"}, **_JSON_COMPACT))
     return "\n".join(lines) + "\n"
-
-
-def _int_us(t: float) -> int:
-    return int(round(t * 1e6))
 
 
 def write_trace(tracer: Tracer, path: "str | Path", fmt: str = "chrome",

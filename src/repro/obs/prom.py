@@ -153,6 +153,7 @@ def render_snapshot(snapshot: Mapping[str, Any],
         out.sample("repro_quorum", "gauge", healthz.get("quorum", 0))
     if tracer is not None:
         phases = sorted(tracer.phase_summary().items())
+        latencies = tracer.phase_latencies
         if phases:
             lines = out._lines
             lines.append("# HELP repro_phase_latency_seconds Per-phase "
@@ -165,7 +166,7 @@ def render_snapshot(snapshot: Mapping[str, Any],
                         f'repro_phase_latency_seconds{{phase="{phase}",'
                         f'quantile="{quantile}"}} '
                         f"{format_value(stats[key])}")
-                total = sum(tracer.phase_latencies[phase])
+                total = sum(latencies[phase])
                 lines.append(f'repro_phase_latency_seconds_sum'
                              f'{{phase="{phase}"}} {format_value(total)}')
                 lines.append(f'repro_phase_latency_seconds_count'

@@ -25,17 +25,20 @@ Design constraints, in order:
 
 Two kinds of data accumulate:
 
-* **timeline events** — ``(ts_us, track, name, count)`` tuples, one per
+* **timeline events** — ``(t, track, name, count)`` tuples, one per
   recording call, placed on a track per server plus the synthetic
   ``collector`` (injection side) and ``ledger`` tracks.  These become the
-  Chrome ``trace_event`` / JSONL exports (:mod:`repro.obs.export`).
-* **element spans** — per *sampled* element, the first observation time of
+  Chrome ``trace_event`` / JSONL exports (:mod:`repro.obs.export`), written
+  in simulated-time order (:meth:`Tracer.timeline`).
+* **element spans** — per *sampled* element, the earliest observation time of
   each phase.  These yield exact per-phase latency percentiles for
   ``RunResult.telemetry`` and ``repro report --phases``.
 """
 
 from __future__ import annotations
 
+from math import inf
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..errors import ConfigurationError
@@ -64,9 +67,8 @@ def _us(t: float) -> int:
 class Tracer:
     """Deterministic lifecycle tracer; see the module docstring."""
 
-    __slots__ = ("sample", "seed", "_rng", "_stamps", "events",
-                 "phase_latencies", "registry", "sampled_elements",
-                 "skipped_elements")
+    __slots__ = ("sample", "seed", "_rng", "_stamps", "events", "registry",
+                 "sampled_elements", "skipped_elements")
 
     def __init__(self, sample: float = 1.0, seed: int = 0) -> None:
         if not 0.0 < sample <= 1.0:
@@ -78,10 +80,9 @@ class Tracer:
         self._rng = DeterministicRNG(derive_seed(self.seed, "trace"))
         #: element_id -> {phase: simulated time} for sampled elements only.
         self._stamps: dict[int, dict[str, float]] = {}
-        #: Timeline: (ts_us, track, name, count) in observation order.
-        self.events: list[tuple[int, str, str, int]] = []
-        self.phase_latencies: dict[str, list[float]] = {
-            phase: [] for phase in PHASES[1:]}
+        #: Timeline: (simulated seconds, track, name, count) in recording
+        #: order; a pipeline run reports past instants, so read :meth:`timeline`.
+        self.events: list[tuple[float, str, str, int]] = []
         self.registry = Registry()
         self.sampled_elements = 0
         self.skipped_elements = 0
@@ -90,7 +91,7 @@ class Tracer:
 
     def injected(self, element_id: int, t: float) -> None:
         """One element injected (the Session.inject / service path)."""
-        self.events.append((_us(t), TRACK_COLLECTOR, "injected", 1))
+        self.events.append((t, TRACK_COLLECTOR, "injected", 1))
         if element_id in self._stamps:
             return
         if self.sample >= 1.0 or self._rng.random() < self.sample:
@@ -102,7 +103,7 @@ class Tracer:
     def injected_many(self, element_ids: Sequence[int], t: float) -> None:
         """One injection tick: the sampling decision happens here, once per
         element, in injection order (deterministic across batching)."""
-        self.events.append((_us(t), TRACK_COLLECTOR, "injected",
+        self.events.append((t, TRACK_COLLECTOR, "injected",
                             len(element_ids)))
         stamps = self._stamps
         if self.sample >= 1.0:
@@ -128,33 +129,27 @@ class Tracer:
                    track: str) -> None:
         """Record ``phase`` for a batch of elements at simulated time ``t``.
 
-        Emits one timeline event on ``track`` and stamps every *sampled*
-        element's first observation of the phase (latency measured from its
-        injection).
+        Emits one timeline event on ``track`` and keeps, per *sampled*
+        element, the earliest observation of the phase, not the first
+        reported: a pipeline run reports past instants, in no global order.
         """
-        self.events.append((_us(t), track, phase, len(element_ids)))
+        self.events.append((t, track, phase, len(element_ids)))
         stamps = self._stamps
-        latencies = self.phase_latencies[phase]
         for element_id in element_ids:
             span = stamps.get(element_id)
-            if span is not None and phase not in span:
+            if span is not None and span.get(phase, inf) > t:
                 span[phase] = t
-                latencies.append(t - span["injected"])
-
-    def phase_one(self, element_id: int, phase: str, t: float,
-                  track: str) -> None:
-        """Scalar :meth:`phase_many` for per-element code paths."""
-        self.events.append((_us(t), track, phase, 1))
-        span = self._stamps.get(element_id)
-        if span is not None and phase not in span:
-            span[phase] = t
-            self.phase_latencies[phase].append(t - span["injected"])
 
     def annotate(self, t: float, track: str, name: str) -> None:
         """A non-phase marker (fault, membership, byzantine) on a track."""
-        self.events.append((_us(t), track, name, 0))
+        self.events.append((t, track, name, 0))
 
     # -- derived views --------------------------------------------------------
+
+    def timeline(self) -> list[tuple[float, str, str, int]]:
+        """The events in simulated-time order (stable, so same-instant events
+        keep the order they were recorded in)."""
+        return sorted(self.events, key=itemgetter(0))
 
     def tracks(self) -> list[str]:
         """All track names observed so far, sorted (export tid order)."""
@@ -164,14 +159,19 @@ class Tracer:
         """Per-sampled-element phase timestamps (read-only view)."""
         return self._stamps
 
+    @property
+    def phase_latencies(self) -> dict[str, list[float]]:
+        """Per phase, every sampled element's latency since its injection
+        (read off the spans, in sampling order)."""
+        return {phase: [span[phase] - span["injected"]
+                        for span in self._stamps.values() if phase in span]
+                for phase in PHASES[1:]}
+
     def phase_summary(self) -> dict[str, dict[str, Any]]:
         """count/p50/p95/p99/max per phase with at least one observation."""
-        summary: dict[str, dict[str, Any]] = {}
-        for phase in PHASES[1:]:
-            latencies = self.phase_latencies[phase]
-            if latencies:
-                summary[phase] = phase_percentiles(sorted(latencies))
-        return summary
+        return {phase: phase_percentiles(sorted(latencies))
+                for phase, latencies in self.phase_latencies.items()
+                if latencies}
 
     def telemetry_report(self,
                          deployment: "Deployment | None" = None) -> dict[str, Any]:

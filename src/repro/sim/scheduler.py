@@ -31,6 +31,10 @@ class Simulator:
         self.events_executed = 0
         #: Optional hard cap on executed events; ``None`` means unlimited.
         self.max_events: int | None = None
+        #: Called, in order, whenever the event loop hands control back to its
+        #: caller: a component that has worked ahead of the clock brings what
+        #: it shows the outside up to ``now`` here, whoever stopped the clock.
+        self.on_pause: list[Callable[[], None]] = []
 
     # -- clock ----------------------------------------------------------------
 
@@ -113,7 +117,13 @@ class Simulator:
             # Scalar dispatch of a storm event: a one-element run.  The
             # budgeted path never batches, so budget accounting stays exact.
             event.callback([event.payload])
+        if not self._running:
+            self._pause()
         return True
+
+    def _pause(self) -> None:
+        for hook in self.on_pause:
+            hook()
 
     def _drain(self, horizon: float) -> None:
         """Execute every due event up to ``horizon`` (the shared main loop).
@@ -166,27 +176,24 @@ class Simulator:
             raise SimulationError(
                 f"run_until({end_time}) is before current time {self._now}"
             )
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
-        try:
-            self._drain(end_time)
-            self._now = max(self._now, end_time)
-        finally:
-            self._running = False
+        self._run(end_time, end_time)
 
     def run_until_idle(self, max_time: float | None = None) -> None:
         """Run until no events remain, optionally bounded by ``max_time``."""
-        horizon = float("inf") if max_time is None else max_time
+        self._run(float("inf") if max_time is None else max_time, max_time)
+
+    def _run(self, horizon: float, advance_to: float | None) -> None:
+        """The one way into and out of the event loop."""
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
         try:
             self._drain(horizon)
-            if max_time is not None:
-                self._now = max(self._now, max_time)
+            if advance_to is not None:
+                self._now = max(self._now, advance_to)
         finally:
             self._running = False
+            self._pause()
 
     # -- conditions -----------------------------------------------------------
 

@@ -76,8 +76,9 @@ def build_metrics(commits):
     for i, (injected, committed) in enumerate(commits):
         element = make_element("c", 100)
         metrics.record_injected(element, injected)
-        metrics.record_added(element, "server-0", injected)
-        metrics.record_epoch_assigned(element.element_id, 1, committed - 0.5)
+        metrics.record_added_many([element], "server-0", injected)
+        metrics.record_epoch_assigned_many([element.element_id], 1,
+                                           committed - 0.5)
         metrics.record_epoch_committed(1, [element], committed)
     return metrics
 
@@ -87,8 +88,8 @@ def test_metrics_first_observation_wins():
     element = make_element("c", 100)
     metrics.record_injected(element, 1.0)
     metrics.record_injected(element, 5.0)
-    metrics.record_in_ledger(element.element_id, 3.0)
-    metrics.record_in_ledger(element.element_id, 9.0)
+    metrics.record_in_ledger_many([element.element_id], 3.0)
+    metrics.record_in_ledger_many([element.element_id], 9.0)
     metrics.record_epoch_committed(1, [element], 4.0)
     metrics.record_epoch_committed(1, [element], 8.0)
     record = metrics.elements[element.element_id]
@@ -97,6 +98,22 @@ def test_metrics_first_observation_wins():
     assert record.committed_at == 4.0
     assert record.commit_latency() == pytest.approx(3.0)
     assert metrics.epoch_commit_times[1] == 4.0
+
+
+def test_in_ledger_stamp_is_the_earliest_instant_not_the_first_report():
+    """A server reports a whole pipeline run of past instants in one call, so
+    reports do not arrive in time order: the stamp must not depend on which
+    server's step happened to be dispatched first."""
+    metrics = MetricsCollector()
+    first, second = make_element("c", 100), make_element("c", 100)
+    metrics.record_in_ledger_run([first.element_id, second.element_id],
+                                 [6.0, 6.5])
+    metrics.record_in_ledger_run([first.element_id, second.element_id],
+                                 [2.0, 7.0])
+    metrics.record_in_ledger_many([second.element_id], 3.0)
+    metrics.record_in_ledger_many([second.element_id], 4.0)
+    assert metrics.elements[first.element_id].in_ledger_at == 2.0
+    assert metrics.elements[second.element_id].in_ledger_at == 3.0
 
 
 def test_metrics_hash_mapping_resolves_elements():
@@ -184,7 +201,7 @@ def test_stage_latencies_reconstructs_mempool_stages():
     element = make_element("c", 100)
     metrics.record_injected(element, 0.0)
     metrics.record_tx_elements(42, [element.element_id])
-    metrics.record_in_ledger(element.element_id, 3.0)
+    metrics.record_in_ledger_many([element.element_id], 3.0)
     metrics.record_epoch_committed(1, [element], 5.0)
     arrivals = [{42: 1.0}, {42: 1.5}, {42: 2.0}]  # three mempools
     stages = stage_latencies(metrics, arrivals, quorum=2)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from repro.analysis.metrics import MetricsCollector
 from repro.bench import BENCH_MILLION, BENCH_MILLION_SMOKE, BENCH_SMOKE
 from repro.bench.__main__ import main as bench_main
-from repro.core import validation
 from repro.core.batch_store import BatchStore
-from repro.core.validation import batch_matches_hash, split_batch_valid, valid_element
+from repro.core.validation import batch_matches_hash
 from repro.crypto.hashing import hash_batch
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto import signatures
@@ -99,34 +98,25 @@ def test_verify_cache_evicts_oldest_half_in_fifo_order(monkeypatch):
     assert list(scheme._verified)[-1] == triples[0]
 
 
-# -- batched flush validation ------------------------------------------------------------
-
-@_crypto
-@given(st.lists(st.tuples(st.integers(min_value=1, max_value=2000),
-                          st.booleans()),
-                max_size=20))
-def test_split_batch_valid_rejects_exactly_what_scalar_rejects(specs):
-    items = [make_element("c", size_bytes=size, valid=valid)
-             for size, valid in specs]
-    items.append("not-an-element")
-    elements, proofs = split_batch_valid(items)
-    assert elements == [e for e in items if valid_element(e)]
-    assert proofs == []
-
-
 # -- batch-hash memoisation --------------------------------------------------------------
 
 def test_batch_matches_hash_memoises_per_tuple_identity():
-    validation._MATCH_MEMO.clear()
+    memo: dict = {}
     batch = tuple(make_element("c", 100) for _ in range(3))
     digest = hash_batch(batch)
+    assert batch_matches_hash(batch, digest, memo)
+    assert memo == {id(batch): (batch, digest)}
+    assert not batch_matches_hash(batch, "0" * 128, memo)
+    # The memoised digest answers: no recompute.
+    memo[id(batch)] = (batch, "0" * 128)
+    assert batch_matches_hash(batch, "0" * 128, memo)
+    # An entry only speaks for the very tuple it pins (ids can be reused).
+    memo[id(batch)] = (tuple(list(batch)), "0" * 128)
+    assert batch_matches_hash(batch, digest, memo)
+    # Lists, and callers without a memo, hash every time and agree.
+    assert batch_matches_hash(list(batch), digest, memo) and len(memo) == 1
     assert batch_matches_hash(batch, digest)
-    assert validation._MATCH_MEMO[id(batch)] == (batch, digest)
-    # Wrong digest against the memoised tuple: no recompute, still False.
     assert not batch_matches_hash(batch, "0" * 128)
-    # Lists bypass the memo entirely but agree on the verdict.
-    assert batch_matches_hash(list(batch), digest)
-    assert id(list(batch)) not in validation._MATCH_MEMO
 
 
 def test_batch_store_payload_size_is_cached_and_correct():

@@ -505,9 +505,9 @@ def test_crash_replays_blocks_interrupted_mid_pipeline():
     while server.backlog == 0 and deployment.sim.now < 30.0:
         deployment.sim.step()
     assert server.backlog > 0
-    interrupted = {id(item[1]) for item in server._work}
+    interrupted = {id(block) for block, _txs in server._blocks}
     server.crash()
-    assert server._work == type(server._work)()  # pipeline wiped
+    assert not server._blocks and server.backlog == 0  # pipeline wiped
     replay_ids = {id(block) for block in server._missed_blocks}
     assert interrupted <= replay_ids  # ...but the blocks will be replayed
     server.recover()
@@ -544,7 +544,7 @@ def test_stale_pipeline_continuation_dies_across_crash_recover():
     deployment.run()
     # A doubled pipeline would break the serial-service accounting; the
     # cheapest observable invariant: the pipeline fully drains exactly once.
-    assert server.backlog == 0 and not server._busy
+    assert server.backlog == 0 and server.pipeline_idle
     views = deployment.views()
     assert views["server-0"].epoch == views["server-1"].epoch != 0
 

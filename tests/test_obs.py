@@ -133,7 +133,7 @@ def test_tracer_stamps_each_phase_once_and_measures_from_injection():
     tracer.injected_many([1, 2], t=0.0)
     tracer.phase_many([1, 2], "flushed", 0.5, "server-0")
     tracer.phase_many([1, 2], "flushed", 0.9, "server-1")  # re-observation
-    tracer.phase_one(1, "committed", 1.5, "server-0")
+    tracer.phase_many([1], "committed", 1.5, "server-0")
     spans = tracer.spans()
     assert spans[1]["flushed"] == 0.5  # first observation wins
     assert tracer.phase_latencies["flushed"] == [0.5, 0.5]
@@ -164,10 +164,10 @@ def test_tracer_sampling_is_deterministic_and_bounded():
 def test_tracer_annotations_and_tracks():
     tracer = Tracer()
     tracer.injected(7, t=0.0)
-    tracer.phase_one(7, "in_ledger", 0.2, TRACK_LEDGER)
+    tracer.phase_many([7], "in_ledger", 0.2, TRACK_LEDGER)
     tracer.annotate(0.3, "server-1", "fault:crash")
     assert tracer.tracks() == [TRACK_COLLECTOR, TRACK_LEDGER, "server-1"]
-    assert (300_000, "server-1", "fault:crash", 0) in tracer.events
+    assert (0.3, "server-1", "fault:crash", 0) in tracer.timeline()
 
 
 # -- exporters and validators --------------------------------------------------
@@ -178,7 +178,7 @@ def driven_tracer() -> Tracer:
     tracer.injected_many([1, 2, 3], t=0.0)
     tracer.phase_many([1, 2, 3], "flushed", 0.25, "server-0")
     tracer.phase_many([1, 2], "in_ledger", 0.5, TRACK_LEDGER)
-    tracer.phase_one(1, "committed", 0.75, "server-0")
+    tracer.phase_many([1], "committed", 0.75, "server-0")
     tracer.annotate(0.8, "server-1", "membership:join")
     return tracer
 
