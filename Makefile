@@ -9,9 +9,15 @@ SCENARIO ?= bench/hashchain-heavy
 test:
 	$(PYTHON) -m pytest -q
 
-# Source line count, tracked per PR like a benchmark (ROADMAP item 2).
+# Source line count, tracked per PR like a benchmark (ROADMAP item 2), with
+# the delta against the parent commit: the count must not go up.
 loc:
-	@echo "src: $$(find src -name '*.py' -exec cat {} + | wc -l) lines"
+	@now=$$(find src -name '*.py' -exec cat {} + | wc -l); \
+	was=$$(git ls-tree -r --name-only HEAD~1 -- src 2>/dev/null | grep '\.py$$' \
+	  | sed 's/^/HEAD~1:/' | xargs -r git show 2>/dev/null | wc -l); \
+	if [ "$$was" -gt 0 ]; then \
+	  echo "src: $$now lines ($$(printf '%+d' $$((now - was))) against HEAD~1's $$was)"; \
+	else echo "src: $$now lines (no HEAD~1 to compare with)"; fi
 
 # The repo benchmark (BENCHMARK.json): all five pinned workloads, end-to-end
 # metrics only.  Reports land in the git-ignored benchmarks/e2e/out/.

@@ -177,25 +177,9 @@ class MetricsCollector:
 
     # -- element lifecycle ------------------------------------------------------
 
-    def _record(self, element_id: int) -> ElementRecord:
-        record = self.elements.get(element_id)
-        if record is None:
-            record = ElementRecord(element_id=element_id)
-            self.elements[element_id] = record
-        return record
-
-    def record_injected(self, element: Element, time: float) -> None:
-        record = self._record(element.element_id)
-        record.size_bytes = element.size_bytes
-        if record.injected_at is None:
-            record.injected_at = time
-            self._injected_total += 1
-        if self.tracer is not None:
-            self.tracer.injected(element.element_id, time)
-
     def record_injected_many(self, elements: Iterable[Element],
                              time: float) -> None:
-        """Batch :meth:`record_injected` for one injection tick."""
+        """One injection tick: the first stamp per element wins."""
         if self.tracer is not None:
             elements = list(elements)
         records = self.elements
@@ -205,11 +189,13 @@ class MetricsCollector:
             element_id = element.element_id
             record = records.get(element_id)
             if record is None:
-                records[element_id] = record = make(element_id=element_id)
-            record.size_bytes = element.size_bytes
-            if record.injected_at is None:
-                record.injected_at = time
+                records[element_id] = make(element_id, element.size_bytes, time)
                 fresh += 1
+            else:
+                record.size_bytes = element.size_bytes
+                if record.injected_at is None:
+                    record.injected_at = time
+                    fresh += 1
         self._injected_total += fresh
         if self.tracer is not None:
             self.tracer.injected_many(

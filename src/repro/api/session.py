@@ -154,7 +154,7 @@ class Session:
                 f"server {servers[server].name} rejected the element "
                 "(duplicate or invalid); it was not recorded as injected")
         self.deployment.injected_elements.append(element)
-        self.deployment.metrics.record_injected(element, self.now)
+        self.deployment.metrics.record_injected_many([element], self.now)
         self._injected_by_hand += 1
         return element
 

@@ -325,8 +325,7 @@ class BaseSetchainServer(NetworkNode, Application):
         rejected = 0
         duplicates = 0
         for element in elements:
-            if not (isinstance(element, Element) and element.valid
-                    and element.size_bytes > 0):
+            if not (isinstance(element, Element) and element.valid):
                 rejected += 1
                 continue
             element_id = element.element_id

@@ -106,8 +106,7 @@ class CompresschainServer(BaseSetchainServer):
         for item in items:
             if isinstance(item, Element):
                 element_id = item.element_id
-                if (item.valid and item.size_bytes > 0
-                        and element_id not in epoched
+                if (item.valid and element_id not in epoched
                         and element_id not in new_epoch):
                     new_epoch[element_id] = item
                     the_set.setdefault(element_id, item)

@@ -87,7 +87,7 @@ class EpochExecutor:
     @staticmethod
     def optimistic_valid(element: Element) -> bool:
         """Per-element validation that ignores state (parallelisable)."""
-        return element.valid and element.size_bytes > 0
+        return element.valid
 
     def optimistic_filter(self, elements: Iterable[Element]) -> list[Element]:
         """Filter an epoch's elements with the stateless check only."""

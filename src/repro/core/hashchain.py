@@ -414,7 +414,7 @@ class HashchainServer(BaseSetchainServer):
         the_set = self._the_set
         for item in items:
             if isinstance(item, Element):
-                if item.valid and item.size_bytes > 0:
+                if item.valid:
                     keep_element(item)
                     if item.element_id not in epoched:
                         the_set.setdefault(item.element_id, item)
@@ -464,7 +464,6 @@ class HashchainServer(BaseSetchainServer):
                 the_set = self._the_set
                 for element in items:
                     if (isinstance(element, Element) and element.valid
-                            and element.size_bytes > 0
                             and element.element_id not in epoched):
                         the_set.setdefault(element.element_id, element)
                         fresh[element.element_id] = element

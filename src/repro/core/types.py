@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ..config import EPOCH_PROOF_SIZE, HASH_BATCH_SIZE
 from ..crypto.hashing import canonical_many
 from ..errors import SetchainError
+from ..values import SlotValue
 from ..workload.elements import Element
 
 
@@ -26,40 +27,36 @@ def canonical_bytes_many(items: Iterable[object]) -> list[bytes]:
     return canonical_many(items)
 
 
-@dataclass(frozen=True, slots=True)
-class EpochProof:
+class EpochProof(SlotValue):
     """``⟨j, p, w⟩``: server ``w``'s signature ``p`` over the hash of epoch ``j``.
 
     The wire length is the paper's measured 139 bytes regardless of the
-    concrete signature backend.
+    concrete signature backend.  Immutable by contract: no field is assigned
+    after construction, so the encoding and the hash are computed once.
     """
 
-    epoch_number: int
-    epoch_hash: str
-    signature: bytes
-    signer: str
-    size_bytes: int = EPOCH_PROOF_SIZE
-    #: Cached canonical encoding (fields are frozen; hashed once per batch).
-    _canonical: bytes = field(init=False, repr=False, compare=False, default=b"")
-    #: Cached ``hash()`` — proofs live in sets checked on every ledger batch
-    #: re-absorption, and the fields never change.
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    _fields = ("epoch_number", "epoch_hash", "signature", "signer", "size_bytes")
+    __slots__ = _fields + ("_canonical", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.epoch_number < 1:
+    def __init__(self, epoch_number: int, epoch_hash: str, signature: bytes,
+                 signer: str, size_bytes: int = EPOCH_PROOF_SIZE) -> None:
+        if epoch_number < 1:
             raise SetchainError("epoch numbers start at 1")
-        if not self.signer:
+        if not signer:
             raise SetchainError("epoch-proof must name its signer")
-        object.__setattr__(
-            self, "_canonical",
-            (f"proof|{self.epoch_number}|{self.epoch_hash}|{self.signer}|"
-             f"{self.signature.hex()}").encode())
-        # Same tuple the dataclass-generated __hash__ would hash (the compare
-        # fields, in declaration order), so set iteration orders are unchanged.
-        object.__setattr__(
-            self, "_hash",
-            hash((self.epoch_number, self.epoch_hash, self.signature,
-                  self.signer, self.size_bytes)))
+        self.epoch_number = epoch_number
+        self.epoch_hash = epoch_hash
+        self.signature = signature
+        self.signer = signer
+        self.size_bytes = size_bytes
+        #: Canonical encoding (hashed once per batch).
+        self._canonical = (f"proof|{epoch_number}|{epoch_hash}|{signer}|"
+                           f"{signature.hex()}").encode()
+        #: The tuple a frozen dataclass hashes (``_fields``, in order), so set
+        #: iteration orders are unchanged — proofs live in sets checked on
+        #: every ledger batch re-absorption.
+        self._hash = hash((epoch_number, epoch_hash, signature, signer,
+                           size_bytes))
 
     def __hash__(self) -> int:
         return self._hash
@@ -78,28 +75,29 @@ def hash_batch_payload(batch_hash: str) -> str:
     return f"hash-batch|{batch_hash}"
 
 
-@dataclass(frozen=True, slots=True)
-class HashBatch:
+class HashBatch(SlotValue):
     """``⟨h, s, v⟩``: the hash of a batch, signed by server ``v`` (Hashchain).
 
     Fixed 139-byte wire size (hash + signature + identity), per the paper.
+    Immutable by contract: no field is assigned after construction.
     """
 
-    batch_hash: str
-    signature: bytes
-    signer: str
-    size_bytes: int = HASH_BATCH_SIZE
-    #: Cached canonical encoding (fields are frozen; hashed once per batch).
-    _canonical: bytes = field(init=False, repr=False, compare=False, default=b"")
+    _fields = ("batch_hash", "signature", "signer", "size_bytes")
+    __slots__ = _fields + ("_canonical",)
 
-    def __post_init__(self) -> None:
-        if not self.batch_hash:
+    def __init__(self, batch_hash: str, signature: bytes, signer: str,
+                 size_bytes: int = HASH_BATCH_SIZE) -> None:
+        if not batch_hash:
             raise SetchainError("hash-batch must carry a batch hash")
-        if not self.signer:
+        if not signer:
             raise SetchainError("hash-batch must name its signer")
-        object.__setattr__(
-            self, "_canonical",
-            f"hash-batch|{self.batch_hash}|{self.signer}|{self.signature.hex()}".encode())
+        self.batch_hash = batch_hash
+        self.signature = signature
+        self.signer = signer
+        self.size_bytes = size_bytes
+        #: Canonical encoding (hashed once per batch).
+        self._canonical = (f"hash-batch|{batch_hash}|{signer}|"
+                           f"{signature.hex()}").encode()
 
     def canonical_bytes(self) -> bytes:
         return self._canonical

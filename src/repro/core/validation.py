@@ -23,7 +23,7 @@ def valid_element(element: object) -> bool:
     servers must discard such elements even if a Byzantine server put them in
     the ledger.
     """
-    return isinstance(element, Element) and element.valid and element.size_bytes > 0
+    return isinstance(element, Element) and element.valid
 
 
 def valid_proof(proof: object, scheme: SignatureScheme,

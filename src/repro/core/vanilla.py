@@ -76,7 +76,7 @@ class VanillaServer(BaseSetchainServer):
             element = tx.payload
             if not isinstance(element, Element):
                 break
-            if not (element.valid and element.size_bytes > 0):
+            if not element.valid:
                 # A Byzantine server appended an invalid element; refuse it.
                 refused.append(at)
             elif (element.element_id not in epoched

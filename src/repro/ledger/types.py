@@ -8,17 +8,18 @@ or an epoch-proof); an *element* is a Setchain-level item.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..errors import LedgerError
+from ..values import SlotValue
 
 _tx_counter = itertools.count()
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """A ledger transaction.
+class Transaction(SlotValue):
+    """A ledger transaction; immutable by contract (no field is assigned
+    after construction).
 
     Attributes
     ----------
@@ -29,28 +30,31 @@ class Transaction:
     origin:
         Name of the process that appended the transaction.
     tx_id:
-        Globally unique identifier (assigned at creation).
+        Globally unique identifier (the next one, unless given).
     created_at:
         Simulated time at which the transaction was created (for latency
         accounting).  ``None`` when unknown.
     """
 
-    payload: Any
-    size_bytes: int
-    origin: str
-    tx_id: int = field(default_factory=lambda: next(_tx_counter))
-    created_at: float | None = None
+    __slots__ = _fields = ("payload", "size_bytes", "origin", "tx_id",
+                           "created_at")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
+    def __init__(self, payload: Any, size_bytes: int, origin: str,
+                 tx_id: int | None = None,
+                 created_at: float | None = None) -> None:
+        if size_bytes < 0:
             raise LedgerError("transaction size cannot be negative")
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.origin = origin
+        self.tx_id = next(_tx_counter) if tx_id is None else tx_id
+        self.created_at = created_at
 
 
 def new_transaction(payload: Any, size_bytes: int, origin: str,
                     created_at: float | None = None) -> Transaction:
     """Convenience constructor mirroring the paper's ``L.append`` argument."""
-    return Transaction(payload=payload, size_bytes=size_bytes, origin=origin,
-                       created_at=created_at)
+    return Transaction(payload, size_bytes, origin, None, created_at)
 
 
 @dataclass(frozen=True, slots=True)

@@ -89,17 +89,6 @@ class Tracer:
 
     # -- recording (hot paths; callers gate on `if tracer is not None`) -------
 
-    def injected(self, element_id: int, t: float) -> None:
-        """One element injected (the Session.inject / service path)."""
-        self.events.append((t, TRACK_COLLECTOR, "injected", 1))
-        if element_id in self._stamps:
-            return
-        if self.sample >= 1.0 or self._rng.random() < self.sample:
-            self._stamps[element_id] = {"injected": t}
-            self.sampled_elements += 1
-        else:
-            self.skipped_elements += 1
-
     def injected_many(self, element_ids: Sequence[int], t: float) -> None:
         """One injection tick: the sampling decision happens here, once per
         element, in injection order (deterministic across batching)."""

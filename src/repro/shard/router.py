@@ -28,7 +28,9 @@ Backpressure vocabulary (PR 6): an element routed to its preferred server is
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from itertools import repeat
+from types import SimpleNamespace
+from typing import Any, Iterable, Sequence
 
 #: 64-bit golden-ratio multiplier (Fibonacci hashing).
 _MIX = 0x9E3779B97F4A7C15
@@ -133,59 +135,74 @@ class ShardRouter:
 
     def route(self, element_id: int, preference: int | None = 0,
               active: Sequence[int] | None = None) -> tuple[Any, int] | None:
-        """Pick ``(server, shard)`` for one element; count the admission.
-
-        ``preference`` selects the within-shard position the caller would
-        normally hit (the batch workload pins client *i* to position
-        ``i % shard size``, mirroring the unsharded one-client-per-server
-        layout; ``None`` round-robins instead); an unroutable preferred
-        server fails over to the next routable one in the same shard and
-        counts as *deferred*.  Returns ``None`` — and counts a rejection —
-        when no shard is active.  ``active`` is a burst's one
-        :meth:`active_shards` scan.
-        """
-        shard = self.shard_for(element_id, active)
-        if shard is None:
-            self.rejected += 1
-            return None
-        servers = self.shard_servers[shard]
-        start = self._rr[shard] if preference is None else preference
-        for offset in range(len(servers)):
-            candidate = servers[(start + offset) % len(servers)]
-            if candidate.accepts_adds:
-                self.routed += 1
-                self.per_shard_routed[shard] += 1
-                if offset:
-                    self.deferred += 1
-                if preference is None:
-                    self._rr[shard] += 1
-                return candidate, shard
-        # Only from a stale ``active`` list: every member of the shard refuses.
-        self.rejected += 1
+        """One-element :meth:`route_many`: ``(server, shard)``, or ``None``
+        (counted rejected) when no shard is active."""
+        for server, _ in self.route_many(
+                (SimpleNamespace(element_id=element_id),), preference, active):
+            return server, self.shard_of(server.name)
         return None
-
-    def route_round_robin(self, element_id: int,
-                          active: Sequence[int] | None = None
-                          ) -> tuple[Any, int] | None:
-        """Service-ingress variant: per-shard round-robin instead of a pinned
-        preference (the ingress queue has no per-client affinity)."""
-        return self.route(element_id, None, active)
 
     def route_many(self, elements: Sequence[Any], preference: int | None = None,
                    active: Sequence[int] | None = None
                    ) -> list[tuple[Any, list[Any]]]:
         """Route one burst: ``(server, its elements)`` in first-routed order.
 
-        One shard scan serves the burst (adds never crash or drain a server);
-        elements without an active shard are left out and counted rejected.
+        ``preference`` is the within-shard position the caller would normally
+        hit (the batch workload pins client *i* to position ``i % shard
+        size``, mirroring the unsharded one-client-per-server layout); an
+        unroutable preferred server fails over to the next routable one in
+        the same shard and its elements count as *deferred*.  ``None``
+        round-robins instead: a per-shard cursor steps once per element.
+        With no active shard the burst is left out and counted *rejected*.
+
+        The cost is per burst: one shard scan (``active`` hands in the
+        caller's) and one failover scan per (shard, position) — adds never
+        crash or drain a server, so neither answer changes under the burst —
+        ids hashed only when more than one shard is active, and the counters
+        moved by run length.
         """
         if active is None:
             active = self.active_shards()
+        if not active or not elements:
+            self.rejected += len(elements)
+            return []
+        # Runs of elements that share a shard and a position, in burst order.
+        n_active = len(active)
+        shards = repeat(active[0]) if n_active == 1 else [
+            active[shard_slot(element.element_id, n_active)] for element in elements]
+        runs: Iterable[tuple[int, Sequence[Any]]]
+        if preference is None:  # the cursor steps once per element: runs of one
+            runs = zip(shards, zip(elements))
+        elif n_active == 1:
+            runs = ((active[0], elements),)
+        else:
+            by_shard: dict[int, list[Any]] = {}
+            for shard, element in zip(shards, elements):
+                by_shard.setdefault(shard, []).append(element)
+            runs = by_shard.items()
         buckets: dict[str, tuple[Any, list[Any]]] = {}
-        for element in elements:
-            routed = self.route(element.element_id, preference, active)
-            if routed is not None:
-                buckets.setdefault(routed[0].name, (routed[0], []))[1].append(element)
+        #: (shard, position) -> (the server's bucket, failed over?), or ``None``
+        #: when every member refuses (only from a stale ``active``).
+        placed: dict[tuple[int, int], tuple[list[Any], bool] | None] = {}
+        for shard, run in runs:
+            servers = self.shard_servers[shard]
+            start = (self._rr[shard] if preference is None else preference) % len(servers)
+            if (key := (shard, start)) not in placed:
+                placed[key] = next(
+                    ((buckets.setdefault(server.name, (server, []))[1], offset > 0)
+                     for offset, server in enumerate(servers[start:] + servers[:start])
+                     if server.accepts_adds), None)
+            if placed[key] is None:
+                self.rejected += len(run)
+                continue
+            bucket, failed_over = placed[key]
+            bucket.extend(run)
+            self.routed += len(run)
+            self.per_shard_routed[shard] += len(run)
+            if failed_over:
+                self.deferred += len(run)
+            if preference is None:
+                self._rr[shard] += 1
         return list(buckets.values())
 
     # -- reporting ----------------------------------------------------------------

@@ -24,45 +24,24 @@ def derive_seed(base_seed: int, *labels: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+#: The draws a :class:`DeterministicRNG` hands through to its stream.
+DRAWS = ("random", "uniform", "expovariate", "lognormvariate", "gauss",
+         "randint", "randbytes", "choice", "shuffle", "sample")
+
+
 class DeterministicRNG:
-    """Thin wrapper over :class:`random.Random` with stream derivation."""
+    """A seeded :class:`random.Random` stream with child-stream derivation.
+
+    Each name in :data:`DRAWS` is the stream's own bound method, so a draw
+    costs no wrapper frame (a burst draws one size per element).
+    """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._random = random.Random(self.seed)
+        for name in DRAWS:
+            setattr(self, name, getattr(self._random, name))
 
     def derive(self, *labels: object) -> "DeterministicRNG":
         """Return an independent RNG stream labelled by ``labels``."""
         return DeterministicRNG(derive_seed(self.seed, *labels))
-
-    # Delegated draws -------------------------------------------------------
-
-    def random(self) -> float:
-        return self._random.random()
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return self._random.uniform(lo, hi)
-
-    def expovariate(self, rate: float) -> float:
-        return self._random.expovariate(rate)
-
-    def lognormvariate(self, mu: float, sigma: float) -> float:
-        return self._random.lognormvariate(mu, sigma)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
-
-    def randint(self, lo: int, hi: int) -> int:
-        return self._random.randint(lo, hi)
-
-    def randbytes(self, n: int) -> bytes:
-        return self._random.randbytes(n)
-
-    def choice(self, seq):  # type: ignore[no-untyped-def]
-        return self._random.choice(seq)
-
-    def shuffle(self, seq) -> None:  # type: ignore[no-untyped-def]
-        self._random.shuffle(seq)
-
-    def sample(self, population, k: int):  # type: ignore[no-untyped-def]
-        return self._random.sample(population, k)

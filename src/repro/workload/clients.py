@@ -35,14 +35,16 @@ class AddTarget(Protocol):
 
 
 class RoutedTarget:
-    """An :class:`AddTarget` that routes each element to its owning shard.
+    """An :class:`AddTarget` that hands each burst to the shard router.
 
     One exists per client in a sharded deployment, remembering the client's
     index: client *i* prefers the server at position ``i % shard_size``
     within whichever shard an element hashes to, mirroring the unsharded
-    one-client-per-server affinity.  Elements whose shard has no routable
-    server are dropped (the router counts them rejected) — the client-side
-    equivalent of an add against a downed host failing.
+    one-client-per-server affinity.  A tick's elements are routed as one
+    burst (``ShardRouter.route_many``: one decision per shard, not per
+    element) and added bucket by bucket; when no shard is active they are
+    dropped and counted rejected — the client-side equivalent of an add
+    against a downed host failing.
     """
 
     def __init__(self, router, preference: int) -> None:  # type: ignore[no-untyped-def]
@@ -64,7 +66,6 @@ class InjectionClient:
                  rate: float, duration: float,
                  generator: ArbitrumLikeGenerator,
                  tick: float = 0.1,
-                 on_element: Callable[[Element], None] | None = None,
                  on_elements: Callable[[list[Element]], None] | None = None) -> None:
         if rate <= 0 or duration <= 0 or tick <= 0:
             raise ConfigurationError("client rate, duration and tick must be positive")
@@ -75,9 +76,7 @@ class InjectionClient:
         self.duration = duration
         self.generator = generator
         self.tick = tick
-        self.on_element = on_element
-        #: Batch observer for a whole tick's elements; preferred over
-        #: ``on_element`` when both are set.
+        #: Observer handed each tick's elements before they are added.
         self.on_elements = on_elements
         #: The target's batched add, when it has one.
         self._add_many = getattr(target, "add_many", None)
@@ -120,10 +119,6 @@ class InjectionClient:
         elements = self.generator.batch(self.name, count, now=self.sim.now)
         if self.on_elements is not None:
             self.on_elements(elements)
-        elif self.on_element is not None:
-            on_element = self.on_element
-            for element in elements:
-                on_element(element)
         add_many = self._add_many
         if add_many is not None:
             add_many(elements)
@@ -138,9 +133,7 @@ class ClientPool:
     """One client per server, splitting the aggregate sending rate evenly."""
 
     def __init__(self, sim: Simulator, targets: list[AddTarget],
-                 workload: WorkloadConfig,
-                 on_element: Callable[[Element], None] | None = None,
-                 tick: float = 0.1,
+                 workload: WorkloadConfig, tick: float = 0.1,
                  on_elements: Callable[[list[Element]], None] | None = None,
                  router=None) -> None:  # type: ignore[no-untyped-def]
         if not targets:
@@ -162,8 +155,7 @@ class ClientPool:
             client = InjectionClient(
                 name=f"client-{index}", sim=sim, target=target,
                 rate=per_client_rate, duration=workload.injection_duration,
-                generator=generator, tick=tick, on_element=on_element,
-                on_elements=on_elements)
+                generator=generator, tick=tick, on_elements=on_elements)
             self.clients.append(client)
 
     def start(self) -> None:

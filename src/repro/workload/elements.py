@@ -8,9 +8,9 @@ semantic correctness, and — by assumption — cannot be forged by a server.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from ..errors import InvalidElementError
+from ..values import SlotValue
 
 _element_counter = itertools.count()
 
@@ -21,9 +21,12 @@ def element_signing_payload(element_id: int, client: str, size_bytes: int,
     return f"element|{element_id}|{client}|{size_bytes}|{body_digest}"
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+class Element(SlotValue):
     """A client-created Setchain element.
+
+    Immutable by contract: a field is never assigned after construction
+    (``tests/test_value_types.py`` scans ``src/`` for it), which is what lets
+    the canonical encoding and the hash be computed once, here.
 
     Attributes
     ----------
@@ -33,7 +36,8 @@ class Element:
     client:
         Identifier of the creating client.
     size_bytes:
-        Modelled wire size of the element (dominates all throughput results).
+        Modelled wire size of the element (dominates all throughput results);
+        the constructor is the one place that refuses a non-positive size.
     body_digest:
         Digest of the element body; the simulation does not carry the raw
         payload bytes around, only their digest and size.
@@ -48,34 +52,30 @@ class Element:
         ``valid=False``; correct servers discard them.
     """
 
-    element_id: int
-    client: str
-    size_bytes: int
-    body_digest: str
-    signature: bytes = b""
-    created_at: float = 0.0
-    valid: bool = True
-    #: Cached canonical encoding — every batch/epoch hash re-reads it, so it
-    #: is computed once at construction (the fields are frozen).
-    _canonical: bytes = field(init=False, repr=False, compare=False, default=b"")
-    #: Cached ``hash()`` — elements live in epoch/history sets rebuilt on hot
-    #: paths, and the fields never change.
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    #: The fields equality, ``hash()`` and ``repr`` cover, in this order.
+    _fields = ("element_id", "client", "size_bytes", "body_digest",
+               "signature", "created_at", "valid")
+    __slots__ = _fields + ("_canonical", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
+    def __init__(self, element_id: int, client: str, size_bytes: int,
+                 body_digest: str, signature: bytes = b"",
+                 created_at: float = 0.0, valid: bool = True) -> None:
+        if size_bytes <= 0:
             raise InvalidElementError("element size must be positive")
-        object.__setattr__(self, "_canonical",
-                           element_signing_payload(self.element_id, self.client,
-                                                   self.size_bytes,
-                                                   self.body_digest).encode())
-        # Same tuple the dataclass-generated __hash__ would hash (the compare
-        # fields, in declaration order), so set iteration orders are unchanged.
-        object.__setattr__(
-            self, "_hash",
-            hash((self.element_id, self.client, self.size_bytes,
-                  self.body_digest, self.signature, self.created_at,
-                  self.valid)))
+        self.element_id = element_id
+        self.client = client
+        self.size_bytes = size_bytes
+        self.body_digest = body_digest
+        self.signature = signature
+        self.created_at = created_at
+        self.valid = valid
+        #: Canonical encoding — every batch/epoch hash re-reads it.
+        self._canonical = element_signing_payload(
+            element_id, client, size_bytes, body_digest).encode()
+        #: The tuple a frozen dataclass hashes (``_fields``, in order), so set
+        #: iteration orders — and every artifact byte — are what they were.
+        self._hash = hash((element_id, client, size_bytes, body_digest,
+                           signature, created_at, valid))
 
     def __hash__(self) -> int:
         return self._hash
@@ -106,7 +106,6 @@ def make_elements(client: str, sizes: list[int],
     called once per size, with the constructor lookups hoisted."""
     counter = _element_counter
     make = Element
-    return [make(element_id=(eid := next(counter)), client=client,
-                 size_bytes=size, body_digest=f"digest-{eid}",
-                 created_at=created_at)
+    return [make(eid := next(counter), client, size, f"digest-{eid}", b"",
+                 created_at)
             for size in sizes]

@@ -93,8 +93,8 @@ def record_trace(rate: float, duration: float, clients: Iterable[str],
     return WorkloadTrace(entries=tuple(entries))
 
 
-def replay_trace(trace: WorkloadTrace, sim, targets: dict[str, object],
-                 on_element=None) -> list[Element]:  # type: ignore[no-untyped-def]
+def replay_trace(trace: WorkloadTrace, sim,  # type: ignore[no-untyped-def]
+                 targets: dict[str, object]) -> list[Element]:
     """Schedule every trace entry against its client's target server.
 
     ``targets`` maps client name → object with an ``add(element)`` method.
@@ -105,7 +105,7 @@ def replay_trace(trace: WorkloadTrace, sim, targets: dict[str, object],
     shape of a recorded high-rate tick — are scheduled as one storm event and
     injected through the target's ``add_many`` when it has one, so a replayed
     million-element trace does not pay one simulator event per element.
-    Element ids, creation timestamps, observer calls, and add order are those
+    Element ids, creation timestamps and add order are those
     of per-entry scheduling.
     """
     injected: list[Element] = []
@@ -128,9 +128,6 @@ def replay_trace(trace: WorkloadTrace, sim, targets: dict[str, object],
                                      created_at=sim.now)
                         for entry in entries[start:stop]]
             injected.extend(elements)
-            if on_element is not None:
-                for element in elements:
-                    on_element(element)
             add_many = getattr(target, "add_many", None)
             if add_many is not None:
                 add_many(elements)

@@ -75,7 +75,7 @@ def build_metrics(commits):
     metrics = MetricsCollector()
     for i, (injected, committed) in enumerate(commits):
         element = make_element("c", 100)
-        metrics.record_injected(element, injected)
+        metrics.record_injected_many([element], injected)
         metrics.record_added_many([element], "server-0", injected)
         metrics.record_epoch_assigned_many([element.element_id], 1,
                                            committed - 0.5)
@@ -83,11 +83,27 @@ def build_metrics(commits):
     return metrics
 
 
+def test_record_injected_many_builds_or_stamps_the_record():
+    """A new record is built with its size and stamp in one constructor call;
+    one that exists (the element was added first — the service drain's order)
+    is stamped in place.  Either way it counts once."""
+    metrics = MetricsCollector()
+    new, added_first = make_element("c", 100), make_element("c", 200)
+    metrics.record_added_many([added_first], "server-0", 0.5)
+    metrics.record_injected_many([new, added_first], 1.0)
+    metrics.record_injected_many([new, added_first], 2.0)
+    assert metrics.injected_count == 2
+    for element, added_at in ((new, None), (added_first, 0.5)):
+        record = metrics.elements[element.element_id]
+        assert (record.size_bytes, record.injected_at, record.added_at) \
+            == (element.size_bytes, 1.0, added_at)
+
+
 def test_metrics_first_observation_wins():
     metrics = MetricsCollector()
     element = make_element("c", 100)
-    metrics.record_injected(element, 1.0)
-    metrics.record_injected(element, 5.0)
+    metrics.record_injected_many([element], 1.0)
+    metrics.record_injected_many([element], 5.0)
     metrics.record_in_ledger_many([element.element_id], 3.0)
     metrics.record_in_ledger_many([element.element_id], 9.0)
     metrics.record_epoch_committed(1, [element], 4.0)
@@ -119,7 +135,7 @@ def test_in_ledger_stamp_is_the_earliest_instant_not_the_first_report():
 def test_metrics_hash_mapping_resolves_elements():
     metrics = MetricsCollector()
     element = make_element("c", 100)
-    metrics.record_injected(element, 0.0)
+    metrics.record_injected_many([element], 0.0)
     metrics.record_batch_hash_elements("deadbeef", [element.element_id])
     metrics.record_in_ledger_by_hash("deadbeef", 2.0)
     assert metrics.elements[element.element_id].in_ledger_at == 2.0
@@ -199,7 +215,7 @@ def test_latency_cdf_quantiles_and_fractions():
 def test_stage_latencies_reconstructs_mempool_stages():
     metrics = MetricsCollector()
     element = make_element("c", 100)
-    metrics.record_injected(element, 0.0)
+    metrics.record_injected_many([element], 0.0)
     metrics.record_tx_elements(42, [element.element_id])
     metrics.record_in_ledger_many([element.element_id], 3.0)
     metrics.record_epoch_committed(1, [element], 5.0)

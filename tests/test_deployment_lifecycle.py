@@ -54,7 +54,7 @@ def test_start_without_injection_runs_no_clients():
     from repro.workload.elements import make_element
     element = make_element("probe", 438, created_at=deployment.sim.now)
     assert deployment.servers[0].add(element)
-    deployment.metrics.record_injected(element, deployment.sim.now)
+    deployment.metrics.record_injected_many([element], deployment.sim.now)
     deployment.run(until=20.0)
     assert deployment.metrics.committed_count == 1
     deployment.stop()

@@ -163,7 +163,7 @@ def test_tracer_sampling_is_deterministic_and_bounded():
 
 def test_tracer_annotations_and_tracks():
     tracer = Tracer()
-    tracer.injected(7, t=0.0)
+    tracer.injected_many([7], 0.0)
     tracer.phase_many([7], "in_ledger", 0.2, TRACK_LEDGER)
     tracer.annotate(0.3, "server-1", "fault:crash")
     assert tracer.tracks() == [TRACK_COLLECTOR, TRACK_LEDGER, "server-1"]
@@ -333,7 +333,7 @@ def test_commit_latencies_memoised_until_next_commit():
     metrics = MetricsCollector()
     elements = [make_element(f"client-{i}", 100) for i in range(3)]
     for element in elements:
-        metrics.record_injected(element, time=0.0)
+        metrics.record_injected_many([element], time=0.0)
     metrics.record_epoch_committed(1, elements[:2], time=1.0,
                                    observer="server-0")
     first = metrics.commit_latencies()

@@ -4,7 +4,7 @@
 ``make_elements``, assigns targets, and hands every server its bucket through
 ``add_many``.  The reference below is the drain it replaced — one
 ``active_shards()`` look, one round-robin walk, one ``make_element``, one
-``add`` and one ``record_injected`` per element — kept here only, as the
+``add`` and one injected stamp per element — kept here only, as the
 oracle.
 
 Two orders of applying a burst are compared.  Ids, targets and verdicts never
@@ -50,7 +50,7 @@ def reference_drain(self, server_major):
         element = make_element(client=client, size_bytes=size,
                                created_at=deployment.sim.now)
         if router is not None:
-            target = router.route_round_robin(element.element_id)[0]
+            target = router.route(element.element_id, None)[0]
         routed.append((target, element))
     if server_major:
         order = list(dict.fromkeys(target.name for target, _ in routed))
@@ -58,7 +58,7 @@ def reference_drain(self, server_major):
     for target, element in routed:
         if target.add(element):
             deployment.injected_elements.append(element)
-            deployment.metrics.record_injected(element, deployment.sim.now)
+            deployment.metrics.record_injected_many([element], deployment.sim.now)
             self.drained += 1
         else:
             self.server_rejected += 1

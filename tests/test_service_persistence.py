@@ -27,7 +27,7 @@ from repro.api.parallel import reset_run_counters
 from repro.compressor.base import CompressedBatch
 from repro.core.deployment import build_deployment
 from repro.core.types import EpochProof, HashBatch
-from repro.errors import ConfigurationError, LedgerError
+from repro.errors import ConfigurationError, InvalidElementError, LedgerError
 from repro.service.persistence import (
     SqliteLedger,
     audit_chain,
@@ -68,6 +68,30 @@ def test_codec_opaque_payloads_audit_but_do_not_replay():
     kind, data = encode_payload(object())
     assert kind == "opaque"
     assert decode_payload(kind, data) is None
+
+
+def test_a_stored_zero_size_element_is_refused_by_the_constructor(tmp_path):
+    """``Element``'s constructor is the one guard against a non-positive size
+    (the servers test ``element.valid`` only), and the decoder goes through
+    it: a damaged row fails the re-open instead of entering ``the_set``."""
+    kind, data = encode_payload(make_element("c", 100))
+    with pytest.raises(InvalidElementError):
+        decode_payload(kind, {**data, "size_bytes": 0})
+
+    db = tmp_path / "damaged.sqlite"
+    first = ServiceRuntime(small_scenario("vanilla"), db=db, seed=3)
+    first.submit_many(20)
+    first.run_for(4.0)
+    first.stop()
+    conn = sqlite3.connect(str(db))
+    position, payload = conn.execute(
+        "SELECT rowid, payload FROM txs WHERE kind = 'element' LIMIT 1").fetchone()
+    conn.execute("UPDATE txs SET payload = ? WHERE rowid = ?",
+                 (json.dumps({**json.loads(payload), "size_bytes": 0}), position))
+    conn.commit()
+    conn.close()
+    with pytest.raises(InvalidElementError):
+        ServiceRuntime(small_scenario("vanilla"), db=db, seed=3)
 
 
 # -- byte-identity vs the in-memory backend -------------------------------------

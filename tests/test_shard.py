@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import RunResult, Scenario, ScenarioBuilder, run
 from repro.core.base import BaseSetchainServer
@@ -100,7 +102,7 @@ def test_route_rejects_when_no_shard_is_active():
             server.crashed = True
     assert router.active_shards() == []
     assert router.route(17) is None
-    assert router.route_round_robin(18) is None
+    assert router.route(18, None) is None
     assert router.rejected == 2
     assert router.routed == 0
 
@@ -147,13 +149,155 @@ def test_placement_for_join_fills_smallest_then_opens_new_shard():
     assert router.shard_map()["s0-1"] == 0
 
 
-def test_route_round_robin_cycles_within_a_shard():
+def test_route_without_preference_round_robins_within_a_shard():
     router, shards = two_shard_router()
     # Pin every element to one shard so the rotation is observable.
     shards[1][0].crashed = True
-    first = router.route_round_robin(1)[0]
-    second = router.route_round_robin(2)[0]
+    first = router.route(1, None)[0]
+    second = router.route(2, None)[0]
     assert {first.name, second.name} == {s.name for s in shards[0]}
+
+
+# -- one routing decision per (burst, shard): differential against the parent ----
+
+
+class ReferenceRouter(ShardRouter):
+    """The per-element router ``route_many`` replaced (PR 15), as the oracle:
+    one failover scan and four counter bumps per element."""
+
+    def route(self, element_id, preference=0, active=None):
+        shard = self.shard_for(element_id, active)
+        if shard is None:
+            self.rejected += 1
+            return None
+        servers = self.shard_servers[shard]
+        start = self._rr[shard] if preference is None else preference
+        for offset in range(len(servers)):
+            candidate = servers[(start + offset) % len(servers)]
+            if candidate.accepts_adds:
+                self.routed += 1
+                self.per_shard_routed[shard] += 1
+                if offset:
+                    self.deferred += 1
+                if preference is None:
+                    self._rr[shard] += 1
+                return candidate, shard
+        self.rejected += 1
+        return None
+
+    def route_many(self, elements, preference=None, active=None):
+        if active is None:
+            active = self.active_shards()
+        buckets = {}
+        for element in elements:
+            routed = self.route(element.element_id, preference, active)
+            if routed is not None:
+                buckets.setdefault(routed[0].name, (routed[0], []))[1].append(element)
+        return list(buckets.values())
+
+
+class Item:
+    def __init__(self, element_id):
+        self.element_id = element_id
+
+
+FLAGS = (None, None, None, "crashed", "draining", "bootstrapping", "departed")
+
+
+@st.composite
+def routing_cases(draw):
+    layout = draw(st.lists(st.lists(st.sampled_from(FLAGS), min_size=1, max_size=4),
+                           min_size=1, max_size=5))
+    bursts = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, 5000), max_size=40),     # element ids
+        st.one_of(st.none(), st.integers(0, 5)),          # preference
+        st.booleans(),                                    # pass ``active`` in
+        # after the scan, flip one server: a stale ``active`` list
+        st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 3),
+                                       st.sampled_from(FLAGS[3:])))),
+        min_size=1, max_size=4))
+    return layout, draw(st.integers(1, 3)), bursts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(routing_cases())
+def test_route_many_equals_the_per_element_reference(case):
+    layout, quorum, bursts = case
+    servers = [[FakeServer(f"s{k}-{i}") for i in range(len(flags))]
+               for k, flags in enumerate(layout)]
+    for row, flags in zip(servers, layout):
+        for server, flag in zip(row, flags):
+            if flag:
+                setattr(server, flag, True)
+    router = ShardRouter(servers, quorum)
+    reference = ReferenceRouter(servers, quorum)
+    for ids, preference, hand_in, flip in bursts:
+        items = [Item(element_id) for element_id in ids]
+        active = router.active_shards() if hand_in else None
+        if hand_in and flip and flip[0] < len(servers) \
+                and flip[1] < len(servers[flip[0]]):
+            setattr(servers[flip[0]][flip[1]], flip[2], True)
+        got = router.route_many(items, preference, active)
+        expected = reference.route_many(items, preference, active)
+        assert [(s.name, bucket) for s, bucket in got] \
+            == [(s.name, bucket) for s, bucket in expected]
+        for name in ("routed", "deferred", "rejected", "per_shard_routed", "_rr"):
+            assert getattr(router, name) == getattr(reference, name), name
+        for element_id in ids[:3]:  # the scalar form is a one-element burst
+            assert router.route(element_id, preference, active) \
+                == reference.route(element_id, preference, active)
+    assert router.counters() == reference.counters()
+
+
+def test_a_pinned_burst_into_one_active_shard_is_one_decision():
+    """No id is hashed and no server asked twice: the burst costs the shard
+    scan plus one failover scan, whatever its length."""
+    asked = []
+
+    class Counting(FakeServer):
+        @property
+        def accepts_adds(self):
+            asked.append(self.name)
+            return not self.crashed
+
+    router = ShardRouter([[Counting("a"), Counting("b"), Counting("c")]], quorum=2)
+    router.shard_servers[0][1].crashed = True
+    items = [Item(element_id) for element_id in range(500)]
+    (server, bucket), = router.route_many(items, preference=1)
+    assert server.name == "c" and bucket == items and bucket is not items
+    assert asked == ["a", "b", "c", "b", "c"]
+    assert (router.routed, router.deferred, router.per_shard_routed) == (500, 500, [500])
+
+
+def test_a_tick_through_the_router_stays_inside_its_call_budget():
+    """A count, not a stopwatch: the Python calls one 1 000-element tick makes
+    from ``InjectionClient._on_tick`` down through a 2-shard deployment
+    (generate, observe, route, add, collector flushes).  The per-element
+    router and the frozen-dataclass constructors of the parent commit made
+    11 374 (11.4 per element); the budget is 34 % below that, and what is
+    left per element is the size draw (2), the constructor (2) and the id
+    hash (1)."""
+    import sys
+
+    session = (Scenario.hashchain().servers(2).shards(2).rate(400).collector(100)
+               .inject_for(5).drain(5).backend("ideal").seed(7).session().start())
+    client = session.deployment.clients.clients[0]
+    client.rate, client._carry = 10_000.0, 0.0  # 1 000 due per 0.1 s tick
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profiler)
+    try:
+        client._on_tick()
+    finally:
+        sys.setprofile(None)
+    router = session.deployment.shard_router
+    assert client.sent == router.routed == 1000
+    assert sorted(router.per_shard_routed) != [0, 1000]  # both shards took some
+    assert calls / 1000 <= 7.5, calls
 
 
 # -- builder / config plumbing -------------------------------------------------

@@ -1,6 +1,6 @@
 """Unit tests for deterministic RNG streams."""
 
-from repro.sim.rng import DeterministicRNG, derive_seed
+from repro.sim.rng import DRAWS, DeterministicRNG, derive_seed
 
 
 def test_same_seed_same_stream():
@@ -42,6 +42,15 @@ def test_draw_helpers_within_ranges():
         assert rng.lognormvariate(0.0, 1.0) > 0.0
         assert 1 <= rng.randint(1, 6) <= 6
     assert len(rng.randbytes(16)) == 16
+
+
+def test_draws_are_the_streams_own_bound_methods():
+    """No wrapper frame per draw: hoisting ``rng.lognormvariate`` out of a
+    loop hoists ``random.Random``'s method itself."""
+    rng = DeterministicRNG(3)
+    for name in DRAWS:
+        assert getattr(rng, name) == getattr(rng._random, name)
+    assert rng.derive("x").random.__self__ is not rng._random
 
 
 def test_choice_sample_shuffle_are_deterministic():

@@ -81,6 +81,17 @@ def test_generator_is_deterministic_per_seed():
     assert [a.next_size() for _ in range(20)] == [b.next_size() for _ in range(20)]
 
 
+@pytest.mark.parametrize("stats", [None, ElementSizeStats(200.0, 0.0)])
+def test_next_sizes_is_next_size_n_times_on_the_same_stream(stats):
+    one, many = (ArbitrumLikeGenerator(DeterministicRNG(9), stats) for _ in range(2))
+    for count in (0, 1, 117, 1000):
+        assert many.next_sizes(count) == [one.next_size() for _ in range(count)]
+        assert many.rng._random.getstate() == one.rng._random.getstate()
+    # A batch is one ``next_sizes`` pass: sizes and the stream stay in step.
+    assert [e.size_bytes for e in many.batch("c", 50)] == one.next_sizes(50)
+    assert many.rng.lognormvariate(0.0, 1.0) == one.rng.lognormvariate(0.0, 1.0)
+
+
 # -- clients --------------------------------------------------------------------------
 
 def test_injection_client_respects_rate_and_duration():
@@ -110,7 +121,7 @@ def test_client_pool_splits_rate_evenly():
     sinks = [SinkServer() for _ in range(4)]
     seen = []
     pool = ClientPool(sim, sinks, WorkloadConfig(sending_rate=400, injection_duration=5),
-                      on_element=seen.append)
+                      on_elements=seen.extend)
     pool.start()
     sim.run_until(10.0)
     assert pool.total_sent == pytest.approx(2000, abs=4)
