@@ -21,7 +21,7 @@ them (:meth:`BaseSetchainServer._handle_txs`), then one continuation.
 from __future__ import annotations
 
 from collections import deque
-from math import inf
+from math import inf, nextafter
 from typing import TYPE_CHECKING, Sequence
 
 from ..config import SetchainConfig
@@ -93,6 +93,8 @@ class BaseSetchainServer(NetworkNode, Application):
         # stale one resuming after recovery would run a second concurrent
         # chain through the strictly-serial pipeline.
         self._pipeline_run = 0
+        # A stopped clock shows every instant up to and including ``now``.
+        sim.on_pause.append(lambda: self._settle(nextafter(sim.now, inf)))
         # Crash-recovery: blocks the co-located ledger node finalised while
         # this server was down, replayed in order on recovery (the consensus
         # engine persists the chain; the application replays it — ABCI's

@@ -16,6 +16,7 @@ hash reversal as the ~20k el/s bottleneck of the full algorithm.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Sequence
 
@@ -122,6 +123,9 @@ class HashchainServer(BaseSetchainServer):
         #: Repeat absorptions answered from the scanned-batch cache (each one
         #: saved a full item re-scan); surfaced by the telemetry report.
         self.scan_cache_hits = 0
+        #: What the run in flight owes: the instant of each co-sign repeat
+        #: and the signer it adds to which ``hash_to_signers`` set.
+        self._run: tuple[list[float], list[tuple[set[str], str]]] = ([], [])
         self.on("request_batch", self._on_request_batch)
         self.on("batch_response", self._on_batch_response)
 
@@ -318,6 +322,58 @@ class HashchainServer(BaseSetchainServer):
 
     # -- block processing (lines 22-45) ----------------------------------------------------
 
+    def _handle_txs(self, block: Block, txs: Sequence[Transaction],
+                    start: int) -> int:
+        # A co-signed hash is in the ledger once per signer, so most of a
+        # block is hash-batches this server has scanned (hence holds and has
+        # co-signed: ``_absorb_batch`` always follows
+        # ``_append_own_hash_batch``) with no proof left to replay: all
+        # ``_handle_tx`` does for one is note the signer and count a cache
+        # hit.  Those are one run, with anything it would skip outright (no
+        # hash-batch, forged signature).  First sight, a pending proof and the
+        # signer that triggers consolidation end it; and none starts while
+        # the fill-queue head could fill under a member — only a head the
+        # retry loop is still fetching is safe: ``_recover_contents`` fills.
+        queue = self._fill_queue
+        safe = not queue or (queue[0] in self._unresolved
+                             and self.store.get(queue[0]) is None)
+        overhead = self.config.tx_processing_overhead
+        quorum = self._quorum_at(block.height)
+        times, owed = self._run
+        ahead: dict[str, set[str]] = {}
+        at, handled = self.sim.now, 0
+        for tx in txs[start:] if safe else ():
+            payload = tx.payload
+            if isinstance(payload, HashBatch):
+                digest = payload.batch_hash
+                if self._pending_replay(digest) != []:
+                    break
+                signers = self.hash_to_signers[digest]
+                if digest not in self._consolidated:
+                    # Untriggered: the set as it will stand after this member.
+                    due = ahead.setdefault(digest, set(signers))
+                    due.add(payload.signer)
+                    if len(due) >= quorum:
+                        break
+                if self.light or valid_hash_batch(payload, self.scheme):
+                    times.append(at)
+                    owed.append((signers, payload.signer))
+            at += overhead
+            handled += 1
+        if handled:
+            self._finish_at(at)
+            return handled
+        self._handle_tx(block, txs[start])
+        return 1
+
+    def _settle(self, before: float) -> None:
+        times, owed = self._run
+        done = bisect_left(times, before)
+        self.scan_cache_hits += done
+        for signers, signer in owed[:done]:
+            signers.add(signer)
+        del times[:done], owed[:done]
+
     def _handle_tx(self, block: Block, tx: Transaction) -> None:
         payload = tx.payload
         overhead = self.config.tx_processing_overhead
@@ -395,16 +451,11 @@ class HashchainServer(BaseSetchainServer):
         epoch; invalid proofs are re-counted on every repeat exactly as a
         full re-scan would.
         """
-        cached = self._scanned_batches.get(digest)
-        if cached is not None:
+        pending = self._pending_replay(digest)
+        if pending is not None:
             self.scan_cache_hits += 1
-            if cached:
-                accepted = self._proofs
-                pending = [p for p in cached if p not in accepted]
-                if len(pending) != len(cached):
-                    self._scanned_batches[digest] = pending
-                if pending:
-                    self._absorb_proofs(pending)
+            if pending:
+                self._absorb_proofs(pending)
             return
         proofs: list[EpochProof] = []
         keep_proof = proofs.append
@@ -424,6 +475,16 @@ class HashchainServer(BaseSetchainServer):
         self._scanned_elements[digest] = elements
         if proofs:
             self._absorb_proofs(proofs)
+
+    def _pending_replay(self, digest: str) -> list[EpochProof] | None:
+        """The scanned proofs of ``digest`` not accepted yet, the accepted
+        ones dropped from the replay list; ``None`` if it was never scanned."""
+        cached = self._scanned_batches.get(digest)
+        if cached:
+            accepted = self._proofs
+            cached = self._scanned_batches[digest] = [
+                proof for proof in cached if proof not in accepted]
+        return cached
 
     def _try_fill_epochs(self) -> None:
         """Lines 41-45: turn triggered hashes into epochs, strictly in order.
@@ -503,11 +564,14 @@ class HashchainServer(BaseSetchainServer):
 
     def _halt_pipeline(self) -> list[Block]:
         """The in-flight request and the retry loops die with the pipeline,
-        on a crash and on retirement alike."""
+        on a crash and on retirement alike; what a cut run owed for instants
+        it never reached is void."""
         self._request_timer.cancel()
         self._pending = None
         self._unresolved.clear()
-        return super()._halt_pipeline()
+        interrupted = super()._halt_pipeline()
+        self._run = ([], [])
+        return interrupted
 
     def _on_crash(self) -> None:
         """Volatile hashchain state: the collector dies with the process (as

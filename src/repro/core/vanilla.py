@@ -11,7 +11,6 @@ baseline the other two algorithms improve on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import inf, nextafter
 from typing import Sequence
 
 from ..config import EPOCH_PROOF_SIZE, SetchainConfig
@@ -38,8 +37,6 @@ class VanillaServer(BaseSetchainServer):
         #: What the run in flight owes the metrics: ids and instants of the
         #: elements it saw in the ledger, instants of those it refused.
         self._run: tuple[list[int], list[float], list[float]] = ([], [], [])
-        # A stopped clock shows every instant up to and including ``now``.
-        sim.on_pause.append(lambda: self._settle(nextafter(sim.now, inf)))
 
     # -- add path -----------------------------------------------------------------
 

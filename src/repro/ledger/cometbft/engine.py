@@ -1,16 +1,21 @@
 """The CometBFT-style node and network.
 
 Each :class:`CometBFTNode` couples a mempool, the consensus state machine, and
-an ABCI application (the Setchain server).  Nodes exchange four message types
-over the simulated network:
+an ABCI application (the Setchain server).  Nodes exchange three kinds of
+message over the simulated network, one simulator event per delivery:
 
-* ``tx``        — mempool gossip (``BroadcastTxAsync`` flood, one hop),
 * ``proposal``  — block proposal for a height/round,
 * ``prevote`` / ``precommit`` — Tendermint votes,
 * ``catchup_request`` / ``catchup_response`` — peer block-sync for nodes that
   fell behind (lossy links can swallow a proposal or commit-completing vote;
   real CometBFT recovers through continuous gossip and the blocksync
   reactor, both collapsed here into an explicit request/serve pair).
+
+Mempool gossip (``BroadcastTxAsync`` flood, one hop) travels the same network
+— same recipients, latency draws, fault rules and counters — but is no event:
+all an arrival does is enter one mempool, so the sender files it with the
+recipient, who admits it before next looking at its mempool
+(:meth:`CometBFTNode._admit_gossip`).
 
 A block commits at a node when it holds the proposal and ``2f + 1`` precommits
 for its block id; every correct node then delivers the block to its
@@ -19,6 +24,8 @@ Ledger Properties 9-11.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from ...config import LedgerConfig
 from ...errors import ConsensusError, MempoolFullError
@@ -94,7 +101,10 @@ class CometBFTNode(NetworkNode, LedgerInterface):
         #: peer that cannot help is skipped on the next attempt).
         self._last_catchup_request = float("-inf")
         self._catchup_peer_index = 0
-        self.on("tx", self._on_tx)
+        #: Gossiped transactions on their way here: a heap of ``(arrival
+        #: time, seq, tx)``, the place each had as a delivery event.
+        self._inbox: list[tuple[float, int, Transaction]] = []
+        sim.on_pause.append(self._admit_gossip)
         self.on("proposal", self._on_proposal)
         self.on("prevote", self._on_vote)
         self.on("precommit", self._on_vote)
@@ -147,12 +157,55 @@ class CometBFTNode(NetworkNode, LedgerInterface):
             return
         if self.app is not None and not self.app.check_tx(tx):
             return
+        self._admit_gossip()
+        now = self.sim.now
         try:
-            fresh = self.mempool.add(tx, self.sim.now)
+            fresh = self.mempool.add(tx, now)
         except MempoolFullError:
             return
-        if fresh:
-            self._broadcast_validators("tx", tx, size_bytes=tx.size_bytes)
+        if not fresh:
+            return
+        # The fan-out of ``_broadcast_validators``, each copy filed with its
+        # recipient instead of scheduled.
+        network, take_seq = self.network, self.sim.take_seq
+        peers = self._peer_validators
+        for peer in peers:
+            for delay in network.fate(self.name, peer, "tx", tx, tx.size_bytes):
+                heappush(network.node(peer)._inbox, (now + delay, take_seq(), tx))
+        self.messages_sent += len(peers)
+        self.bytes_sent += tx.size_bytes * len(peers)
+
+    def _admit_gossip(self) -> None:
+        """Take in every gossiped transaction that has arrived by now.
+
+        Called before anything reads or writes the mempool or
+        ``inclusion_height`` and before this node goes down, comes back or
+        retires: each arrival meets the mempool, and the ``crashed`` flag, a
+        delivery event at its own ``(time, seq)`` would have met.
+        """
+        inbox, position = self._inbox, self.sim.position()
+        if not inbox or position < inbox[0]:
+            return
+        network = self.network
+        # Crash-faulted or retired at that instant: the message is lost.
+        lost = self.crashed or self.name not in network
+        count = size = 0
+        while inbox and inbox[0] < position:
+            arrived_at, _seq, tx = heappop(inbox)
+            count += 1
+            size += tx.size_bytes
+            if not lost and tx.tx_id not in self.inclusion_height:
+                try:
+                    self.mempool.add(tx, arrived_at)
+                except MempoolFullError:
+                    pass
+        if lost:
+            network.messages_dropped += count
+            return
+        network.messages_delivered += count
+        network.bytes_delivered += size
+        self.messages_received += count
+        self.bytes_received += size
 
     def subscribe(self, app: Application) -> None:
         if self.app is not None:
@@ -165,6 +218,14 @@ class CometBFTNode(NetworkNode, LedgerInterface):
         """Arm the proposal schedule for the first height."""
         self._schedule_proposal()
         self._round_timer.start(self.config.block_interval * _ROUND_TIMEOUT_FACTOR)
+
+    def crash(self) -> None:
+        self._admit_gossip()  # what arrived while up was delivered
+        super().crash()
+
+    def recover(self) -> None:
+        self._admit_gossip()  # what arrived while down is lost
+        super().recover()
 
     def _on_crash(self) -> None:
         """Crash-fault: stop participating entirely (no messages in or out).
@@ -193,6 +254,7 @@ class CometBFTNode(NetworkNode, LedgerInterface):
         have (chain append, inclusion heights, mempool eviction, FinalizeBlock
         to the application) and the node resumes consensus past them.
         """
+        self._admit_gossip()
         for block in blocks:
             if block.height < self.height:
                 continue
@@ -213,21 +275,15 @@ class CometBFTNode(NetworkNode, LedgerInterface):
         self._future = {height: messages
                         for height, messages in self._future.items()
                         if height >= self.height}
+        self._enter_height()
+
+    def _enter_height(self) -> None:
+        """Arm the timers for ``self.height`` and replay the consensus
+        traffic that arrived early for it."""
         self._round_timer.start(self.config.block_interval * _ROUND_TIMEOUT_FACTOR)
         self._schedule_proposal()
         for message in self._future.pop(self.height, []):
-            NetworkNode.deliver(self, message)
-
-    # -- mempool gossip ----------------------------------------------------------
-
-    def _on_tx(self, message: Message) -> None:
-        tx: Transaction = message.payload
-        if tx.tx_id in self.inclusion_height:
-            return
-        try:
-            self.mempool.add(tx, self.sim.now)
-        except MempoolFullError:
-            pass
+            self.deliver(message)
 
     # -- proposing ----------------------------------------------------------------
 
@@ -249,6 +305,7 @@ class CometBFTNode(NetworkNode, LedgerInterface):
             return
         if self.state.proposal is not None:
             return
+        self._admit_gossip()
         txs = self.mempool.reap(self.config.block_size_bytes)
         if not txs:
             # No transactions: retry shortly rather than emitting empty blocks.
@@ -355,6 +412,7 @@ class CometBFTNode(NetworkNode, LedgerInterface):
             # Quorum formed before the proposal arrived here; wait for it.
             return
         self.state.committed = True
+        self._admit_gossip()
         block = Block(height=self.height, transactions=proposal.transactions,
                       proposer=proposal.proposer, timestamp=self.sim.now)
         self.committed_blocks.append(block)
@@ -371,11 +429,7 @@ class CometBFTNode(NetworkNode, LedgerInterface):
         self.state = self._fresh_state(self.height)
         self._round_proposals = {key: value for key, value in self._round_proposals.items()
                                  if key[0] >= self.height}
-        self._round_timer.start(self.config.block_interval * _ROUND_TIMEOUT_FACTOR)
-        self._schedule_proposal()
-        # Replay any consensus traffic that arrived early for this height.
-        for message in self._future.pop(self.height, []):
-            super().deliver(message)
+        self._enter_height()
 
     def _advance_round(self) -> None:
         """Move to the next round after a failed one (nil precommit quorum)."""
@@ -609,6 +663,7 @@ class CometBFTNetwork:
             raise ConsensusError(f"unknown validator {name!r}") from None
         node._round_timer.cancel()
         node._propose_timer.cancel()
+        node._admit_gossip()  # what arrives from here on is lost
         self.network.unregister(name)
 
     def crash_node(self, name: str) -> None:

@@ -25,18 +25,14 @@ class LatencyModel(ABC):
         #: (the ``network_delay`` experiment parameter, in seconds).
         self.extra_delay = extra_delay
 
+    @abstractmethod
     def delay(self, rng: DeterministicRNG, sender: str, recipient: str,
               size_bytes: int) -> float:
-        """Total one-way delay: base draw plus the artificial extra delay."""
-        base = self._base_delay(rng, sender, recipient, size_bytes)
-        if base < 0:
-            raise ConfigurationError("latency model produced a negative delay")
-        return base + self.extra_delay
+        """Total one-way delay in seconds: base draw plus ``extra_delay``.
 
-    @abstractmethod
-    def _base_delay(self, rng: DeterministicRNG, sender: str, recipient: str,
-                    size_bytes: int) -> float:
-        """Return the base one-way delay in seconds."""
+        Called once per message, so a model computes it in one frame; it can
+        never be negative because every parameter is checked at construction.
+        """
 
 
 class ConstantLatency(LatencyModel):
@@ -50,9 +46,9 @@ class ConstantLatency(LatencyModel):
         self.base = base
         self.per_byte = per_byte
 
-    def _base_delay(self, rng: DeterministicRNG, sender: str, recipient: str,
-                    size_bytes: int) -> float:
-        return self.base + self.per_byte * size_bytes
+    def delay(self, rng: DeterministicRNG, sender: str, recipient: str,
+              size_bytes: int) -> float:
+        return self.base + self.per_byte * size_bytes + self.extra_delay
 
 
 class UniformLatency(LatencyModel):
@@ -69,9 +65,11 @@ class UniformLatency(LatencyModel):
         self.high = high
         self.per_byte = per_byte
 
-    def _base_delay(self, rng: DeterministicRNG, sender: str, recipient: str,
-                    size_bytes: int) -> float:
-        return rng.uniform(self.low, self.high) + self.per_byte * size_bytes
+    def delay(self, rng: DeterministicRNG, sender: str, recipient: str,
+              size_bytes: int) -> float:
+        # ``rng.uniform(low, high)`` spelled out: same operations, same order.
+        return (self.low + (self.high - self.low) * rng.random()
+                + self.per_byte * size_bytes + self.extra_delay)
 
 
 class RegionalLatency(LatencyModel):
@@ -83,7 +81,8 @@ class RegionalLatency(LatencyModel):
     ``inter_delay`` — plus a uniform jitter draw in ``[0, inter_jitter]``,
     modelling the wider delay variation of wide-area links.  Nodes absent
     from ``region_of`` (or with no known peer region) are treated as
-    co-located, so auxiliary processes keep LAN behaviour.
+    co-located, so auxiliary processes keep LAN behaviour.  An extra delay
+    on the intra model itself would count too; it is built with none.
     """
 
     def __init__(self, region_of: Mapping[str, str], intra: LatencyModel,
@@ -112,17 +111,17 @@ class RegionalLatency(LatencyModel):
             return 0.0
         return self.links.get(frozenset((region_a, region_b)), self.inter_delay)
 
-    def _base_delay(self, rng: DeterministicRNG, sender: str, recipient: str,
-                    size_bytes: int) -> float:
-        base = self.intra._base_delay(rng, sender, recipient, size_bytes)
+    def delay(self, rng: DeterministicRNG, sender: str, recipient: str,
+              size_bytes: int) -> float:
+        base = self.intra.delay(rng, sender, recipient, size_bytes)
         region_a = self.region_of.get(sender)
         region_b = self.region_of.get(recipient)
         if region_a is None or region_b is None or region_a == region_b:
-            return base
+            return base + self.extra_delay
         cross = self.pair_delay(region_a, region_b)
         if self.inter_jitter > 0:
             cross += rng.uniform(0.0, self.inter_jitter)
-        return base + cross
+        return base + cross + self.extra_delay
 
 
 #: Approximate cluster-network bandwidth used by the profiles: 1 Gbit/s.

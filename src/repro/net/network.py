@@ -1,8 +1,18 @@
-"""The simulated network: reliable delivery with modelled latency."""
+"""The simulated network: reliable delivery with modelled latency.
+
+What becomes of a message is decided when it is sent, in one place,
+:meth:`Network.fate`: lost (retired recipient, partition, drop rule) or the
+delay of each copy that arrives (latency draw, delay and duplicate rules).
+:meth:`Network.transmit` and :meth:`Network.multicast` schedule one simulator
+event per copy — votes, proposals, block-sync, ``Request_batch`` traffic.  A
+sender whose messages only ever enter one structure at the recipient
+(CometBFT mempool gossip) asks :meth:`Network.fate` itself and files the
+copies there: same recipients, same draws, same counters, no event.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..errors import NetworkError
 from ..sim.scheduler import Simulator
@@ -40,9 +50,9 @@ class Network:
         self._partitions: list[tuple[frozenset[str], frozenset[str]]] = []
         #: Normalised keys of installed partitions (idempotence + targeted heal).
         self._partition_keys: set[frozenset[frozenset[str]]] = set()
-        #: True while any fault hook is installed; transmit/multicast branch to
-        #: the shared slow path on this single flag so the fault-free hot path
-        #: stays exactly as fast as before the fault subsystem existed.
+        #: True while any fault hook is installed; :meth:`fate` takes its
+        #: slow path on this single flag, so the fault-free hot path builds
+        #: no envelope and walks no rule list.
         self._faulty = False
         #: Sorted node names, rebuilt on registration (broadcast hot path).
         self._sorted_names: tuple[str, ...] = ()
@@ -191,8 +201,12 @@ class Network:
 
     # -- transmission ----------------------------------------------------------
 
-    def transmit(self, message: Message) -> None:
-        """Schedule delivery of ``message`` after a modelled latency.
+    def fate(self, sender: str, recipient: str, msg_type: str, payload: object,
+             size_bytes: int, message: Message | None = None) -> Sequence[float]:
+        """Decide, at send time, what becomes of one message: the one-way
+        delay of every copy that will arrive — none when it is lost (counted
+        here), two or more when a duplicate rule fires.  Rules judge an
+        envelope: pass the one in hand, or one is made when a rule needs it.
 
         Unknown recipients are an error (a correct process never addresses a
         process outside the deployment) — except names that *used to be*
@@ -200,63 +214,55 @@ class Network:
         Request_batch retry rotating over historical signers), and those
         messages are simply lost, like mail to a decommissioned host.
         """
-        if message.recipient not in self._nodes:
-            if message.recipient in self._departed:
+        if recipient not in self._nodes:
+            if recipient in self._departed:
                 self.messages_dropped += 1
-                return
+                return ()
             raise NetworkError(
-                f"{message.sender!r} sent {message.msg_type!r} to unknown node "
-                f"{message.recipient!r}"
-            )
-        if self._faulty:
-            self._transmit_faulty(message)
-            return
-        if message.sender == message.recipient:
-            # Local self-delivery has no network latency but is still async so
-            # handlers never re-enter each other.
-            self.sim.call_soon_storm(self._deliver_batch, message, self._storm_key)
-            return
-        delay = self.latency.delay(self._rng, message.sender, message.recipient,
-                                   message.size_bytes)
-        self.sim.call_in_storm(delay, self._deliver_batch, message, self._storm_key)
-
-    def _transmit_faulty(self, message: Message) -> None:
-        """The single fault-aware scheduling path.
-
-        Both :meth:`transmit` and :meth:`multicast` funnel through here
-        whenever any fault hook (partition, drop, duplicate, or delay rule)
-        is installed, so the two paths produce identical drop/duplicate/byte
-        accounting and identical RNG draw order by construction.
-        """
+                f"{sender!r} sent {msg_type!r} to unknown node {recipient!r}")
+        # Local self-delivery has no network latency but is still async so
+        # handlers never re-enter each other.
+        local = sender == recipient
+        if not self._faulty:
+            return (0.0 if local else self.latency.delay(
+                self._rng, sender, recipient, size_bytes),)
+        if message is None:
+            message = Message(sender=sender, recipient=recipient,
+                              msg_type=msg_type, payload=payload,
+                              size_bytes=size_bytes)
         if ((self._partitions and self._crosses_partition(message))
                 or (self._drop_rules
                     and any(rule(message) for rule in self._drop_rules))):
             self.messages_dropped += 1
-            return
+            return ()
         extra = 0.0
         for delay_rule in self._delay_rules:
             extra += delay_rule(message)
-        local = message.sender == message.recipient
         if local and extra <= 0.0:
-            self.sim.call_soon_storm(self._deliver_batch, message, self._storm_key)
+            delays = [0.0]
         else:
-            base = 0.0 if local else self.latency.delay(
-                self._rng, message.sender, message.recipient, message.size_bytes)
-            self.sim.call_in_storm(base + extra, self._deliver_batch, message,
-                                   self._storm_key)
+            delays = [(0.0 if local else self.latency.delay(
+                self._rng, sender, recipient, size_bytes)) + extra]
         for duplicate_rule in self._duplicate_rules:
             if duplicate_rule(message):
                 # The duplicate copy draws its own latency (and delay-rule
                 # extras), modelling an independent second network path.
                 self.messages_duplicated += 1
                 dup_base = 0.0 if local else self.latency.delay(
-                    self._rng, message.sender, message.recipient,
-                    message.size_bytes)
+                    self._rng, sender, recipient, size_bytes)
                 dup_extra = 0.0
                 for delay_rule in self._delay_rules:
                     dup_extra += delay_rule(message)
-                self.sim.call_in_storm(dup_base + dup_extra, self._deliver_batch,
-                                       message, self._storm_key)
+                delays.append(dup_base + dup_extra)
+        return delays
+
+    def transmit(self, message: Message) -> None:
+        """Schedule delivery of ``message`` after a modelled latency."""
+        for delay in self.fate(message.sender, message.recipient,
+                               message.msg_type, message.payload,
+                               message.size_bytes, message):
+            self.sim.call_in_storm(delay, self._deliver_batch, message,
+                                   self._storm_key)
 
     def multicast(self, sender: str, msg_type: str, payload: object,
                   size_bytes: int = 0,
@@ -265,60 +271,24 @@ class Network:
 
         Every per-recipient envelope shares the *same* payload object — the
         payload (and its modelled size) is computed once by the caller, never
-        re-serialised per recipient — and the fault-injection checks are
-        hoisted out of the loop when no fault hooks are installed.  With
-        faults installed every envelope goes through the same
-        :meth:`_transmit_faulty` path as :meth:`transmit`, so the two paths
-        can never diverge in drop/duplicate/byte accounting.  ``recipients``
-        defaults to every registered node except the sender, in sorted order;
-        delivery semantics (latency draws, ordering, drop accounting) are
-        identical to calling :meth:`transmit` once per recipient.  Returns
-        the number of messages transmitted.
+        re-serialised per recipient.  ``recipients`` defaults to every
+        registered node except the sender, in sorted order.  Returns the
+        number of messages transmitted.
         """
         if recipients is None:
             recipients = [name for name in self._sorted_names if name != sender]
-        filtered = self._faulty
-        nodes = self._nodes
-        sim = self.sim
-        delay_of = self.latency.delay
-        rng = self._rng
         for recipient in recipients:
-            message = Message(sender=sender, recipient=recipient,
-                              msg_type=msg_type, payload=payload,
-                              size_bytes=size_bytes)
-            if recipient not in nodes:
-                if recipient in self._departed:
-                    self.messages_dropped += 1
-                    continue
-                raise NetworkError(
-                    f"{sender!r} sent {msg_type!r} to unknown node {recipient!r}"
-                )
-            if filtered:
-                self._transmit_faulty(message)
-                continue
-            if recipient == sender:
-                sim.call_soon_storm(self._deliver_batch, message, self._storm_key)
-                continue
-            delay = delay_of(rng, sender, recipient, size_bytes)
-            sim.call_in_storm(delay, self._deliver_batch, message, self._storm_key)
+            self.transmit(Message(sender=sender, recipient=recipient,
+                                  msg_type=msg_type, payload=payload,
+                                  size_bytes=size_bytes))
         return len(recipients)
-
-    def _deliver(self, message: Message) -> None:
-        node = self._nodes.get(message.recipient)
-        if node is None or node.crashed:
-            # Node removed mid-flight or crash-faulted: the message is lost.
-            self.messages_dropped += 1
-            return
-        self.messages_delivered += 1
-        self.bytes_delivered += message.size_bytes
-        node.deliver(message)
 
     def _deliver_batch(self, messages: list[Message]) -> None:
         """Deliver a storm run of same-instant messages, strictly in order.
 
         Per-message behaviour — crash checks, drop accounting, handler
-        invocation — is exactly that of :meth:`_deliver` once per message;
-        only the event-loop dispatch is shared.  Recipient state is re-read
+        invocation — is that of one dispatch per message; only the
+        event-loop dispatch is shared.  Recipient state is re-read
         for every message, so a handler early in the run crashing (or
         retiring) a node affects later deliveries just as it would have
         under scalar dispatch.

@@ -24,7 +24,17 @@ Performance notes (this is the hottest loop in the repository):
   tick).  Dispatching a run in one call is observably identical to
   dispatching its members one at a time provided the handler (i) processes
   payloads strictly in order and (ii) never cancels another already-queued
-  event of the same storm — the network delivery path satisfies both.
+  event of the same storm — the network delivery path satisfies both.  A
+  run also stops at a gap in the sequence numbers, so nothing that drew a
+  number in between (see below) falls inside it.  Under a jittered latency
+  profile no two deliveries share an instant and every run has one member.
+
+What is an event: a vote, a proposal, ``Request_batch`` traffic, a timer, a
+pipeline continuation — a push, a pop and a dispatch each.  What is not: a
+mempool gossip arrival and a member of a pipeline run.  Either only changes
+its component's private state, so the component files it itself under the
+``(time, seq)`` an event would have had (``take_seq``) and applies what lies
+before the running event (``Simulator.position``) when that state is read.
 """
 
 from __future__ import annotations
@@ -92,6 +102,9 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
+        #: Draw the sequence number an event pushed now would get (the
+        #: counter's own bound method: a draw costs no frame).
+        self.take_seq: Callable[[], int] = self._counter.__next__
         #: Cancelled entries still sitting in the heap (lazy deletion debt).
         self._cancelled = 0
 
@@ -138,8 +151,9 @@ class EventQueue:
         return event
 
     def take_storm_run(self, time: float, priority: int, key: object,
-                       payloads: list) -> int:
-        """Pop every consecutive live head matching ``(time, priority, key)``.
+                       seq: int, payloads: list) -> int:
+        """Pop every consecutive live head matching ``(time, priority, key)``
+        whose sequence number follows ``seq`` without a gap.
 
         Appends their payloads (in seq order) to ``payloads`` and returns how
         many were taken.  Cancelled heads encountered on the way are discarded
@@ -154,7 +168,8 @@ class EventQueue:
                 heapq.heappop(heap)
                 self._cancelled -= 1
                 continue
-            if head[0] != time or head[1] != priority or event.storm_key != key:
+            if (head[0] != time or head[1] != priority
+                    or head[2] != seq + taken + 1 or event.storm_key != key):
                 break
             heapq.heappop(heap)
             event._queue = None

@@ -24,7 +24,11 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
+        #: Sequence number of the running event; one drawn at the stop, past
+        #: every event executed, once the loop has returned.
+        self._seq = -1
         self._queue = EventQueue()
+        self.take_seq = self._queue.take_seq
         self._running = False
         self.rng = DeterministicRNG(seed)
         #: Number of events executed so far (useful for progress/limits).
@@ -46,6 +50,11 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live events waiting in the queue."""
         return len(self._queue)
+
+    def position(self) -> tuple[float, int]:
+        """``(time, seq)`` of the running event: what sorts before it has
+        happened (see "What is an event" in :mod:`repro.sim.events`)."""
+        return self._now, self._seq
 
     # -- scheduling -----------------------------------------------------------
 
@@ -110,6 +119,7 @@ class Simulator:
         if event.time < self._now:
             raise SimulationError("event queue produced an event in the past")
         self._now = event.time
+        self._seq = event.seq
         self.events_executed += 1
         if event.storm_key is None:
             event.callback()
@@ -143,6 +153,7 @@ class Simulator:
                 if event is None:
                     return
                 self._now = event.time
+                self._seq = event.seq
                 key = event.storm_key
                 if key is None:
                     self.events_executed += 1
@@ -152,7 +163,8 @@ class Simulator:
                 # handler call.  Every member still counts as an executed
                 # event, so progress counters match the scalar schedule.
                 payloads = [event.payload]
-                run = take_storm_run(event.time, event.priority, key, payloads)
+                run = take_storm_run(event.time, event.priority, key,
+                                     event.seq, payloads)
                 self.events_executed += 1 + run
                 event.callback(payloads)
         else:
@@ -193,6 +205,7 @@ class Simulator:
                 self._now = max(self._now, advance_to)
         finally:
             self._running = False
+            self._seq = self.take_seq()  # all up to ``now`` has run
             self._pause()
 
     # -- conditions -----------------------------------------------------------

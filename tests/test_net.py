@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError, NetworkError
-from repro.net.latency import ConstantLatency, UniformLatency, lan_profile, wan_profile
+from repro.net.latency import (ConstantLatency, RegionalLatency, UniformLatency,
+                               lan_profile, wan_profile)
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import NetworkNode
@@ -55,6 +56,43 @@ def test_latency_validation_errors():
         UniformLatency(low=0.2, high=0.1)
     with pytest.raises(ConfigurationError):
         ConstantLatency(extra_delay=-1.0)
+
+
+def _parent_delay(model, rng, sender, recipient, size):
+    """``delay`` as the parent commit computed it, in four frames: a base
+    draw through ``rng.uniform``, then the extra delay added on top."""
+    if isinstance(model, RegionalLatency):
+        base = _parent_delay(model.intra, rng, sender, recipient, size)
+        regions = {model.region_of.get(sender), model.region_of.get(recipient)}
+        if None not in regions and len(regions) == 2:
+            cross = model.pair_delay(*regions)
+            if model.inter_jitter > 0:
+                cross += rng.uniform(0.0, model.inter_jitter)
+            base = base + cross
+    elif isinstance(model, UniformLatency):
+        base = rng.uniform(model.low, model.high) + model.per_byte * size
+    else:
+        base = model.base + model.per_byte * size
+    return base + model.extra_delay
+
+
+@pytest.mark.parametrize("model", [
+    lan_profile(), wan_profile(network_delay=0.05),
+    UniformLatency(low=0.0, high=0.0, per_byte=1e-9, extra_delay=0.003),
+    ConstantLatency(base=0.001, per_byte=8e-9, extra_delay=0.02),
+    ConstantLatency(base=0.0),
+    RegionalLatency({"a": "us", "b": "eu", "c": "us"}, lan_profile(),
+                    inter_delay=0.04, inter_jitter=0.005, extra_delay=0.01)])
+def test_single_frame_delay_is_the_parents_bit_for_bit(model):
+    """Every model computes ``delay`` in one frame now; over 10 000 draws it
+    equals the parent's base-draw-plus-extra exactly and leaves the stream
+    where the parent left it."""
+    fast, parent = DeterministicRNG(17), DeterministicRNG(17)
+    for size in range(10_000):
+        recipient = "bc"[size % 2]
+        assert (model.delay(fast, "a", recipient, size)
+                == _parent_delay(model, parent, "a", recipient, size))
+    assert fast.random() == parent.random()
 
 
 def test_lan_profile_is_submillisecond_and_wan_is_not():

@@ -13,15 +13,22 @@ recovery replays the interrupted block whole.
 from __future__ import annotations
 
 import gc
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import inf
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Scenario, Session
 from repro.analysis.metrics import MetricsCollector
-from repro.config import SetchainConfig
+from repro.api.parallel import reset_run_counters
+from repro.config import HASH_BATCH_SIZE, SetchainConfig
+from repro.core.base import BaseSetchainServer
+from repro.core.byzantine import (ByzantineBehaviour, register_behaviour,
+                                  unregister_behaviour)
+from repro.core.hashchain import HashchainServer
 from repro.core.types import EpochProof, HashBatch
 from repro.core.vanilla import VanillaServer
 from repro.crypto.keys import PublicKeyInfrastructure
@@ -226,6 +233,37 @@ def test_runs_match_the_per_transaction_schedule(case):
     assert server.backlog == 0 and server.pipeline_idle
 
 
+def test_a_run_end_tied_with_an_event_armed_mid_run_goes_to_the_run():
+    """The tie residue, pinned.  A run's continuation draws its sequence
+    number when the run begins; the per-transaction schedule drew it at the
+    last member.  An event armed in between for exactly the run's last
+    instant used to precede the continuation and now follows it: a crash
+    armed at 1.25 for 2.5, the end of a run begun at 1.0, finds the block
+    end handled and the epoch made, where it used to interrupt the block
+    and leave it to the recovery replay.  (An event armed before the run
+    begins, as every scheduled fault is, wins the tie either way.)"""
+    def play(armed_at: float) -> tuple[int, bool]:
+        sim = Simulator(seed=1)
+        scheme = SimulatedScheme(PublicKeyInfrastructure())
+        config = SetchainConfig(n_servers=4, tx_processing_overhead=0.25,
+                                element_validation_time=0.25)
+        server = VanillaServer("server-0", sim, config, scheme,
+                               scheme.generate_keypair("server-0"))
+        server.connect_ledger(RecordingLedger(sim))
+        block = Block(height=1, proposer="p", timestamp=1.0,
+                      transactions=tuple(
+                          new_transaction(make_element("c", 100), 100, "server-1")
+                          for _ in range(3)))
+        sim.call_at(1.0, lambda: server.finalize_block(block))
+        sim.call_at(armed_at, lambda: sim.call_at(2.5, server.crash))
+        sim.run_until(3.0)
+        return server.epoch, bool(server._missed_blocks)
+
+    assert 1.0 + 0.5 + 0.5 + 0.5 == 2.5  # the tie is exact
+    assert play(armed_at=1.25) == (1, False)
+    assert play(armed_at=0.5) == (0, True)
+
+
 def _vanilla_session() -> Session:
     return (Scenario.vanilla().servers(4).rate(400).inject_for(3).drain(10)
             .backend("ideal").seed(3).session().start())
@@ -307,3 +345,222 @@ def test_finished_runs_leave_no_element_reachable():
     assert finished and not [o for o in gc.get_objects()
                              if isinstance(o, Element)
                              and o.element_id in finished]
+
+
+# -- Hashchain: co-sign repeats as one run ---------------------------------------
+#
+# The oracle is the per-transaction schedule itself: ``_handle_txs`` put back
+# to the base class's run of one, every transaction through ``_handle_tx``.
+# Each case plays one small deployment three times in a fresh id namespace —
+# a dry oracle run to harvest the instants at which the target server handles
+# transactions, then oracle and runs with the fault placed on or between two
+# of them — and compares the servers at every instant the oracle has an event.
+
+
+class Forger(ByzantineBehaviour):
+    """Beside normal behaviour, append what a correct server must skip: a
+    hash-batch of a real, held digest under a forged signature, and a payload
+    that is no hash-batch at all."""
+
+    def on_after_add(self, server, element) -> bool:
+        server._after_add(element)
+        if server.hash_to_signers:
+            digest = next(reversed(server.hash_to_signers))
+            server._append_to_ledger(
+                HashBatch(batch_hash=digest, signature=b"forged",
+                          signer="server-0"), HASH_BATCH_SIZE)
+        server._append_to_ledger(element, element.size_bytes)
+        return True
+
+
+def per_transaction(on: bool):
+    """Inside, every Hashchain server handles one transaction per step."""
+    return mock.patch.object(HashchainServer, "_handle_txs",
+                             BaseSetchainServer._handle_txs) if on \
+        else nullcontext()
+
+
+def _deployment(case: dict, cut: float | None):
+    make = Scenario.hashchain_light if case["light"] else Scenario.hashchain
+    builder = (make().servers(case["servers"]).rate(case["rate"])
+               .collector(case["collector"]).inject_for(1.2).drain(4.0)
+               .backend("ideal").block_rate(case["block_rate"])
+               .setchain(tx_processing_overhead=case["overhead"],
+                         batch_request_timeout=0.05)
+               .seed(case["seed"]))
+    if case["byz"]:
+        builder = builder.become_byzantine(0.3, "server-0",
+                                           behaviour=case["byz"], until=1.0)
+    target, kind = case["target"], case["fault"]
+    if cut is None or kind == "none":
+        return builder
+    if kind == "crash":
+        return builder.crash(cut, target, until=cut + case["outage"])
+    if kind == "retire":
+        return builder.leave(cut, target, drain=False)
+    if kind == "join":  # a quorum boundary rides the pipeline between blocks
+        return builder.join(cut)
+    # A cut-off server times its requests out and retries in the background;
+    # replies and retries then land while runs are in flight.
+    return builder.partition(cut, until=cut + case["outage"], nodes=(target,))
+
+
+def _shows(deployment, full: bool) -> list:
+    """What the differential compares, by value, server by server: the
+    counts at every stop, the signer sets and fill order themselves at every
+    sixteenth (a signer applied early or late moves the counts too)."""
+    rows: list = [dict(deployment.metrics.epoch_commit_times)]
+    for server in deployment.servers:
+        rows.append((server.name, server.epoch, len(server._committed_epochs),
+                     len(server._proofs), server.invalid_proofs,
+                     len(server.hash_to_signers),
+                     sum(map(len, server.hash_to_signers.values())),
+                     tuple(server._fill_queue), len(server._consolidated),
+                     server.scan_cache_hits, server.pipeline_idle,
+                     server.crashed, server.batch_requests_sent,
+                     server.batch_request_retries,
+                     server.hash_batches_appended, server.blocks_processed))
+        if full:
+            rows.append([(digest, sorted(signers)) for digest, signers
+                         in server.hash_to_signers.items()])
+            rows.append(sorted(server.committed_epoch_numbers()))
+    return rows
+
+
+def _play(case: dict, cut: float | None, oracle: bool, *, stops=(),
+          stepped: bool = False, spy=None):
+    """One world.  ``stops=None`` stops wherever there is an event and
+    returns those instants; otherwise the clock stops at ``stops``, driven
+    one event at a time if ``stepped``.  Returns the stops, what the servers
+    showed and their backlogs at each, and the final artifact."""
+    reset_run_counters()
+    register_behaviour("forger", replace=True)(Forger)
+    original = HashchainServer._handle_tx
+
+    def spying(server, block, tx):
+        spy.append((server.sim.now, server.name))
+        original(server, block, tx)
+
+    try:
+        with per_transaction(oracle), (
+                mock.patch.object(HashchainServer, "_handle_tx", spying)
+                if spy is not None else nullcontext()):
+            session = _deployment(case, cut).session().start()
+            deployment, sim = session.deployment, session.deployment.sim
+            horizon = session.config.total_duration
+
+            def wherever_there_is_an_event():
+                while ((stop := sim._queue.peek_time()) is not None
+                       and stop <= horizon):
+                    yield stop
+
+            if stops is None:
+                stops, stepped = wherever_there_is_an_event(), True
+            taken, shown, backlogs = [], [], []
+            for index, stop in enumerate(stops):
+                while stepped and (sim._queue.peek_time() or inf) <= stop:
+                    sim.step()
+                sim.run_until(stop)
+                taken.append(stop)
+                shown.append(_shows(deployment, full=index % 16 == 0))
+                backlogs.append([s.backlog for s in deployment.servers])
+            session.run()
+            shown.append(_shows(deployment, full=True))
+            return taken, shown, backlogs, session.result().to_json()
+    finally:
+        unregister_behaviour("forger")
+
+
+@st.composite
+def _hashchain_cases(draw):
+    byz = draw(st.sampled_from(
+        [None, "forger", "forger", "equivocate", "withhold"]))
+    fault = draw(st.sampled_from(
+        ["none", "crash", "crash", "retire", "partition", "join"]))
+    # Four servers tolerate one fault: a Byzantine one and a crashed or
+    # departed one together need seven.
+    servers = 7 if byz and fault in ("crash", "retire") else draw(
+        st.sampled_from([4, 4, 7]))
+    return {
+        "servers": servers,
+        "rate": draw(st.sampled_from([120, 240] if servers == 7
+                                     else [120, 240, 400])),
+        "collector": draw(st.sampled_from([5, 10, 25])),
+        "block_rate": draw(st.sampled_from([2.0, 5.0])),
+        "overhead": draw(st.sampled_from([0.0, 1e-4, 3e-3])),
+        "light": draw(st.booleans()),
+        # An equivocator's proofs are re-counted invalid on every repeat; a
+        # withholder's batches wait at the head of the fill queue.
+        "byz": byz,
+        "seed": draw(st.integers(1, 50)),
+        "fault": fault,
+        "target": f"server-{draw(st.integers(1, servers - 1))}",
+        "outage": draw(st.sampled_from([1e-4, 0.04, 0.7])),
+        "pick": draw(st.floats(0.05, 0.95)),
+        "between": draw(st.booleans()),
+        "stepped": draw(st.booleans()),
+    }
+
+
+def _case(**overrides) -> dict:
+    case = {"servers": 4, "rate": 240, "collector": 10, "block_rate": 2.0,
+            "overhead": 3e-3, "light": False, "byz": None, "seed": 5,
+            "fault": "crash", "target": "server-2", "outage": 0.04,
+            "pick": 0.5, "between": False, "stepped": True}
+    case.update(overrides)
+    return case
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_hashchain_cases())
+@example(_case())
+@example(_case(fault="retire", byz="forger", servers=7, stepped=False))
+@example(_case(fault="partition", outage=0.7, overhead=1e-4, collector=5,
+               byz="equivocate"))
+@example(_case(fault="join", servers=7, light=True, overhead=0.0))
+def test_hashchain_runs_match_the_per_transaction_schedule(case):
+    # Where does the target handle transactions?  The fault goes on one of
+    # those instants (the tie goes to the fault, armed first) or between two.
+    handled: list[tuple[float, str]] = []
+    _play(case, None, True, spy=handled)
+    instants = sorted({t for t, name in handled
+                       if name == case["target"] and t > 0.4})
+    index = int(case["pick"] * (len(instants) - 2))
+    cut = instants[index]
+    if case["between"]:
+        cut = (cut + instants[index + 1]) / 2
+
+    stops, expected, owed, artifact = _play(case, cut, True, stops=None)
+    _, shown, backlogs, same = _play(case, cut, False, stops=stops,
+                                     stepped=case["stepped"])
+    for stop, ours, theirs in zip(stops + [inf], shown, expected):
+        assert ours == theirs, f"diverged by t={stop}"
+    # A run in flight has left the count; nothing else may differ.
+    assert all(mine <= reference for queued, steps in zip(backlogs, owed)
+               for mine, reference in zip(queued, steps))
+    assert backlogs[-1] == owed[-1]
+    assert same == artifact
+    assert _play(case, cut, False)[3] == artifact
+
+
+def test_co_sign_repeats_cost_one_step_per_run_not_per_transaction():
+    """Every server re-handles every hash once per co-signer; those steps
+    now come in runs, so the pipeline costs far fewer events — and a scanned
+    digest is always one the server holds and has co-signed, which is what
+    lets a run skip the store and ``_signed_hashes`` look-ups."""
+    def events(oracle: bool) -> int:
+        reset_run_counters()
+        with per_transaction(oracle):
+            session = (Scenario.hashchain().servers(7).rate(600).collector(10)
+                       .inject_for(2).drain(6).backend("ideal").seed(9)
+                       .session().start())
+            session.run()
+        for server in session.deployment.servers:
+            assert server.scan_cache_hits > 100
+            assert all(digest in server._signed_hashes
+                       and server.store.get(digest) is not None
+                       for digest in server._scanned_batches)
+        return session.deployment.sim.events_executed
+
+    assert events(oracle=False) < 0.6 * events(oracle=True)

@@ -192,6 +192,35 @@ def test_collector_sized_bursts_match_element_order_byte_for_byte():
     assert drive(case) == drive(case, reference="element-major")
 
 
+def test_same_instant_flushes_inside_a_burst_go_in_server_order():
+    """The order-dependent residue, pinned: servers 1-3 enter a burst with
+    their collectors half full (server-0 was down for the burst before), so
+    element by element they reach the limit — and flush — before server-0
+    does.  The batched drain hands server-0 its whole bucket first, so
+    server-0 flushes first.  Same instant, same elements, same commits;
+    only the order of the flushes (ledger transaction ids, jitter draws)
+    is the batched drain's own."""
+    def script(runtime):
+        runtime.session.crash("server-0")
+        runtime.submit_many(15)   # five each to servers 1, 2, 3
+        runtime.tick()
+        runtime.session.recover("server-0")
+        runtime.submit_many(40)   # ten each: 1-3 overflow at their fifth
+        runtime.tick()
+        script.flushes = [flush.server for flush
+                          in runtime.deployment.metrics.batch_flushes]
+        runtime.run_for(10.0)
+
+    case = ("service/smoke", {}, script)
+    batched = drive(case)
+    assert script.flushes == [f"server-{i}" for i in (0, 1, 2, 3)]
+    replaced = drive(case, reference="element-major")
+    assert script.flushes == [f"server-{i}" for i in (1, 2, 3, 0)]
+    for key in batched.keys() - {"json"}:
+        assert batched[key] == replaced[key], key
+    assert batched == drive(case, reference="server-major")
+
+
 def test_submit_many_counts_match_one_submit_per_element():
     # The arithmetic verdicts against the per-submission rule they replace,
     # across the watermark, the full queue and a stopped service.

@@ -129,3 +129,53 @@ def test_deterministic_rng_attached():
     a = Simulator(seed=42)
     b = Simulator(seed=42)
     assert [a.rng.random() for _ in range(5)] == [b.rng.random() for _ in range(5)]
+
+
+# -- the running event's place in the order -------------------------------------
+
+def test_position_is_the_running_event_and_a_filed_arrival_sorts_around_it():
+    """Something filed outside the queue draws its place with ``take_seq``;
+    an event sees it as past exactly when the queue would have run it first."""
+    sim = Simulator()
+    filed = []   # (time, seq) of two arrivals, both for t = 2.0
+    past = {}
+
+    def reader(name):
+        past[name] = [arrival < sim.position() for arrival in filed]
+
+    sim.call_at(1.0, lambda: filed.append((2.0, sim.take_seq())))
+    sim.call_at(1.0, lambda: sim.call_at(2.0, lambda: reader("between")))
+    sim.call_at(1.0, lambda: filed.append((2.0, sim.take_seq())))
+    sim.call_at(1.5, lambda: reader("early"))
+    sim.call_at(1.0, lambda: sim.call_at(2.5, lambda: reader("late")))
+    sim.run_until(3.0)
+    assert past == {"early": [False, False], "between": [True, False],
+                    "late": [True, True]}
+
+
+def test_a_stopped_clock_has_run_everything_up_to_now_and_nothing_filed_after():
+    sim = Simulator()
+    during = (1.0, sim.take_seq())
+    sim.run_until(1.0)
+    after = (1.0, sim.take_seq())        # filed at the stop, for this instant
+    assert during < sim.position() < after
+    sim.call_at(1.0, lambda: None)
+    sim.step()                           # one event at 1.0: ``after`` is older
+    assert after < sim.position() == (1.0, sim._seq)
+
+
+def test_a_storm_run_stops_where_something_drew_a_number_in_between():
+    """Same instant, same key: one dispatch — unless an arrival filed outside
+    the queue sits between two members, which must then see it as past."""
+    sim = Simulator()
+    runs = []
+    handler = lambda payloads: runs.append((list(payloads), sim.position()[1]))
+    key = object()
+    sim.call_at_storm(1.0, handler, "a", key)
+    sim.call_at_storm(1.0, handler, "b", key)
+    arrival = sim.take_seq()
+    sim.call_at_storm(1.0, handler, "c", key)
+    sim.run_until(2.0)
+    assert [payloads for payloads, _ in runs] == [["a", "b"], ["c"]]
+    assert runs[0][1] < arrival < runs[1][1]
+    assert sim.events_executed == 3

@@ -39,9 +39,10 @@ def pinned_scenarios() -> list[str]:
     return [name for names in per_family.values() for name in names[:4]]
 
 
-def artifact_digest(name: str) -> str:
+def artifact_digest(name: str, scale: float = 1.0) -> str:
     reset_run_counters()
-    return hashlib.sha256(run(name, seed=SEED).to_json().encode()).hexdigest()
+    result = run(name, scale=scale, seed=SEED)
+    return hashlib.sha256(result.to_json().encode()).hexdigest()
 
 
 def test_manifest_covers_the_pinned_selection():
