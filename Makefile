@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc e2e e2e-one bench bench-pytest bench-smoke million million-smoke profile chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke trace-smoke-core trace-bench-gate list-scenarios clean
+.PHONY: test loc e2e e2e-one bench-pytest bench-smoke profile sweep-identical chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke-core list-scenarios clean
 
 # Scenario to profile with `make profile` (override: make profile SCENARIO=...).
 SCENARIO ?= bench/hashchain-heavy
@@ -9,7 +9,7 @@ SCENARIO ?= bench/hashchain-heavy
 test:
 	$(PYTHON) -m pytest -q
 
-# Source line count, tracked per PR like a benchmark (ROADMAP item 2), with
+# Source line count, tracked per PR like a benchmark (ROADMAP item 3), with
 # the delta against the parent commit: the count must not go up.
 loc:
 	@now=$$(find src -name '*.py' -exec cat {} + | wc -l); \
@@ -31,24 +31,13 @@ WORKLOAD ?= service-durable
 e2e-one:
 	python3 benchmarks/e2e/run.py --workload $(WORKLOAD) --trace 1
 
-# Wall-clock perf trajectory on the pinned bench-smoke set (repro.bench).
-bench:
-	$(PYTHON) -m repro.bench --jobs auto --out results/BENCH.json
-
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Million-element trajectory (batched algorithms; serial so numbers are clean).
-million:
-	$(PYTHON) -m repro.bench --set million --jobs 1 --out results/BENCH_MILLION.json
-
-# CI-sized 100k variant of the million set, all three algorithms.
-million-smoke:
-	$(PYTHON) -m repro.bench --set million-smoke --jobs 1 --out results/BENCH_MILLION_SMOKE.json
-
 # cProfile one scenario (override the target: make profile SCENARIO=bench/vanilla).
+# It finds candidates; the numbers that count come from `make e2e`, unprofiled.
 profile:
-	$(PYTHON) -m repro.bench profile $(SCENARIO) --limit 30 \
+	$(PYTHON) -m repro.obs profile $(SCENARIO) --limit 30 \
 	  --out-collapsed results/profile-collapsed.txt
 
 # One registry scenario through the CLI, persisting its RunResult artifact.
@@ -56,15 +45,27 @@ bench-smoke:
 	$(PYTHON) -m repro run quickstart --scale 1 --json results/bench-smoke.json
 	$(PYTHON) -m repro report results/bench-smoke.json
 
+# The determinism bar every family is held to: the same (selection, seed 7)
+# swept serially and over four worker processes writes byte-identical files.
+#   make sweep-identical SELECT="--family shard" OUT=results/shard
+# TRACE=1 also writes each run's Chrome trace beside its artifact, so the
+# trace files are compared too.
+SELECT ?= --contains chaos/smoke
+OUT ?= results/sweep
+sweep = $(PYTHON) -m repro sweep $(SELECT) --quiet --seed 7 --jobs $(1) \
+  --out $(OUT)-j$(1) $(if $(TRACE),--trace-sample 1.0 --trace-dir $(OUT)-j$(1))
+sweep-identical:
+	$(call sweep,1)
+	$(call sweep,4)
+	diff -rq $(OUT)-j1 $(OUT)-j4
+	@echo "$(SELECT): $$(ls $(OUT)-j1 | wc -l) file(s) byte-identical under --jobs 1 vs --jobs 4"
+
 # One chaos scenario end to end: run it, render the resilience report, and
 # prove the fault schedule is byte-identical under serial vs parallel sweeps.
 chaos-smoke:
 	$(PYTHON) -m repro run chaos/smoke --json results/chaos-smoke.json
 	$(PYTHON) -m repro report results/chaos-smoke.json
-	$(PYTHON) -m repro sweep --contains chaos/smoke --jobs 1 --quiet --seed 7 --out results/chaos-j1
-	$(PYTHON) -m repro sweep --contains chaos/smoke --jobs 4 --quiet --seed 7 --out results/chaos-j4
-	cmp results/chaos-j1/chaos__smoke.json results/chaos-j4/chaos__smoke.json
-	@echo "chaos/smoke byte-identical under --jobs 1 vs --jobs 4"
+	$(MAKE) sweep-identical SELECT="--contains chaos/smoke" OUT=results/chaos
 
 # One adversarial scenario end to end: run it, render the resilience and
 # Byzantine-attribution reports, and prove the schedule is byte-identical
@@ -72,22 +73,14 @@ chaos-smoke:
 byz-smoke:
 	$(PYTHON) -m repro run byz/smoke --json results/byz-smoke.json
 	$(PYTHON) -m repro report results/byz-smoke.json
-	$(PYTHON) -m repro sweep --contains byz/smoke --jobs 1 --quiet --seed 7 --out results/byz-j1
-	$(PYTHON) -m repro sweep --contains byz/smoke --jobs 4 --quiet --seed 7 --out results/byz-j4
-	cmp results/byz-j1/byz__smoke.json results/byz-j4/byz__smoke.json
-	@echo "byz/smoke byte-identical under --jobs 1 vs --jobs 4"
+	$(MAKE) sweep-identical SELECT="--contains byz/smoke" OUT=results/byz
 
 # The whole dynamic-membership family (runtime joins with state transfer,
 # draining leaves, validator replacement, elastic service shapes) under
 # serial vs parallel sweeps: every artifact must be byte-identical, then the
 # report renders the membership timelines.
 membership-smoke:
-	$(PYTHON) -m repro sweep --contains member/ --jobs 1 --quiet --seed 7 --out results/member-j1
-	$(PYTHON) -m repro sweep --contains member/ --jobs 4 --quiet --seed 7 --out results/member-j4
-	@for artifact in results/member-j1/*.json; do \
-	  cmp "$$artifact" "results/member-j4/$$(basename $$artifact)" || exit 1; \
-	done
-	@echo "member/ family byte-identical under --jobs 1 vs --jobs 4"
+	$(MAKE) sweep-identical SELECT="--contains member/" OUT=results/member
 	$(PYTHON) -m repro report results/member-j1/member__service__elastic.json \
 	  results/member-j1/member__smoke.json
 
@@ -100,12 +93,7 @@ shard-smoke:
 	$(PYTHON) -m repro run shard/scale/s2 --json results/shard-s2.json --quiet
 	$(PYTHON) -m repro run shard/scale/s4 --json results/shard-s4.json --quiet
 	$(PYTHON) -m repro report results/shard-s2.json results/shard-s4.json
-	$(PYTHON) -m repro sweep --family shard --jobs 1 --quiet --seed 7 --out results/shard-j1
-	$(PYTHON) -m repro sweep --family shard --jobs 4 --quiet --seed 7 --out results/shard-j4
-	@for artifact in results/shard-j1/*.json; do \
-	  cmp "$$artifact" "results/shard-j4/$$(basename $$artifact)" || exit 1; \
-	done
-	@echo "shard/ family byte-identical under --jobs 1 vs --jobs 4"
+	$(MAKE) sweep-identical SELECT="--family shard" OUT=results/shard
 	$(PYTHON) -c "from repro import Scenario; \
 	  session = (Scenario.hashchain().servers(2).shards(2).rate(300) \
 	    .collector(20).inject_for(5).drain(30).backend('ideal').seed(11) \
@@ -130,12 +118,9 @@ service-smoke:
 
 # Observability end to end: trace a chaos and a service scenario (both export
 # formats), validate the trace schemas, prove trace files byte-identical
-# under serial vs parallel sweeps, validate the Prometheus exposition against
-# a live endpoint, and gate a tracing-disabled bench run within 2% of the
-# checked-in PR 8 baseline (tracing must cost nothing when off).  The gate
-# lives in its own target so CI can run it non-blocking on noisy runners.
-trace-smoke: trace-smoke-core trace-bench-gate
-
+# under serial vs parallel sweeps, and validate the Prometheus exposition
+# against a live endpoint.  What the hooks cost with tracing off is inside
+# every BENCHMARK.json workload's wall_el_per_s: all five run untraced.
 trace-smoke-core:
 	$(PYTHON) -m repro trace chaos/smoke --seed 7 \
 	  --out results/trace-chaos.trace.json
@@ -145,19 +130,8 @@ trace-smoke-core:
 	  --out results/trace-service.trace.jsonl
 	$(PYTHON) -m repro.obs validate-trace results/trace-service.trace.jsonl \
 	  --min-tracks 3
-	$(PYTHON) -m repro sweep --contains chaos/smoke --jobs 1 --quiet --seed 7 \
-	  --trace-sample 1.0 --trace-dir results/trace-j1 --out results/trace-j1
-	$(PYTHON) -m repro sweep --contains chaos/smoke --jobs 4 --quiet --seed 7 \
-	  --trace-sample 1.0 --trace-dir results/trace-j4 --out results/trace-j4
-	cmp results/trace-j1/chaos__smoke.trace.json results/trace-j4/chaos__smoke.trace.json
-	@echo "chaos/smoke trace byte-identical under --jobs 1 vs --jobs 4"
+	$(MAKE) sweep-identical SELECT="--contains chaos/smoke" OUT=results/trace TRACE=1
 	$(PYTHON) -m repro.obs prom-smoke
-
-trace-bench-gate:
-	$(PYTHON) -m repro.bench run --jobs 1 --repeat 3 --label trace-smoke-untraced \
-	  --out results/BENCH_TRACE_SMOKE.json
-	$(PYTHON) -m repro.bench compare BENCH_PR8.json results/BENCH_TRACE_SMOKE.json \
-	  --max-regression 0.02
 
 list-scenarios:
 	$(PYTHON) -m repro list-scenarios

@@ -16,10 +16,10 @@ come directly from the element lifecycle records.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import floor
 from typing import Sequence
-
-import numpy as np
 
 from ..errors import ConfigurationError
 from .metrics import MetricsCollector
@@ -50,16 +50,32 @@ class LatencyCDF:
             raise ConfigurationError("quantile must be in [0, 1]")
         if not self.latencies:
             return float("nan")
-        return float(np.quantile(np.asarray(self.latencies), q))
+        # Linear interpolation between the two nearest ranks, stepping from
+        # whichever rank is nearer: the rounding the recorded artifacts carry
+        # (tests/test_analysis.py holds the differential check).
+        values = sorted(self.latencies)
+        position = q * (len(values) - 1)
+        low = floor(position)
+        high = min(low + 1, len(values) - 1)
+        t = position - low
+        gap = values[high] - values[low]
+        return float(values[low] + gap * t if t < 0.5
+                     else values[high] - gap * (1 - t))
 
     def curve(self, points: int = 100) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(x, F(x)) samples of the CDF, suitable for plotting or tabulation."""
         if not self.latencies:
             return (), ()
-        values = np.sort(np.asarray(self.latencies))
-        xs = np.linspace(0.0, float(values[-1]), points)
-        fs = np.searchsorted(values, xs, side="right") / len(values)
-        return tuple(float(x) for x in xs), tuple(float(f) for f in fs)
+        values = sorted(self.latencies)
+        top = float(values[-1])
+        if points > 1:
+            step = top / (points - 1)
+            # The end point is ``top`` exactly, whatever the rounding of step.
+            xs = [i * step for i in range(points - 1)] + [top]
+        else:
+            xs = [0.0] * points
+        return (tuple(xs),
+                tuple(bisect_right(values, x) / len(values) for x in xs))
 
 
 def _mempool_stage_times(metrics: MetricsCollector,

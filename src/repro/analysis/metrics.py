@@ -201,7 +201,7 @@ class MetricsCollector:
             self.tracer.injected_many(
                 [element.element_id for element in elements], time)
 
-    def record_added_many(self, elements: Iterable[Element], server: str,
+    def record_added_many(self, elements: Sequence[Element], server: str,
                           time: float) -> None:
         """Elements first accepted by ``server``: one pass, one region- and
         shard-counter update."""
@@ -223,6 +223,9 @@ class MetricsCollector:
             self.region_added[region] = self.region_added.get(region, 0) + fresh
         if shard is not None and fresh:
             self.shard_added[shard] = self.shard_added.get(shard, 0) + fresh
+        if self.tracer is not None:
+            self.tracer.phase_many([element.element_id for element in elements],
+                                   "collector_queued", time, server)
 
     def record_tx_elements(self, tx_id: int, element_ids: Iterable[int]) -> None:
         self.tx_elements[tx_id] = list(element_ids)
@@ -278,9 +281,11 @@ class MetricsCollector:
             self._ledger_hash_done.add(batch_hash)
             self.record_in_ledger_many(ids, time)
 
-    def record_epoch_assigned_many(self, element_ids: Iterable[int],
-                                   epoch_number: int, time: float) -> None:
-        """One epoch creation: the first epoch an element lands in wins."""
+    def record_epoch_assigned_many(self, element_ids: Sequence[int],
+                                   epoch_number: int, time: float,
+                                   server: str = "?") -> None:
+        """One epoch creation at ``server``: the first epoch an element lands
+        in wins."""
         records = self.elements
         make = ElementRecord
         for element_id in element_ids:
@@ -290,6 +295,8 @@ class MetricsCollector:
             if record.epoch_assigned_at is None:
                 record.epoch_assigned_at = time
                 record.epoch_number = epoch_number
+        if self.tracer is not None:
+            self.tracer.phase_many(element_ids, "epoch_assigned", time, server)
 
     def record_epoch_created(self, server: str, epoch_number: int, n_elements: int,
                              time: float) -> None:
@@ -329,18 +336,30 @@ class MetricsCollector:
                     self.shard_commit_times.setdefault(shard, []).append(time)
 
     def record_batch_flush(self, server: str, n_items: int, appended_bytes: int,
-                           time: float) -> None:
+                           time: float, element_ids: Sequence[int],
+                           signed: bool = False) -> None:
+        """One collector flush carrying ``element_ids``; ``signed`` when the
+        flush is also the instant the server signs the batch (Hashchain)."""
         self.batch_flushes.append(BatchFlushEvent(server=server, n_items=n_items,
                                                   appended_bytes=appended_bytes,
                                                   time=time))
+        if self.tracer is not None:
+            self.tracer.phase_many(element_ids, "flushed", time, server)
+            if signed:
+                self.tracer.phase_many(element_ids, "signed", time, server)
 
-    def record_byzantine(self, server: str, counter: str) -> None:
+    def record_byzantine(self, server: str, counter: str,
+                         time: float | None = None) -> None:
         """Attribute one Byzantine-related action (misbehaviour at a Byzantine
-        server, or a refusal of Byzantine garbage at a correct one)."""
+        server, or a refusal of Byzantine garbage at a correct one).  ``time``
+        marks it on the server's trace track; a Vanilla pipeline run settles
+        its refusals after the fact and gives none."""
         self.byzantine_counters[counter] = (
             self.byzantine_counters.get(counter, 0) + 1)
         per_server = self.byzantine_by_server.setdefault(server, {})
         per_server[counter] = per_server.get(counter, 0) + 1
+        if self.tracer is not None and time is not None:
+            self.tracer.annotate(time, server, f"byzantine:{counter}")
 
     def record_hash_reversal(self, server: str, batch_hash: str, success: bool,
                              time: float) -> None:

@@ -7,9 +7,9 @@ first 50 seconds.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from math import ceil
 
 from ..errors import ConfigurationError
 
@@ -35,8 +35,19 @@ class ThroughputSeries:
         """Series value at the sample nearest to ``time`` (0 when empty)."""
         if not self.times:
             return 0.0
-        index = int(np.argmin(np.abs(np.asarray(self.times) - time)))
+        index = min(range(len(self.times)),
+                    key=lambda i: abs(self.times[i] - time))
         return self.values[index]
+
+
+def _arange(start: float, stop: float, step: float) -> list[float]:
+    """``ceil((stop - start) / step)`` floats, the i-th being ``start + i *
+    delta`` with ``delta = (start + step) - start``: the sample instants the
+    recorded artifacts carry, bit for bit (tests/test_analysis.py holds the
+    differential check)."""
+    delta = (start + step) - start
+    return [start + i * delta
+            for i in range(max(0, ceil((stop - start) / step)))]
 
 
 def rolling_throughput(commit_times: list[float], window: float = PAPER_ROLLING_WINDOW,
@@ -51,16 +62,13 @@ def rolling_throughput(commit_times: list[float], window: float = PAPER_ROLLING_
         raise ConfigurationError("window and step must be positive")
     if not commit_times:
         return ThroughputSeries(times=(), values=())
-    times = np.sort(np.asarray(commit_times, dtype=float))
+    times = sorted(commit_times)
     end = horizon if horizon is not None else float(times[-1]) + step
-    samples = np.arange(step, end + step / 2, step)
-    # Count commits in (t - window, t] via two searchsorted passes.
-    upper = np.searchsorted(times, samples, side="right")
-    lower = np.searchsorted(times, samples - window, side="right")
-    counts = upper - lower
-    values = counts / window
-    return ThroughputSeries(times=tuple(float(t) for t in samples),
-                            values=tuple(float(v) for v in values))
+    samples = _arange(step, end + step / 2, step)
+    # Count commits in (t - window, t] via two bisections.
+    values = tuple((bisect_right(times, t) - bisect_right(times, t - window))
+                   / window for t in samples)
+    return ThroughputSeries(times=tuple(samples), values=values)
 
 
 def recent_throughput(commit_times: list[float], now: float,
@@ -92,10 +100,13 @@ def instantaneous_throughput(commit_times: list[float], bin_width: float = 1.0,
         raise ConfigurationError("bin_width must be positive")
     if not commit_times:
         return ThroughputSeries(times=(), values=())
-    times = np.asarray(sorted(commit_times), dtype=float)
+    times = sorted(commit_times)
     end = horizon if horizon is not None else float(times[-1]) + bin_width
-    edges = np.arange(0.0, end + bin_width, bin_width)
-    counts, _ = np.histogram(times, bins=edges)
-    centers = (edges[:-1] + edges[1:]) / 2
-    return ThroughputSeries(times=tuple(float(t) for t in centers),
-                            values=tuple(float(c) / bin_width for c in counts))
+    edges = _arange(0.0, end + bin_width, bin_width)
+    # Bins are [lo, hi) except the last, which also holds its right edge.
+    cuts = [bisect_left(times, edge) for edge in edges[:-1]]
+    cuts.append(bisect_right(times, edges[-1]))
+    return ThroughputSeries(
+        times=tuple((lo + hi) / 2 for lo, hi in zip(edges, edges[1:])),
+        values=tuple((after - before) / bin_width
+                     for before, after in zip(cuts, cuts[1:])))

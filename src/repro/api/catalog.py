@@ -26,7 +26,8 @@ Importing this module — done lazily by the registry on its first access, see
   isolated Setchain instances behind the deterministic shard router, at
   rates past what one instance sustains, plus elastic add-shard-under-load
   and drain-whole-shard timelines;
-* ``bench/...`` — the pinned ``bench-smoke`` set measured by :mod:`repro.bench`;
+* ``bench/...`` — fixed-size runs, one per hot layer of the simulator (the
+  goldens, the manifests and ``python -m repro.obs profile`` name them);
 * ``quickstart`` / ``smoke`` — small scenarios that finish in seconds.
 
 The Table 1 and figure entries capture configs built once here, at catalog
@@ -160,12 +161,13 @@ register_scenario(
   .inject_for(10).drain(140))
 
 
-# -- pinned benchmark scenarios (repro.bench) ---------------------------------
+# -- fixed-size scenarios, one per hot layer -------------------------------------
 # The ``bench-smoke`` set exercises every hot layer of the simulator: the
 # event loop (heavy hashchain run), the batching/hashing path (compresschain),
 # the per-element ledger path (vanilla), and the real-EdDSA code path
-# (ed25519).  These definitions are pinned — changing them invalidates the
-# perf trajectory recorded in BENCH_*.json.
+# (ed25519).  These definitions are pinned — tests/golden/bench__*.json and the
+# Vanilla and trace manifests record their artifacts byte for byte.  Wall-clock
+# numbers come from the workloads of BENCHMARK.json, not from here.
 
 register_scenario(
     "bench/hashchain-base", tags=("bench", "bench-smoke"),
@@ -853,8 +855,8 @@ _register_member()
 # them.  The scale/ scenarios raise the per-element validation cost so a
 # single instance saturates around ~1300 el/s committed, then offer
 # 3500 el/s: one shard collapses under the backlog, two commit a few times
-# more, four sustain the full offered rate, and eight are offered-bound —
-# the trajectory pinned in BENCH_SHARD_PR10.json.
+# more, four sustain the full offered rate, and eight are offered-bound
+# (tests/test_shard.py pins the claim at a smaller size).
 
 
 def _register_shard() -> None:

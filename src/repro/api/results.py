@@ -15,7 +15,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, ClassVar, Mapping
 
 from ..config import (
     ExperimentConfig,
@@ -50,28 +50,19 @@ def summary_row(algorithm: str, sending_rate: float, collector_limit: int,
 def config_echo(config: ExperimentConfig) -> dict[str, Any]:
     """The nested config dict stored in artifacts.
 
-    The ``topology`` and ``faults`` keys are serialised through their own
-    ``to_dict`` methods and *omitted entirely* when unset, so artifacts of
-    legacy homogeneous fault-free configs are byte-identical to those written
-    before topologies (or fault schedules) existed.
+    Every :data:`ExperimentConfig.OPTIONAL_FIELDS` key is *omitted entirely*
+    when unset, so artifacts of legacy homogeneous, fault-free, untraced,
+    unsharded configs are byte-identical to those written before the field
+    existed; ``topology`` and ``faults`` are serialised through their own
+    ``to_dict`` methods.
     """
     echo = dataclasses.asdict(config)
-    topology = config.topology
-    if topology is None:
-        del echo["topology"]
-    else:
-        echo["topology"] = topology.to_dict()
-    faults = config.faults
-    if faults is None:
-        del echo["faults"]
-    else:
-        echo["faults"] = faults.to_dict()
-    if config.trace_sample is None:
-        # Tracing-off artifacts stay byte-identical to the pre-obs schema.
-        del echo["trace_sample"]
-    if config.shards is None:
-        # Unsharded artifacts stay byte-identical to the pre-sharding schema.
-        del echo["shards"]
+    for name in ExperimentConfig.OPTIONAL_FIELDS:
+        value = getattr(config, name)
+        if value is None:
+            del echo[name]
+        elif hasattr(value, "to_dict"):
+            echo[name] = value.to_dict()
     return echo
 
 
@@ -122,6 +113,16 @@ class RunResult:
     #: byte-identical.
     shards: dict[str, Any] | None = None
     schema_version: int = SCHEMA_VERSION
+
+    #: The sections a run may lack, each with the shape :meth:`from_dict`
+    #: expects of it.  :meth:`to_dict` omits the ones that are ``None``.
+    OPTIONAL_SECTIONS: ClassVar[tuple[tuple[str, str], ...]] = (
+        ("regions", "an object of per-region stat objects"),
+        ("faults", "a resilience-report object"),
+        ("membership", "a membership-timeline object"),
+        ("telemetry", "a telemetry-report object"),
+        ("shards", "a cross-shard report object"),
+    )
 
     # -- construction ----------------------------------------------------------
 
@@ -203,22 +204,11 @@ class RunResult:
         data["commit_fractions"] = [list(pair) for pair in self.commit_fractions]
         data["throughput_times"] = list(self.throughput_times)
         data["throughput_values"] = list(self.throughput_values)
-        if data["regions"] is None:
-            # Keep homogeneous artifacts byte-identical to the pre-topology
-            # schema (the key only appears for multi-region runs).
-            del data["regions"]
-        if data["faults"] is None:
-            # Same contract for fault-free runs vs the pre-faults schema.
-            del data["faults"]
-        if data["membership"] is None:
-            # And for static-membership runs vs the pre-membership schema.
-            del data["membership"]
-        if data["telemetry"] is None:
-            # And for untraced runs vs the pre-observability schema.
-            del data["telemetry"]
-        if data["shards"] is None:
-            # And for unsharded runs vs the pre-sharding schema.
-            del data["shards"]
+        for name, _ in self.OPTIONAL_SECTIONS:
+            if data[name] is None:
+                # The key only appears for runs that have the section, so the
+                # others stay byte-identical to the schema that preceded it.
+                del data[name]
         return data
 
     @classmethod
@@ -240,50 +230,22 @@ class RunResult:
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ConfigurationError(f"unknown RunResult fields: {unknown}")
-        missing = sorted(known - {"schema_version", "regions", "faults",
-                                  "membership", "telemetry", "shards"}
-                         - set(payload))
+        optional = dict(cls.OPTIONAL_SECTIONS)
+        missing = sorted(known - {"schema_version", *optional} - set(payload))
         if missing:
             raise ConfigurationError(f"missing RunResult fields: {missing}")
-        faults = payload.get("faults")
-        if faults is not None:
-            if not isinstance(faults, Mapping):
+        for name, shape in optional.items():
+            section = payload.get(name)
+            if section is None:
+                continue
+            nested = name == "regions"  # the one section of per-key objects
+            if not isinstance(section, Mapping) or (nested and not all(
+                    isinstance(stats, Mapping) for stats in section.values())):
                 raise ConfigurationError(
-                    "malformed RunResult faults: expected a resilience-report "
-                    "object")
-            payload["faults"] = dict(faults)
-        membership = payload.get("membership")
-        if membership is not None:
-            if not isinstance(membership, Mapping):
-                raise ConfigurationError(
-                    "malformed RunResult membership: expected a membership-"
-                    "timeline object")
-            payload["membership"] = dict(membership)
-        telemetry = payload.get("telemetry")
-        if telemetry is not None:
-            if not isinstance(telemetry, Mapping):
-                raise ConfigurationError(
-                    "malformed RunResult telemetry: expected a telemetry-"
-                    "report object")
-            payload["telemetry"] = dict(telemetry)
-        shards = payload.get("shards")
-        if shards is not None:
-            if not isinstance(shards, Mapping):
-                raise ConfigurationError(
-                    "malformed RunResult shards: expected a cross-shard "
-                    "report object")
-            payload["shards"] = dict(shards)
-        regions = payload.get("regions")
-        if regions is not None and (
-                not isinstance(regions, Mapping)
-                or not all(isinstance(stats, Mapping)
-                           for stats in regions.values())):
-            raise ConfigurationError(
-                "malformed RunResult regions: expected an object of per-region "
-                "stat objects")
-        if regions is not None:
-            payload["regions"] = {str(region): dict(stats)
-                                  for region, stats in regions.items()}
+                    f"malformed RunResult {name}: expected {shape}")
+            payload[name] = ({str(region): dict(stats)
+                              for region, stats in section.items()}
+                             if nested else dict(section))
         config = payload["config"]
         config_keys = {"algorithm", "setchain", "ledger", "workload",
                        "ledger_backend", "drain_duration", "label"}

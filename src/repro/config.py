@@ -9,7 +9,7 @@ times in (simulated) seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .errors import ConfigurationError
 from .faults.schedule import (  # noqa: F401  (FaultScheduleConfig re-exported)
@@ -196,6 +196,11 @@ class ExperimentConfig:
     drain_duration: float = 100.0
     #: Label used by reports.
     label: str = ""
+
+    #: The fields a run's config echo omits when ``None`` (see
+    #: :func:`repro.api.results.config_echo`).
+    OPTIONAL_FIELDS: ClassVar[tuple[str, ...]] = (
+        "topology", "faults", "trace_sample", "shards")
 
     def __post_init__(self) -> None:
         # Imported lazily: the registries load the builtin plugin module,

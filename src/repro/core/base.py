@@ -57,9 +57,6 @@ class BaseSetchainServer(NetworkNode, Application):
         self.scheme = scheme
         self.keypair = keypair
         self.metrics = metrics
-        #: Lifecycle tracer shared through the metrics collector; ``None``
-        #: when tracing is off, so hot paths pay one identity check only.
-        self.tracer = getattr(metrics, "tracer", None)
         # Setchain state (paper §2): the_set, history, epoch, proofs.
         self._the_set: dict[int, Element] = {}
         self._history: dict[int, set[Element]] = {}
@@ -261,10 +258,7 @@ class BaseSetchainServer(NetworkNode, Application):
         self.byzantine_counters[counter] = (
             self.byzantine_counters.get(counter, 0) + 1)
         if self.metrics is not None:
-            self.metrics.record_byzantine(self.name, counter)
-        if self.tracer is not None:
-            self.tracer.annotate(self.sim.now, self.name,
-                                 f"byzantine:{counter}")
+            self.metrics.record_byzantine(self.name, counter, self.sim.now)
 
     def _byz_outgoing_proof(self, proof: EpochProof) -> EpochProof | None:
         """Filter an epoch-proof this server is about to publish."""
@@ -341,10 +335,6 @@ class BaseSetchainServer(NetworkNode, Application):
         if accepted:
             if self.metrics is not None:
                 self.metrics.record_added_many(accepted, self.name, self.sim.now)
-            if self.tracer is not None:
-                self.tracer.phase_many([e.element_id for e in accepted],
-                                       "collector_queued", self.sim.now,
-                                       self.name)
             if byz is None or not byz.on_after_add(self, accepted[0]):
                 self._after_add_many(accepted)
         return len(accepted)
@@ -386,10 +376,7 @@ class BaseSetchainServer(NetworkNode, Application):
             self.metrics.record_epoch_created(self.name, self._epoch, len(elements),
                                               self.sim.now)
             self.metrics.record_epoch_assigned_many(element_ids, self._epoch,
-                                                    self.sim.now)
-        if self.tracer is not None:
-            self.tracer.phase_many(element_ids, "epoch_assigned",
-                                   self.sim.now, self.name)
+                                                    self.sim.now, self.name)
         proof = create_epoch_proof(self.scheme, self.keypair, self._epoch, elements)
         self._epoch_hashes[self._epoch] = proof.epoch_hash
         if self._future_proofs:

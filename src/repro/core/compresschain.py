@@ -73,11 +73,8 @@ class CompresschainServer(BaseSetchainServer):
             element_ids = [item.element_id for item in batch if isinstance(item, Element)]
             self.metrics.record_tx_elements(tx.tx_id, element_ids)
             self.metrics.record_batch_flush(self.name, len(batch),
-                                            compressed.compressed_size, self.sim.now)
-        if self.tracer is not None:
-            self.tracer.phase_many(
-                [item.element_id for item in batch if isinstance(item, Element)],
-                "flushed", self.sim.now, self.name)
+                                            compressed.compressed_size, self.sim.now,
+                                            element_ids)
 
     # -- block processing (lines 18-29) ------------------------------------------------
 

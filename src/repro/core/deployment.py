@@ -75,9 +75,10 @@ class Deployment:
     membership: MembershipLog | None = None
     #: Servers that left the cluster (kept for reporting, not for checks).
     departed_servers: list[BaseSetchainServer] = field(default_factory=list)
-    #: Lifecycle tracer (also reachable as ``metrics.tracer``); ``None`` when
-    #: ``config.trace_sample`` is unset, so untraced runs pay one identity
-    #: check per hook and nothing else.
+    #: Lifecycle tracer; ``None`` when ``config.trace_sample`` is unset.  The
+    #: servers report through ``metrics`` alone, which forwards every element
+    #: phase to it; the deployment adds the fault, membership and shard
+    #: annotations the collector never sees.
     tracer: Tracer | None = None
     #: Element-space partitioner for sharded deployments; ``None`` (the
     #: default) is the single-instance layout — workload clients and the

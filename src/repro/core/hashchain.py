@@ -166,13 +166,7 @@ class HashchainServer(BaseSetchainServer):
             self.metrics.record_tx_elements(tx.tx_id, element_ids)
             self.metrics.record_batch_hash_elements(digest, element_ids)
             self.metrics.record_batch_flush(self.name, len(items), HASH_BATCH_SIZE,
-                                            self.sim.now)
-        if self.tracer is not None:
-            element_ids = [item.element_id for item in items
-                           if isinstance(item, Element)]
-            now = self.sim.now
-            self.tracer.phase_many(element_ids, "flushed", now, self.name)
-            self.tracer.phase_many(element_ids, "signed", now, self.name)
+                                            self.sim.now, element_ids, signed=True)
 
     # -- hash-reversal service (Register_batch / Request_batch) --------------------------
 

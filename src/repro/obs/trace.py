@@ -1,17 +1,19 @@
 """Element-lifecycle tracing over simulated time.
 
-A :class:`Tracer` hangs off the :class:`~repro.analysis.metrics.MetricsCollector`
-(and the :class:`~repro.core.deployment.Deployment` for fault/membership
-annotations) and records phase transitions as they are observed::
+A :class:`Tracer` hangs off the :class:`~repro.analysis.metrics.MetricsCollector`,
+whose ``record_*`` methods are the one seam the servers report through and
+forward every phase transition as it is observed (the
+:class:`~repro.core.deployment.Deployment` adds the fault, membership and
+shard annotations the collector never sees)::
 
     injected → collector_queued → flushed → signed → in_ledger
              → epoch_assigned → committed
 
 Design constraints, in order:
 
-* **Zero cost when absent.**  Every hot-path hook is a single
-  ``if self.tracer is not None:`` check; no tracer, no work, and the PR 3-8
-  golden artifacts stay byte-identical.
+* **Zero cost when absent.**  Every hook is a single
+  ``if self.tracer is not None:`` check inside the collector; no tracer, no
+  work, and the PR 3-8 golden artifacts stay byte-identical.
 * **Deterministic.**  All timestamps are simulated seconds; the sampling
   policy draws from a dedicated stream derived with
   ``derive_seed(seed, "trace")`` and never touches ``sim.rng``, so enabling

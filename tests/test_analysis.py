@@ -1,6 +1,8 @@
 """Tests for the analysis layer: metrics, analytical model, throughput,
 efficiency, latency CDFs, commit times, and report rendering."""
 
+import random
+
 import pytest
 
 from repro.analysis.analytical import (
@@ -255,3 +257,44 @@ def test_render_table_and_series():
     text = render_series(series, sample_every=10.0)
     assert "hashchain" in text and "10" in text
     assert render_table(["only"], [])
+
+
+# -- the stdlib forms against the numpy calls they replaced --------------------------------
+# Every recorded artifact carries numpy's roundings, so the bisect/math forms
+# reproduce them bit for bit: ``==`` on floats, no tolerance.
+
+def test_stdlib_forms_match_arange_searchsorted_histogram_quantile_linspace():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(20)
+    for _ in range(400):
+        # Some continuous instants, some on a 0.5 grid (ties and bin edges).
+        commits = [rng.choice((rng.uniform(0.0, 40.0), rng.randrange(80) / 2))
+                   for _ in range(rng.randrange(1, 120))]
+        window = rng.choice((9.0, 1.0, rng.uniform(0.1, 12.0)))
+        step = rng.choice((1.0, 0.5, 0.1, rng.uniform(0.05, 3.0)))
+        horizon = rng.choice((None, rng.uniform(0.0, 60.0)))
+        times = np.sort(np.asarray(commits, dtype=float))
+        end = horizon if horizon is not None else float(times[-1]) + step
+        samples = np.arange(step, end + step / 2, step)
+        counts = (np.searchsorted(times, samples, side="right")
+                  - np.searchsorted(times, samples - window, side="right"))
+        series = rolling_throughput(commits, window, step, horizon)
+        assert series.times == tuple(samples.tolist())
+        assert series.values == tuple((counts / window).tolist())
+        edges = np.arange(0.0, end + step, step)
+        binned = instantaneous_throughput(commits, step, horizon)
+        assert binned.times == tuple(((edges[:-1] + edges[1:]) / 2).tolist())
+        assert binned.values == tuple(
+            (np.histogram(times, bins=edges)[0] / step).tolist())
+        if series.times:
+            probe = rng.choice((rng.uniform(-5.0, 70.0), rng.randrange(60) / 2))
+            nearest = int(np.argmin(np.abs(np.asarray(series.times) - probe)))
+            assert series.at(probe) == series.values[nearest]
+
+        cdf = latency_cdf(commits)
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0, rng.random(), rng.random()):
+            assert cdf.quantile(q) == float(np.quantile(times, q))
+        points = rng.choice((1, 2, 10, 100, rng.randrange(3, 60)))
+        xs = np.linspace(0.0, float(times[-1]), points)
+        fs = np.searchsorted(times, xs, side="right") / len(times)
+        assert cdf.curve(points) == (tuple(xs.tolist()), tuple(fs.tolist()))

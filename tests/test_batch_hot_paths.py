@@ -1,15 +1,10 @@
 """PR 8 batched hot paths: batch/scalar crypto equivalence, verify-cache
-eviction, batch-hash memoisation, and the million-scale bench plumbing."""
+eviction, batch-hash memoisation and the commit-times cache."""
 
-import json
-
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import MetricsCollector
-from repro.bench import BENCH_MILLION, BENCH_MILLION_SMOKE, BENCH_SMOKE
-from repro.bench.__main__ import main as bench_main
 from repro.core.batch_store import BatchStore
 from repro.core.validation import batch_matches_hash
 from repro.crypto.hashing import hash_batch
@@ -139,44 +134,3 @@ def test_commit_times_cache_invalidates_on_new_commits():
     assert metrics.commit_times() is metrics.commit_times()  # cached list
     metrics.record_epoch_committed(2, [second], time=3.0)
     assert metrics.commit_times() == [3.0, 5.0]
-
-
-# -- million bench plumbing --------------------------------------------------------------
-
-def test_million_case_sets_are_pinned():
-    assert [c.scenario for c in BENCH_MILLION] == [
-        "bench/million-hashchain", "bench/million-compresschain"]
-    assert [c.scenario for c in BENCH_MILLION_SMOKE] == [
-        "bench/million-smoke-hashchain", "bench/million-smoke-compresschain",
-        "bench/million-smoke-vanilla"]
-    seeds = [c.seed for c in BENCH_SMOKE + BENCH_MILLION + BENCH_MILLION_SMOKE]
-    assert len(seeds) == len(set(seeds)), "bench seeds must stay distinct"
-
-
-def test_bench_cli_set_selection_writes_tagged_artifact(tmp_path, capsys):
-    out = tmp_path / "MILLION_SMOKE.json"
-    code = bench_main(["run", "--set", "million-smoke",
-                       "--contains", "hashchain", "--out", str(out)])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["set"] == "million-smoke/partial"
-    assert [r["scenario"] for r in data["results"]] == [
-        "bench/million-smoke-hashchain"]
-    assert data["results"][0]["elements_per_s"] > 0
-
-
-def test_bench_cli_profile_smoke(tmp_path, capsys):
-    out = tmp_path / "profile.pstats"
-    code = bench_main(["profile", "bench/hashchain-base", "--seed", "2",
-                       "--sort", "cumulative", "--limit", "3",
-                       "--out", str(out)])
-    assert code == 0
-    captured = capsys.readouterr().out
-    assert "committed=" in captured
-    assert "Ordered by: cumulative time" in captured
-    assert out.exists() and out.stat().st_size > 0
-
-
-def test_bench_cli_profile_rejects_unknown_sort_key():
-    code = bench_main(["profile", "bench/hashchain-ed25519", "--sort", "bogus"])
-    assert code == 1

@@ -4,25 +4,28 @@ Covers the ``repro.obs`` package end to end: the dependency-free metric
 primitives, the deterministic lifecycle tracer (sampling policy, zero-cost
 disabled path, phase stamping), the Chrome/JSONL exporters and their
 validators, the Prometheus exposition renderer + parser pair, the HTTP
-surfacing (``/metrics?format=prometheus``, health caching headers), and the
+surfacing (``/metrics?format=prometheus``, health caching headers), the
 byte-identity guarantees: untraced artifacts match the pre-observability
 schema, and trace files are a pure function of ``(scenario, seed, sample)``
-regardless of worker-process count.
+regardless of worker-process count; and the ``repro.obs profile`` tool.
 """
 
 from __future__ import annotations
 
+import cProfile
 import json
+import pstats
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
 
-from repro.api import Scenario, run
+from repro.api import Scenario, Session, run
 from repro.api.parallel import RunSpec, execute_spec, reset_run_counters, run_specs
 from repro.api.results import RunResult
 from repro.errors import ConfigurationError
+from repro.obs.__main__ import _write_collapsed, main as obs_main
 from repro.obs.export import (
     export_chrome,
     export_jsonl,
@@ -242,11 +245,13 @@ def test_validators_reject_structural_violations():
 
 def test_traced_run_carries_telemetry_and_matches_untraced_outputs():
     reset_run_counters()
-    untraced = run(traced_scenario().build().with_overrides(trace_sample=None),
-                   seed=11)
+    plain = Session(traced_scenario().build().with_overrides(trace_sample=None),
+                    seed=11).start().run()
+    untraced = plain.result()
     reset_run_counters()
     traced = run(traced_scenario(), seed=11)
-    # Tracing never touches sim.rng: the simulation outputs are identical.
+    # Tracing never touches sim.rng: the simulation outputs are identical,
+    # and so is the schedule, event for event.
     assert traced.committed == untraced.committed
     assert traced.commit_fractions == untraced.commit_fractions
     telemetry = traced.telemetry
@@ -258,7 +263,7 @@ def test_traced_run_carries_telemetry_and_matches_untraced_outputs():
     assert phases["committed"]["count"] == traced.committed
     counters = telemetry["counters"]
     assert counters["verify_cache_hits"] + counters["verify_cache_misses"] > 0
-    assert counters["events_executed"] > 0
+    assert counters["events_executed"] == plain.deployment.sim.events_executed > 0
     # The untraced artifact stays on the pre-observability schema.
     assert untraced.telemetry is None
     assert "telemetry" not in untraced.to_dict()
@@ -437,3 +442,46 @@ def test_http_prometheus_format_and_health_caching_headers():
     finally:
         endpoint.stop()
         runtime.stop()
+
+
+# -- python -m repro.obs profile -----------------------------------------------
+
+
+def test_write_collapsed_emits_flamegraph_lines(tmp_path):
+    def leaf():
+        return sum(range(2000))
+
+    def root():
+        return [leaf() for _ in range(50)]
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    root()
+    profiler.disable()
+    target = _write_collapsed(pstats.Stats(profiler),
+                              str(tmp_path / "stacks.txt"))
+    lines = target.read_text().splitlines()
+    assert lines == sorted(lines)
+    for line in lines:
+        stack, _, value = line.rpartition(" ")
+        assert int(value) > 0
+        assert 1 <= len(stack.split(";")) <= 2
+        assert " " not in stack
+    assert any("leaf" in line for line in lines)
+
+
+def test_profile_smoke(tmp_path, capsys):
+    out = tmp_path / "profile.pstats"
+    code = obs_main(["profile", "bench/hashchain-base", "--seed", "2",
+                     "--sort", "cumulative", "--limit", "3",
+                     "--out", str(out)])
+    assert code == 0
+    captured = capsys.readouterr().out
+    assert "committed=" in captured
+    assert "Ordered by: cumulative time" in captured
+    assert out.exists() and out.stat().st_size > 0
+
+
+def test_profile_rejects_unknown_sort_key():
+    code = obs_main(["profile", "bench/hashchain-ed25519", "--sort", "bogus"])
+    assert code == 1

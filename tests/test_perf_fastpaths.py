@@ -1,26 +1,15 @@
 """PR 2 fast paths: event-queue compaction, crypto caches, collector views,
-multicast, and the bench/parallel harness determinism guarantees."""
-
-import json
+multicast, and the parallel sweep determinism guarantees."""
 
 import pytest
 
 from repro.api.parallel import RunSpec, default_jobs, run_specs
-from repro.bench import (
-    BENCH_SMOKE,
-    BenchCase,
-    compare_benches,
-    load_bench,
-    run_case,
-    write_bench,
-)
-from repro.bench.__main__ import main as bench_main
 from repro.core.collector import Collector
 from repro.core.types import EpochProof, HashBatch
 from repro.crypto import ed25519
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SimulatedScheme
-from repro.errors import ConfigurationError, NetworkError
+from repro.errors import NetworkError
 from repro.net.network import Network
 from repro.net.node import NetworkNode
 from repro.sim.events import EventQueue
@@ -216,62 +205,6 @@ def test_multicast_unknown_recipient_raises():
     sim, network, nodes = _mesh(2)
     with pytest.raises(NetworkError):
         network.multicast("n0", "ping", "x", recipients=["ghost"])
-
-
-# -- bench harness ------------------------------------------------------------
-
-def test_run_case_produces_the_bench_schema():
-    record = run_case(BenchCase("smoke", seed=7))
-    assert record.scenario == "smoke" and record.seed == 7
-    assert record.wall_s > 0
-    assert record.events_per_s > 0 and record.elements_per_s > 0
-
-
-def test_bench_artifact_roundtrip_and_compare(tmp_path):
-    from repro.bench import BenchRecord
-    before = [BenchRecord("s", 1, 2.0, 100.0, 10.0)]
-    after = [BenchRecord("s", 1, 0.5, 400.0, 40.0)]
-    b_path = write_bench(before, tmp_path / "before.json", label="b")
-    a_path = write_bench(after, tmp_path / "after.json", label="a")
-    merged = compare_benches(load_bench(b_path), load_bench(a_path))
-    assert merged["speedup"] == {"s": pytest.approx(4.0)}
-    assert merged["overall_wall_speedup"] == pytest.approx(4.0)
-    assert merged["before"]["label"] == "b"
-
-
-def test_load_bench_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    with pytest.raises(ConfigurationError):
-        load_bench(bad)
-    bad.write_text("not json")
-    with pytest.raises(ConfigurationError):
-        load_bench(bad)
-
-
-def test_bench_cli_run_and_compare(tmp_path, capsys):
-    out = tmp_path / "b.json"
-    assert bench_main(["run", "--contains", "vanilla", "--out", str(out)]) == 0
-    data = json.loads(out.read_text())
-    assert [r["scenario"] for r in data["results"]] == ["bench/vanilla"]
-    assert data["set"] == "bench-smoke/partial"  # filtered != the pinned set
-    merged = tmp_path / "merged.json"
-    assert bench_main(["compare", str(out), str(out),
-                       "--out", str(merged)]) == 0
-    assert json.loads(merged.read_text())["overall_wall_speedup"] == 1.0
-    assert bench_main(["run", "--contains", "no-such-case"]) == 1
-
-
-def test_bench_smoke_set_is_pinned():
-    # The trajectory in BENCH_*.json is only comparable across PRs if the
-    # set stays frozen; changing it must be a conscious decision.
-    assert [(c.scenario, c.seed) for c in BENCH_SMOKE] == [
-        ("bench/hashchain-base", 1101),
-        ("bench/hashchain-heavy", 1102),
-        ("bench/compresschain", 1103),
-        ("bench/vanilla", 1104),
-        ("bench/hashchain-ed25519", 1105),
-    ]
 
 
 # -- parallel sweep determinism ----------------------------------------------

@@ -493,7 +493,7 @@ def test_four_shards_commit_at_least_three_times_one_shard():
     # The same oversubscribed workload (2500 el/s against a ~1300 el/s
     # single-instance ceiling) against 1 vs 4 shards: sharding must recover
     # at least 3x the committed throughput within the same horizon.  This is
-    # the small in-suite twin of the pinned BENCH_SHARD_PR10 claim.
+    # the small in-suite twin of the ``shard/scale/s1`` vs ``s4`` contrast.
     one = run(_scale_config(1))
     four = run(_scale_config(4))
     assert four.injected == pytest.approx(one.injected, rel=0.01)

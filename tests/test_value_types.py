@@ -257,3 +257,23 @@ def test_the_scan_catches(snippet):
 ])
 def test_the_scan_allows(snippet):
     assert assignments_to_value_fields(snippet, "x.py") == []
+
+
+def test_the_protocol_core_knows_one_recorder():
+    """Servers report to ``MetricsCollector.record_*`` only; ``deployment.py``
+    keeps the tracer for its fault, membership and shard annotations."""
+    mentions = sorted(path.name for path in (SRC / "repro/core").glob("*.py")
+                      if "tracer" in path.read_text().lower())
+    assert mentions == ["deployment.py"]
+
+
+def test_every_module_imports_without_site_packages():
+    """``-S`` keeps site-packages off ``sys.path`` — what a CI job that installs
+    nothing sees — so a third-party import anywhere in ``src/`` fails here."""
+    probe = ("import importlib, pkgutil, repro\n"
+             "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+             "    importlib.import_module(module.name)\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], timeout=60,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
