@@ -15,7 +15,7 @@ ledger nodes' mempool arrival tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 from ..obs.trace import TRACK_LEDGER
 from ..workload.elements import Element
@@ -51,16 +51,6 @@ class ElementRecord:
 
 
 @dataclass
-class EpochEvent:
-    """One epoch creation observed at a server."""
-
-    server: str
-    epoch_number: int
-    n_elements: int
-    time: float
-
-
-@dataclass
 class BatchFlushEvent:
     """One collector flush (batch appended to the ledger in some form)."""
 
@@ -79,7 +69,6 @@ class MetricsCollector:
         self.tx_elements: dict[int, list[int]] = {}
         #: Hashchain batch hash -> element ids in the batch behind it.
         self.hash_elements: dict[str, list[int]] = {}
-        self.epoch_events: list[EpochEvent] = []
         self.batch_flushes: list[BatchFlushEvent] = []
         #: (server, success) counts of hash-reversal attempts.
         self.hash_reversal_success = 0
@@ -124,6 +113,12 @@ class MetricsCollector:
         #: the remaining ``servers - 1`` are guaranteed no-ops, so they can
         #: skip the per-element pass entirely.
         self._ledger_hash_done: set[str] = set()
+        #: epoch number -> the id tuple / frozenset last stamped in full.
+        #: Servers share them (``SignatureScheme.epoch_records``), and a repeat
+        #: with the same immutable object is a no-op: the full pass stamped
+        #: every element, and the counters move on a first stamp only.
+        self._assigned_ids: dict[int, tuple[int, ...]] = {}
+        self._committed_content: dict[int, frozenset[Element]] = {}
         #: (committed_total, sorted times) behind :meth:`commit_times`.
         self._commit_times_cache: tuple[int, list[float]] | None = None
         #: (committed_total, sorted latencies) behind :meth:`commit_latencies`.
@@ -286,6 +281,10 @@ class MetricsCollector:
                                    server: str = "?") -> None:
         """One epoch creation at ``server``: the first epoch an element lands
         in wins."""
+        if self.tracer is not None:
+            self.tracer.phase_many(element_ids, "epoch_assigned", time, server)
+        if self._assigned_ids.get(epoch_number) is element_ids:
+            return
         records = self.elements
         make = ElementRecord
         for element_id in element_ids:
@@ -295,22 +294,18 @@ class MetricsCollector:
             if record.epoch_assigned_at is None:
                 record.epoch_assigned_at = time
                 record.epoch_number = epoch_number
-        if self.tracer is not None:
-            self.tracer.phase_many(element_ids, "epoch_assigned", time, server)
+        if isinstance(element_ids, tuple):
+            self._assigned_ids[epoch_number] = element_ids
 
-    def record_epoch_created(self, server: str, epoch_number: int, n_elements: int,
-                             time: float) -> None:
-        self.epoch_events.append(EpochEvent(server=server, epoch_number=epoch_number,
-                                            n_elements=n_elements, time=time))
-
-    def record_epoch_committed(self, epoch_number: int, elements: Iterable[Element],
+    def record_epoch_committed(self, epoch_number: int, elements: Collection[Element],
                                time: float, observer: str = "?") -> None:
         if epoch_number not in self.epoch_commit_times:
             self.epoch_commit_times[epoch_number] = time
         if self.tracer is not None:
-            elements = list(elements)
             self.tracer.phase_many([e.element_id for e in elements],
                                    "committed", time, observer)
+        if self._committed_content.get(epoch_number) is elements:
+            return
         region = self.region_of.get(observer)
         shard = self.shard_of.get(observer)
         records = self.elements
@@ -334,6 +329,8 @@ class MetricsCollector:
                     self.shard_committed[shard] = (
                         self.shard_committed.get(shard, 0) + 1)
                     self.shard_commit_times.setdefault(shard, []).append(time)
+        if isinstance(elements, frozenset):
+            self._committed_content[epoch_number] = elements
 
     def record_batch_flush(self, server: str, n_items: int, appended_bytes: int,
                            time: float, element_ids: Sequence[int],

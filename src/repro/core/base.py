@@ -25,6 +25,7 @@ from math import inf, nextafter
 from typing import TYPE_CHECKING, Sequence
 
 from ..config import SetchainConfig
+from ..crypto.hashing import hash_epoch
 from ..crypto.keys import KeyPair
 from ..crypto.signatures import SignatureScheme
 from ..errors import SetchainError
@@ -59,7 +60,7 @@ class BaseSetchainServer(NetworkNode, Application):
         self.metrics = metrics
         # Setchain state (paper §2): the_set, history, epoch, proofs.
         self._the_set: dict[int, Element] = {}
-        self._history: dict[int, set[Element]] = {}
+        self._history: dict[int, frozenset[Element]] = {}
         self._epoch = 0
         self._proofs: set[EpochProof] = set()
         self._epoched_ids: set[int] = set()
@@ -354,31 +355,35 @@ class BaseSetchainServer(NetworkNode, Application):
     def the_set_size(self) -> int:
         return len(self._the_set)
 
-    def epoch_elements(self, epoch_number: int) -> set[Element] | None:
+    def epoch_elements(self, epoch_number: int) -> frozenset[Element] | None:
         return self._history.get(epoch_number)
 
     def committed_epoch_numbers(self) -> set[int]:
         """Epochs this server has seen reach f+1 distinct proofs."""
         return set(self._committed_epochs)
 
-    def _record_new_epoch(self, elements: set[Element], block: Block) -> EpochProof:
+    def _record_new_epoch(self, elements: frozenset[Element], block: Block) -> EpochProof:
         """Create epoch ``self._epoch + 1`` from ``elements`` and sign its proof.
 
-        Takes ownership of ``elements``: every caller hands in a freshly built
-        set it never touches again, so the history can keep it without the
-        defensive copy (an epoch-sized set build per server otherwise).
+        The first server to create an epoch hashes it; every server with equal
+        content shares that record (``scheme.epoch_records``), then signs.
         """
-        self._epoch += 1
-        self._history[self._epoch] = elements
-        element_ids = [element.element_id for element in elements]
+        self._epoch = number = self._epoch + 1
+        records = self.scheme.epoch_records
+        shared = records.get((number, elements))
+        if shared is None:
+            shared = records[number, elements] = (
+                elements, hash_epoch(number, elements),
+                tuple([element.element_id for element in elements]))
+        elements, epoch_hash, element_ids = shared
+        self._history[number] = elements
         self._epoched_ids.update(element_ids)
         if self.metrics is not None:
-            self.metrics.record_epoch_created(self.name, self._epoch, len(elements),
-                                              self.sim.now)
-            self.metrics.record_epoch_assigned_many(element_ids, self._epoch,
+            self.metrics.record_epoch_assigned_many(element_ids, number,
                                                     self.sim.now, self.name)
-        proof = create_epoch_proof(self.scheme, self.keypair, self._epoch, elements)
-        self._epoch_hashes[self._epoch] = proof.epoch_hash
+        proof = create_epoch_proof(self.scheme, self.keypair, number, elements,
+                                   epoch_hash)
+        self._epoch_hashes[number] = epoch_hash
         if self._future_proofs:
             ready = [p for p in self._future_proofs if p.epoch_number <= self._epoch]
             if ready:
@@ -402,7 +407,7 @@ class BaseSetchainServer(NetworkNode, Application):
         """
         history = self._history
         epoch_hashes = self._epoch_hashes
-        checkable: list[tuple[EpochProof, set[Element]]] = []
+        checkable: list[tuple[EpochProof, frozenset[Element]]] = []
         triples: list[tuple[str, str, bytes]] = []
         # A proof that reaches the signature check has epoch_hash equal to the
         # locally cached hash, so the signed payload is a function of the
@@ -455,7 +460,7 @@ class BaseSetchainServer(NetworkNode, Application):
                     and proof.epoch_number not in committed):
                 self._commit_epoch(proof.epoch_number, elements)
 
-    def _commit_epoch(self, epoch_number: int, elements: set[Element]) -> None:
+    def _commit_epoch(self, epoch_number: int, elements: frozenset[Element]) -> None:
         """This server has seen f+1 distinct proofs of the epoch."""
         self._committed_epochs.add(epoch_number)
         if self.first_commit_at is None:

@@ -119,7 +119,7 @@ class CompresschainServer(BaseSetchainServer):
         # hence batches, forever.
         if new_epoch:
             proof = self._byz_outgoing_proof(
-                self._record_new_epoch(set(new_epoch.values()), block))
+                self._record_new_epoch(frozenset(new_epoch.values()), block))
             if proof is not None and not self.bootstrapping:
                 self.add_to_batch(proof)
         self._finish_after(duration)

@@ -151,7 +151,9 @@ class HashchainServer(BaseSetchainServer):
             return
         items = tuple(batch)
         digest = hash_batch(items)
-        # Lines 15-16: remember and register the batch so peers can request it.
+        # Lines 15-16: remember and register the batch so peers can request it
+        # (the store serves this very tuple: requesters need not re-hash it).
+        self.scheme.batch_digests[id(items)] = (items, digest)
         self.store.register_local(digest, items)
         if self.shared_store is not None:
             self.shared_store.register_remote(digest, items)
@@ -524,7 +526,7 @@ class HashchainServer(BaseSetchainServer):
                         fresh[element.element_id] = element
             if fresh:
                 proof = self._byz_outgoing_proof(
-                    self._record_new_epoch(set(fresh.values()), block))
+                    self._record_new_epoch(frozenset(fresh.values()), block))
                 if proof is not None and not self.bootstrapping:
                     self.add_to_batch(proof)
 

@@ -19,9 +19,10 @@ from .types import EpochProof, epoch_proof_payload
 
 
 def create_epoch_proof(scheme: SignatureScheme, keypair: KeyPair,
-                       epoch_number: int, elements: Iterable[Element]) -> EpochProof:
-    """Sign the hash of ``(epoch_number, elements)`` as server ``keypair.owner``."""
-    epoch_hash = hash_epoch(epoch_number, elements)
+                       epoch_number: int, elements: Iterable[Element],
+                       epoch_hash: str | None = None) -> EpochProof:
+    """Sign the hash of ``(epoch_number, elements)`` (``epoch_hash`` if known)."""
+    epoch_hash = hash_epoch(epoch_number, elements) if epoch_hash is None else epoch_hash
     signature = scheme.sign(keypair, epoch_proof_payload(epoch_number, epoch_hash))
     return EpochProof(epoch_number=epoch_number, epoch_hash=epoch_hash,
                       signature=signature, signer=keypair.owner)

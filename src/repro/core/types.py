@@ -7,7 +7,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ..config import EPOCH_PROOF_SIZE, HASH_BATCH_SIZE
-from ..crypto.hashing import canonical_many
 from ..errors import SetchainError
 from ..values import SlotValue
 from ..workload.elements import Element
@@ -16,15 +15,6 @@ from ..workload.elements import Element
 def epoch_proof_payload(epoch_number: int, epoch_hash: str) -> str:
     """Canonical string signed by an epoch-proof: ``Hash(i, history[i])`` tagged by i."""
     return f"epoch-proof|{epoch_number}|{epoch_hash}"
-
-
-def canonical_bytes_many(items: Iterable[object]) -> list[bytes]:
-    """Canonical encodings for a whole flush in one pass.
-
-    Batch counterpart of calling ``canonical_bytes()`` per item: reads the
-    cached encodings of elements/proofs/hash-batches directly, in input order.
-    """
-    return canonical_many(items)
 
 
 class EpochProof(SlotValue):
@@ -122,9 +112,11 @@ class SetchainView:
     proofs: frozenset[EpochProof]
 
     @staticmethod
-    def snapshot(the_set: dict[int, Element], history: dict[int, set[Element]],
+    def snapshot(the_set: dict[int, Element],
+                 history: Mapping[int, Iterable[Element]],
                  epoch: int, proofs: set[EpochProof]) -> "SetchainView":
-        """Build an immutable snapshot from a server's mutable state."""
+        """Build an immutable snapshot from a server's mutable state; epochs
+        that are frozensets already (a server's are) are shared, not copied."""
         frozen_history = {i: frozenset(elements) for i, elements in history.items()}
         return SetchainView(
             the_set=frozenset(the_set.values()),

@@ -101,7 +101,7 @@ class VanillaServer(BaseSetchainServer):
         # Appendix B lines 13-18: the block's valid new elements become an epoch.
         if not self._block_elements:
             return
-        new_epoch = set(self._block_elements.values())
+        new_epoch = frozenset(self._block_elements.values())
         self._block_elements = {}
         the_set = self._the_set
         for element in new_epoch:

@@ -10,8 +10,8 @@ canonical encodings before hashing, which also matches the paper's observation
 The canonical encodings themselves are cached on the objects
 (``Element``/``EpochProof``/``HashBatch`` compute ``canonical_bytes()`` once
 at construction), so hashing a batch is a sort of precomputed byte strings
-plus one SHA-512 pass — the encode step is never repeated per server or per
-epoch.
+plus one SHA-512 pass; and a deployment hashes each flushed batch and each
+epoch once, not once per server (``SignatureScheme`` holds the memos).
 """
 
 from __future__ import annotations

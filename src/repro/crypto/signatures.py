@@ -47,6 +47,9 @@ class SignatureScheme(ABC):
     responsible for encoding.  ``verify`` resolves the signer's public key via
     the PKI by the *claimed* owner id, and memoises successful verifications
     (every server in a deployment re-verifies the same signed artifacts).
+    Being the one object all servers of a deployment share, it also holds
+    the two hash memos that die with the deployment: the servers derive the
+    same batches and epochs, and hash each one once instead of once apiece.
     """
 
     #: Length of a signature produced by this scheme, in bytes.
@@ -62,10 +65,10 @@ class SignatureScheme(ABC):
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        #: Memo of ``core.validation.batch_matches_hash``, kept here because
-        #: the scheme is what all servers of one deployment share, and it dies
-        #: with the deployment.
+        #: Memo of ``core.validation.batch_matches_hash``, seeded at flush.
         self.batch_digests: dict[int, tuple[object, str]] = {}
+        #: ``(number, content) -> (content, hash_epoch, ids)``, one per epoch.
+        self.epoch_records: dict[tuple[int, frozenset], tuple] = {}
 
     @abstractmethod
     def generate_keypair(self, owner: str, deployment_seed: int = 0) -> KeyPair:
