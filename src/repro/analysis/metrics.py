@@ -65,10 +65,11 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.elements: dict[int, ElementRecord] = {}
-        #: ledger tx_id -> element ids carried by that transaction.
-        self.tx_elements: dict[int, list[int]] = {}
-        #: Hashchain batch hash -> element ids in the batch behind it.
-        self.hash_elements: dict[str, list[int]] = {}
+        #: ledger tx_id -> element ids carried by that transaction, and
+        #: Hashchain batch hash -> element ids in the batch behind it: the
+        #: sequences the servers hand over (a fresh list or a tuple), kept.
+        self.tx_elements: dict[int, Sequence[int]] = {}
+        self.hash_elements: dict[str, Sequence[int]] = {}
         self.batch_flushes: list[BatchFlushEvent] = []
         #: (server, success) counts of hash-reversal attempts.
         self.hash_reversal_success = 0
@@ -222,12 +223,12 @@ class MetricsCollector:
             self.tracer.phase_many([element.element_id for element in elements],
                                    "collector_queued", time, server)
 
-    def record_tx_elements(self, tx_id: int, element_ids: Iterable[int]) -> None:
-        self.tx_elements[tx_id] = list(element_ids)
+    def record_tx_elements(self, tx_id: int, element_ids: Sequence[int]) -> None:
+        self.tx_elements[tx_id] = element_ids
 
     def record_batch_hash_elements(self, batch_hash: str,
-                                   element_ids: Iterable[int]) -> None:
-        self.hash_elements.setdefault(batch_hash, list(element_ids))
+                                   element_ids: Sequence[int]) -> None:
+        self.hash_elements.setdefault(batch_hash, element_ids)
 
     def record_in_ledger_run(self, element_ids: Sequence[int],
                              times: Sequence[float]) -> None:

@@ -11,7 +11,7 @@ Public surface:
 
 from .types import EpochProof, HashBatch, SetchainView, epoch_proof_payload, hash_batch_payload
 from .collector import Collector
-from .batch_store import BatchStore
+from .batch_store import BatchRecord, BatchStore
 from .proofs import (
     create_epoch_proof,
     verify_epoch_proof,
@@ -24,7 +24,6 @@ from .validation import (
     valid_proof,
     valid_hash_batch,
     batch_matches_hash,
-    split_batch,
 )
 from .base import BaseSetchainServer
 from .vanilla import VanillaServer
@@ -61,6 +60,7 @@ __all__ = [
     "epoch_proof_payload",
     "hash_batch_payload",
     "Collector",
+    "BatchRecord",
     "BatchStore",
     "create_epoch_proof",
     "verify_epoch_proof",
@@ -71,7 +71,6 @@ __all__ = [
     "valid_proof",
     "valid_hash_batch",
     "batch_matches_hash",
-    "split_batch",
     "BaseSetchainServer",
     "VanillaServer",
     "CompresschainServer",

@@ -8,7 +8,59 @@ which the analysis layer uses to count hash-reversal traffic.
 
 from __future__ import annotations
 
-from ..errors import BatchUnavailableError
+from ..workload.elements import Element
+from .types import EpochProof
+
+
+class BatchRecord:
+    """What one batch tuple holds, worked out once per deployment: every
+    server that flushes, serves, checks or absorbs a batch handles the *same
+    tuple* (``SignatureScheme.batch_records`` keys it by identity; the record
+    pins it, so the ``id`` cannot be reused).  It holds the ``digest`` (the
+    flush's own ``hash_batch`` or the first match check's, else ``None``),
+    the valid ``elements``, their ``ids`` and the ``proofs`` in item order,
+    whether the ids are ``unique``, the summed ``size`` a ``Request_batch``
+    reply carries, and the lazily built :attr:`content`."""
+
+    __slots__ = ("items", "digest", "elements", "ids", "proofs", "unique",
+                 "size", "_content")
+
+    def __init__(self, items: tuple[object, ...], digest: str | None = None) -> None:
+        self.items = items
+        self.digest = digest
+        elements: list[Element] = []
+        proofs: list[EpochProof] = []
+        size = 0
+        for item in items:
+            if isinstance(item, Element):
+                size += item.size_bytes
+                if item.valid:
+                    elements.append(item)
+            else:
+                size += getattr(item, "size_bytes", 0)
+                if isinstance(item, EpochProof):
+                    proofs.append(item)
+        self.elements = tuple(elements)
+        self.ids = ids = tuple([element.element_id for element in elements])
+        self.proofs = tuple(proofs)
+        self.unique = len(set(ids)) == len(ids)
+        self.size = size
+        self._content: frozenset[Element] | None = None
+
+    @property
+    def content(self) -> frozenset[Element]:
+        """``frozenset(elements)``, built once, at the first epoch fill."""
+        if self._content is None:
+            self._content = frozenset(self.elements)
+        return self._content
+
+
+def batch_record(items: tuple[object, ...], records: dict[int, BatchRecord]) -> BatchRecord:
+    """The record of ``items`` in ``records``, built on first sight."""
+    record = records.get(id(items))
+    if record is None or record.items is not items:
+        records[id(items)] = record = BatchRecord(items)
+    return record
 
 
 class BatchStore:
@@ -17,8 +69,6 @@ class BatchStore:
     def __init__(self) -> None:
         self._batches: dict[str, tuple[object, ...]] = {}
         self._local_hashes: set[str] = set()
-        #: hash → summed payload bytes, filled lazily by :meth:`payload_size`.
-        self._sizes: dict[str, int] = {}
         #: Number of Request_batch calls served to peers.
         self.served_requests = 0
         #: Number of batches recovered from peers (hash-reversal successes).
@@ -45,35 +95,12 @@ class BatchStore:
         """The batch behind ``batch_hash``, or ``None`` if unknown."""
         return self._batches.get(batch_hash)
 
-    def require(self, batch_hash: str) -> tuple[object, ...]:
-        """Like :meth:`get` but raises :class:`BatchUnavailableError` when missing."""
-        items = self._batches.get(batch_hash)
-        if items is None:
-            raise BatchUnavailableError(f"no batch stored for hash {batch_hash[:16]}…")
-        return items
-
     def serve(self, batch_hash: str) -> tuple[object, ...] | None:
         """Answer a peer's Request_batch; counts served requests."""
         items = self._batches.get(batch_hash)
         if items is not None:
             self.served_requests += 1
         return items
-
-    def payload_size(self, batch_hash: str) -> int:
-        """Summed ``size_bytes`` of a stored batch, computed once per hash.
-
-        A batch is served to every peer that missed the multicast, so the
-        per-item size scan would otherwise repeat per requester.  Batches are
-        immutable tuples of frozen items, so the first answer stays correct.
-        """
-        size = self._sizes.get(batch_hash)
-        if size is None:
-            items = self._batches.get(batch_hash)
-            if items is None:
-                return 0
-            size = sum(getattr(item, "size_bytes", 0) for item in items)
-            self._sizes[batch_hash] = size
-        return size
 
     def is_local(self, batch_hash: str) -> bool:
         """True if this server originated the batch (no hash-reversal needed)."""

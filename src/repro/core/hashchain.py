@@ -31,7 +31,7 @@ from ..sim.process import Timer
 from ..sim.scheduler import Simulator
 from ..workload.elements import Element
 from .base import BaseSetchainServer
-from .batch_store import BatchStore
+from .batch_store import BatchRecord, BatchStore, batch_record
 from .collector import Collector
 from .types import EpochProof, HashBatch, hash_batch_payload
 from .validation import batch_matches_hash, valid_hash_batch
@@ -90,9 +90,9 @@ class HashchainServer(BaseSetchainServer):
         #: accepted proof touches no counter, buffer, or commit).  Survives
         #: crashes alongside the batch store.
         self._scanned_batches: dict[str, list[EpochProof]] = {}
-        #: digest → valid elements of the first scan, consumed by the epoch
-        #: fill to rebuild the G-set without re-walking the raw batch.
-        self._scanned_elements: dict[str, list[Element]] = {}
+        #: digest → the shared record of the batch's first scan, consumed by
+        #: the epoch fill to build the G-set without re-walking the raw batch.
+        self._scanned_elements: dict[str, BatchRecord] = {}
         #: Triggered hashes awaiting their epoch, in ledger trigger order.
         #: Epochs fill strictly head-first: a hash whose contents are still
         #: being recovered blocks later ones, so epoch numbering and contents
@@ -152,8 +152,9 @@ class HashchainServer(BaseSetchainServer):
         items = tuple(batch)
         digest = hash_batch(items)
         # Lines 15-16: remember and register the batch so peers can request it
-        # (the store serves this very tuple: requesters need not re-hash it).
-        self.scheme.batch_digests[id(items)] = (items, digest)
+        # (the store serves this very tuple, whose record every server shares:
+        # requesters need not re-hash it, nor absorbers re-scan it).
+        self.scheme.batch_records[id(items)] = record = BatchRecord(items, digest)
         self.store.register_local(digest, items)
         if self.shared_store is not None:
             self.shared_store.register_remote(digest, items)
@@ -164,7 +165,11 @@ class HashchainServer(BaseSetchainServer):
         tx = self._append_to_ledger(hb, HASH_BATCH_SIZE)
         self.hash_batches_appended += 1
         if self.metrics is not None:
-            element_ids = [item.element_id for item in items if isinstance(item, Element)]
+            # Every element id, valid or not (the record's, if all are valid).
+            element_ids = record.ids
+            if len(element_ids) + len(record.proofs) != len(items):
+                element_ids = tuple([item.element_id for item in items
+                                     if isinstance(item, Element)])
             self.metrics.record_tx_elements(tx.tx_id, element_ids)
             self.metrics.record_batch_hash_elements(digest, element_ids)
             self.metrics.record_batch_flush(self.name, len(items), HASH_BATCH_SIZE,
@@ -179,7 +184,8 @@ class HashchainServer(BaseSetchainServer):
             return
         requested_hash: str = message.payload
         items = self.store.serve(requested_hash)
-        size = self.store.payload_size(requested_hash) if items else _REQUEST_SIZE
+        size = (batch_record(items, self.scheme.batch_records).size if items
+                else _REQUEST_SIZE)
         self.send(message.sender, "batch_response", (requested_hash, items),
                   size_bytes=size)
 
@@ -187,7 +193,7 @@ class HashchainServer(BaseSetchainServer):
         """Handle a Request_batch reply: in-flight wait or background retry."""
         responded_hash, items = message.payload
         valid = items is not None and batch_matches_hash(
-            items, responded_hash, self.scheme.batch_digests)
+            items, responded_hash, self.scheme.batch_records)
         if valid:
             # Opportunistically keep any batch we learn about.
             self.store.register_remote(responded_hash, tuple(items))
@@ -438,11 +444,9 @@ class HashchainServer(BaseSetchainServer):
     def _absorb_batch(self, digest: str, items: tuple[object, ...]) -> None:
         """Lines 35-40: absorb the batch's epoch-proofs and feed the_set.
 
-        The first scan of a digest walks the items once — element adds and
-        proof absorption touch disjoint state, so the interleaving is free —
-        and remembers the split (valid elements for the epoch fill, proofs
-        for replay).  Repeat absorptions of the same digest (one per
-        co-signer's ledger hash-batch) skip the element pass and replay only
+        The first scan of a digest takes the split of the batch's shared
+        record (valid elements for the_set and the epoch fill, proofs for
+        replay).  Repeats (one per co-signer's ledger hash-batch) replay only
         the proofs not yet accepted, whose routing depends on the current
         epoch; invalid proofs are re-counted on every repeat exactly as a
         full re-scan would.
@@ -453,24 +457,27 @@ class HashchainServer(BaseSetchainServer):
             if pending:
                 self._absorb_proofs(pending)
             return
-        proofs: list[EpochProof] = []
-        keep_proof = proofs.append
-        elements: list[Element] = []
-        keep_element = elements.append
-        epoched = self._epoched_ids
-        the_set = self._the_set
-        for item in items:
-            if isinstance(item, Element):
-                if item.valid:
-                    keep_element(item)
-                    if item.element_id not in epoched:
-                        the_set.setdefault(item.element_id, item)
-            elif isinstance(item, EpochProof):
-                keep_proof(item)
-        self._scanned_batches[digest] = proofs
-        self._scanned_elements[digest] = elements
+        record = batch_record(items, self.scheme.batch_records)
+        self._feed_the_set(record)
+        self._scanned_batches[digest] = proofs = list(record.proofs)
+        self._scanned_elements[digest] = record
         if proofs:
             self._absorb_proofs(proofs)
+
+    def _feed_the_set(self, record: BatchRecord) -> None:
+        """Add the record's valid elements no epoch holds to the_set, first
+        id wins: one update at a peer's first sight (unique ids, none epoched
+        or held), a test per id otherwise (the origin holds its own)."""
+        ids, elements = record.ids, record.elements
+        epoched = self._epoched_ids
+        the_set = self._the_set
+        if (record.unique and epoched.isdisjoint(ids)
+                and the_set.keys().isdisjoint(ids)):
+            the_set.update(zip(ids, elements))
+            return
+        for element_id, element in zip(ids, elements):
+            if element_id not in epoched and element_id not in the_set:
+                the_set[element_id] = element
 
     def _pending_replay(self, digest: str) -> list[EpochProof] | None:
         """The scanned proofs of ``digest`` not accepted yet, the accepted
@@ -505,28 +512,25 @@ class HashchainServer(BaseSetchainServer):
                 return
             self._fill_queue.popleft()
             block = self._fill_meta.pop(digest)
-            # G (line 42): last occurrence wins for conflicting duplicate ids.
-            # A batch this server already scanned left its valid elements in
-            # _scanned_elements (they are also in the_set already), so the
-            # G-set only needs the epoched filter as of *now*; an unscanned
-            # batch (shared-store fill) takes the full walk.
-            scanned = self._scanned_elements.pop(digest, None)
-            if scanned is not None:
-                epoched = self._epoched_ids
-                fresh = {element.element_id: element for element in scanned
-                         if element.element_id not in epoched}
+            # G (line 42): the valid elements no epoch holds *now*, the last
+            # of a duplicate id winning — with unique ids, none epoched, the
+            # record's one shared frozenset.  An unscanned batch (shared-store
+            # fill) feeds the_set first.
+            record = self._scanned_elements.pop(digest, None)
+            if record is None:
+                record = batch_record(items, self.scheme.batch_records)
+                self._feed_the_set(record)
+            epoched = self._epoched_ids
+            if record.unique and epoched.isdisjoint(record.ids):
+                fresh = record.content
             else:
-                fresh = {}
-                epoched = self._epoched_ids
-                the_set = self._the_set
-                for element in items:
-                    if (isinstance(element, Element) and element.valid
-                            and element.element_id not in epoched):
-                        the_set.setdefault(element.element_id, element)
-                        fresh[element.element_id] = element
+                fresh = frozenset({
+                    element_id: element
+                    for element_id, element in zip(record.ids, record.elements)
+                    if element_id not in epoched}.values())
             if fresh:
                 proof = self._byz_outgoing_proof(
-                    self._record_new_epoch(frozenset(fresh.values()), block))
+                    self._record_new_epoch(fresh, block))
                 if proof is not None and not self.bootstrapping:
                     self.add_to_batch(proof)
 

@@ -1,8 +1,9 @@
 """Validation predicates used by the algorithms.
 
 These correspond to the paper's ``valid_element``, ``valid_proof`` and
-``valid_hash`` helper functions.  They are deliberately side-effect free so
-both servers and property checkers can call them.
+``valid_hash`` helper functions.  They are side-effect free — but for the
+batch records ``batch_matches_hash`` fills when handed them, which no
+verdict depends on — so both servers and property checkers can call them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Iterable
 from ..crypto.hashing import hash_batch, hash_epoch
 from ..crypto.signatures import SignatureScheme
 from ..workload.elements import Element
+from .batch_store import BatchRecord, batch_record
 from .types import EpochProof, HashBatch, epoch_proof_payload, hash_batch_payload
 
 
@@ -56,31 +58,19 @@ def valid_hash_batch(hash_batch_obj: object, scheme: SignatureScheme) -> bool:
 
 
 def batch_matches_hash(items: Iterable[object], expected_hash: str,
-                       memo: dict[int, tuple[object, str]] | None = None) -> bool:
+                       records: dict[int, BatchRecord] | None = None) -> bool:
     """True iff ``Hash(items)`` equals the hash a hash-batch advertised.
 
-    ``memo`` is an identity-keyed store of ``hash_batch`` results: batches
-    travel through the simulation by reference, so every server that resolves
-    the same hash validates the *same tuple object*.  Entries pin the tuple (a
-    strong reference), which is what makes the ``id`` key safe — a pinned
-    object's id cannot be reused.  The caller owns it for the lifetime of its
-    deployment (``SignatureScheme.batch_digests``).
+    ``records`` (``SignatureScheme.batch_records``, owned by the deployment)
+    holds one :class:`~repro.core.batch_store.BatchRecord` per batch tuple:
+    every server that resolves a hash validates the *same tuple object*, and
+    its record's digest — the flush's own, or this check's on first sight —
+    answers all of them.  A forged or altered reply is another tuple, with
+    its own record and its own hash.
     """
-    if memo is None or not isinstance(items, tuple):
+    if records is None or not isinstance(items, tuple):
         return hash_batch(items) == expected_hash
-    entry = memo.get(id(items))
-    if entry is None or entry[0] is not items:
-        memo[id(items)] = entry = (items, hash_batch(items))
-    return entry[1] == expected_hash
-
-
-def split_batch(items: Iterable[object]) -> tuple[list[Element], list[EpochProof]]:
-    """Split mixed batch contents into (elements, epoch-proofs), dropping anything else."""
-    elements: list[Element] = []
-    proofs: list[EpochProof] = []
-    for item in items:
-        if isinstance(item, Element):
-            elements.append(item)
-        elif isinstance(item, EpochProof):
-            proofs.append(item)
-    return elements, proofs
+    record = batch_record(items, records)
+    if record.digest is None:
+        record.digest = hash_batch(items)
+    return record.digest == expected_hash

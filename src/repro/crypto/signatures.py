@@ -48,8 +48,9 @@ class SignatureScheme(ABC):
     the PKI by the *claimed* owner id, and memoises successful verifications
     (every server in a deployment re-verifies the same signed artifacts).
     Being the one object all servers of a deployment share, it also holds
-    the two hash memos that die with the deployment: the servers derive the
-    same batches and epochs, and hash each one once instead of once apiece.
+    the two memos that die with the deployment: the servers handle the same
+    batch tuples and derive the same epochs, so each batch is hashed and
+    scanned once and each epoch hashed once, instead of once apiece.
     """
 
     #: Length of a signature produced by this scheme, in bytes.
@@ -65,8 +66,8 @@ class SignatureScheme(ABC):
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        #: Memo of ``core.validation.batch_matches_hash``, seeded at flush.
-        self.batch_digests: dict[int, tuple[object, str]] = {}
+        #: ``id(batch tuple) -> core.batch_store.BatchRecord``, seeded at flush.
+        self.batch_records: dict[int, object] = {}
         #: ``(number, content) -> (content, hash_epoch, ids)``, one per epoch.
         self.epoch_records: dict[tuple[int, frozenset], tuple] = {}
 

@@ -73,10 +73,6 @@ class DuplicateElementError(SetchainError):
     """An element was added twice to the same server."""
 
 
-class BatchUnavailableError(SetchainError):
-    """Hashchain could not recover the batch behind a hash (hash-reversal failed)."""
-
-
 class PropertyViolation(ReproError):
     """One of the Setchain correctness properties (1-8) was observed to fail."""
 

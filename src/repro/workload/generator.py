@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from random import NV_MAGICCONST
 
 from ..errors import ConfigurationError
 from ..sim.rng import DeterministicRNG
-from .elements import Element, make_element, make_elements
+from .elements import Element, make_elements
 
 #: Smallest element the generator will emit (a minimal signed transfer).
 MIN_ELEMENT_SIZE = 64
@@ -57,31 +58,29 @@ class ArbitrumLikeGenerator:
 
     def next_size(self) -> int:
         """Draw one element size in bytes."""
-        if self.stats.std == 0:
-            return max(MIN_ELEMENT_SIZE, int(round(self.stats.mean)))
-        size = self.rng.lognormvariate(self.stats.lognormal_mu, self.stats.lognormal_sigma)
-        return max(MIN_ELEMENT_SIZE, int(round(size)))
+        return self.next_sizes(1)[0]
 
     def next_sizes(self, count: int) -> list[int]:
-        """Draw ``count`` element sizes — the same stream of draws as calling
-        :meth:`next_size` ``count`` times, with the log-normal parameters
-        (properties recomputing two logs per access) resolved once."""
+        """Draw ``count`` sizes ``max(64, round(rng.lognormvariate(mu, σ)))``:
+        the stdlib's Kinderman–Monahan loop, inlined with the same float
+        operations, so sizes and stream state are bit-identical to it."""
         if count <= 0:
             return []
         if self.stats.std == 0:
             return [max(MIN_ELEMENT_SIZE, int(round(self.stats.mean)))] * count
-        draw = self.rng.lognormvariate
+        random, exp, log = self.rng.random, math.exp, math.log
         mu = self.stats.lognormal_mu
         sigma = self.stats.lognormal_sigma
-        return [max(MIN_ELEMENT_SIZE, int(round(draw(mu, sigma))))
-                for _ in range(count)]
-
-    def next_element(self, client: str, now: float = 0.0) -> Element:
-        """Generate one valid, signed-by-construction element for ``client``."""
-        size = self.next_size()
-        self.generated += 1
-        self._size_total += size
-        return make_element(client=client, size_bytes=size, created_at=now)
+        sizes: list[int] = []
+        for _ in range(count):
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            sizes.append(max(MIN_ELEMENT_SIZE, int(round(exp(mu + z * sigma)))))
+        return sizes
 
     def batch(self, client: str, count: int, now: float = 0.0) -> list[Element]:
         """Generate ``count`` elements at once (one size pass, one build pass)."""

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import MetricsCollector
-from repro.core.batch_store import BatchStore
+from repro.core.batch_store import BatchRecord, BatchStore, batch_record
 from repro.core.validation import batch_matches_hash
 from repro.crypto.hashing import hash_batch
 from repro.crypto.keys import PublicKeyInfrastructure
@@ -96,31 +96,36 @@ def test_verify_cache_evicts_oldest_half_in_fifo_order(monkeypatch):
 # -- batch-hash memoisation --------------------------------------------------------------
 
 def test_batch_matches_hash_memoises_per_tuple_identity():
-    memo: dict = {}
+    records: dict = {}
     batch = tuple(make_element("c", 100) for _ in range(3))
     digest = hash_batch(batch)
-    assert batch_matches_hash(batch, digest, memo)
-    assert memo == {id(batch): (batch, digest)}
-    assert not batch_matches_hash(batch, "0" * 128, memo)
-    # The memoised digest answers: no recompute.
-    memo[id(batch)] = (batch, "0" * 128)
-    assert batch_matches_hash(batch, "0" * 128, memo)
-    # An entry only speaks for the very tuple it pins (ids can be reused).
-    memo[id(batch)] = (tuple(list(batch)), "0" * 128)
-    assert batch_matches_hash(batch, digest, memo)
-    # Lists, and callers without a memo, hash every time and agree.
-    assert batch_matches_hash(list(batch), digest, memo) and len(memo) == 1
+    assert batch_matches_hash(batch, digest, records)
+    record = records[id(batch)]
+    assert list(records) == [id(batch)]
+    assert record.items is batch and record.digest == digest
+    assert not batch_matches_hash(batch, "0" * 128, records)
+    # The recorded digest answers: no recompute.
+    record.digest = "0" * 128
+    assert batch_matches_hash(batch, "0" * 128, records)
+    # A record only speaks for the very tuple it pins (ids can be reused).
+    records[id(batch)] = BatchRecord(tuple(list(batch)), "0" * 128)
+    assert batch_matches_hash(batch, digest, records)
+    assert records[id(batch)].items is batch
+    # Lists, and callers without records, hash every time and agree.
+    assert batch_matches_hash(list(batch), digest, records) and len(records) == 1
     assert batch_matches_hash(batch, digest)
     assert not batch_matches_hash(batch, "0" * 128)
 
 
-def test_batch_store_payload_size_is_cached_and_correct():
+def test_batch_record_payload_size_is_computed_once_and_correct():
     store = BatchStore()
     batch = tuple(make_element("c", size) for size in (100, 250, 7))
     store.register_local("h1", batch)
-    assert store.payload_size("h1") == 357
-    assert store.payload_size("h1") == 357  # served from the size cache
-    assert store.payload_size("missing") == 0
+    records: dict = {}
+    record = batch_record(store.get("h1"), records)
+    assert record.size == 357
+    assert batch_record(batch, records) is record  # one record per tuple
+    assert not hasattr(store, "payload_size")
 
 
 # -- commit-times cache ------------------------------------------------------------------

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.config import EPOCH_PROOF_SIZE, HASH_BATCH_SIZE
-from repro.core.batch_store import BatchStore
+from repro.core.batch_store import BatchRecord, BatchStore
 from repro.core.collector import Collector
 from repro.core.proofs import create_epoch_proof
 from repro.core.types import EpochProof, HashBatch, SetchainView
 from repro.core.validation import (
     batch_matches_hash,
-    split_batch,
     valid_element,
     valid_hash_batch,
     valid_proof,
@@ -17,7 +16,7 @@ from repro.core.validation import (
 from repro.crypto.hashing import hash_batch
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SimulatedScheme
-from repro.errors import BatchUnavailableError, ConfigurationError, SetchainError
+from repro.errors import ConfigurationError, SetchainError
 from repro.sim.scheduler import Simulator
 from repro.workload.elements import make_element
 
@@ -111,13 +110,13 @@ def test_valid_hash_batch_checks_signature(scheme):
     assert not valid_hash_batch("junk", scheme)
 
 
-def test_split_batch_separates_and_drops_garbage(scheme):
+def test_batch_record_splits_and_drops_garbage(scheme):
     keypair = scheme.generate_keypair("server-0")
     elements = [make_element("c", 10), make_element("c", 20)]
     proof = create_epoch_proof(scheme, keypair, 1, elements)
-    got_elements, got_proofs = split_batch(elements + [proof, "garbage", 42])
-    assert got_elements == elements
-    assert got_proofs == [proof]
+    record = BatchRecord(tuple(elements + [proof, "garbage", 42]))
+    assert record.elements == tuple(elements)
+    assert record.proofs == (proof,)
 
 
 # -- collector ----------------------------------------------------------------------------
@@ -189,9 +188,6 @@ def test_batch_store_local_and_remote_registration():
     assert store.recovered == 1
     assert store.get("h1") == ("a",)
     assert store.get("missing") is None
-    assert store.require("h2") == ("b",)
-    with pytest.raises(BatchUnavailableError):
-        store.require("missing")
 
 
 def test_batch_store_serve_counts_requests():
