@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc e2e e2e-one bench-pytest bench-smoke profile sweep-identical chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke-core list-scenarios clean
+.PHONY: test loc e2e e2e-one bench-pytest profile sweep-identical chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke-core list-scenarios clean
 
 # Scenario to profile with `make profile` (override: make profile SCENARIO=...).
 SCENARIO ?= bench/hashchain-heavy
@@ -39,11 +39,6 @@ bench-pytest:
 profile:
 	$(PYTHON) -m repro.obs profile $(SCENARIO) --limit 30 \
 	  --out-collapsed results/profile-collapsed.txt
-
-# One registry scenario through the CLI, persisting its RunResult artifact.
-bench-smoke:
-	$(PYTHON) -m repro run quickstart --scale 1 --json results/bench-smoke.json
-	$(PYTHON) -m repro report results/bench-smoke.json
 
 # The determinism bar every family is held to: the same (selection, seed 7)
 # swept serially and over four worker processes writes byte-identical files.

@@ -9,8 +9,7 @@ improvement the paper exploits when moving from c=100 to c=500.
 import pytest
 
 from conftest import BENCH_SCALE, run_once
-from repro.config import base_scenario
-from repro.experiments.runner import run_scenario
+from repro import Scenario
 
 COLLECTORS = (50, 100, 250, 500)
 
@@ -18,11 +17,10 @@ COLLECTORS = (50, 100, 250, 500)
 def sweep():
     results = {}
     for collector in COLLECTORS:
-        config = base_scenario("hashchain", sending_rate=10_000,
-                               collector_limit=collector, n_servers=10,
-                               drain_duration=70,
-                               label=f"ablation collector={collector}")
-        results[collector] = run_scenario(config, scale=BENCH_SCALE)
+        scenario = (Scenario.hashchain().rate(10_000).collector(collector)
+                    .servers(10).drain(70)
+                    .label(f"ablation collector={collector}"))
+        results[collector] = scenario.run(scale=BENCH_SCALE)
     return results
 
 
@@ -31,10 +29,10 @@ def test_collector_size_sweep(benchmark):
     print(f"\nAblation — Hashchain collector sweep at 10,000 el/s (scale 1/{BENCH_SCALE:g})")
     for collector, result in results.items():
         print(f"  c={collector:<4d} analytical={result.analytical_throughput:9.1f} el/s  "
-              f"avg(50s)={result.avg_throughput_50s:8.1f}  eff100={result.efficiency.at_100:.2f}")
+              f"avg(50s)={result.avg_throughput_50s:8.1f}  eff100={result.efficiency['100s']:.2f}")
     analytical = [results[c].analytical_throughput for c in COLLECTORS]
     assert all(a < b for a, b in zip(analytical, analytical[1:]))
     # Efficiency at the stressed rate improves (weakly) with the collector size.
-    eff = [results[c].efficiency.at_100 for c in COLLECTORS]
+    eff = [results[c].efficiency["100s"] for c in COLLECTORS]
     assert eff[-1] >= eff[0] - 0.05
-    assert results[500].efficiency.at_100 > 0.5
+    assert results[500].efficiency["100s"] > 0.5

@@ -11,36 +11,32 @@ attack itself is exercised in tests/test_byzantine.py).
 
 import pytest
 
-from dataclasses import replace
-
 from conftest import run_once
-from repro.config import base_scenario
-from repro.experiments.runner import run_scenario
+from repro import Scenario
 
 SCALE = 25.0
 
 
 def run_with_quorum(f_value):
-    config = base_scenario("hashchain", sending_rate=2_000, collector_limit=100,
-                           n_servers=10, drain_duration=70,
-                           label=f"ablation quorum f={f_value}")
-    config = replace(config, setchain=replace(config.setchain, f=f_value))
-    return run_scenario(config, scale=SCALE)
+    scenario = (Scenario.hashchain().rate(2_000).collector(100).servers(10)
+                .byzantine(f=f_value).drain(70)
+                .label(f"ablation quorum f={f_value}"))
+    return scenario.session(scale=SCALE).start().run()
 
 
 def test_consolidation_quorum_tradeoff(benchmark):
-    results = run_once(benchmark, lambda: {f: run_with_quorum(f) for f in (0, 2, 4)})
+    sessions = run_once(benchmark, lambda: {f: run_with_quorum(f) for f in (0, 2, 4)})
     print(f"\nAblation — Hashchain consolidation quorum (n=10, scale 1/{SCALE:g})")
     medians = {}
-    for f_value, result in results.items():
-        latencies = result.metrics.commit_latencies()
+    for f_value, session in sessions.items():
+        result = session.result()
+        latencies = session.deployment.metrics.commit_latencies()
         median = latencies[len(latencies) // 2] if latencies else float("nan")
         medians[f_value] = median
         print(f"  f={f_value} (quorum {f_value + 1}): committed "
-              f"{result.metrics.committed_count}/{len(result.deployment.injected_elements)}  "
-              f"median commit latency {median:.2f}s  eff100 {result.efficiency.at_100:.2f}")
-    # Every quorum choice is live when all servers are correct.
-    for result in results.values():
-        assert result.efficiency.at_100 > 0.9
+              f"{result.committed}/{result.injected}  "
+              f"median commit latency {median:.2f}s  eff100 {result.efficiency['100s']:.2f}")
+        # Every quorum choice is live when all servers are correct.
+        assert result.efficiency["100s"] > 0.9
     # A larger quorum cannot make commits faster.
     assert medians[4] >= medians[0] - 0.5

@@ -23,8 +23,9 @@ def test_figure2_left_saturation(benchmark, figure2_data):
     by_algo = {}
     for result in results:
         peak = result.throughput.peak()
-        by_algo[result.config.algorithm] = result
-        print(f"  {result.config.algorithm:22s} offered {result.sending_rate:9.1f} el/s  "
+        by_algo[result.algorithm] = result
+        print(f"  {result.algorithm:22s} "
+              f"offered {result.config['workload']['sending_rate']:9.1f} el/s  "
               f"avg(50s) {result.avg_throughput_50s:9.1f}  peak {peak:9.1f}  "
               f"analytical {result.analytical_throughput:9.1f}")
     full = by_algo["hashchain"]
@@ -35,11 +36,11 @@ def test_figure2_left_saturation(benchmark, figure2_data):
     # offered 6x the load (paper: ~134k el/s vs ~20k el/s).
     assert peak["hashchain-light"] > peak["hashchain"]
     assert light.avg_throughput_50s > full.avg_throughput_50s
-    assert light.metrics.committed_count > 2 * full.metrics.committed_count
+    assert light.committed > 2 * full.committed
     # The full algorithm cannot keep up with its offered rate (the per-element
     # hash-reversal ceiling sits below it), while the light variant clears a
     # large fraction of a 6x heavier load.
-    assert full.efficiency.at_100 < 0.95
-    assert light.efficiency.at_100 > full.efficiency.at_100 - 0.05
+    assert full.efficiency["100s"] < 0.95
+    assert light.efficiency["100s"] > full.efficiency["100s"] - 0.05
     # Vanilla stays far below Hashchain at its own (much lower) offered rate.
     assert peak["vanilla"] < peak["hashchain"]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.compressor.model import ModelCompressor  # noqa: F401  (kept for symmetry with docs)
 from repro.config import SetchainConfig, LedgerConfig
-from repro.core.byzantine import WithholdingHashchainServer
+from repro.core.byzantine import WithholdBehaviour
 from repro.core.hashchain import HashchainServer
 from repro.core.properties import check_consistent_gets, check_unique_epoch
 from repro.crypto.keys import PublicKeyInfrastructure
@@ -48,8 +48,9 @@ def main() -> None:
     for index in range(config.n_servers):
         name = f"server-{index}"
         keypair = scheme.generate_keypair(name)
-        cls = WithholdingHashchainServer if index == 3 else HashchainServer
-        server = cls(name, sim, config, scheme, keypair)
+        server = HashchainServer(name, sim, config, scheme, keypair)
+        if index == 3:
+            server.become_byzantine(WithholdBehaviour())
         network.register(server)
         server.connect_ledger(ledger.handle_for(name))
         servers.append(server)

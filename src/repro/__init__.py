@@ -26,10 +26,10 @@ Interactive control of a deployment (step time, inject, inspect views)::
         session.run_for(10.0)
         print(session.backlog(), session.committed_fraction)
 
-The same registry backs the command line: ``python -m repro list-scenarios``,
-``run``, ``sweep``, and ``report``.  The historic ``base_scenario(**kwargs)``
-and ``run_scenario(...)`` entry points remain as thin shims over the builder
-and runner.
+:class:`Session` is the one way a scenario runs (:func:`run` is its
+one-call form) and :class:`RunResult` the one result every figure, table,
+sweep and report reads.  The same registry backs the command line:
+``python -m repro list-scenarios``, ``run``, ``sweep``, and ``report``.
 """
 
 from .version import __version__
@@ -40,7 +40,6 @@ from .config import (
     SetchainConfig,
     TopologyConfig,
     WorkloadConfig,
-    base_scenario,
 )
 from .topology import (
     register_algorithm,
@@ -57,9 +56,8 @@ from .core import (
     VanillaServer,
     build_deployment,
     register_behaviour,
-    run_experiment,
 )
-from .experiments.runner import ExperimentResult, run_scenario, scaled_config
+from .experiments.runner import scaled_config
 from .api import (
     RunResult,
     Scenario,
@@ -80,7 +78,6 @@ __all__ = [
     "WorkloadConfig",
     "RegionSpec",
     "TopologyConfig",
-    "base_scenario",
     # topology registries
     "register_algorithm",
     "register_ledger_backend",
@@ -104,9 +101,5 @@ __all__ = [
     "SetchainClient",
     "SetchainView",
     "build_deployment",
-    "run_experiment",
-    # batch runner (legacy entry points)
-    "ExperimentResult",
-    "run_scenario",
     "scaled_config",
 ]

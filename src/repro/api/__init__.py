@@ -8,12 +8,11 @@ This package is the intended entry point for everything user-facing:
   the named-scenario registry, pre-populated (via :mod:`repro.api.catalog`)
   with the paper's Table 1 grid, the figure scenario sets, and
   stress/byzantine/burst workloads;
-* :class:`Session` — interactive, incremental control over a deployment;
-* :class:`RunResult` — serialisable results with exact JSON round-tripping;
-* :func:`run` — one-call scenario execution returning a :class:`RunResult`.
-
-The old ``base_scenario(**kwargs)`` / ``run_scenario(...)`` entry points
-remain as thin shims over this API.
+* :class:`Session` — the one way a scenario runs, with incremental control
+  over its deployment;
+* :class:`RunResult` — the one result of a run: serialisable, with exact
+  JSON round-tripping;
+* :func:`run` — the one-call form of :class:`Session`.
 """
 
 from __future__ import annotations
@@ -58,12 +57,17 @@ from .session import Session
 def run(scenario: "ScenarioBuilder | ExperimentConfig | str",
         scale: float = 1.0, *, seed: int | None = None,
         to_completion: bool = False) -> RunResult:
-    """Run a scenario (builder, config, or registered name) to a :class:`RunResult`."""
-    from ..experiments.runner import run_scenario
-    from .session import _resolve_config
-    outcome = run_scenario(_resolve_config(scenario), scale=scale, seed=seed,
-                           to_completion=to_completion)
-    return RunResult.from_experiment(outcome)
+    """Run a scenario (builder, config, or registered name) to a :class:`RunResult`.
+
+    The one-call form of :class:`Session`: start, run to the horizon (or to
+    completion), package.
+    """
+    session = Session(scenario, scale=scale, seed=seed).start()
+    if to_completion:
+        session.run_to_completion()
+    else:
+        session.run()
+    return session.result()
 
 
 __all__ = [

@@ -1,7 +1,7 @@
 """Typed, fluent scenario construction.
 
-:class:`ScenarioBuilder` (exported as :data:`Scenario`) replaces the old
-``base_scenario(**kwargs)`` funnel with a discoverable, validated builder::
+:class:`ScenarioBuilder` (exported as :data:`Scenario`) is the one way a
+scenario is assembled — a discoverable, validated builder::
 
     from repro.api import Scenario
 
@@ -563,15 +563,13 @@ class ScenarioBuilder:
     def ledger(self, **overrides: Any) -> "ScenarioBuilder":
         """Override any :class:`LedgerConfig` field by name (validated).
 
-        ``network_delay`` is rejected here because the same keyword means
-        milliseconds in the legacy ``base_scenario`` shim but seconds in
-        :class:`LedgerConfig`; use :meth:`delay_ms` instead.
+        ``network_delay`` is rejected here: :meth:`delay_ms` is the one
+        spelling of the network delay, in Table 1's milliseconds.
         """
         if "network_delay" in overrides:
             raise ConfigurationError(
-                "set the network delay via delay_ms(milliseconds); the raw "
-                "network_delay field is ambiguous (legacy callers pass "
-                "milliseconds, LedgerConfig stores seconds)")
+                "set the network delay via delay_ms(milliseconds), the one "
+                "spelling of Table 1's network_delay")
         _check_layer_overrides("ledger", overrides)
         return self._fork("ledger", **overrides)
 

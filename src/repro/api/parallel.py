@@ -71,29 +71,28 @@ class RunSpec:
 def execute_spec(spec: RunSpec) -> RunResult:
     """Run one spec in a fresh id namespace (the pool worker entry point).
 
-    Traced specs run the same pipeline with ``trace_sample`` overridden on
-    the resolved config; the tracer draws from its own derived RNG stream, so
-    the simulation schedule — and therefore the trace file — is a pure
-    function of ``(name, scale, seed, trace_sample)``, independent of which
-    worker process runs the spec.
+    A traced spec overrides ``trace_sample`` on the resolved config; the
+    tracer draws from its own derived RNG stream, so the simulation schedule
+    — and therefore the trace file — is a pure function of ``(name, scale,
+    seed, trace_sample)``, independent of which worker process runs the spec.
     """
-    from . import run
+    from .session import Session, _resolve_config
     reset_run_counters()
-    if spec.trace_sample is None:
-        return run(spec.name, scale=spec.scale, seed=spec.seed,
-                   to_completion=spec.to_completion)
-    from ..experiments.runner import run_scenario
-    from ..obs.export import write_trace
-    from .session import _resolve_config
-    config = _resolve_config(spec.name).with_overrides(
-        trace_sample=spec.trace_sample)
-    outcome = run_scenario(config, scale=spec.scale, seed=spec.seed,
-                           to_completion=spec.to_completion)
+    config = _resolve_config(spec.name)
+    if spec.trace_sample is not None:
+        config = config.with_overrides(trace_sample=spec.trace_sample)
+    session = Session(config, scale=spec.scale, seed=spec.seed).start()
+    if spec.to_completion:
+        session.run_to_completion()
+    else:
+        session.run()
+    result = session.result()
     if spec.trace_out is not None:
-        assert outcome.deployment.tracer is not None
-        write_trace(outcome.deployment.tracer, spec.trace_out,
-                    fmt=spec.trace_format, label=outcome.config.label)
-    return RunResult.from_experiment(outcome)
+        from ..obs.export import write_trace
+        assert session.deployment.tracer is not None
+        write_trace(session.deployment.tracer, spec.trace_out,
+                    fmt=spec.trace_format, label=session.config.label)
+    return result
 
 
 def iter_spec_results(specs: Sequence[RunSpec],

@@ -1,12 +1,11 @@
 """Serialisable run results.
 
-The experiment runner's :class:`~repro.experiments.runner.ExperimentResult`
-holds live objects (the deployment, the metrics collector) and therefore only
-exists in memory.  :class:`RunResult` is the persistable projection: a frozen
-record of everything the figures and tables need — config echo, throughput
+:class:`RunResult` is the one result of a run, built by
+:func:`repro.experiments.runner.package_result`: a frozen record of
+everything the figures, tables and reports need — config echo, throughput
 series, efficiency, commit-time quantiles — that round-trips exactly through
-``to_dict()``/``from_dict()`` and JSON, so benchmark trajectories can be
-stored, diffed, and re-rendered without re-running the simulation.
+``to_dict()``/``from_dict()`` and JSON, so runs can be stored, diffed, and
+re-rendered without re-running the simulation.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, ClassVar, Mapping
+from typing import Any, ClassVar, Mapping
 
 from ..config import (
     ExperimentConfig,
@@ -27,24 +26,13 @@ from ..config import (
 )
 from ..errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..experiments.runner import ExperimentResult
-
 #: Bumped whenever the serialised layout changes incompatibly.
 SCHEMA_VERSION = 1
 
-#: Header row matching :func:`summary_row` (used by ``python -m repro report``).
+#: Header row matching :meth:`RunResult.summary_row` (used by
+#: ``python -m repro report``).
 SUMMARY_HEADERS = ("algorithm", "rate (el/s)", "collector",
                    "avg thpt 50s", "eff@50s", "eff@100s")
-
-
-def summary_row(algorithm: str, sending_rate: float, collector_limit: int,
-                avg_throughput_50s: float, efficiency_50: float,
-                efficiency_100: float) -> list[object]:
-    """One summary-table row — the single source of the table schema."""
-    return [algorithm, f"{sending_rate:g}", collector_limit,
-            round(avg_throughput_50s, 1), round(efficiency_50, 3),
-            round(efficiency_100, 3)]
 
 
 def config_echo(config: ExperimentConfig) -> dict[str, Any]:
@@ -124,34 +112,6 @@ class RunResult:
         ("shards", "a cross-shard report object"),
     )
 
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_experiment(cls, result: "ExperimentResult") -> "RunResult":
-        """Project an in-memory :class:`ExperimentResult` to its persistable form."""
-        summary = result.commit_times
-        fractions = tuple(sorted(summary.fraction_times.items()))
-        return cls(
-            label=result.config.label,
-            algorithm=result.config.algorithm,
-            scale=float(result.scale),
-            config=config_echo(result.config),
-            injected=len(result.deployment.injected_elements),
-            committed=result.metrics.committed_count,
-            avg_throughput_50s=float(result.avg_throughput_50s),
-            analytical_throughput=float(result.analytical_throughput),
-            efficiency=result.efficiency.as_dict(),
-            first_commit=summary.first_element,
-            commit_fractions=fractions,
-            throughput_times=result.throughput.times,
-            throughput_values=result.throughput.values,
-            regions=result.metrics.region_summary(),
-            faults=result.faults,
-            membership=result.membership,
-            telemetry=result.telemetry,
-            shards=result.shards,
-        )
-
     # -- derived views ---------------------------------------------------------
 
     @property
@@ -189,12 +149,12 @@ class RunResult:
 
     def summary_row(self) -> list[object]:
         """One row for the report tables (see :data:`SUMMARY_HEADERS`)."""
-        return summary_row(self.algorithm,
-                           self.config["workload"]["sending_rate"],
-                           self.config["setchain"]["collector_limit"],
-                           self.avg_throughput_50s,
-                           self.efficiency["50s"],
-                           self.efficiency["100s"])
+        return [self.algorithm,
+                f"{self.config['workload']['sending_rate']:g}",
+                self.config["setchain"]["collector_limit"],
+                round(self.avg_throughput_50s, 1),
+                round(self.efficiency["50s"], 3),
+                round(self.efficiency["100s"], 3)]
 
     # -- serialisation ---------------------------------------------------------
 

@@ -1,11 +1,12 @@
-"""Interactive sessions over a deployment.
+"""Sessions: the one way a scenario runs.
 
-:class:`Session` is the incremental counterpart to the batch runner: it
-builds the same :class:`~repro.core.deployment.Deployment` a scenario run
-would use, but hands control of simulated time to the caller — start the
-cluster, step the simulator, inject individual elements, inspect
-``SetchainView`` snapshots and per-server backlog mid-run, and finally
-package the standard analyses as a serialisable :class:`RunResult`::
+:class:`Session` builds the :class:`~repro.core.deployment.Deployment` for
+a scenario and hands control of simulated time to the caller: run to the
+configured horizon in one call (:meth:`Session.run`, which is all
+:func:`repro.api.run` does), or start the cluster, step the simulator,
+inject individual elements, inspect ``SetchainView`` snapshots and
+per-server backlog mid-run.  :meth:`Session.result` packages the standard
+analyses as the run's one serialisable :class:`RunResult`::
 
     with Scenario.hashchain().servers(4).rate(200).session() as session:
         session.run_for(10.0)
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..analysis.latency import LatencyCDF, stage_latencies
 from ..config import ExperimentConfig
 from ..core.deployment import Deployment, build_deployment
 from ..errors import ConfigurationError, SetchainError, SimulationError
@@ -369,9 +371,18 @@ class Session:
 
     # -- results ---------------------------------------------------------------
 
+    def latency_cdfs(self) -> dict[str, LatencyCDF]:
+        """Stage latency CDFs (mempool stages only for CometBFT-backed runs)."""
+        backend = self.deployment.ledger_backend
+        mempool_arrivals = None
+        nodes = getattr(backend, "nodes", None)
+        if nodes:
+            mempool_arrivals = [node.mempool.arrival_times for node in nodes.values()]
+        return stage_latencies(self.deployment.metrics, mempool_arrivals,
+                               quorum=self.config.setchain.quorum)
+
     def result(self) -> RunResult:
         """Package the standard analyses for the run so far."""
         from ..experiments.runner import package_result
         self._require_started()
-        return RunResult.from_experiment(
-            package_result(self.deployment, scale=self.scale))
+        return package_result(self.deployment, scale=self.scale)

@@ -295,67 +295,24 @@ class ExperimentConfig:
         return replace(self, **kwargs)  # type: ignore[arg-type]
 
 
-def base_scenario(algorithm: str = "hashchain", **kwargs: object) -> ExperimentConfig:
-    """The paper's base scenario: 10 servers, 10,000 el/s, no network delay.
-
-    .. deprecated::
-        This is a thin shim over :class:`repro.api.Scenario`; prefer the
-        builder (``Scenario.hashchain().rate(...).build()``) in new code.
-
-    Keyword overrides are applied to the nested configs by name:
-    ``sending_rate``, ``collector_limit``, ``n_servers``, ``network_delay_ms``
-    (milliseconds, matching Table 1; the spelling ``network_delay`` is also
-    accepted), ``block_size_bytes``, ``injection_duration``, ``seed``,
-    ``label``, ``ledger_backend``, ``drain_duration``.
-    """
-    from .api.builder import ScenarioBuilder
-
-    builder = ScenarioBuilder(algorithm)
-    if "network_delay" in kwargs and "network_delay_ms" in kwargs:
-        raise ConfigurationError(
-            "pass either network_delay or network_delay_ms, not both")
-    delay_ms = kwargs.pop("network_delay_ms", kwargs.pop("network_delay", None))
-    if delay_ms is not None:
-        builder = builder.delay_ms(float(delay_ms))  # type: ignore[arg-type]
-
-    setters = {
-        "sending_rate": "rate",
-        "collector_limit": "collector",
-        "n_servers": "servers",
-        "block_size_bytes": "block_size",
-        "injection_duration": "inject_for",
-        "seed": "seed",
-        "label": "label",
-        "ledger_backend": "backend",
-        "drain_duration": "drain",
-    }
-    unknown = sorted(set(kwargs) - set(setters))
-    if unknown:
-        raise ConfigurationError(f"unknown scenario overrides: {unknown}")
-    for name, value in kwargs.items():
-        builder = getattr(builder, setters[name])(value)
-    return builder.build()
-
-
 def table1_grid() -> Sequence[ExperimentConfig]:
     """Every combination of the Table 1 parameters for every algorithm.
 
     Returned lazily as a list; callers typically filter before running since a
     full sweep is large.
     """
+    from .api.builder import Scenario
+
     grid: list[ExperimentConfig] = []
     for algorithm in ("vanilla", "compresschain", "hashchain"):
         for rate in TABLE1_SENDING_RATES:
             for servers in TABLE1_SERVER_COUNTS:
                 for delay in TABLE1_NETWORK_DELAYS_MS:
-                    if algorithm == "vanilla":
-                        grid.append(base_scenario(algorithm, sending_rate=rate,
-                                                  n_servers=servers,
-                                                  network_delay_ms=delay))
+                    point = (Scenario(algorithm).rate(rate).servers(servers)
+                             .delay_ms(delay))
+                    if algorithm == "vanilla":  # no collector to vary
+                        grid.append(point.build())
                         continue
-                    for collector in TABLE1_COLLECTOR_LIMITS:
-                        grid.append(base_scenario(algorithm, sending_rate=rate,
-                                                  n_servers=servers,
-                                                  network_delay_ms=delay,
-                                                  collector_limit=collector))
+                    grid.extend(point.collector(collector).build()
+                                for collector in TABLE1_COLLECTOR_LIMITS)
     return grid

@@ -3,10 +3,12 @@
 Public surface:
 
 * the three algorithms — :class:`VanillaServer`, :class:`CompresschainServer`,
-  :class:`HashchainServer` — plus Byzantine variants for fault injection,
+  :class:`HashchainServer` — and the Byzantine behaviours any of them can
+  adopt mid-run (:meth:`BaseSetchainServer.become_byzantine`),
 * the light-client workflow (:class:`SetchainClient`, f+1 epoch-proof rule),
 * the Property 1-8 checkers,
-* :func:`build_deployment` / :func:`run_experiment` to assemble a full cluster.
+* :func:`build_deployment` to assemble a full cluster (run it through
+  :class:`repro.api.Session`).
 """
 
 from .types import EpochProof, HashBatch, SetchainView, epoch_proof_payload, hash_batch_payload
@@ -36,11 +38,6 @@ from .byzantine import (
     SilentBehaviour,
     WithholdBehaviour,
     WrongHashBehaviour,
-    WithholdingHashchainServer,
-    WrongHashHashchainServer,
-    InvalidElementVanillaServer,
-    EquivocatingProofServer,
-    SilentServer,
     behaviour_names,
     get_behaviour,
     has_behaviour,
@@ -51,7 +48,7 @@ from .byzantine import (
 from .client import SetchainClient, CommitCheck
 from .properties import check_all
 from .execution import AccountState, EpochExecutor, ExecutionResult, Transfer
-from .deployment import Deployment, build_deployment, run_experiment
+from .deployment import Deployment, build_deployment
 
 __all__ = [
     "EpochProof",
@@ -81,11 +78,6 @@ __all__ = [
     "SilentBehaviour",
     "WithholdBehaviour",
     "WrongHashBehaviour",
-    "WithholdingHashchainServer",
-    "WrongHashHashchainServer",
-    "InvalidElementVanillaServer",
-    "EquivocatingProofServer",
-    "SilentServer",
     "behaviour_names",
     "get_behaviour",
     "has_behaviour",
@@ -101,5 +93,4 @@ __all__ = [
     "Transfer",
     "Deployment",
     "build_deployment",
-    "run_experiment",
 ]

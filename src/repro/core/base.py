@@ -351,10 +351,6 @@ class BaseSetchainServer(NetworkNode, Application):
     def epoch(self) -> int:
         return self._epoch
 
-    @property
-    def the_set_size(self) -> int:
-        return len(self._the_set)
-
     def epoch_elements(self, epoch_number: int) -> frozenset[Element] | None:
         return self._history.get(epoch_number)
 

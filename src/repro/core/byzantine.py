@@ -34,9 +34,8 @@ reaches (``Request_batch`` service on a Vanilla server, say) simply never
 fires, so one behaviour name works for any algorithm group and schedules do
 not need to know which algorithm a random target runs.
 
-The legacy subclasses (:class:`WithholdingHashchainServer`, ...) remain as
-thin shims that attach the matching behaviour at construction, so existing
-tests and examples keep working against the single strategy implementation.
+A server that is Byzantine from the start is a plain server that adopts a
+behaviour before it runs: ``server.become_byzantine(WithholdBehaviour())``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from ..topology.plugins import PluginRegistry
 from ..workload.elements import Element, make_element
 from .hashchain import HashchainServer
 from .types import EpochProof, HashBatch, epoch_proof_payload, hash_batch_payload
-from .vanilla import VanillaServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ledger.types import Block
@@ -272,59 +270,6 @@ class SilentBehaviour(ByzantineBehaviour):
                        proof: EpochProof) -> EpochProof | None:
         server._count_byzantine("suppressed_proofs")
         return None
-
-
-# -- legacy fixed-at-construction shims ---------------------------------------
-
-
-class WithholdingHashchainServer(HashchainServer):
-    """A Hashchain server born with the ``withhold`` behaviour attached."""
-
-    algorithm = "hashchain-byz-withhold"
-
-    def __init__(self, *args, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        super().__init__(*args, **kwargs)
-        self.become_byzantine(WithholdBehaviour())
-
-
-class WrongHashHashchainServer(HashchainServer):
-    """A Hashchain server born with the ``wrong-hash`` behaviour attached."""
-
-    algorithm = "hashchain-byz-wronghash"
-
-    def __init__(self, *args, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        super().__init__(*args, **kwargs)
-        self.become_byzantine(WrongHashBehaviour())
-
-
-class InvalidElementVanillaServer(VanillaServer):
-    """A Vanilla server born with the ``invalid-element`` behaviour attached."""
-
-    algorithm = "vanilla-byz-invalid"
-
-    def __init__(self, *args, invalid_per_add: int = 1, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        super().__init__(*args, **kwargs)
-        self.become_byzantine(InvalidElementBehaviour(invalid_per_add))
-
-
-class EquivocatingProofServer(VanillaServer):
-    """A Vanilla server born with the ``equivocate`` behaviour attached."""
-
-    algorithm = "vanilla-byz-equivocate"
-
-    def __init__(self, *args, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        super().__init__(*args, **kwargs)
-        self.become_byzantine(EquivocateBehaviour())
-
-
-class SilentServer(VanillaServer):
-    """A Vanilla server born with the ``silent`` behaviour attached."""
-
-    algorithm = "vanilla-byz-silent"
-
-    def __init__(self, *args, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        super().__init__(*args, **kwargs)
-        self.become_byzantine(SilentBehaviour())
 
 
 #: Referenced by docs/tests enumerating the built-in strategy set.

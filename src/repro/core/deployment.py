@@ -805,14 +805,3 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deplo
         deployment.fault_injector = FaultInjector(deployment, config.faults)
     return deployment
 
-
-def run_experiment(config: ExperimentConfig, seed: int | None = None,
-                   to_completion: bool = False) -> Deployment:
-    """Build, start, and run a deployment; returns it with metrics populated."""
-    deployment = build_deployment(config, seed=seed)
-    deployment.start()
-    if to_completion:
-        deployment.run_to_completion()
-    else:
-        deployment.run()
-    return deployment

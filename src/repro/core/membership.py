@@ -160,9 +160,6 @@ class MembershipLog:
     def quorum_at_height(self, height: int) -> int:
         return self.epoch_at_height(height).quorum
 
-    def members_at_height(self, height: int) -> tuple[str, ...]:
-        return self.epoch_at_height(height).members
-
     def min_quorum(self) -> int:
         """The smallest quorum any epoch used (for retrospective proof checks)."""
         return min(e.quorum for e in self._epochs)

@@ -45,10 +45,6 @@ class CryptoError(ReproError):
     """Signature/verification failure or malformed key material."""
 
 
-class InvalidSignatureError(CryptoError):
-    """A signature did not verify against the claimed signer's public key."""
-
-
 class LedgerError(ReproError):
     """Block-based ledger misuse: invalid transaction, unknown subscriber, etc."""
 
@@ -67,10 +63,6 @@ class SetchainError(ReproError):
 
 class InvalidElementError(SetchainError):
     """An element failed ``valid_element`` validation."""
-
-
-class DuplicateElementError(SetchainError):
-    """An element was added twice to the same server."""
 
 
 class PropertyViolation(ReproError):

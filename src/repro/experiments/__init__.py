@@ -1,23 +1,19 @@
-"""Experiment harness: named scenarios, the scaled runner, and regenerators
+"""Experiment harness: named scenarios, scaling and packaging, and regenerators
 for every figure and table of the paper's evaluation (see DESIGN.md §4)."""
 
-from .runner import ExperimentResult, run_scenario, scaled_config
+from .runner import scaled_config
 from .scenarios import (
     figure1_scenarios,
     figure2_left_scenarios,
-    figure3_base_scenario,
     figure4_scenarios,
     table1_parameters,
 )
 from . import figures, tables
 
 __all__ = [
-    "ExperimentResult",
-    "run_scenario",
     "scaled_config",
     "figure1_scenarios",
     "figure2_left_scenarios",
-    "figure3_base_scenario",
     "figure4_scenarios",
     "table1_parameters",
     "figures",

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from ..analysis.analytical import blocksize_sweep
 from ..analysis.latency import LatencyCDF
 from ..analysis.throughput import ThroughputSeries
-from .runner import ExperimentResult, run_scenario
+from ..api import RunResult, Session
+from ..config import ExperimentConfig
 from .scenarios import (
     figure1_scenarios,
     figure2_left_scenarios,
@@ -28,6 +29,13 @@ from .scenarios import (
 DEFAULT_SCALE = 10.0
 #: Reduced drain used by the figure runs to bound runtime.
 _FIGURE_HORIZON = 150.0
+
+
+def run_point(config: ExperimentConfig, scale: float,
+              horizon: float = _FIGURE_HORIZON) -> RunResult:
+    """Run one (scaled) figure point to ``horizon`` or its own end, if later."""
+    session = Session(config, scale=scale).start()
+    return session.run_until(max(config.total_duration, horizon)).result()
 
 
 @dataclass
@@ -49,24 +57,23 @@ def figure1(scale: float = DEFAULT_SCALE,
             continue
         curves: list[FigureSeries] = []
         for config in configs:
-            outcome = run_scenario(config, scale=scale, horizon=_FIGURE_HORIZON)
-            curves.append(FigureSeries(label=config.algorithm,
-                                       series=outcome.throughput,
-                                       analytical=outcome.analytical_throughput,
-                                       sending_rate=outcome.sending_rate))
+            outcome = run_point(config, scale)
+            curves.append(FigureSeries(
+                label=config.algorithm, series=outcome.throughput,
+                analytical=outcome.analytical_throughput,
+                sending_rate=outcome.config["workload"]["sending_rate"]))
         results[panel] = curves
     return results
 
 
-def figure2_left(scale: float = DEFAULT_SCALE * 4) -> list[ExperimentResult]:
+def figure2_left(scale: float = DEFAULT_SCALE * 4) -> list[RunResult]:
     """Fig. 2 left: highest achieved throughput with and without hash reversal.
 
     The heavier sending rates use a larger default scale so the benchmark
     stays tractable; the comparison of interest (light ≫ full Hashchain ≫
     Compresschain ≫ Vanilla) is scale-invariant.
     """
-    return [run_scenario(config, scale=scale, horizon=_FIGURE_HORIZON)
-            for config in figure2_left_scenarios()]
+    return [run_point(config, scale) for config in figure2_left_scenarios()]
 
 
 def figure2_right(block_sizes_mb: tuple[float, ...] = (0.5, 1, 2, 4, 8, 16, 32, 64, 128),
@@ -84,7 +91,7 @@ def figure2_right(block_sizes_mb: tuple[float, ...] = (0.5, 1, 2, 4, 8, 16, 32, 
 def _efficiency_rows(configs, scale: float) -> list[dict[str, object]]:  # type: ignore[no-untyped-def]
     rows = []
     for config in configs:
-        outcome = run_scenario(config, scale=scale, horizon=_FIGURE_HORIZON)
+        outcome = run_point(config, scale)
         rows.append({
             "label": config.label,
             "algorithm": config.algorithm,
@@ -92,10 +99,11 @@ def _efficiency_rows(configs, scale: float) -> list[dict[str, object]]:  # type:
             "sending_rate": config.workload.sending_rate,
             "n_servers": config.setchain.n_servers,
             "network_delay_ms": config.ledger.network_delay * 1000,
-            "efficiency_50s": outcome.efficiency.at_50,
-            "efficiency_75s": outcome.efficiency.at_75,
-            "efficiency_100s": outcome.efficiency.at_100,
-            "commit_times": outcome.commit_times,
+            "efficiency_50s": outcome.efficiency["50s"],
+            "efficiency_75s": outcome.efficiency["75s"],
+            "efficiency_100s": outcome.efficiency["100s"],
+            "first_commit": outcome.first_commit,
+            "commit_fractions": dict(outcome.commit_fractions),
         })
     return rows
 
@@ -133,8 +141,8 @@ def figure4(scale: float = 5.0) -> dict[str, dict[str, LatencyCDF]]:
     """
     results: dict[str, dict[str, LatencyCDF]] = {}
     for config in figure4_scenarios():
-        outcome = run_scenario(config, scale=scale, to_completion=True)
-        results[config.algorithm] = outcome.latency_cdfs()
+        session = Session(config, scale=scale).start().run_to_completion()
+        results[config.algorithm] = session.latency_cdfs()
     return results
 
 

@@ -1,4 +1,9 @@
-"""Running scenarios, including the documented down-scaling.
+"""Scaling scenarios down and packaging runs.
+
+:class:`repro.api.Session` runs every scenario; this module holds what it
+needs around a run: :func:`scaled_config` before it and
+:func:`package_result` — the harness's packaging seam, which turns a run
+deployment into its one :class:`~repro.api.results.RunResult` — after it.
 
 The paper's full rates (up to 150,000 el/s for 50 s) are impractical for a
 pure-Python discrete-event simulation, so the runner supports a *scale factor*
@@ -13,16 +18,15 @@ absolute el/s values are lower by ``s`` (recorded per run in EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from ..analysis.analytical import AnalyticalParameters, throughput_for
-from ..analysis.committime import CommitTimeSummary, commit_time_quantiles
-from ..analysis.efficiency import EfficiencyResult, efficiency_profile
-from ..analysis.latency import LatencyCDF, stage_latencies
-from ..analysis.metrics import MetricsCollector
-from ..analysis.throughput import ThroughputSeries, average_throughput, rolling_throughput
+from ..analysis.committime import commit_time_quantiles
+from ..analysis.efficiency import efficiency_profile
+from ..analysis.throughput import average_throughput, rolling_throughput
+from ..api.results import RunResult, config_echo
 from ..config import ExperimentConfig, PAPER_COMPRESSION_RATIO
-from ..core.deployment import Deployment, run_experiment
+from ..core.deployment import Deployment
 from ..errors import ConfigurationError
 
 
@@ -42,56 +46,6 @@ def scaled_config(config: ExperimentConfig, scale: float) -> ExperimentConfig:
                        tx_processing_overhead=config.setchain.tx_processing_overhead * scale)
     return replace(config, workload=workload, ledger=ledger, setchain=setchain,
                    label=f"{config.label} (scale 1/{scale:g})")
-
-
-@dataclass
-class ExperimentResult:
-    """Everything the figures/tables need from one run."""
-
-    config: ExperimentConfig
-    scale: float
-    deployment: Deployment
-    metrics: MetricsCollector
-    throughput: ThroughputSeries
-    avg_throughput_50s: float
-    efficiency: EfficiencyResult
-    commit_times: CommitTimeSummary
-    analytical_throughput: float
-    #: Resilience report from the fault injector; ``None`` for fault-free runs.
-    faults: dict | None = None
-    #: Membership timeline (epochs, joins, leaves); ``None`` for static runs.
-    membership: dict | None = None
-    #: Tracing telemetry report; ``None`` when tracing is disabled.
-    telemetry: dict | None = None
-    #: Cross-shard report (per-shard commit/throughput, router admissions,
-    #: skew); ``None`` for unsharded runs.
-    shards: dict | None = None
-
-    @property
-    def label(self) -> str:
-        return self.config.label
-
-    @property
-    def sending_rate(self) -> float:
-        return self.config.workload.sending_rate
-
-    def latency_cdfs(self) -> dict[str, LatencyCDF]:
-        """Stage latency CDFs (mempool stages only for CometBFT-backed runs)."""
-        backend = self.deployment.ledger_backend
-        mempool_arrivals = None
-        nodes = getattr(backend, "nodes", None)
-        if nodes:
-            mempool_arrivals = [node.mempool.arrival_times for node in nodes.values()]
-        return stage_latencies(self.metrics, mempool_arrivals,
-                               quorum=self.config.setchain.quorum)
-
-    def summary_row(self) -> list[object]:
-        """One row for the report tables (schema shared with ``RunResult``)."""
-        from ..api.results import summary_row
-        return summary_row(self.config.algorithm, self.sending_rate,
-                           self.config.setchain.collector_limit,
-                           self.avg_throughput_50s,
-                           self.efficiency.at_50, self.efficiency.at_100)
 
 
 def analytical_reference(config: ExperimentConfig) -> float:
@@ -116,30 +70,36 @@ def analytical_reference(config: ExperimentConfig) -> float:
     return bound
 
 
-def package_result(deployment: Deployment, scale: float = 1.0) -> ExperimentResult:
-    """Package the standard analyses for an already-run deployment.
+def package_result(deployment: Deployment, scale: float = 1.0) -> RunResult:
+    """Package the standard analyses of a deployment as its :class:`RunResult`.
 
-    Used by :func:`run_scenario` after a batch run and by
-    :class:`repro.api.Session` to snapshot results mid-run.
+    The one packaging seam: :meth:`repro.api.Session.result` calls it after
+    a batch run or to snapshot a run mid-flight, and every CLI, sweep,
+    figure and table reads what it returns.
     """
-    effective = deployment.config
+    config = deployment.config
     metrics = deployment.metrics
+    injected = len(deployment.injected_elements)
     commit_times = metrics.commit_times()
-    throughput = rolling_throughput(commit_times,
-                                    horizon=deployment.sim.now)
-    return ExperimentResult(
-        config=effective,
-        scale=scale,
-        deployment=deployment,
-        metrics=metrics,
-        throughput=throughput,
-        avg_throughput_50s=average_throughput(commit_times, up_to=50.0),
-        efficiency=efficiency_profile(metrics, label=effective.label,
-                                      total_added=len(deployment.injected_elements)),
-        commit_times=commit_time_quantiles(metrics,
-                                           total_added=len(deployment.injected_elements),
-                                           label=effective.label),
-        analytical_throughput=analytical_reference(effective),
+    throughput = rolling_throughput(commit_times, horizon=deployment.sim.now)
+    summary = commit_time_quantiles(metrics, total_added=injected,
+                                    label=config.label)
+    return RunResult(
+        label=config.label,
+        algorithm=config.algorithm,
+        scale=float(scale),
+        config=config_echo(config),
+        injected=injected,
+        committed=metrics.committed_count,
+        avg_throughput_50s=float(average_throughput(commit_times, up_to=50.0)),
+        analytical_throughput=float(analytical_reference(config)),
+        efficiency=efficiency_profile(metrics, label=config.label,
+                                      total_added=injected).as_dict(),
+        first_commit=summary.first_element,
+        commit_fractions=tuple(sorted(summary.fraction_times.items())),
+        throughput_times=throughput.times,
+        throughput_values=throughput.values,
+        regions=metrics.region_summary(),
         faults=(deployment.fault_injector.report()
                 if deployment.fault_injector is not None else None),
         membership=deployment.membership_report(),
@@ -147,14 +107,3 @@ def package_result(deployment: Deployment, scale: float = 1.0) -> ExperimentResu
                    if deployment.tracer is not None else None),
         shards=deployment.shard_report(),
     )
-
-
-def run_scenario(config: ExperimentConfig, scale: float = 1.0,
-                 to_completion: bool = False, horizon: float | None = None,
-                 seed: int | None = None) -> ExperimentResult:
-    """Run one scenario (optionally scaled) and package the standard analyses."""
-    effective = scaled_config(config, scale)
-    deployment = run_experiment(effective, seed=seed, to_completion=to_completion)
-    if horizon is not None and deployment.sim.now < horizon:
-        deployment.run(until=horizon)
-    return package_result(deployment, scale=scale)

@@ -63,11 +63,6 @@ def figure2_left_scenarios() -> list[ExperimentConfig]:
     ]
 
 
-def figure3_base_scenario() -> dict[str, object]:
-    """Fig. 3's base point: 10 servers, 10,000 el/s, no network delay."""
-    return {"n_servers": 10, "sending_rate": 10_000.0, "network_delay_ms": 0.0}
-
-
 def figure3a_grid() -> list[ExperimentConfig]:
     """Fig. 3a: efficiency vs sending rate for every algorithm/collector combo."""
     configs: list[ExperimentConfig] = []

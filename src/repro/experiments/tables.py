@@ -9,7 +9,7 @@ from ..analysis.analytical import (
     vanilla_throughput,
 )
 from ..analysis.report import render_table
-from .runner import run_scenario
+from .figures import run_point
 from .scenarios import figure1_scenarios, table1_parameters
 
 #: The values Appendix D.1 reports (el/s), used as reference columns.
@@ -65,7 +65,7 @@ def table2(scale: float = 10.0) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
     for panel, configs in figure1_scenarios().items():
         for config in configs:
-            outcome = run_scenario(config, scale=scale, horizon=120.0)
+            outcome = run_point(config, scale, horizon=120.0)
             paper_value = PAPER_TABLE2_VALUES.get((config.algorithm, panel))
             scaled_paper = paper_value / scale if paper_value is not None else None
             rows.append({

@@ -55,10 +55,6 @@ class Vote:
     vote_type: VoteType
     block_id: str
 
-    @property
-    def is_nil(self) -> bool:
-        return self.block_id == NIL_BLOCK
-
 
 @dataclass
 class ConsensusState:

@@ -101,13 +101,6 @@ class ValidatorSet:
         """Every ``(effective_height, members)`` epoch, in activation order."""
         return list(self._epochs)
 
-    def ever_members(self) -> tuple[str, ...]:
-        """Every name that was a member in any epoch, sorted."""
-        seen: set[str] = set()
-        for _effective, members in self._epochs:
-            seen.update(members)
-        return tuple(sorted(seen))
-
     def __contains__(self, name: str) -> bool:
         return name in self.names
 

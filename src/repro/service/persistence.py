@@ -387,22 +387,6 @@ class SqliteLedger(IdealLedger):
                 "INSERT INTO membership VALUES (?, ?, ?, ?, ?, ?, ?, ?)", rows)
         return len(rows)
 
-    def journaled_membership(self) -> "list[dict[str, Any]]":
-        """The persisted membership timeline, decoded (empty for static runs)."""
-        epochs = []
-        for index, at, effective, members, f, quorum, reason, node in \
-                self._conn.execute(
-                    "SELECT epoch, at, effective_height, members, f, quorum, "
-                    "reason, node FROM membership ORDER BY epoch"):
-            entry: dict[str, Any] = {
-                "index": index, "at": at, "effective_height": effective,
-                "members": json.loads(members), "f": f, "quorum": quorum,
-                "reason": reason}
-            if node is not None:
-                entry["node"] = node
-            epochs.append(entry)
-        return epochs
-
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import Scenario, ScenarioBuilder
-from repro.config import ExperimentConfig, base_scenario
+from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
 
 
@@ -55,7 +55,7 @@ def test_method_typo_gets_did_you_mean():
 
 
 def test_ledger_override_rejects_ambiguous_network_delay():
-    # Milliseconds in the legacy shim vs seconds in LedgerConfig: refuse the
+    # LedgerConfig stores seconds, Table 1 speaks milliseconds: refuse the
     # raw field and point at delay_ms().
     with pytest.raises(ConfigurationError, match="delay_ms"):
         Scenario.hashchain().ledger(network_delay=30)
@@ -99,23 +99,3 @@ def test_from_config_round_trips():
     rebuilt = ScenarioBuilder.from_config(original).build()
     assert rebuilt == original
 
-
-def test_base_scenario_shim_matches_builder():
-    via_shim = base_scenario("hashchain", sending_rate=5_000, collector_limit=500,
-                             n_servers=7, network_delay_ms=30)
-    via_builder = (Scenario.hashchain().rate(5_000).collector(500)
-                   .servers(7).delay_ms(30).build())
-    assert via_shim == via_builder
-
-
-def test_base_scenario_accepts_both_delay_spellings():
-    a = base_scenario("vanilla", network_delay_ms=30)
-    b = base_scenario("vanilla", network_delay=30)
-    assert a.ledger.network_delay == b.ledger.network_delay == pytest.approx(0.030)
-    with pytest.raises(ConfigurationError, match="not both"):
-        base_scenario("vanilla", network_delay=30, network_delay_ms=100)
-
-
-def test_base_scenario_still_rejects_unknown_overrides():
-    with pytest.raises(ConfigurationError, match="bogus"):
-        base_scenario("vanilla", bogus=1)

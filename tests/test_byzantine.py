@@ -2,38 +2,31 @@
 
 import pytest
 
-from repro.compressor.model import ModelCompressor
 from repro.core.byzantine import (
-    EquivocatingProofServer,
-    InvalidElementVanillaServer,
-    SilentServer,
-    WithholdingHashchainServer,
-    WrongHashHashchainServer,
+    EquivocateBehaviour,
+    InvalidElementBehaviour,
+    SilentBehaviour,
+    WithholdBehaviour,
+    WrongHashBehaviour,
     make_invalid_element,
 )
-from repro.core.compresschain import CompresschainServer
 from repro.core.hashchain import HashchainServer
 from repro.core.properties import check_all, check_consistent_gets, check_unique_epoch
 from repro.core.vanilla import VanillaServer
 from repro.workload.elements import make_element
 
 
-def build_mixed_cluster(sim, network, scheme, config, ledger, byzantine_cls,
-                        correct_cls, byzantine_count=1, **byz_kwargs):
-    """n-server cluster where the last ``byzantine_count`` servers misbehave."""
+def build_mixed_cluster(sim, network, scheme, config, ledger, server_cls,
+                        behaviour, byzantine_count=1):
+    """n-server cluster where the last ``byzantine_count`` servers adopt a
+    fresh ``behaviour()`` before they run."""
     servers = []
     for index in range(config.n_servers):
         name = f"server-{index}"
         keypair = scheme.generate_keypair(name)
-        byzantine = index >= config.n_servers - byzantine_count
-        cls = byzantine_cls if byzantine else correct_cls
-        kwargs = dict(byz_kwargs) if byzantine else {}
-        if issubclass(cls, HashchainServer):
-            server = cls(name, sim, config, scheme, keypair, **kwargs)
-        elif issubclass(cls, CompresschainServer):
-            server = cls(name, sim, config, scheme, keypair, ModelCompressor(), **kwargs)
-        else:
-            server = cls(name, sim, config, scheme, keypair, **kwargs)
+        server = server_cls(name, sim, config, scheme, keypair)
+        if index >= config.n_servers - byzantine_count:
+            server.become_byzantine(behaviour())
         network.register(server)
         server.connect_ledger(ledger.handle_for(name))
         servers.append(server)
@@ -61,8 +54,8 @@ def test_withholding_server_does_not_block_consolidation(sim, network, scheme,
                                                          ideal_ledger):
     """f = 1 withholding server: batches from correct servers still consolidate."""
     correct, byz = build_mixed_cluster(sim, network, scheme, small_setchain_config,
-                                       ideal_ledger, WithholdingHashchainServer,
-                                       HashchainServer)
+                                       ideal_ledger, HashchainServer,
+                                       WithholdBehaviour)
     elements = inject(correct, 30)
     sim.run_until(60.0)
     views = {s.name: s.get() for s in correct}
@@ -81,8 +74,8 @@ def test_withholding_servers_own_batches_never_consolidate(sim, network, scheme,
                                                            small_setchain_config,
                                                            ideal_ledger):
     correct, byz = build_mixed_cluster(sim, network, scheme, small_setchain_config,
-                                       ideal_ledger, WithholdingHashchainServer,
-                                       HashchainServer)
+                                       ideal_ledger, HashchainServer,
+                                       WithholdBehaviour)
     withholder = byz[0]
     # Elements added only through the withholding server: its batch hash goes to
     # the ledger but nobody can recover the contents.
@@ -96,8 +89,8 @@ def test_withholding_servers_own_batches_never_consolidate(sim, network, scheme,
 def test_wrong_hash_server_is_harmless(sim, network, scheme, small_setchain_config,
                                        ideal_ledger):
     correct, _ = build_mixed_cluster(sim, network, scheme, small_setchain_config,
-                                     ideal_ledger, WrongHashHashchainServer,
-                                     HashchainServer)
+                                     ideal_ledger, HashchainServer,
+                                     WrongHashBehaviour)
     elements = inject(correct, 20)
     sim.run_until(60.0)
     views = {s.name: s.get() for s in correct}
@@ -111,8 +104,8 @@ def test_invalid_element_flooder_does_not_pollute_epochs(sim, network, scheme,
                                                          small_setchain_config,
                                                          ideal_ledger):
     correct, byz = build_mixed_cluster(sim, network, scheme, small_setchain_config,
-                                       ideal_ledger, InvalidElementVanillaServer,
-                                       VanillaServer, invalid_per_add=3)
+                                       ideal_ledger, VanillaServer,
+                                       lambda: InvalidElementBehaviour(3))
     elements = inject(correct + byz, 20)
     sim.run_until(30.0)
     for server in correct:
@@ -126,8 +119,8 @@ def test_equivocating_proofs_are_rejected_by_correct_servers(sim, network, schem
                                                              small_setchain_config,
                                                              ideal_ledger):
     correct, byz = build_mixed_cluster(sim, network, scheme, small_setchain_config,
-                                       ideal_ledger, EquivocatingProofServer,
-                                       VanillaServer)
+                                       ideal_ledger, VanillaServer,
+                                       EquivocateBehaviour)
     inject(correct, 12)
     sim.run_until(30.0)
     equivocator = byz[0].name
@@ -144,7 +137,7 @@ def test_equivocating_proofs_are_rejected_by_correct_servers(sim, network, schem
 def test_silent_server_drops_only_its_own_clients(sim, network, scheme,
                                                   small_setchain_config, ideal_ledger):
     correct, byz = build_mixed_cluster(sim, network, scheme, small_setchain_config,
-                                       ideal_ledger, SilentServer, VanillaServer)
+                                       ideal_ledger, VanillaServer, SilentBehaviour)
     silent = byz[0]
     through_correct = inject(correct, 9)
     swallowed = inject([silent], 3)

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.api import RunResult, Scenario, get_scenario, run, scenario_names
+from repro.api import RunResult, Scenario, Session, get_scenario, run, scenario_names
 from repro.api.cli import main
 from repro.api.parallel import RunSpec, reset_run_counters, run_specs
 from repro.core.byzantine import (
@@ -19,7 +19,7 @@ from repro.core.byzantine import (
     register_behaviour,
     unregister_behaviour,
 )
-from repro.core.deployment import build_deployment, run_experiment
+from repro.core.deployment import build_deployment
 from repro.core.properties import check_all
 from repro.errors import ConfigurationError, NetworkError
 from repro.faults import BecomeByzantine, BecomeCorrect, Recover, Targets
@@ -215,7 +215,7 @@ def test_scheduled_withhold_window_reverts_and_run_converges():
               .become_byzantine(1.0, "server-3", behaviour="withhold",
                                 until=3.0)
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     assert not deployment.servers[3].is_byzantine  # reverted at until
     report = deployment.fault_injector.report()
     assert report["byzantine"]["servers"] == ["server-3"]
@@ -231,7 +231,7 @@ def test_wrong_hash_window_is_harmless_and_attributed():
               .become_byzantine(1.0, "server-4", behaviour="wrong-hash",
                                 until=4.0)
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     report = deployment.fault_injector.report()
     assert report["byzantine"]["counters"]["bogus_hash_batches"] > 0
     # A bogus hash gathers one signer at most and never consolidates.
@@ -252,7 +252,7 @@ def test_invalid_element_flood_is_refused_by_correct_servers():
               .become_byzantine(1.0, "server-4", behaviour="invalid-element",
                                 until=4.0)
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     counters = deployment.fault_injector.report()["byzantine"]["counters"]
     assert counters["invalid_elements_appended"] > 0
     assert counters["invalid_elements_refused"] > 0
@@ -267,7 +267,7 @@ def test_equivocating_window_does_not_poison_correct_quorums():
               .become_byzantine(1.0, "server-4", behaviour="equivocate",
                                 until=4.0)
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     counters = deployment.fault_injector.report()["byzantine"]["counters"]
     assert counters["equivocating_proofs"] > 0
     assert sum(s.invalid_proofs for s in deployment.servers[:4]) > 0
@@ -286,7 +286,7 @@ def test_silent_window_drops_only_the_byzantine_servers_clients():
               .become_byzantine(0.0, "server-4", behaviour="silent",
                                 until=5.0)
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     counters = deployment.fault_injector.report()["byzantine"]["counters"]
     assert counters["suppressed_elements"] > 0
     # Elements injected through the silent server never reach correct epochs.
@@ -311,7 +311,7 @@ def test_crash_partition_and_byzantine_compose_in_one_timeline():
               .crash(2.0, "server-3", until=3.5)
               .partition(2.5, until=4.0, count=1, role="servers")
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     report = deployment.fault_injector.report()
     kinds = [entry["kind"] for entry in report["events"]]
     assert {"become-byzantine", "crash", "partition"} <= set(kinds)

@@ -7,7 +7,6 @@ from repro.config import (
     LedgerConfig,
     SetchainConfig,
     WorkloadConfig,
-    base_scenario,
     table1_grid,
 )
 from repro.errors import ConfigurationError
@@ -64,25 +63,6 @@ def test_experiment_config_validation():
         ExperimentConfig(drain_duration=-1)
     config = ExperimentConfig()
     assert config.total_duration == pytest.approx(150.0)
-
-
-def test_base_scenario_applies_overrides():
-    config = base_scenario("compresschain", sending_rate=5000, collector_limit=500,
-                           n_servers=7, network_delay_ms=30, seed=4,
-                           ledger_backend="ideal", drain_duration=10)
-    assert config.algorithm == "compresschain"
-    assert config.workload.sending_rate == 5000
-    assert config.setchain.collector_limit == 500
-    assert config.setchain.n_servers == 7
-    assert config.ledger.network_delay == pytest.approx(0.030)
-    assert config.ledger_backend == "ideal"
-    assert config.workload.seed == 4
-    assert config.label
-
-
-def test_base_scenario_rejects_unknown_overrides():
-    with pytest.raises(ConfigurationError):
-        base_scenario("vanilla", bogus=1)
 
 
 def test_table1_grid_covers_all_combinations():

@@ -2,23 +2,21 @@
 
 import pytest
 
-from repro.config import base_scenario
-from repro.core.deployment import build_deployment, run_experiment
+from repro.api import Scenario, Session
+from repro.core.deployment import build_deployment
 from repro.core.client import SetchainClient
 from repro.ledger.cometbft.engine import CometBFTNetwork
 from repro.ledger.ideal import IdealLedger
 from repro.workload.elements import make_element
 
 
-def small(algorithm, **overrides):
-    defaults = dict(sending_rate=120, injection_duration=5, drain_duration=40,
-                    n_servers=4, collector_limit=20, seed=3)
-    defaults.update(overrides)
-    return base_scenario(algorithm, **defaults)
+def small(algorithm):
+    return (Scenario(algorithm).rate(120).inject_for(5).drain(40).servers(4)
+            .collector(20).seed(3))
 
 
 def test_build_deployment_wires_everything():
-    deployment = build_deployment(small("hashchain"))
+    deployment = build_deployment(small("hashchain").build())
     assert len(deployment.servers) == 4
     assert isinstance(deployment.ledger_backend, CometBFTNetwork)
     assert len(deployment.clients.clients) == 4
@@ -28,14 +26,14 @@ def test_build_deployment_wires_everything():
 
 
 def test_build_deployment_ideal_backend():
-    deployment = build_deployment(small("vanilla", ledger_backend="ideal"))
+    deployment = build_deployment(small("vanilla").backend("ideal").build())
     assert isinstance(deployment.ledger_backend, IdealLedger)
 
 
 @pytest.mark.parametrize("algorithm", ["vanilla", "compresschain", "hashchain",
                                        "hashchain-light", "compresschain-light"])
 def test_end_to_end_all_algorithms_commit_and_satisfy_properties(algorithm):
-    deployment = run_experiment(small(algorithm))
+    deployment = Session(small(algorithm)).start().run().deployment
     injected = len(deployment.injected_elements)
     assert injected > 0
     assert deployment.metrics.committed_count == injected
@@ -44,21 +42,21 @@ def test_end_to_end_all_algorithms_commit_and_satisfy_properties(algorithm):
 
 
 def test_end_to_end_on_ideal_backend_matches_properties():
-    deployment = run_experiment(small("hashchain", ledger_backend="ideal"))
+    deployment = Session(small("hashchain").backend("ideal")).start().run().deployment
     assert deployment.metrics.committed_count == len(deployment.injected_elements)
     assert deployment.check_properties() == []
 
 
 def test_deterministic_reruns_produce_identical_commit_counts():
-    a = run_experiment(small("compresschain"))
-    b = run_experiment(small("compresschain"))
+    a = Session(small("compresschain")).start().run().deployment
+    b = Session(small("compresschain")).start().run().deployment
     assert len(a.injected_elements) == len(b.injected_elements)
     assert a.metrics.committed_count == b.metrics.committed_count
     assert a.metrics.commit_times() == b.metrics.commit_times()
 
 
 def test_run_to_completion_waits_for_all_commits():
-    config = small("hashchain", drain_duration=1)  # too short on its own
+    config = small("hashchain").drain(1).build()  # too short on its own
     deployment = build_deployment(config)
     deployment.start()
     deployment.run_to_completion(extra_time=200.0)
@@ -66,7 +64,7 @@ def test_run_to_completion_waits_for_all_commits():
 
 
 def test_light_client_against_running_deployment():
-    deployment = build_deployment(small("hashchain"))
+    deployment = build_deployment(small("hashchain").build())
     deployment.start()
     client = SetchainClient("external-client", deployment.scheme,
                             quorum=deployment.config.setchain.quorum)
@@ -79,9 +77,7 @@ def test_light_client_against_running_deployment():
 
 
 def test_mempool_latency_stages_available_on_cometbft_backend():
-    from repro.experiments.runner import run_scenario
-    result = run_scenario(small("compresschain"), scale=1.0)
-    cdfs = result.latency_cdfs()
+    cdfs = Session(small("compresschain")).start().run().latency_cdfs()
     assert {"first_mempool", "quorum_mempools", "all_mempools",
             "ledger", "committed"} <= set(cdfs)
     committed = cdfs["committed"]
@@ -93,7 +89,7 @@ def test_mempool_latency_stages_available_on_cometbft_backend():
 
 def test_unstressed_runs_have_second_scale_commit_latency():
     """Paper: Compresschain/Hashchain commit latency below ~4 s when unstressed."""
-    deployment = run_experiment(small("hashchain", sending_rate=80))
+    deployment = Session(small("hashchain").rate(80)).start().run().deployment
     latencies = deployment.metrics.commit_latencies()
     assert latencies
     median = latencies[len(latencies) // 2]

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.analysis.throughput import ThroughputSeries
-from repro.config import base_scenario
+from repro.api import RunResult, Scenario, run
 from repro.errors import ConfigurationError
 from repro.experiments import figures, tables
-from repro.experiments.runner import analytical_reference, run_scenario, scaled_config
+from repro.experiments.runner import analytical_reference, scaled_config
 from repro.experiments.scenarios import (
     figure1_scenarios,
     figure2_left_scenarios,
@@ -22,7 +22,7 @@ from repro.experiments.scenarios import (
 # -- scaling -------------------------------------------------------------------------------
 
 def test_scaled_config_preserves_dimensionless_ratios():
-    config = base_scenario("hashchain", sending_rate=10_000, collector_limit=100)
+    config = Scenario.hashchain().rate(10_000).collector(100).build()
     scaled = scaled_config(config, 10.0)
     assert scaled.workload.sending_rate == pytest.approx(1_000)
     assert scaled.ledger.block_size_bytes == pytest.approx(config.ledger.block_size_bytes / 10, rel=0.01)
@@ -37,16 +37,16 @@ def test_scaled_config_preserves_dimensionless_ratios():
 
 
 def test_scaled_config_identity_and_validation():
-    config = base_scenario("vanilla")
+    config = Scenario.vanilla().build()
     assert scaled_config(config, 1.0) is config
     with pytest.raises(ConfigurationError):
         scaled_config(config, 0)
 
 
 def test_analytical_reference_uses_scenario_parameters():
-    v = analytical_reference(base_scenario("vanilla"))
-    h100 = analytical_reference(base_scenario("hashchain", collector_limit=100))
-    h500 = analytical_reference(base_scenario("hashchain", collector_limit=500))
+    v = analytical_reference(Scenario.vanilla().build())
+    h100 = analytical_reference(Scenario.hashchain().collector(100).build())
+    h500 = analytical_reference(Scenario.hashchain().collector(500).build())
     assert v == pytest.approx(955, rel=0.02)
     assert h100 == pytest.approx(27_157, rel=0.02)
     assert h500 == pytest.approx(147_857, rel=0.02)
@@ -54,16 +54,20 @@ def test_analytical_reference_uses_scenario_parameters():
 
 # -- runner ---------------------------------------------------------------------------------
 
-def test_run_scenario_packages_all_analyses():
-    config = base_scenario("hashchain", sending_rate=150, injection_duration=5,
-                           drain_duration=40, n_servers=4, collector_limit=20)
-    result = run_scenario(config, scale=1.0)
+def test_package_result_packages_all_analyses():
+    config = (Scenario.hashchain().rate(150).inject_for(5).drain(40).servers(4)
+              .collector(20).build())
+    result = run(config)
+    assert isinstance(result, RunResult)
     assert isinstance(result.throughput, ThroughputSeries)
     assert result.avg_throughput_50s > 0
-    assert 0.0 <= result.efficiency.at_100 <= 1.0
-    assert result.commit_times.first_element is not None
+    assert 0.0 <= result.efficiency["100s"] <= 1.0
+    assert result.first_commit is not None
+    assert [fraction for fraction, _ in result.commit_fractions] == [
+        0.1, 0.2, 0.3, 0.4, 0.5]
     assert result.analytical_throughput > 0
     assert result.label == config.label
+    assert 0 < result.committed <= result.injected
     assert len(result.summary_row()) == 6
 
 

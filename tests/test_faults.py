@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from repro.api import Scenario, get_scenario, run, scenario_names
+from repro.api import Scenario, Session, get_scenario, run, scenario_names
 from repro.api.parallel import RunSpec, run_specs
 from repro.config import ExperimentConfig, FaultScheduleConfig
-from repro.core.deployment import build_deployment, run_experiment
+from repro.core.deployment import build_deployment
 from repro.errors import ConfigurationError, NetworkError
 from repro.faults import (
     BecomeByzantine,
@@ -391,7 +391,7 @@ def test_same_chaos_seed_same_json_regardless_of_jobs():
     assert serial == parallel
 
 
-def test_run_experiment_with_schedule_is_deterministic_in_process():
+def test_run_with_schedule_is_deterministic_in_process():
     config = (chaos_scenario()
               .partition(1.0, until=3.0, count=2)
               .loss(0.05, 0.5, until=4.0)
@@ -405,7 +405,7 @@ def test_flapping_partition_reroll_heals_between_cycles():
     config = (chaos_scenario()
               .partition(1.0, until=3.0, count=1, role="servers", period=0.5)
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     report = deployment.fault_injector.report()
     partitions = [e for e in report["events"] if e["kind"] == "partition"]
     assert len(partitions) >= 3  # re-rolled several times
@@ -416,7 +416,7 @@ def test_churn_recovers_every_victim_by_the_end():
     config = (chaos_scenario()
               .churn(1.0, until=3.0, period=0.5, count=1)
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     assert all(not server.crashed for server in deployment.servers)
     report = deployment.fault_injector.report()
     churns = [e for e in report["events"] if e["kind"] == "churn"]
@@ -428,7 +428,7 @@ def test_duplicate_and_delay_events_affect_the_network():
               .duplicates(0.5, 0.0, until=5.0)
               .delay_spike(100.0, 0.0, until=5.0, jitter_ms=20.0)
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     assert deployment.network.messages_duplicated > 0
     report = deployment.fault_injector.report()
     assert report["messages_duplicated"] == deployment.network.messages_duplicated
@@ -484,7 +484,7 @@ def test_instantaneous_events_do_not_open_fault_windows():
               .partition(1.0, until=1.5, count=1, role="servers")
               .faults(Heal(at=2.0))
               .build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     injector = deployment.fault_injector
     # Two applied entries (partition + heal) but only one fault window.
     assert len(injector.applied) == 2
@@ -589,7 +589,7 @@ def test_crash_auto_recover_skips_nodes_reclaimed_by_a_later_event():
 
 def test_blocks_processed_not_double_counted_across_crash_replay():
     config = chaos_scenario().crash(1.0, "server-0", until=3.0).build()
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     ledger_blocks = len(deployment.ledger_backend.blocks)
     for server in deployment.servers:
         assert server.blocks_processed == ledger_blocks
@@ -618,15 +618,13 @@ def test_lossy_links_cannot_wedge_block_production():
     provably dead', wedging block production cluster-wide with full
     mempools.  Peer catch-up (gap >= 2) plus stuck-round re-gossip bound
     the stall; every validator must converge to one chain head."""
-    from repro.experiments.runner import scaled_config
-
     config = (Scenario.hashchain().rate(2_000)
               .partition(8.0, until=16.0,
                          nodes=("server-2", "server-4", "server-7"))
               .crash(20.0, "server-8", until=30.0)
               .loss(0.02)
               .build())
-    deployment = run_experiment(scaled_config(config, 25))
+    deployment = Session(config, scale=25).start().run().deployment
     heights = [len(node.committed_blocks)
                for node in deployment.ledger_backend.node_list()]
     assert min(heights) == max(heights) > 20

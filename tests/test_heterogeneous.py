@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import get_scenario
 from repro.api.parallel import RunSpec, run_specs
-from repro.core.byzantine import WithholdingHashchainServer
+from repro.core.byzantine import WithholdBehaviour
 from repro.core.deployment import build_deployment
 from repro.core.hashchain import HashchainServer
 from repro.core.properties import check_all, check_consistent_gets
@@ -98,9 +98,9 @@ def _build_two_region_cluster(byzantine_in: str):
     for index in range(4):
         name = f"server-{index}"
         keypair = scheme.generate_keypair(name)
-        byzantine = region_of[name] == byzantine_in and name == "server-0"
-        cls = WithholdingHashchainServer if byzantine else HashchainServer
-        server = cls(name, sim, config, scheme, keypair)
+        server = HashchainServer(name, sim, config, scheme, keypair)
+        if region_of[name] == byzantine_in and name == "server-0":
+            server.become_byzantine(WithholdBehaviour())
         network.register(server)
         server.connect_ledger(ledger.handle_for(name))
         servers.append(server)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import Scenario, Session, run
 from repro.api.cli import main as repro_main
-from repro.core.deployment import run_experiment
 from repro.core.properties import check_all
 from repro.errors import ConfigurationError, LedgerError
 from repro.faults import Join, Leave, Targets
@@ -77,7 +76,7 @@ def test_joined_server_converges_to_the_cluster_view():
     config = (Scenario.hashchain().servers(4).rate(300).collector(20)
               .inject_for(5).drain(50).backend("ideal")
               .join(2.0).seed(11).build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     views = {server.name: server.get() for server in deployment.servers}
     assert "server-4" in views
     joined = views["server-4"]
@@ -98,7 +97,7 @@ def test_drained_leave_is_not_a_crash():
     config = (Scenario.hashchain().servers(5).rate(300).collector(20)
               .inject_for(5).drain(50).backend("ideal")
               .leave(2.5, "server-3").seed(7).build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     departed = next(s for s in deployment.departed_servers
                     if s.name == "server-3")
     assert departed.departed and not departed.crashed
@@ -119,7 +118,7 @@ def test_cometbft_join_changes_validator_set_at_block_boundary():
     config = (Scenario.hashchain().servers(4).rate(200).collector(20)
               .inject_for(4).drain(40)
               .join(1.5).leave(3.0, "server-2").seed(3).build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     block = deployment.membership_report()
     epochs = block["validator_epochs"]
     assert len(epochs) >= 3  # initial + join + leave

@@ -168,8 +168,7 @@ _fault_runs = settings(max_examples=5, deadline=None,
 @_fault_runs
 @given(data=st.data())
 def test_properties_hold_for_correct_servers_under_random_faults(algorithm, data):
-    from repro.api import Scenario
-    from repro.core.deployment import run_experiment
+    from repro.api import Scenario, Session
     from repro.core.properties import check_all
     from repro.faults import Crash, MessageLoss, Partition, Targets
 
@@ -198,7 +197,7 @@ def test_properties_hold_for_correct_servers_under_random_faults(algorithm, data
     config = (Scenario(algorithm).servers(4).rate(150).collector(10)
               .inject_for(4).drain(40).backend("ideal")
               .faults(*events).seed(seed).build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
 
     views = {server.name: server.get() for server in deployment.servers
              if server.name not in crashed}
@@ -227,8 +226,7 @@ _BYZ_BEHAVIOURS = ("withhold", "wrong-hash", "invalid-element", "equivocate",
 @given(data=st.data())
 def test_properties_hold_under_mixed_crash_byzantine_partition_schedules(
         algorithm, data):
-    from repro.api import Scenario
-    from repro.core.deployment import run_experiment
+    from repro.api import Scenario, Session
     from repro.core.properties import check_all
     from repro.faults import (
         BecomeByzantine,
@@ -269,7 +267,7 @@ def test_properties_hold_under_mixed_crash_byzantine_partition_schedules(
     config = (Scenario(algorithm).servers(5).rate(150).collector(10)
               .inject_for(4).drain(40).backend("ideal")
               .faults(*events).seed(seed).build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
 
     assert deployment.byzantine_servers() <= set(faulty)
     views = {server.name: server.get() for server in deployment.servers
@@ -296,8 +294,7 @@ def test_properties_hold_under_mixed_crash_byzantine_partition_schedules(
 @given(data=st.data())
 def test_properties_hold_under_mixed_membership_and_fault_schedules(
         algorithm, data):
-    from repro.api import Scenario
-    from repro.core.deployment import run_experiment
+    from repro.api import Scenario, Session
     from repro.core.properties import check_all
     from repro.faults import Crash, Join, Leave, MessageLoss, Partition, Targets
 
@@ -332,7 +329,7 @@ def test_properties_hold_under_mixed_membership_and_fault_schedules(
     config = (Scenario(algorithm).servers(5).rate(150).collector(10)
               .inject_for(4).drain(40).backend("ideal")
               .faults(*events).seed(seed).build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
 
     # The quorum every element must eventually clear: the smallest any
     # membership epoch required (a drained leave can shrink it below the
@@ -363,8 +360,7 @@ def test_properties_hold_under_mixed_membership_and_fault_schedules(
 @_fault_runs
 @given(data=st.data())
 def test_shard_faults_never_leak_into_healthy_shards(algorithm, data):
-    from repro.api import Scenario
-    from repro.core.deployment import run_experiment
+    from repro.api import Scenario, Session
     from repro.core.properties import check_all
     from repro.faults import BecomeByzantine, Crash, MessageLoss, Targets
 
@@ -391,7 +387,7 @@ def test_shard_faults_never_leak_into_healthy_shards(algorithm, data):
     config = (Scenario(algorithm).servers(3).byzantine(f=1).shards(2)
               .rate(150).collector(10).inject_for(4).drain(40)
               .backend("ideal").faults(*events).seed(seed).build())
-    deployment = run_experiment(config)
+    deployment = Session(config).start().run().deployment
     router = deployment.shard_router
 
     # Shard ownership is fixed at admission, and neither shard ever loses
