@@ -25,13 +25,6 @@ class CommitTimeSummary:
     #: (``None`` when the run never reached the fraction).
     fraction_times: dict[float, float | None]
 
-    def time_for(self, fraction: float) -> float | None:
-        return self.fraction_times.get(fraction)
-
-    @property
-    def reached_half(self) -> bool:
-        return self.fraction_times.get(0.5) is not None
-
 
 def commit_time_quantiles(metrics: MetricsCollector, total_added: int | None = None,
                           fractions: tuple[float, ...] = PAPER_COMMIT_FRACTIONS,

@@ -29,11 +29,6 @@ class EfficiencyResult:
     def as_dict(self) -> dict[str, float]:
         return {"50s": self.at_50, "75s": self.at_75, "100s": self.at_100}
 
-    @property
-    def fully_efficient(self) -> bool:
-        """True when every added element committed within 100 s."""
-        return self.at_100 >= 1.0 - 1e-9
-
 
 def efficiency_at(metrics: MetricsCollector, time: float,
                   total_added: int | None = None) -> float:

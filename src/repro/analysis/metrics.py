@@ -223,8 +223,10 @@ class MetricsCollector:
             self.tracer.phase_many([element.element_id for element in elements],
                                    "collector_queued", time, server)
 
-    def record_tx_elements(self, tx_id: int, element_ids: Sequence[int]) -> None:
-        self.tx_elements[tx_id] = element_ids
+    def record_tx_elements(self, pairs: Iterable[tuple[int, Sequence[int]]]) -> None:
+        """``(tx_id, element ids the transaction carries)`` per appended
+        transaction; one call per flush or add burst."""
+        self.tx_elements.update(pairs)
 
     def record_batch_hash_elements(self, batch_hash: str,
                                    element_ids: Sequence[int]) -> None:
@@ -307,10 +309,9 @@ class MetricsCollector:
                                    "committed", time, observer)
         if self._committed_content.get(epoch_number) is elements:
             return
-        region = self.region_of.get(observer)
-        shard = self.shard_of.get(observer)
         records = self.elements
         make = ElementRecord
+        fresh = injected = 0
         for element in elements:
             element_id = element.element_id
             record = records.get(element_id)
@@ -318,18 +319,19 @@ class MetricsCollector:
                 records[element_id] = record = make(element_id=element_id)
             if record.committed_at is None:
                 record.committed_at = time
-                self._committed_total += 1
+                fresh += 1
                 if record.injected_at is not None:
-                    self.committed_injected += 1
-                if region is not None:
-                    self.region_committed[region] = (
-                        self.region_committed.get(region, 0) + 1)
-                    if region not in self.region_first_commit:
-                        self.region_first_commit[region] = time
-                if shard is not None:
-                    self.shard_committed[shard] = (
-                        self.shard_committed.get(shard, 0) + 1)
-                    self.shard_commit_times.setdefault(shard, []).append(time)
+                    injected += 1
+        self._committed_total += fresh
+        self.committed_injected += injected
+        region = self.region_of.get(observer)
+        if region is not None and fresh:
+            self.region_committed[region] = self.region_committed.get(region, 0) + fresh
+            self.region_first_commit.setdefault(region, time)
+        shard = self.shard_of.get(observer)
+        if shard is not None and fresh:
+            self.shard_committed[shard] = self.shard_committed.get(shard, 0) + fresh
+            self.shard_commit_times.setdefault(shard, []).extend([time] * fresh)
         if isinstance(elements, frozenset):
             self._committed_content[epoch_number] = elements
 

@@ -358,26 +358,31 @@ class BaseSetchainServer(NetworkNode, Application):
         """Epochs this server has seen reach f+1 distinct proofs."""
         return set(self._committed_epochs)
 
-    def _record_new_epoch(self, elements: frozenset[Element], block: Block) -> EpochProof:
-        """Create epoch ``self._epoch + 1`` from ``elements`` and sign its proof.
+    def _record_new_epoch(self, ids: tuple[int, ...], elements: tuple[Element, ...],
+                          block: Block) -> EpochProof:
+        """Create epoch ``self._epoch + 1`` from ``elements`` and their
+        ``ids``, both in arrival order, and sign its proof.
 
-        The first server to create an epoch hashes it; every server with equal
-        content shares that record (``scheme.epoch_records``), then signs.
+        The first server to create an epoch freezes and hashes it; every
+        server that hands in the same ids at the same number and equal
+        elements shares that record (``scheme.epoch_records``), then signs.
+        Unequal elements under those ids get a record of their own, unkept.
         """
         self._epoch = number = self._epoch + 1
         records = self.scheme.epoch_records
-        shared = records.get((number, elements))
-        if shared is None:
-            shared = records[number, elements] = (
-                elements, hash_epoch(number, elements),
-                tuple([element.element_id for element in elements]))
-        elements, epoch_hash, element_ids = shared
-        self._history[number] = elements
-        self._epoched_ids.update(element_ids)
+        shared = records.get((number, ids))
+        if shared is None or not (shared[0] is elements or shared[0] == elements):
+            # Arrival order hashes as the set does (``hash_epoch`` sorts the
+            # encodings), and timsort is cheap on nearly sorted input.
+            shared = (elements, frozenset(elements), hash_epoch(number, elements), ids)
+            records.setdefault((number, ids), shared)  # a first record stays
+        _, content, epoch_hash, ids = shared
+        self._history[number] = content
+        self._epoched_ids.update(ids)
         if self.metrics is not None:
-            self.metrics.record_epoch_assigned_many(element_ids, number,
-                                                    self.sim.now, self.name)
-        proof = create_epoch_proof(self.scheme, self.keypair, number, elements,
+            self.metrics.record_epoch_assigned_many(ids, number, self.sim.now,
+                                                    self.name)
+        proof = create_epoch_proof(self.scheme, self.keypair, number, content,
                                    epoch_hash)
         self._epoch_hashes[number] = epoch_hash
         if self._future_proofs:
@@ -634,14 +639,12 @@ class BaseSetchainServer(NetworkNode, Application):
     # -- hooks implemented by the concrete algorithms --------------------------------
 
     def _after_add(self, element: Element) -> None:
-        """What to do with a freshly added element (append vs collect)."""
-        raise NotImplementedError
+        """The run of one of :meth:`_after_add_many`."""
+        self._after_add_many([element])
 
     def _after_add_many(self, elements: list[Element]) -> None:
-        """Batched :meth:`_after_add`; subclasses override with a columnar path."""
-        after_add = self._after_add
-        for element in elements:
-            after_add(element)
+        """What to do with freshly added elements (append vs collect)."""
+        raise NotImplementedError
 
     def _handle_txs(self, block: Block, txs: Sequence[Transaction],
                     start: int) -> int:

@@ -19,11 +19,12 @@ class BatchRecord:
     pins it, so the ``id`` cannot be reused).  It holds the ``digest`` (the
     flush's own ``hash_batch`` or the first match check's, else ``None``),
     the valid ``elements``, their ``ids`` and the ``proofs`` in item order,
-    whether the ids are ``unique``, the summed ``size`` a ``Request_batch``
-    reply carries, and the lazily built :attr:`content`."""
+    whether the ids are ``unique`` and the summed ``size`` a
+    ``Request_batch`` reply carries.  An epoch filled from a clean batch is
+    ``ids`` and ``elements`` as they stand (its frozenset lives in
+    ``scheme.epoch_records``, keyed by this very ``ids`` tuple)."""
 
-    __slots__ = ("items", "digest", "elements", "ids", "proofs", "unique",
-                 "size", "_content")
+    __slots__ = ("items", "digest", "elements", "ids", "proofs", "unique", "size")
 
     def __init__(self, items: tuple[object, ...], digest: str | None = None) -> None:
         self.items = items
@@ -45,14 +46,6 @@ class BatchRecord:
         self.proofs = tuple(proofs)
         self.unique = len(set(ids)) == len(ids)
         self.size = size
-        self._content: frozenset[Element] | None = None
-
-    @property
-    def content(self) -> frozenset[Element]:
-        """``frozenset(elements)``, built once, at the first epoch fill."""
-        if self._content is None:
-            self._content = frozenset(self.elements)
-        return self._content
 
 
 def batch_record(items: tuple[object, ...], records: dict[int, BatchRecord]) -> BatchRecord:

@@ -47,12 +47,9 @@ class CompresschainServer(BaseSetchainServer):
 
     # -- add path -----------------------------------------------------------------
 
-    def _after_add(self, element: Element) -> None:
-        # §3 Compresschain line 5: add_to_batch(e).
-        self.collector.add(element)
-
     def _after_add_many(self, elements: list[Element]) -> None:
-        # Same flush boundaries as per-element adds, one slice-extend per flush.
+        # §3 Compresschain line 5: add_to_batch(e) — the same flush
+        # boundaries as per-element adds, one slice-extend per flush.
         self.collector.add_many(elements)
 
     def add_to_batch(self, item: object) -> None:
@@ -71,7 +68,7 @@ class CompresschainServer(BaseSetchainServer):
         self.batches_appended += 1
         if self.metrics is not None:
             element_ids = [item.element_id for item in batch if isinstance(item, Element)]
-            self.metrics.record_tx_elements(tx.tx_id, element_ids)
+            self.metrics.record_tx_elements([(tx.tx_id, element_ids)])
             self.metrics.record_batch_flush(self.name, len(batch),
                                             compressed.compressed_size, self.sim.now,
                                             element_ids)
@@ -119,7 +116,7 @@ class CompresschainServer(BaseSetchainServer):
         # hence batches, forever.
         if new_epoch:
             proof = self._byz_outgoing_proof(
-                self._record_new_epoch(frozenset(new_epoch.values()), block))
+                self._record_new_epoch(tuple(new_epoch), tuple(new_epoch.values()), block))
             if proof is not None and not self.bootstrapping:
                 self.add_to_batch(proof)
         self._finish_after(duration)

@@ -131,12 +131,9 @@ class HashchainServer(BaseSetchainServer):
 
     # -- add path -------------------------------------------------------------------
 
-    def _after_add(self, element: Element) -> None:
-        # §3 Hashchain line 5: add_to_batch(e).
-        self.collector.add(element)
-
     def _after_add_many(self, elements: list[Element]) -> None:
-        # Same flush boundaries as per-element adds, one slice-extend per flush.
+        # §3 Hashchain line 5: add_to_batch(e) — the same flush boundaries
+        # as per-element adds, one slice-extend per flush.
         self.collector.add_many(elements)
 
     def add_to_batch(self, item: object) -> None:
@@ -170,7 +167,7 @@ class HashchainServer(BaseSetchainServer):
             if len(element_ids) + len(record.proofs) != len(items):
                 element_ids = tuple([item.element_id for item in items
                                      if isinstance(item, Element)])
-            self.metrics.record_tx_elements(tx.tx_id, element_ids)
+            self.metrics.record_tx_elements([(tx.tx_id, element_ids)])
             self.metrics.record_batch_hash_elements(digest, element_ids)
             self.metrics.record_batch_flush(self.name, len(items), HASH_BATCH_SIZE,
                                             self.sim.now, element_ids, signed=True)
@@ -514,23 +511,22 @@ class HashchainServer(BaseSetchainServer):
             block = self._fill_meta.pop(digest)
             # G (line 42): the valid elements no epoch holds *now*, the last
             # of a duplicate id winning — with unique ids, none epoched, the
-            # record's one shared frozenset.  An unscanned batch (shared-store
-            # fill) feeds the_set first.
+            # record's own id and element tuples.  An unscanned batch
+            # (shared-store fill) feeds the_set first.
             record = self._scanned_elements.pop(digest, None)
             if record is None:
                 record = batch_record(items, self.scheme.batch_records)
                 self._feed_the_set(record)
             epoched = self._epoched_ids
-            if record.unique and epoched.isdisjoint(record.ids):
-                fresh = record.content
-            else:
-                fresh = frozenset({
-                    element_id: element
-                    for element_id, element in zip(record.ids, record.elements)
-                    if element_id not in epoched}.values())
-            if fresh:
+            ids, elements = record.ids, record.elements
+            if not (record.unique and epoched.isdisjoint(ids)):
+                fresh = {element_id: element
+                         for element_id, element in zip(ids, elements)
+                         if element_id not in epoched}
+                ids, elements = tuple(fresh), tuple(fresh.values())
+            if ids:
                 proof = self._byz_outgoing_proof(
-                    self._record_new_epoch(fresh, block))
+                    self._record_new_epoch(ids, elements, block))
                 if proof is not None and not self.bootstrapping:
                     self.add_to_batch(proof)
 

@@ -11,6 +11,7 @@ baseline the other two algorithms improve on.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import is_
 from typing import Sequence
 
 from ..config import EPOCH_PROOF_SIZE, SetchainConfig
@@ -40,11 +41,16 @@ class VanillaServer(BaseSetchainServer):
 
     # -- add path -----------------------------------------------------------------
 
-    def _after_add(self, element: Element) -> None:
-        # Appendix B line 6: L.append(e) — one ledger transaction per element.
-        tx = self._append_to_ledger(element, element.size_bytes)
+    def _after_add_many(self, elements: list[Element]) -> None:
+        # Appendix B line 6: L.append(e) — one ledger transaction per element,
+        # the burst handed to the ledger in one call.
+        origin, now = self.name, self.sim.now
+        txs = [Transaction(element, element.size_bytes, origin, None, now)
+               for element in elements]
+        self.ledger.append_many(txs)
         if self.metrics is not None:
-            self.metrics.record_tx_elements(tx.tx_id, [element.element_id])
+            self.metrics.record_tx_elements(
+                [(tx.tx_id, (tx.payload.element_id,)) for tx in txs])
 
     # -- block processing -----------------------------------------------------------
 
@@ -99,14 +105,20 @@ class VanillaServer(BaseSetchainServer):
 
     def _handle_block_end(self, block: Block) -> None:
         # Appendix B lines 13-18: the block's valid new elements become an epoch.
-        if not self._block_elements:
+        candidates = self._block_elements
+        if not candidates:
             return
-        new_epoch = frozenset(self._block_elements.values())
         self._block_elements = {}
+        ids, elements = tuple(candidates), tuple(candidates.values())
+        # First id wins in the_set: one update when every id it holds already
+        # maps to that very element (the usual case), else a test per id.
         the_set = self._the_set
-        for element in new_epoch:
-            the_set.setdefault(element.element_id, element)
-        proof = self._byz_outgoing_proof(self._record_new_epoch(new_epoch, block))
+        if all(map(is_, map(the_set.get, ids, elements), elements)):
+            the_set.update(zip(ids, elements))
+        else:
+            for element_id, element in zip(ids, elements):
+                the_set.setdefault(element_id, element)
+        proof = self._byz_outgoing_proof(self._record_new_epoch(ids, elements, block))
         if proof is not None and not self.bootstrapping:
             self._append_to_ledger(proof, EPOCH_PROOF_SIZE)
 

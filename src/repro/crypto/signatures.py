@@ -68,8 +68,10 @@ class SignatureScheme(ABC):
         self.cache_evictions = 0
         #: ``id(batch tuple) -> core.batch_store.BatchRecord``, seeded at flush.
         self.batch_records: dict[int, object] = {}
-        #: ``(number, content) -> (content, hash_epoch, ids)``, one per epoch.
-        self.epoch_records: dict[tuple[int, frozenset], tuple] = {}
+        #: ``(number, ids) -> (elements, frozenset, hash_epoch, ids)``, one per
+        #: epoch: ids and elements in arrival order, the first server's; a
+        #: later server shares it when its elements are equal to them.
+        self.epoch_records: dict[tuple[int, tuple], tuple] = {}
 
     @abstractmethod
     def generate_keypair(self, owner: str, deployment_seed: int = 0) -> KeyPair:

@@ -13,6 +13,7 @@ pieces the algorithms actually use:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 from .types import Block, Transaction
 
@@ -39,12 +40,20 @@ class LedgerInterface(ABC):
 
     Matches the paper's two endpoints: ``append(tx)`` and block notifications
     (delivered by calling :meth:`Application.finalize_block` on the subscribed
-    application).
+    application).  A backend implements one append body,
+    :meth:`append_many`; ``append`` is its run of one, the way ``add`` is for
+    ``add_many`` on a server.
     """
 
-    @abstractmethod
     def append(self, tx: Transaction) -> None:
         """Submit a transaction for eventual inclusion in a block."""
+        self.append_many((tx,))
+
+    @abstractmethod
+    def append_many(self, txs: Sequence[Transaction]) -> None:
+        """Submit a burst of transactions, in order: exactly what calling
+        :meth:`append` on each in turn would do, with the per-call work
+        (dispatch, admission of pending traffic) paid once per burst."""
 
     @abstractmethod
     def subscribe(self, app: Application) -> None:

@@ -26,6 +26,7 @@ Ledger Properties 9-11.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from typing import Sequence
 
 from ...config import LedgerConfig
 from ...errors import ConsensusError, MempoolFullError
@@ -151,29 +152,31 @@ class CometBFTNode(NetworkNode, LedgerInterface):
 
     # -- LedgerInterface -------------------------------------------------------
 
-    def append(self, tx: Transaction) -> None:
-        """``BroadcastTxAsync``: validate, admit to the local mempool, gossip."""
+    def append_many(self, txs: Sequence[Transaction]) -> None:
+        """``BroadcastTxAsync`` per transaction: validate, admit to the local
+        mempool, gossip.  Nothing in a burst reaches this node's own inbox,
+        so the gossip that arrived before it is admitted once, up front."""
         if self.crashed:
             return
-        if self.app is not None and not self.app.check_tx(tx):
-            return
         self._admit_gossip()
-        now = self.sim.now
-        try:
-            fresh = self.mempool.add(tx, now)
-        except MempoolFullError:
-            return
-        if not fresh:
-            return
-        # The fan-out of ``_broadcast_validators``, each copy filed with its
-        # recipient instead of scheduled.
+        app, now = self.app, self.sim.now
         network, take_seq = self.network, self.sim.take_seq
         peers = self._peer_validators
-        for peer in peers:
-            for delay in network.fate(self.name, peer, "tx", tx, tx.size_bytes):
-                heappush(network.node(peer)._inbox, (now + delay, take_seq(), tx))
-        self.messages_sent += len(peers)
-        self.bytes_sent += tx.size_bytes * len(peers)
+        for tx in txs:
+            if app is not None and not app.check_tx(tx):
+                continue
+            try:
+                if not self.mempool.add(tx, now):
+                    continue
+            except MempoolFullError:
+                continue
+            # The fan-out of ``_broadcast_validators``, each copy filed with
+            # its recipient instead of scheduled.
+            for peer in peers:
+                for delay in network.fate(self.name, peer, "tx", tx, tx.size_bytes):
+                    heappush(network.node(peer)._inbox, (now + delay, take_seq(), tx))
+            self.messages_sent += len(peers)
+            self.bytes_sent += tx.size_bytes * len(peers)
 
     def _admit_gossip(self) -> None:
         """Take in every gossiped transaction that has arrived by now.

@@ -11,6 +11,7 @@ not the quantity being measured.
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 from ..config import LedgerConfig
 from ..errors import LedgerError
@@ -34,8 +35,6 @@ class IdealLedger:
         self._height = 0
         self.blocks: list[Block] = []
         self._producer = PeriodicTask(sim, self.config.block_interval, self._produce_block)
-        #: tx_id -> simulated time the transaction reached the sequencer.
-        self.arrival_times: dict[int, float] = {}
         #: tx_id -> height of the block that included it.
         self.inclusion_height: dict[int, int] = {}
 
@@ -54,13 +53,23 @@ class IdealLedger:
         """A per-server handle implementing :class:`LedgerInterface`."""
         return IdealLedgerHandle(self, owner)
 
-    def submit(self, tx: Transaction) -> None:
-        """Accept a transaction into the shared pending queue (exactly once)."""
-        if tx.tx_id in self._pending_ids or tx.tx_id in self.inclusion_height:
-            return
-        self._pending.append(tx)
-        self._pending_ids.add(tx.tx_id)
-        self.arrival_times.setdefault(tx.tx_id, self.sim.now)
+    def submit(self, txs: Sequence[Transaction]) -> None:
+        """Accept a burst into the shared pending queue, each id once: a
+        transaction already pending or included, or repeated within the
+        burst, is dropped (its first fresh copy counts)."""
+        pending_ids, included = self._pending_ids, self.inclusion_height
+        ids = {tx.tx_id for tx in txs}
+        if (len(ids) != len(txs) or not ids.isdisjoint(pending_ids)
+                or not included.keys().isdisjoint(ids)):
+            ids, fresh = set(), []
+            for tx in txs:
+                if not (tx.tx_id in ids or tx.tx_id in pending_ids
+                        or tx.tx_id in included):
+                    ids.add(tx.tx_id)
+                    fresh.append(tx)
+            txs = fresh
+        self._pending.extend(txs)
+        pending_ids.update(ids)
 
     def subscribe(self, app: Application) -> None:
         if app in self._apps:
@@ -77,30 +86,29 @@ class IdealLedger:
         return len(self._pending)
 
     def _produce_block(self) -> None:
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return
-        budget = self.config.block_size_bytes
-        included: list[Transaction] = []
-        while self._pending:
-            tx = self._pending[0]
-            if tx.size_bytes > budget and included:
-                break
-            if tx.size_bytes > self.config.block_size_bytes:
-                # A single transaction larger than a block still goes alone,
-                # mirroring CometBFT's behaviour of never splitting a tx.
-                if included:
-                    break
-            included.append(self._pending.popleft())
-            self._pending_ids.discard(tx.tx_id)
+        # The longest head that fits, and at least the first transaction (one
+        # larger than a block goes alone: CometBFT never splits a tx).  Only
+        # the head is read, so a cut costs O(block), never O(backlog).
+        budget, count = self.config.block_size_bytes, 0
+        for tx in pending:
             budget -= tx.size_bytes
+            if budget < 0 and count:
+                break
+            count += 1
             if budget <= 0:
                 break
+        popleft = pending.popleft
+        included = tuple([popleft() for _ in range(count)])
+        ids = [tx.tx_id for tx in included]
+        self._pending_ids.difference_update(ids)
         self._height += 1
-        block = Block(height=self._height, transactions=tuple(included),
+        block = Block(height=self._height, transactions=included,
                       proposer="sequencer", timestamp=self.sim.now)
         self.blocks.append(block)
-        for tx in included:
-            self.inclusion_height[tx.tx_id] = block.height
+        self.inclusion_height.update(dict.fromkeys(ids, block.height))
         # Durability point: the block must be persisted before any application
         # observes it, so a crash can only lose blocks no app has acted on.
         self._persist_block(block)
@@ -123,8 +131,8 @@ class IdealLedgerHandle(LedgerInterface):
         self._ledger = ledger
         self.owner = owner
 
-    def append(self, tx: Transaction) -> None:
-        self._ledger.submit(tx)
+    def append_many(self, txs: Sequence[Transaction]) -> None:
+        self._ledger.submit(txs)
 
     def subscribe(self, app: Application) -> None:
         self._ledger.subscribe(app)

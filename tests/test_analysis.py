@@ -190,7 +190,6 @@ def test_efficiency_profile_matches_paper_semantics():
     assert profile.at_50 == pytest.approx(0.25)
     assert profile.at_75 == pytest.approx(0.5)
     assert profile.at_100 == pytest.approx(0.75)
-    assert not profile.fully_efficient
     assert profile.as_dict() == {"50s": 0.25, "75s": 0.5, "100s": 0.75}
 
 
@@ -218,7 +217,7 @@ def test_stage_latencies_reconstructs_mempool_stages():
     metrics = MetricsCollector()
     element = make_element("c", 100)
     metrics.record_injected_many([element], 0.0)
-    metrics.record_tx_elements(42, [element.element_id])
+    metrics.record_tx_elements([(42, (element.element_id,))])
     metrics.record_in_ledger_many([element.element_id], 3.0)
     metrics.record_epoch_committed(1, [element], 5.0)
     arrivals = [{42: 1.0}, {42: 1.5}, {42: 2.0}]  # three mempools
@@ -239,11 +238,10 @@ def test_commit_time_quantiles():
                                                 81.0, 82.0, 83.0, 84.0, 85.0)])
     summary = commit_time_quantiles(metrics)
     assert summary.first_element == 5.0
-    assert summary.time_for(0.1) == 5.0
-    assert summary.time_for(0.5) == 80.0
-    assert summary.reached_half
+    assert summary.fraction_times[0.1] == 5.0
+    assert summary.fraction_times[0.5] == 80.0
     partial = commit_time_quantiles(metrics, total_added=100)
-    assert partial.time_for(0.5) is None
+    assert partial.fraction_times[0.5] is None
     with pytest.raises(ConfigurationError):
         commit_time_quantiles(metrics, fractions=(0.0,))
 

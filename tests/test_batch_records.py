@@ -1,6 +1,7 @@
 """One batch record per flushed tuple: every Hashchain server that checks,
-serves, absorbs or fills a batch reads the split, the digest, the size and
-the epoch content the deployment worked out once for that tuple.
+serves, absorbs or fills a batch reads the split, the digest and the size
+the deployment worked out once for that tuple, and an epoch filled from it
+is the record's id and element tuples, frozen once in the epoch record.
 
 The oracle for absorb and fill is the per-item code the record replaced,
 kept below as :class:`ReferenceServer`: each server walked the
@@ -86,7 +87,8 @@ class ReferenceServer(HashchainServer):
                         fresh[element.element_id] = element
             if fresh:
                 proof = self._byz_outgoing_proof(
-                    self._record_new_epoch(frozenset(fresh.values()), block))
+                    self._record_new_epoch(tuple(fresh), tuple(fresh.values()),
+                                           block))
                 if proof is not None and not self.bootstrapping:
                     self.add_to_batch(proof)
 
@@ -199,13 +201,17 @@ def test_the_fast_branches_share_one_record_and_one_frozenset():
     record = origin.scheme.batch_records[id(items)]
     assert record.digest is None  # absorbing never sets it
     assert list(peer._the_set.values()) == list(items)
-    assert origin.epoch_elements(1) is peer.epoch_elements(1) is record.content
-    assert list(record.content) == list(frozenset(items))
+    epoch = origin.epoch_elements(1)
+    assert peer.epoch_elements(1) is epoch
+    assert list(epoch) == list(frozenset(items))
+    (key, (elements, content, _, ids)), = origin.scheme.epoch_records.items()
+    assert key == (1, record.ids) and content is epoch
+    assert ids is record.ids and elements is record.elements
 
 
 # -- the record itself -----------------------------------------------------------------
 
-def test_a_record_splits_sizes_and_builds_its_content_once():
+def test_a_record_splits_and_sizes_its_batch():
     valid = [make_element("client", size) for size in (100, 250, 7)]
     invalid = make_element("client", 50, valid=False)
     proof = EpochProof(1, "hash", b"signature", "server-0")
@@ -217,11 +223,10 @@ def test_a_record_splits_sizes_and_builds_its_content_once():
     assert record.proofs == (proof,)
     assert record.unique
     assert record.size == 100 + 50 + proof.size_bytes + 250 + 7
-    assert record._content is None
-    assert record.content is record.content == frozenset(valid)
     twin = Element(valid[0].element_id, "client", 999, "other")
     assert not BatchRecord((valid[0], twin)).unique
-    assert BatchRecord((), "digest").content == frozenset()
+    empty = BatchRecord((), "digest")
+    assert empty.elements == empty.ids == empty.proofs == () and empty.unique
 
 
 class _Ledger:
@@ -304,9 +309,12 @@ def test_a_fault_free_run_builds_one_record_per_flush():
     for record in built:
         assert record.digest == hash_batch(record.items)
         assert record.size == sum(item.size_bytes for item in record.items)
-    # Each epoch is one record's content, the same object at every server.
-    for number in range(1, servers[0].epoch + 1):
-        epoch = servers[0].epoch_elements(number)
-        assert all(server.epoch_elements(number) is epoch for server in servers)
-        assert any(record._content is epoch for record in built)
+    # Each epoch is one record's ids and elements, frozen once: the same
+    # frozenset at every server.
+    epoch_records = servers[0].scheme.epoch_records
+    assert len(epoch_records) == servers[0].epoch
+    for (number, ids), (elements, content, _, _) in epoch_records.items():
+        assert all(server.epoch_elements(number) is content for server in servers)
+        assert any(record.ids is ids and record.elements is elements
+                   for record in built)
     assert deployment.metrics.committed_count == 4000

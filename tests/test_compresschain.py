@@ -73,7 +73,7 @@ def test_compression_reduces_appended_bytes(sim, cluster, ideal_ledger,
 
 def test_foreign_garbage_transactions_are_skipped(sim, cluster, ideal_ledger):
     from repro.ledger.types import new_transaction
-    ideal_ledger.submit(new_transaction("not-a-batch", 50, "byzantine"))
+    ideal_ledger.submit([new_transaction("not-a-batch", 50, "byzantine")])
     cluster[0].add(make_element("c", 100))
     sim.run_until(5.0)
     views = {s.name: s.get() for s in cluster}
@@ -87,7 +87,7 @@ def test_invalid_elements_inside_batches_are_filtered(sim, cluster, ideal_ledger
     bad = make_element("byz", 100, valid=False)
     good_foreign = make_element("byz", 100)
     batch = ModelCompressor().compress([bad, good_foreign], 200)
-    ideal_ledger.submit(new_transaction(batch, batch.compressed_size, "byzantine"))
+    ideal_ledger.submit([new_transaction(batch, batch.compressed_size, "byzantine")])
     sim.run_until(5.0)
     for server in cluster:
         view = server.get()

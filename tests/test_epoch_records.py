@@ -1,10 +1,11 @@
 """One epoch record per deployment: every server that derives an epoch's
-content shares its frozenset, its hash and its id list, and the metrics skip
-re-stamping a record they stamped in full.
+content — its ids and elements in arrival order — shares its frozenset, its
+hash and its id tuple, and the metrics skip re-stamping a record they stamped
+in full.
 
 The oracle for the hash is a fresh ``hash_epoch`` over the server's own
-history; for the metrics, the full element loop (a collector that is never
-handed the same immutable object twice).
+history; for the metrics, the replaced per-element commit loop, kept below
+(a collector that is never handed the same immutable object twice).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Scenario, Session
-from repro.analysis.metrics import MetricsCollector
+from repro.analysis.metrics import ElementRecord, MetricsCollector
 from repro.config import SetchainConfig
 from repro.core import base, proofs, validation
 from repro.core import hashchain as hashchain_module
@@ -32,10 +33,11 @@ _examples = settings(max_examples=40, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
-def _copies(specs: list[tuple[int, int]]) -> frozenset[Element]:
-    """Fresh ``Element`` objects, equal by value to any other copy."""
-    return frozenset(Element(element_id, "client", size, f"digest-{element_id}")
-                     for element_id, size in specs)
+def _copies(specs: list[tuple[int, int]], digest: str = "digest") -> tuple[Element, ...]:
+    """Fresh ``Element`` objects in ``specs`` order, equal by value to any
+    other copy with the same ``digest`` prefix."""
+    return tuple(Element(element_id, "client", size, f"{digest}-{element_id}")
+                 for element_id, size in specs)
 
 
 def _servers(count: int) -> tuple[SimulatedScheme, list[VanillaServer]]:
@@ -47,14 +49,20 @@ def _servers(count: int) -> tuple[SimulatedScheme, list[VanillaServer]]:
                     for i in range(count)]
 
 
-def _checked(scheme, server, number: int, content: frozenset[Element]):
-    """Record ``content`` as the server's next epoch (which must be
-    ``number``) and check its hash and proof against a fresh hash."""
-    proof = server._record_new_epoch(content, None)
-    fresh = hash_epoch(number, content)
+def _ids(elements: tuple[Element, ...]) -> tuple[int, ...]:
+    return tuple(element.element_id for element in elements)
+
+
+def _checked(scheme, server, number: int, elements: tuple[Element, ...]):
+    """Record ``elements`` (arrival order) as the server's next epoch (which
+    must be ``number``) and check its set, hash and proof against a fresh
+    hash of the set."""
+    proof = server._record_new_epoch(_ids(elements), elements, None)
+    fresh = hash_epoch(number, frozenset(elements))
     assert proof.epoch_number == number == server.epoch
     assert proof.epoch_hash == server._epoch_hashes[number] == fresh
-    assert server.epoch_elements(number) == content
+    assert server.epoch_elements(number) == frozenset(elements)
+    assert isinstance(server.epoch_elements(number), frozenset)
     assert scheme.verify(server.name, epoch_proof_payload(number, fresh),
                          proof.signature)
     return proof
@@ -62,31 +70,51 @@ def _checked(scheme, server, number: int, content: frozenset[Element]):
 
 # -- the shared record ------------------------------------------------------------
 
+_SPECS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 5000)),
+                  min_size=1, max_size=20, unique_by=lambda spec: spec[0])
+
 
 @_examples
-@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 5000)),
-                min_size=1, max_size=20, unique_by=lambda spec: spec[0]))
+@given(_SPECS)
 def test_the_record_is_keyed_by_exact_content_and_number(specs):
-    scheme, (first, twin, other, later) = _servers(4)
-    content, copy = _copies(specs), _copies(specs)
-    assert content == copy and not any(a is b for a in content for b in copy)
+    scheme, (first, twin, forged, other, later) = _servers(5)
+    elements, copy = _copies(specs), _copies(specs)
+    assert elements == copy and not any(a is b for a, b in zip(elements, copy))
+    unequal = _copies(specs, digest="forged")
     extra = max(element_id for element_id, _ in specs) + 1
     different = _copies(specs + [(extra, 100)])
 
-    _checked(scheme, first, 1, content)
-    # Equal by value, distinct objects: the twin keeps the first frozenset.
+    _checked(scheme, first, 1, elements)
+    shared = first.epoch_elements(1)
+    # Equal by value, distinct objects, same arrival order: the twin keeps
+    # the first frozenset.
     _checked(scheme, twin, 1, copy)
-    assert twin.epoch_elements(1) is first.epoch_elements(1) is content
-    # Two contents at one number: two records, two hashes.
+    assert twin.epoch_elements(1) is shared
+    # The same ids with unequal elements: their own frozenset and hash, and
+    # the first record stays.
+    _checked(scheme, forged, 1, unequal)
+    assert forged.epoch_elements(1) is not shared
+    assert forged._epoch_hashes[1] != first._epoch_hashes[1]
+    assert scheme.epoch_records[1, _ids(elements)][1] is shared
+    # Other ids at one number: another record, another hash.
     _checked(scheme, other, 1, different)
-    assert other.epoch_elements(1) is different
     assert other._epoch_hashes[1] != first._epoch_hashes[1]
-    # One content at two numbers: the number is part of the key.
     _checked(scheme, later, 1, different)
+    assert later.epoch_elements(1) is other.epoch_elements(1)
+    # The same ids at another number: the number is part of the key.
     _checked(scheme, later, 2, copy)
     assert later._epoch_hashes[2] != first._epoch_hashes[1]
-    assert later.epoch_elements(2) is copy
+    assert later.epoch_elements(2) is not shared
     assert len(scheme.epoch_records) == 3
+
+
+@_examples
+@given(_SPECS, st.data())
+def test_an_epoch_hashes_alike_in_every_arrival_order(specs, data):
+    elements = _copies(specs)
+    order = tuple(data.draw(st.permutations(elements)))
+    number = data.draw(st.integers(1, 10**6))
+    assert hash_epoch(number, order) == hash_epoch(number, frozenset(elements))
 
 
 @pytest.mark.parametrize("name", ["bench/vanilla", "bench/compresschain",
@@ -132,6 +160,19 @@ def test_a_fault_free_hashchain_run_hashes_each_epoch_and_batch_once():
     assert session.deployment.metrics.committed_count == 4000
 
 
+def test_a_fault_free_vanilla_run_holds_one_frozenset_per_epoch():
+    session = (Scenario.vanilla().servers(4).rate(2000).inject_for(1).drain(5)
+               .backend("ideal").seed(5).session().start().run())
+    servers = session.deployment.servers
+    epochs = servers[0].epoch
+    assert epochs > 1 and all(server.epoch == epochs for server in servers)
+    for number in range(1, epochs + 1):
+        epoch = servers[0].epoch_elements(number)
+        assert all(server.epoch_elements(number) is epoch for server in servers)
+    assert len(servers[0].scheme.epoch_records) == epochs
+    assert session.deployment.metrics.committed_count == 2000
+
+
 # -- frozen epochs ------------------------------------------------------------------
 
 
@@ -160,8 +201,39 @@ _OBSERVERS = ["s0", "s1", "s2", "s3"]
 _ELEMENTS = [Element(i, "client", 100 + i, f"digest-{i}") for i in range(10)]
 
 
-def _collector() -> MetricsCollector:
-    metrics = MetricsCollector()
+class ReferenceCollector(MetricsCollector):
+    """The commit stamp as it was: region and shard tallies per element, and
+    never a skipped repeat."""
+
+    def record_epoch_committed(self, epoch_number, elements, time, observer="?"):
+        if epoch_number not in self.epoch_commit_times:
+            self.epoch_commit_times[epoch_number] = time
+        region = self.region_of.get(observer)
+        shard = self.shard_of.get(observer)
+        records = self.elements
+        for element in elements:
+            element_id = element.element_id
+            record = records.get(element_id)
+            if record is None:
+                records[element_id] = record = ElementRecord(element_id=element_id)
+            if record.committed_at is None:
+                record.committed_at = time
+                self._committed_total += 1
+                if record.injected_at is not None:
+                    self.committed_injected += 1
+                if region is not None:
+                    self.region_committed[region] = (
+                        self.region_committed.get(region, 0) + 1)
+                    if region not in self.region_first_commit:
+                        self.region_first_commit[region] = time
+                if shard is not None:
+                    self.shard_committed[shard] = (
+                        self.shard_committed.get(shard, 0) + 1)
+                    self.shard_commit_times.setdefault(shard, []).append(time)
+
+
+def _collector(kind: type[MetricsCollector] = MetricsCollector) -> MetricsCollector:
+    metrics = kind()
     metrics.set_region_map({"s0": "eu", "s1": "eu", "s2": "us", "s3": "us"})
     metrics.set_shard_map({"s0": 0, "s1": 0, "s2": 1, "s3": 1})
     metrics.record_injected_many(_ELEMENTS[::2], 0.5)
@@ -177,7 +249,7 @@ def _collector() -> MetricsCollector:
 def test_skipped_repeats_stamp_exactly_what_the_full_loop_stamps(contents, calls):
     records = [(content, tuple(element.element_id for element in content))
                for content in contents]
-    shared, full = _collector(), _collector()
+    shared, full = _collector(), _collector(ReferenceCollector)
     for commit, index, number, time, observer in calls:
         content, ids = records[index % len(records)]
         if commit:

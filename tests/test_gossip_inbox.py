@@ -3,7 +3,8 @@ validator's mempool, its counters and the network's show must be what one
 delivery event per (transaction, peer) showed.
 
 The oracle is the replaced node, kept here: ``append`` multicasts a ``"tx"``
-message to every peer validator and a handler admits it on delivery.  Each
+message to every peer validator and a handler admits it on delivery, and a
+burst (``append_many``) is its transactions appended one at a time.  Each
 case plays one script in both worlds and compares everything gossip touches
 — arrival times, mempool order and refusals, per-node and network counters,
 the committed chains — at every stop of the clock.
@@ -54,6 +55,10 @@ class PerEventNode(CometBFTNode):
             return
         if fresh:
             self._broadcast_validators("tx", tx, size_bytes=tx.size_bytes)
+
+    def append_many(self, txs) -> None:
+        for tx in txs:
+            self.append(tx)
 
     def _on_tx(self, message: Message) -> None:
         tx: Transaction = message.payload
@@ -112,6 +117,17 @@ class World:
             self.txs[label] = tx
             self.nodes[index].append(tx)
         self.sim.call_at(time, append)
+
+    def burst_at(self, time: float, index: int, labels: list[str]) -> None:
+        """One ``append_many`` of ``labels``: a label seen before re-appends
+        its transaction."""
+        def burst() -> None:
+            for label in labels:
+                if label not in self.txs:
+                    self.txs[label] = new_transaction(label, 100,
+                                                      self.nodes[index].name)
+            self.nodes[index].append_many([self.txs[label] for label in labels])
+        self.sim.call_at(time, burst)
 
     def arrival(self, index: int, label: str) -> float | None:
         return self.nodes[index].mempool.arrival_times.get(
@@ -190,6 +206,22 @@ def test_every_stop_of_the_clock_shows_the_per_event_schedule(latency_of,
     assert quick
     assert all(len(node.mempool.arrival_times) == len(world.txs)
                for node in world.nodes)
+
+
+def test_a_burst_is_its_transactions_appended_one_by_one():
+    """One ``append_many`` per burst — fresh transactions, one twice in the
+    burst, one re-appended from the last burst, some refused by a full
+    mempool — against the oracle appending them one at a time."""
+    def script(world: World) -> None:
+        for k in range(16):
+            labels = [f"b{k}-{j}" for j in range(k % 4 + 1)]
+            labels += labels[:1] + ([f"b{k - 1}-0"] if k else [])
+            world.burst_at(0.15 * k, k % 4, labels)
+
+    world = both(lan, script, [0.013 * k for k in range(1, 300)],
+                 mempool_max_txs=5)
+    assert any(node.mempool.rejected for node in world.nodes)
+    assert len(world.node(0).committed_blocks) >= 2
 
 
 def test_gossip_costs_no_simulator_event():

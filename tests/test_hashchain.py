@@ -85,7 +85,7 @@ def test_unresolvable_hash_batch_is_skipped(sim, cluster, ideal_ledger, scheme):
     hb = HashBatch(batch_hash=bogus_hash,
                    signature=scheme.sign(keypair, hash_batch_payload(bogus_hash)),
                    signer="server-1")  # claims server-1 signed it -> signature invalid
-    ideal_ledger.submit(new_transaction(hb, HASH_BATCH_SIZE, "outsider"))
+    ideal_ledger.submit([new_transaction(hb, HASH_BATCH_SIZE, "outsider")])
     elements = fill_collector(cluster[0], 10)
     sim.run_until(15.0)
     for server in cluster:

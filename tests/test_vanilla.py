@@ -64,7 +64,7 @@ def test_invalid_elements_in_ledger_are_not_epoched(sim, cluster, ideal_ledger):
     from repro.ledger.types import new_transaction
     bad = make_element("byz", 100, valid=False)
     good = make_element("c", 100)
-    ideal_ledger.submit(new_transaction(bad, bad.size_bytes, "byzantine"))
+    ideal_ledger.submit([new_transaction(bad, bad.size_bytes, "byzantine")])
     cluster[0].add(good)
     sim.run_until(5.0)
     for server in cluster:
@@ -78,8 +78,8 @@ def test_duplicate_ledger_entries_epoched_once(sim, cluster, ideal_ledger):
     from repro.ledger.types import new_transaction
     element = make_element("c", 100)
     # A Byzantine server replays the same element as two ledger transactions.
-    ideal_ledger.submit(new_transaction(element, element.size_bytes, "byz-1"))
-    ideal_ledger.submit(new_transaction(element, element.size_bytes, "byz-2"))
+    ideal_ledger.submit([new_transaction(element, element.size_bytes, "byz-1"),
+                         new_transaction(element, element.size_bytes, "byz-2")])
     sim.run_until(5.0)
     for server in cluster:
         view = server.get()
