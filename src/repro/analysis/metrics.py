@@ -1,4 +1,4 @@
-"""Metrics collection: per-element lifecycle timestamps and system counters.
+"""Metrics collection: the element-lifecycle table and system counters.
 
 The paper instruments its deployment by collecting and post-processing logs;
 here the :class:`MetricsCollector` is handed to every server and client hook
@@ -6,10 +6,12 @@ and records the first time each lifecycle stage is reached *anywhere* in the
 deployment (global first-observation semantics, matching log analysis over all
 containers):
 
-``injected → added → in_ledger → epoch_assigned → committed``
+``injected → added → flushed → signed → in_ledger → epoch_assigned → committed``
 
-plus the mempool stages of Fig. 4 which are reconstructed post-run from the
-ledger nodes' mempool arrival tables.
+one :class:`ElementRecord` row per element — the one lifecycle table, which
+the tracer's spans, the telemetry and the trace exports read
+(:mod:`repro.obs.trace`) — plus the mempool stages of Fig. 4 which are
+reconstructed post-run from the ledger nodes' mempool arrival tables.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Mapping, Sequence
 
-from ..obs.trace import TRACK_LEDGER
+from ..obs.trace import TRACK_LEDGER, Tracer
 from ..workload.elements import Element
 
 
@@ -25,17 +27,19 @@ from ..workload.elements import Element
 class ElementRecord:
     """Lifecycle timestamps (simulated seconds) for one element.
 
-    ``slots=True`` matters at million-element scale: one record exists per
-    element, and the per-instance ``__dict__`` would otherwise dominate the
-    collector's memory footprint.
+    ``added_at`` is the tracer's ``collector_queued`` phase.  ``flushed_at``
+    and ``signed_at`` are stamped on traced runs only: no untraced analysis
+    reads them.  ``slots=True`` matters at million-element scale: one record
+    exists per element, and the per-instance ``__dict__`` would otherwise
+    dominate the collector's memory footprint.
     """
 
     element_id: int
-    size_bytes: int = 0
     injected_at: float | None = None
     added_at: float | None = None
+    flushed_at: float | None = None
+    signed_at: float | None = None
     in_ledger_at: float | None = None
-    epoch_number: int | None = None
     epoch_assigned_at: float | None = None
     committed_at: float | None = None
 
@@ -126,7 +130,7 @@ class MetricsCollector:
         self._commit_latencies_cache: tuple[int, list[float]] | None = None
         #: Lifecycle tracer, set by ``build_deployment`` when ``trace_sample``
         #: is configured; ``None`` keeps every hot path to one identity check.
-        self.tracer = None
+        self.tracer: Tracer | None = None
 
     # -- regions ---------------------------------------------------------------
 
@@ -185,13 +189,11 @@ class MetricsCollector:
             element_id = element.element_id
             record = records.get(element_id)
             if record is None:
-                records[element_id] = make(element_id, element.size_bytes, time)
+                records[element_id] = make(element_id, time)
                 fresh += 1
-            else:
-                record.size_bytes = element.size_bytes
-                if record.injected_at is None:
-                    record.injected_at = time
-                    fresh += 1
+            elif record.injected_at is None:
+                record.injected_at = time
+                fresh += 1
         self._injected_total += fresh
         if self.tracer is not None:
             self.tracer.injected_many(
@@ -210,9 +212,9 @@ class MetricsCollector:
             element_id = element.element_id
             record = records.get(element_id)
             if record is None:
-                records[element_id] = record = make(element_id=element_id)
-            record.size_bytes = element.size_bytes
-            if record.added_at is None:
+                records[element_id] = make(element_id, added_at=time)
+                fresh += 1
+            elif record.added_at is None:
                 record.added_at = time
                 fresh += 1
         if region is not None and fresh:
@@ -220,8 +222,7 @@ class MetricsCollector:
         if shard is not None and fresh:
             self.shard_added[shard] = self.shard_added.get(shard, 0) + fresh
         if self.tracer is not None:
-            self.tracer.phase_many([element.element_id for element in elements],
-                                   "collector_queued", time, server)
+            self.tracer.annotate(time, server, "collector_queued", len(elements))
 
     def record_tx_elements(self, pairs: Iterable[tuple[int, Sequence[int]]]) -> None:
         """``(tx_id, element ids the transaction carries)`` per appended
@@ -249,17 +250,15 @@ class MetricsCollector:
             if record.in_ledger_at is None or time < record.in_ledger_at:
                 record.in_ledger_at = time
         if self.tracer is not None:
-            phase_many = self.tracer.phase_many
-            for element_id, time in zip(element_ids, times):
-                phase_many((element_id,), "in_ledger", time, TRACK_LEDGER)
+            annotate = self.tracer.annotate
+            for time in times:
+                annotate(time, TRACK_LEDGER, "in_ledger", 1)
 
-    def record_in_ledger_many(self, element_ids: Iterable[int],
+    def record_in_ledger_many(self, element_ids: Collection[int],
                               time: float) -> None:
         """Every element of one ledger batch, observed at one instant — every
         server re-observes every batch, so this runs ``servers × elements``
         times per run."""
-        if self.tracer is not None:
-            element_ids = list(element_ids)
         records = self.elements
         make = ElementRecord
         for element_id in element_ids:
@@ -269,7 +268,7 @@ class MetricsCollector:
             if record.in_ledger_at is None or time < record.in_ledger_at:
                 record.in_ledger_at = time
         if self.tracer is not None:
-            self.tracer.phase_many(element_ids, "in_ledger", time, TRACK_LEDGER)
+            self.tracer.annotate(time, TRACK_LEDGER, "in_ledger", len(element_ids))
 
     def record_in_ledger_by_hash(self, batch_hash: str, time: float) -> None:
         if batch_hash in self._ledger_hash_done:
@@ -285,7 +284,7 @@ class MetricsCollector:
         """One epoch creation at ``server``: the first epoch an element lands
         in wins."""
         if self.tracer is not None:
-            self.tracer.phase_many(element_ids, "epoch_assigned", time, server)
+            self.tracer.annotate(time, server, "epoch_assigned", len(element_ids))
         if self._assigned_ids.get(epoch_number) is element_ids:
             return
         records = self.elements
@@ -293,10 +292,9 @@ class MetricsCollector:
         for element_id in element_ids:
             record = records.get(element_id)
             if record is None:
-                records[element_id] = record = make(element_id=element_id)
-            if record.epoch_assigned_at is None:
+                records[element_id] = make(element_id, epoch_assigned_at=time)
+            elif record.epoch_assigned_at is None:
                 record.epoch_assigned_at = time
-                record.epoch_number = epoch_number
         if isinstance(element_ids, tuple):
             self._assigned_ids[epoch_number] = element_ids
 
@@ -305,8 +303,7 @@ class MetricsCollector:
         if epoch_number not in self.epoch_commit_times:
             self.epoch_commit_times[epoch_number] = time
         if self.tracer is not None:
-            self.tracer.phase_many([e.element_id for e in elements],
-                                   "committed", time, observer)
+            self.tracer.annotate(time, observer, "committed", len(elements))
         if self._committed_content.get(epoch_number) is elements:
             return
         records = self.elements
@@ -339,14 +336,30 @@ class MetricsCollector:
                            time: float, element_ids: Sequence[int],
                            signed: bool = False) -> None:
         """One collector flush carrying ``element_ids``; ``signed`` when the
-        flush is also the instant the server signs the batch (Hashchain)."""
+        flush is also the instant the server signs the batch (Hashchain).
+
+        Only a traced run stamps the elements' ``flushed_at``/``signed_at``
+        (of elements with a record: a Byzantine server's own garbage has
+        none); flushes happen at the current instant, so the first stamp is
+        the earliest."""
         self.batch_flushes.append(BatchFlushEvent(server=server, n_items=n_items,
                                                   appended_bytes=appended_bytes,
                                                   time=time))
-        if self.tracer is not None:
-            self.tracer.phase_many(element_ids, "flushed", time, server)
-            if signed:
-                self.tracer.phase_many(element_ids, "signed", time, server)
+        tracer = self.tracer
+        if tracer is None:
+            return
+        records = self.elements
+        for element_id in element_ids:
+            record = records.get(element_id)
+            if record is None:
+                continue
+            if record.flushed_at is None:
+                record.flushed_at = time
+            if signed and record.signed_at is None:
+                record.signed_at = time
+        tracer.annotate(time, server, "flushed", len(element_ids))
+        if signed:
+            tracer.annotate(time, server, "signed", len(element_ids))
 
     def record_byzantine(self, server: str, counter: str,
                          time: float | None = None) -> None:
@@ -414,8 +427,3 @@ class MetricsCollector:
         latencies = sorted(v for v in values if v is not None)
         self._commit_latencies_cache = (total, latencies)
         return latencies
-
-    def records(self) -> list[ElementRecord]:
-        """All element records, ordered by injection time (unknown last)."""
-        return sorted(self.elements.values(),
-                      key=lambda r: (r.injected_at is None, r.injected_at or 0.0))

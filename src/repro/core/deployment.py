@@ -76,9 +76,10 @@ class Deployment:
     #: Servers that left the cluster (kept for reporting, not for checks).
     departed_servers: list[BaseSetchainServer] = field(default_factory=list)
     #: Lifecycle tracer; ``None`` when ``config.trace_sample`` is unset.  The
-    #: servers report through ``metrics`` alone, which forwards every element
-    #: phase to it; the deployment adds the fault, membership and shard
-    #: annotations the collector never sees.
+    #: servers report through ``metrics`` alone, whose element records the
+    #: tracer's spans read and which logs every phase on its timeline; the
+    #: deployment adds the fault, membership and shard annotations the
+    #: collector never sees.
     tracer: Tracer | None = None
     #: Element-space partitioner for sharded deployments; ``None`` (the
     #: default) is the single-instance layout — workload clients and the
@@ -730,7 +731,7 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deplo
     if config.trace_sample is not None:
         # The tracer draws from its own derived stream, never ``sim.rng``,
         # so enabling it cannot perturb the simulation's event schedule.
-        tracer = Tracer(sample=config.trace_sample,
+        tracer = Tracer(metrics, sample=config.trace_sample,
                         seed=seed if seed is not None else config.workload.seed)
         metrics.tracer = tracer
 

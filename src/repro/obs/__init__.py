@@ -3,13 +3,13 @@
 The subsystem has three pillars (see :mod:`repro.obs.trace` for the design
 constraints — zero cost when disabled, deterministic, batch-aware):
 
-* :class:`Tracer` — element-lifecycle spans over simulated time, enabled
-  with ``ScenarioBuilder.trace(sample)`` / ``trace_sample=`` on the config
-  or ``repro trace <scenario>`` on the CLI;
+* :class:`Tracer` — element-lifecycle spans over simulated time, a view over
+  the metrics collector's element records, enabled with
+  ``ScenarioBuilder.trace(sample)`` / ``trace_sample=`` on the config or
+  ``repro trace <scenario>`` on the CLI;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` and JSONL trace files;
-* :class:`Registry` / :mod:`repro.obs.prom` — dependency-free counters,
-  gauges, log-scale histograms, and the Prometheus text exposition served
-  by ``GET /metrics?format=prometheus`` in service mode.
+* :mod:`repro.obs.prom` — the Prometheus text exposition served by
+  ``GET /metrics?format=prometheus`` in service mode, and its validator.
 """
 
 from .export import (
@@ -19,15 +19,10 @@ from .export import (
     write_trace,
 )
 from .prom import parse_exposition, render_snapshot
-from .registry import Counter, Gauge, Histogram, Registry
 from .trace import PHASES, TRACK_COLLECTOR, TRACK_LEDGER, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "PHASES",
-    "Registry",
     "TRACK_COLLECTOR",
     "TRACK_LEDGER",
     "Tracer",

@@ -20,7 +20,7 @@ import re
 from typing import Any, Mapping
 
 from ..errors import ConfigurationError
-from .registry import format_value
+from .trace import summarize_phases
 
 _METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -34,6 +34,15 @@ _VALID_TYPES = frozenset(
 
 #: The content type Prometheus scrapers expect for the text format.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+def format_value(value: Any) -> str:
+    """One Prometheus sample value: ints bare, floats rounded, bools as 0/1."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    return repr(round(float(value), 6))
 
 
 def _escape_label(value: str) -> str:
@@ -69,10 +78,11 @@ class _Lines:
 
 def render_snapshot(snapshot: Mapping[str, Any],
                     healthz: Mapping[str, Any] | None = None,
-                    tracer: Any = None) -> str:
+                    latencies: Mapping[str, list[float]] | None = None) -> str:
     """Render one service metrics snapshot as Prometheus exposition text.
 
-    The snapshot must be a finished dict (one ``metrics_snapshot()`` call —
+    The snapshot must be a finished dict and ``latencies`` a finished
+    ``Tracer.phase_latencies`` copy (one ``observability_snapshot()`` call —
     a single lock acquisition); this function only formats and never touches
     the runtime, so rendering happens outside the lock.
     """
@@ -151,9 +161,8 @@ def render_snapshot(snapshot: Mapping[str, Any],
         out.sample("repro_live_servers", "gauge",
                    healthz.get("live_servers", 0))
         out.sample("repro_quorum", "gauge", healthz.get("quorum", 0))
-    if tracer is not None:
-        phases = sorted(tracer.phase_summary().items())
-        latencies = tracer.phase_latencies
+    if latencies is not None:
+        phases = sorted(summarize_phases(latencies).items())
         if phases:
             lines = out._lines
             lines.append("# HELP repro_phase_latency_seconds Per-phase "

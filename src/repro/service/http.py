@@ -56,12 +56,12 @@ class MetricsEndpoint:
         query = urllib.parse.parse_qs(parsed.query)
         if path == "/metrics":
             if query.get("format", ["json"])[-1] == "prometheus":
-                # One lock acquisition buys both dicts; the (allocation-heavy)
+                # One lock acquisition buys all three; the (allocation-heavy)
                 # text rendering then runs without holding the runtime lock.
-                snapshot, healthz = self.runtime.observability_snapshot()
-                tracer = self.runtime.deployment.tracer
+                snapshot, healthz, latencies = (
+                    self.runtime.observability_snapshot())
                 text = render_snapshot(snapshot, healthz=healthz,
-                                       tracer=tracer)
+                                       latencies=latencies)
                 self._reply_text(request, 200, text, PROM_CONTENT_TYPE)
             else:
                 self._reply(request, 200, self.runtime.metrics_snapshot())

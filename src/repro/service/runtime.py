@@ -463,16 +463,22 @@ class ServiceRuntime:
                 }
             return snapshot
 
-    def observability_snapshot(self) -> tuple[dict[str, Any], dict[str, Any]]:
-        """Metrics snapshot plus health summary under ONE lock acquisition.
+    def observability_snapshot(self) -> tuple[dict[str, Any], dict[str, Any],
+                                              dict[str, list[float]] | None]:
+        """Metrics snapshot, health summary and (on traced runs) the phase
+        latencies, under ONE lock acquisition.
 
-        The Prometheus handler renders its text from the returned dicts
-        outside the lock, so a scrape costs one bounded critical section no
-        matter how slow the scraper's socket is (the lock is re-entrant, so
-        the two nested snapshot calls do not re-acquire).
+        The latencies are read off the element records the tick thread
+        stamps, so they are copied here, inside the lock.  The Prometheus
+        handler renders its text from the returned values outside the lock,
+        so a scrape costs one bounded critical section no matter how slow the
+        scraper's socket is (the lock is re-entrant, so the nested snapshot
+        calls do not re-acquire).
         """
         with self._lock:
-            return self.metrics_snapshot(), self.healthz()
+            tracer = self.deployment.tracer
+            return (self.metrics_snapshot(), self.healthz(),
+                    tracer.phase_latencies if tracer is not None else None)
 
     def result(self) -> RunResult:
         """Package the standard batch analyses for the run so far."""

@@ -86,9 +86,9 @@ def build_metrics(commits):
 
 
 def test_record_injected_many_builds_or_stamps_the_record():
-    """A new record is built with its size and stamp in one constructor call;
-    one that exists (the element was added first — the service drain's order)
-    is stamped in place.  Either way it counts once."""
+    """A new record is built with its stamp in one constructor call; one that
+    exists (the element was added first — the service drain's order) is
+    stamped in place.  Either way it counts once."""
     metrics = MetricsCollector()
     new, added_first = make_element("c", 100), make_element("c", 200)
     metrics.record_added_many([added_first], "server-0", 0.5)
@@ -97,8 +97,7 @@ def test_record_injected_many_builds_or_stamps_the_record():
     assert metrics.injected_count == 2
     for element, added_at in ((new, None), (added_first, 0.5)):
         record = metrics.elements[element.element_id]
-        assert (record.size_bytes, record.injected_at, record.added_at) \
-            == (element.size_bytes, 1.0, added_at)
+        assert (record.injected_at, record.added_at) == (1.0, added_at)
 
 
 def test_metrics_first_observation_wins():
@@ -149,8 +148,6 @@ def test_metrics_counts_and_ordering():
     assert metrics.committed_count == 3
     assert metrics.commit_times() == [2.0, 3.0, 10.0]
     assert metrics.commit_latencies() == [2.0, 2.0, 8.0]
-    records = metrics.records()
-    assert [r.injected_at for r in records] == [0.0, 1.0, 2.0]
 
 
 # -- throughput ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""The observability stack: telemetry registry, tracer, exporters, Prometheus.
+"""The observability stack: tracer, exporters, Prometheus.
 
-Covers the ``repro.obs`` package end to end: the dependency-free metric
-primitives, the deterministic lifecycle tracer (sampling policy, zero-cost
-disabled path, phase stamping), the Chrome/JSONL exporters and their
+Covers the ``repro.obs`` package end to end: the telemetry summaries, the
+deterministic lifecycle tracer (sampling policy, zero-cost disabled path,
+spans read off the metrics' element records), the Chrome/JSONL exporters and their
 validators, the Prometheus exposition renderer + parser pair, the HTTP
 surfacing (``/metrics?format=prometheus``, health caching headers), the
 byte-identity guarantees: untraced artifacts match the pre-observability
@@ -15,12 +15,15 @@ from __future__ import annotations
 import cProfile
 import json
 import pstats
+import sys
+import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.metrics import MetricsCollector
 from repro.api import Scenario, Session, run
 from repro.api.parallel import RunSpec, execute_spec, reset_run_counters, run_specs
 from repro.api.results import RunResult
@@ -35,13 +38,16 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.prom import parse_exposition, render_snapshot
-from repro.obs.registry import (
-    Histogram,
-    Registry,
+from repro.obs.trace import (
+    PHASES,
+    TRACK_COLLECTOR,
+    TRACK_LEDGER,
+    Tracer,
     flush_size_summary,
     phase_percentiles,
+    span_of,
 )
-from repro.obs.trace import PHASES, TRACK_COLLECTOR, TRACK_LEDGER, Tracer
+from repro.workload.elements import make_element
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -51,54 +57,19 @@ def traced_scenario():
             .inject_for(3).drain(30).backend("ideal").trace(1.0))
 
 
-# -- registry primitives -------------------------------------------------------
+def traced_metrics(sample: float = 1.0, seed: int = 1):
+    """A bare collector with a tracer over its records, as a traced
+    deployment wires them."""
+    metrics = MetricsCollector()
+    metrics.tracer = Tracer(metrics, sample=sample, seed=seed)
+    return metrics, metrics.tracer
 
 
-def test_counter_gauge_histogram_snapshots_are_json_stable():
-    registry = Registry()
-    registry.counter("hits", help="cache hits").inc()
-    registry.counter("hits").inc(4)
-    registry.gauge("depth").set(12.5)
-    histogram = registry.histogram("latency")
-    histogram.observe(0.0125)
-    histogram.observe(0.0125)
-    snap = registry.snapshot()
-    assert snap["hits"] == 5
-    assert snap["depth"] == 12.5
-    assert snap["latency"]["count"] == 2
-    assert sum(snap["latency"]["buckets"].values()) == 2
-    # Snapshots are plain JSON types with sorted keys.
-    assert list(snap) == sorted(snap)
-    json.dumps(snap)
+def fresh_elements(count: int) -> list:
+    return [make_element("c", 100) for _ in range(count)]
 
 
-def test_registry_rejects_kind_conflicts():
-    registry = Registry()
-    registry.counter("x")
-    with pytest.raises(ConfigurationError, match="already registered"):
-        registry.gauge("x")
-
-
-def test_histogram_quantile_and_overflow_bucket():
-    histogram = Histogram("h", bounds=(1.0, 2.0, 4.0))
-    for value in (0.5, 1.5, 3.0, 100.0):
-        histogram.observe(value)
-    assert histogram.count == 4
-    assert histogram.counts[-1] == 1  # 100.0 overflows to +Inf
-    assert histogram.quantile(0.5) in (1.0, 2.0)
-    with pytest.raises(ConfigurationError):
-        histogram.quantile(1.5)
-    with pytest.raises(ConfigurationError, match="sorted"):
-        Histogram("bad", bounds=(2.0, 1.0))
-
-
-def test_registry_prometheus_rendering_passes_the_validator():
-    registry = Registry()
-    registry.counter("flushes_total", help="Batch flushes.").inc(3)
-    registry.histogram("flush_seconds").observe(0.25)
-    metrics = parse_exposition(registry.render_prometheus())
-    assert metrics["repro_flushes_total"]["type"] == "counter"
-    assert metrics["repro_flush_seconds"]["type"] == "histogram"
+# -- telemetry summaries -------------------------------------------------------
 
 
 def test_phase_percentiles_shape():
@@ -123,22 +94,28 @@ def test_flush_size_summary_empty_and_populated():
             self.n_items = n
 
     summary = flush_size_summary([Flush(10), Flush(30)])
-    assert summary["count"] == 2
-    assert summary["sum"] == 40
-    assert summary["max"] == 30
+    assert summary == {"buckets": {"16.0": 1, "32.0": 1}, "sum": 40,
+                       "count": 2, "max": 30}
 
 
 # -- tracer --------------------------------------------------------------------
 
 
 def test_tracer_stamps_each_phase_once_and_measures_from_injection():
-    tracer = Tracer(sample=1.0, seed=1)
-    tracer.injected_many([1, 2], t=0.0)
-    tracer.phase_many([1, 2], "flushed", 0.5, "server-0")
-    tracer.phase_many([1, 2], "flushed", 0.9, "server-1")  # re-observation
-    tracer.phase_many([1], "committed", 1.5, "server-0")
+    metrics, tracer = traced_metrics()
+    first, second = fresh_elements(2)
+    ids = [first.element_id, second.element_id]
+    metrics.record_injected_many([first, second], 0.0)
+    metrics.record_batch_flush("server-0", 2, 10, 0.5, ids)
+    metrics.record_batch_flush("server-1", 2, 10, 0.9, ids)  # re-observation
+    metrics.record_epoch_committed(1, [first], 1.5, observer="server-0")
+    # A row for an element this run never injected (a replayed prefix) is
+    # in the table, not in the sample.
+    metrics.record_in_ledger_many([10 ** 9], 0.7)
+    assert tracer.sampled_elements == 2
     spans = tracer.spans()
-    assert spans[1]["flushed"] == 0.5  # first observation wins
+    assert sorted(spans) == sorted(ids)
+    assert spans[first.element_id]["flushed"] == 0.5  # first observation wins
     assert tracer.phase_latencies["flushed"] == [0.5, 0.5]
     assert tracer.phase_latencies["committed"] == [1.5]
     summary = tracer.phase_summary()
@@ -147,41 +124,69 @@ def test_tracer_stamps_each_phase_once_and_measures_from_injection():
 
 
 def test_tracer_sampling_is_deterministic_and_bounded():
-    first = Tracer(sample=0.5, seed=42)
-    second = Tracer(sample=0.5, seed=42)
-    ids = list(range(200))
-    first.injected_many(ids, t=0.0)
-    second.injected_many(ids, t=0.0)
+    first_metrics, first = traced_metrics(sample=0.5, seed=42)
+    second_metrics, second = traced_metrics(sample=0.5, seed=42)
+    elements = fresh_elements(200)
+    first_metrics.record_injected_many(elements, 0.0)
+    second_metrics.record_injected_many(elements, 0.0)
     assert first.spans().keys() == second.spans().keys()
     assert 0 < first.sampled_elements < 200
     assert first.sampled_elements + first.skipped_elements == 200
-    # Unsampled elements never accumulate phase state.
-    first.phase_many(ids, "committed", 1.0, "server-0")
+    # Re-injecting draws again for the skipped elements only.
+    drawn = set(first.spans())
+    skipped = first.skipped_elements
+    first_metrics.record_injected_many(elements, 0.5)
+    assert drawn <= set(first.spans())
+    assert first.sampled_elements + first.skipped_elements == 200 + skipped
+    # Every element is stamped in the table; only the sampled are spans.
+    first_metrics.record_epoch_committed(1, elements, 1.0, observer="server-0")
+    assert first_metrics.committed_count == 200
     assert len(first.phase_latencies["committed"]) == first.sampled_elements
     with pytest.raises(ConfigurationError):
-        Tracer(sample=0.0)
+        Tracer(MetricsCollector(), sample=0.0)
     with pytest.raises(ConfigurationError):
-        Tracer(sample=1.5)
+        Tracer(MetricsCollector(), sample=1.5)
 
 
 def test_tracer_annotations_and_tracks():
-    tracer = Tracer()
-    tracer.injected_many([7], 0.0)
-    tracer.phase_many([7], "in_ledger", 0.2, TRACK_LEDGER)
+    metrics, tracer = traced_metrics()
+    element = make_element("c", 100)
+    metrics.record_injected_many([element], 0.0)
+    metrics.record_in_ledger_many([element.element_id], 0.2)
     tracer.annotate(0.3, "server-1", "fault:crash")
     assert tracer.tracks() == [TRACK_COLLECTOR, TRACK_LEDGER, "server-1"]
     assert (0.3, "server-1", "fault:crash", 0) in tracer.timeline()
+
+
+def test_flushed_and_signed_are_stamped_on_traced_runs_only():
+    untraced = MetricsCollector()
+    metrics, _ = traced_metrics()
+    elements = fresh_elements(2)
+    ids = [element.element_id for element in elements]
+    for collector in (untraced, metrics):
+        collector.record_injected_many(elements, 0.0)
+        collector.record_batch_flush("server-0", 3, 10, 0.5, ids + [10 ** 9],
+                                     signed=True)
+    assert all(record.flushed_at is record.signed_at is None
+               for record in untraced.elements.values())
+    assert all(record.flushed_at == record.signed_at == 0.5
+               for record in metrics.elements.values())
+    # An id with no record (a Byzantine server's own garbage) gets none.
+    assert 10 ** 9 not in metrics.elements
 
 
 # -- exporters and validators --------------------------------------------------
 
 
 def driven_tracer() -> Tracer:
-    tracer = Tracer(sample=1.0, seed=3)
-    tracer.injected_many([1, 2, 3], t=0.0)
-    tracer.phase_many([1, 2, 3], "flushed", 0.25, "server-0")
-    tracer.phase_many([1, 2], "in_ledger", 0.5, TRACK_LEDGER)
-    tracer.phase_many([1], "committed", 0.75, "server-0")
+    reset_run_counters()  # element ids appear in the JSONL spans
+    metrics, tracer = traced_metrics(seed=3)
+    elements = fresh_elements(3)
+    ids = [element.element_id for element in elements]
+    metrics.record_injected_many(elements, 0.0)
+    metrics.record_batch_flush("server-0", 3, 30, 0.25, ids)
+    metrics.record_in_ledger_many(ids[:2], 0.5)
+    metrics.record_epoch_committed(1, elements[:1], 0.75, observer="server-0")
     tracer.annotate(0.8, "server-1", "membership:join")
     return tracer
 
@@ -206,8 +211,8 @@ def test_jsonl_export_validates_and_round_trips_spans():
     span_lines = [json.loads(line) for line in text.splitlines()
                   if '"type":"span"' in line]
     by_id = {record["element_id"]: record["phases"] for record in span_lines}
-    assert by_id[1] == {"injected": 0, "flushed": 250_000,
-                        "in_ledger": 500_000, "committed": 750_000}
+    assert by_id[min(by_id)] == {"injected": 0, "flushed": 250_000,
+                                 "in_ledger": 500_000, "committed": 750_000}
 
 
 def test_exports_are_byte_deterministic():
@@ -278,6 +283,48 @@ def test_traced_result_round_trips_through_json():
     restored = RunResult.from_dict(json.loads(result.to_json()))
     assert restored.telemetry == result.telemetry
     assert restored.experiment_config().trace_sample == 1.0
+
+
+@pytest.mark.parametrize("sample", [1.0, 0.25])
+def test_spans_are_rows_of_the_metrics_lifecycle_table(sample):
+    session = Session(traced_scenario().trace(sample), seed=11).start().run()
+    tracer, metrics = session.deployment.tracer, session.deployment.metrics
+    spans = tracer.spans()
+    assert len(spans) == tracer.sampled_elements > 0
+    assert all(span == span_of(metrics.elements[element_id])
+               for element_id, span in spans.items())
+    # A committed Hashchain element has passed through every phase.
+    assert all(len(span) == len(PHASES)
+               for span in spans.values() if "committed" in span)
+
+
+def _phase_counts(tracer: Tracer) -> dict[str, int]:
+    return {phase: stats["count"]
+            for phase, stats in tracer.phase_summary().items()}
+
+
+def test_traced_service_runs_keep_every_phase():
+    """The ingress drain adds a burst before it records the injection, and a
+    collector of 10 flushes (and signs) inside that add: those phases are
+    observed before the injection, and still belong to the element."""
+    from repro.service.runtime import ServiceRuntime
+
+    with ServiceRuntime(traced_scenario().inject_for(1), seed=5) as runtime:
+        runtime.submit_many(200)
+        runtime.run_for(6.0)
+        tracer = runtime.deployment.tracer
+        assert runtime.deployment.metrics.committed_count == 200
+        assert _phase_counts(tracer) == dict.fromkeys(PHASES[1:], 200)
+
+
+def test_a_hand_injected_element_keeps_its_collector_phase():
+    session = Session(Scenario.vanilla().servers(4).rate(10).inject_for(1)
+                      .backend("ideal").trace(1.0), seed=3).start()
+    element = session.inject(server=1)
+    session.run()
+    span = session.deployment.tracer.spans()[element.element_id]
+    assert span["collector_queued"] == span["injected"]
+    assert span["committed"] > span["in_ledger"] >= span["injected"]
 
 
 def test_builder_trace_round_trips_and_validates():
@@ -373,7 +420,7 @@ def test_render_snapshot_passes_exposition_validation():
     text = render_snapshot(runtime_snapshot,
                            healthz={"status": "ok", "live_servers": 4,
                                     "quorum": 3},
-                           tracer=tracer)
+                           latencies=tracer.phase_latencies)
     metrics = parse_exposition(text)
     assert metrics["repro_injected_total"]["samples"] == [({}, 100.0)]
     verdicts = {labels["verdict"]: value for labels, value
@@ -386,6 +433,8 @@ def test_render_snapshot_passes_exposition_validation():
     assert summary["type"] == "summary"
     assert any(labels.get("quantile") == "0.99"
                for labels, _ in summary["samples"])
+    assert {labels["phase"] for labels, _ in summary["samples"]} == {
+        "flushed", "in_ledger", "committed"}
 
 
 def test_parse_exposition_rejects_malformed_text():
@@ -442,6 +491,48 @@ def test_http_prometheus_format_and_health_caching_headers():
     finally:
         endpoint.stop()
         runtime.stop()
+
+
+def test_prometheus_scrapes_while_the_service_ticks():
+    """The phase latencies are read off the element records the tick thread
+    stamps; a scrape copies them under the runtime lock, so scraping in a
+    loop beside the ticks never sees a table mid-update."""
+    from repro.service.http import MetricsEndpoint
+    from repro.service.runtime import ServiceRuntime
+
+    runtime = ServiceRuntime(traced_scenario(), seed=5)
+    endpoint = MetricsEndpoint(runtime)
+    url = endpoint.url + "/metrics?format=prometheus"
+    failures: list[Exception] = []
+    scrapes = [0]
+    done = threading.Event()
+
+    def scrape() -> None:
+        while not done.is_set():
+            try:
+                with urllib.request.urlopen(url, timeout=10) as response:
+                    parse_exposition(response.read().decode())
+            except (OSError, ConfigurationError) as error:
+                failures.append(error)
+                return
+            scrapes[0] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    scraper = threading.Thread(target=scrape)
+    scraper.start()
+    try:
+        for _ in range(100):
+            runtime.submit_many(25)
+            runtime.tick()
+    finally:
+        done.set()
+        scraper.join(timeout=30)
+        sys.setswitchinterval(interval)
+        endpoint.stop()
+        runtime.stop()
+    assert not scraper.is_alive()
+    assert failures == [] and scrapes[0] > 0
 
 
 # -- python -m repro.obs profile -----------------------------------------------

@@ -7,7 +7,11 @@ into ``MetricsCollector.record_*``.  The runs are small ideal-ledger ones: the
 three algorithms, a crash and a partition, Byzantine servers under each
 algorithm, a join and a leave, two shards, and a service runtime fed through
 its ingress queue — each at full sampling and on the sampling stream (0.25).
-Re-record, only ever on a commit whose traces are known-good, with
+The two service keys were re-recorded once, when the element spans became
+rows of the metrics' lifecycle table: the runtime adds a burst before it
+records the injection, and the old per-tracer spans dropped the
+``collector_queued``/``flushed``/``signed`` phases observed before it; their
+Chrome digests, and every other key, did not move.  Re-record, only ever on a commit whose traces are known-good, with
 ``PYTHONPATH=src python tests/test_trace_manifest.py``.
 """
 
