@@ -5,15 +5,19 @@ a scenario and hands control of simulated time to the caller: run to the
 configured horizon in one call (:meth:`Session.run`, which is all
 :func:`repro.api.run` does), or start the cluster, step the simulator,
 inject individual elements, inspect ``SetchainView`` snapshots and
-per-server backlog mid-run.  :meth:`Session.result` packages the standard
-analyses as the run's one serialisable :class:`RunResult`::
+per-server backlog mid-run.  Faults are applied mid-run with
+:meth:`Session.apply`, which takes the same :mod:`repro.faults` events a
+schedule holds and records them in the same timeline.
+:meth:`Session.result` packages the standard analyses as the run's one
+serialisable :class:`RunResult`::
 
     with Scenario.hashchain().servers(4).rate(200).session() as session:
         session.run_for(10.0)
         print(session.backlog(), session.committed_fraction)
         session.inject(size_bytes=438)
+        session.apply(Crash(targets=Targets(nodes=("server-2",))))
         session.run_to_completion()
-        result = session.result()
+        result = session.result()  # result.faults lists the crash
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .results import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.types import SetchainView
+    from ..faults.events import FaultEvent
 
 
 def _resolve_config(scenario: "ScenarioBuilder | ExperimentConfig | str") -> ExperimentConfig:
@@ -160,95 +165,20 @@ class Session:
         self._injected_by_hand += 1
         return element
 
-    # -- interactive chaos ------------------------------------------------------
+    # -- interactive faults ------------------------------------------------------
 
-    def crash(self, name: str) -> "Session":
-        """Crash-fault a server or ledger node by name, mid-run."""
-        self._require_started()
-        self.deployment.crash_node(name)
-        return self
+    def apply(self, *events: "FaultEvent") -> list[dict]:
+        """Apply fault events now: crashes, recoveries, partitions, heals,
+        Byzantine turns, joins and leaves, exactly as a schedule would.
 
-    def recover(self, name: str) -> "Session":
-        """Recover a crashed node (servers replay missed blocks; CometBFT
-        validators block-sync from a live peer)."""
-        self._require_started()
-        self.deployment.recover_node(name)
-        return self
-
-    def partition(self, group: set[str] | list[str] | tuple[str, ...]) -> "Session":
-        """Partition ``group`` from every other node on the network."""
-        self._require_started()
-        cut = set(group)
-        rest = set(self.deployment.network.node_names()) - cut
-        if not cut or not rest:
-            raise ConfigurationError(
-                "partition group must be a non-empty strict subset of the nodes")
-        self.deployment.network.partition(cut, rest)
-        return self
-
-    def heal(self) -> "Session":
-        """Remove every installed partition."""
-        self._require_started()
-        self.deployment.network.heal()
-        return self
-
-    def become_byzantine(self, name: str,
-                         behaviour: str = "silent") -> "Session":
-        """Attach a Byzantine behaviour strategy to a server, mid-run.
-
-        ``behaviour`` is a registered name (withhold / wrong-hash /
-        invalid-element / equivocate / silent, or third-party).  Only
-        Setchain servers can turn Byzantine.
+        Returns the timeline entries the events appended (a ``Join``'s entry
+        names the new node); every one also appears in ``result().faults``.
+        See :meth:`Deployment.apply`.
         """
         self._require_started()
-        self.deployment.become_byzantine(name, behaviour)
-        return self
+        return self.deployment.apply(*events)
 
-    def become_correct(self, name: str) -> "Session":
-        """Shed a server's Byzantine behaviour (a withholding server serves
-        its buffered ``Request_batch`` replies on reversion)."""
-        self._require_started()
-        self.deployment.become_correct(name)
-        return self
-
-    # -- dynamic membership ------------------------------------------------------
-
-    def add_server(self, name: str | None = None, *,
-                   algorithm: str | None = None,
-                   region: str | None = None) -> str:
-        """Join a server mid-run: build, state-transfer, admit once caught up.
-
-        Returns the new server's name (auto-assigned along the
-        ``server-<i>`` sequence when ``name`` is None).  On the CometBFT
-        backend a co-located validator joins the consensus set, activating
-        two blocks later.
-        """
-        self._require_started()
-        server = self.deployment.add_server(name=name, algorithm=algorithm,
-                                            region=region)
-        return server.name
-
-    def remove_server(self, name: str, *, drain: bool = True) -> "Session":
-        """Retire a server cleanly: drain, hand off obligations, depart."""
-        self._require_started()
-        self.deployment.remove_server(name, drain=drain)
-        return self
-
-    def add_validator(self, name: str | None = None) -> str:
-        """Grow the consensus layer by one (app-less) validator; returns
-        its name.  Requires a backend with a validator set (CometBFT)."""
-        self._require_started()
-        return self.deployment.add_validator(name)
-
-    def remove_validator(self, name: str) -> "Session":
-        """Shrink the consensus layer by one validator (two-block delay).
-
-        Refused while the validator still feeds a Setchain server — remove
-        the server instead.
-        """
-        self._require_started()
-        self.deployment.remove_validator(name)
-        return self
+    # -- inspection ------------------------------------------------------------
 
     def membership(self) -> dict | None:
         """The membership timeline so far (None for static deployments)."""
@@ -264,8 +194,6 @@ class Session:
         network = self.deployment.network
         return [name for name in network.node_names()
                 if network.node(name).crashed]
-
-    # -- inspection ------------------------------------------------------------
 
     def views(self) -> dict[str, "SetchainView"]:
         """``get()`` snapshots of every server, keyed by server name."""

@@ -113,10 +113,10 @@ _BEHAVIOURS: "PluginRegistry[type[ByzantineBehaviour]]" = PluginRegistry(
 def register_behaviour(name: str, *, replace: bool = False):
     """Decorator registering a :class:`ByzantineBehaviour` class under ``name``.
 
-    The name becomes valid for ``BecomeByzantine(behaviour=...)`` schedule
-    events, ``Scenario....become_byzantine(...)`` builder calls, and
-    ``Session.become_byzantine`` — the same extension contract as the fault
-    and algorithm registries.
+    The name becomes valid for ``BecomeByzantine(behaviour=...)`` events —
+    scheduled, built by ``Scenario....become_byzantine(...)``, or passed to
+    ``Session.apply`` — the same extension contract as the fault and
+    algorithm registries.
     """
     def decorator(cls: "type[ByzantineBehaviour]") -> "type[ByzantineBehaviour]":
         cls.name = name

@@ -13,6 +13,11 @@ module.  A :class:`~repro.config.TopologyConfig` on the experiment config
 generalises the paper's homogeneous LAN cluster to named regions with
 per-region algorithms (heterogeneous clusters) and inter-region delay
 matrices; configs without a topology build exactly the legacy deployment.
+
+Faults have one entry point: scheduled events fire from ``config.faults`` and
+interactive ones go through :meth:`Deployment.apply`, both via the
+:class:`~repro.faults.injector.FaultInjector`, whose context holds the
+crash/recover and Byzantine dispatch — this module keeps none of it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ from ..analysis.throughput import average_throughput
 from ..config import ExperimentConfig
 from ..crypto.keys import PublicKeyInfrastructure
 from ..crypto.signatures import SignatureScheme, make_scheme
-from ..errors import NetworkError
+from ..errors import ConfigurationError, NetworkError
+from ..faults.events import FaultEvent
 from ..faults.injector import FaultInjector
+from ..faults.schedule import FaultScheduleConfig
 from ..net.latency import LatencyModel, RegionalLatency
 from ..net.network import Network
 from ..obs.trace import Tracer
@@ -65,7 +72,8 @@ class Deployment:
     injected_elements: list[Element] = field(default_factory=list)
     #: Server name -> region name (empty for homogeneous deployments).
     region_of: dict[str, str] = field(default_factory=dict)
-    #: Executes ``config.faults``; ``None`` for fault-free runs.
+    #: Executes ``config.faults`` and every :meth:`apply`; ``None`` while
+    #: the run has seen no fault.
     fault_injector: FaultInjector | None = None
     #: Build-time context, kept so runtime joins can run algorithm factories.
     context: DeploymentContext | None = None
@@ -227,83 +235,34 @@ class Deployment:
             return 0.0
         return self.metrics.committed_count / len(self.injected_elements)
 
-    # -- crash faults ---------------------------------------------------------------
+    # -- faults ---------------------------------------------------------------------
 
-    def _node_for_fault(self, name: str):  # type: ignore[no-untyped-def]
-        """The crashable object behind ``name``: a server or a ledger node."""
-        for server in self.servers:
-            if server.name == name:
-                return server
-        nodes = getattr(self.ledger_backend, "nodes", None)
-        if nodes and name in nodes:
-            return nodes[name]
-        if name in self.network:
-            return self.network.node(name)
-        raise NetworkError(f"no crashable node named {name!r} in this deployment")
+    def apply(self, *events: FaultEvent) -> list[dict]:
+        """Apply fault events now, through the one fault path.
 
-    def node_crashed(self, name: str) -> bool:
-        """Whether the named server or ledger node is currently crash-faulted."""
-        return self._node_for_fault(name).crashed
-
-    def crash_node(self, name: str) -> None:
-        """Crash-fault a server or ledger node by name (idempotent)."""
-        node = self._node_for_fault(name)
-        crash = getattr(self.ledger_backend, "crash_node", None)
-        if crash is not None and node not in self.servers:
-            crash(name)
-        else:
-            node.crash()
-        if self.tracer is not None:
-            self.tracer.annotate(self.sim.now, name, "fault:crash")
-
-    def recover_node(self, name: str) -> None:
-        """Recover a crashed server or ledger node by name (idempotent).
-
-        Ledger nodes recover through their backend when it knows how (e.g.
-        CometBFT's block-sync from a live peer); servers replay the blocks
-        their co-located ledger node finalised while they were down.
+        Each event runs the same ``event.apply`` that a configured schedule's
+        timer runs, against the :class:`FaultInjector` (built with an empty
+        schedule on first use: deriving its RNG stream draws nothing, so a
+        mid-run build perturbs nothing).  Returns copies of the timeline
+        entries the events appended — a ``Join``'s entry names the new node.
+        Events due later (``at`` past now) or already over (``until`` not
+        after now) belong in the scenario's schedule and are refused.
         """
-        node = self._node_for_fault(name)
-        recover = getattr(self.ledger_backend, "recover_node", None)
-        if recover is not None and node not in self.servers:
-            recover(name)
-        else:
-            node.recover()
-        if self.tracer is not None:
-            self.tracer.annotate(self.sim.now, name, "fault:recover")
-
-    # -- Byzantine behaviours ---------------------------------------------------
-
-    def _server_named(self, name: str) -> BaseSetchainServer:
-        for server in self.servers:
-            if server.name == name:
-                return server
-        raise NetworkError(
-            f"no Setchain server named {name!r} in this deployment "
-            "(only servers can turn Byzantine)")
-
-    def node_byzantine(self, name: str) -> bool:
-        """Whether the named server currently runs a Byzantine behaviour.
-
-        ``False`` for non-server nodes: the consensus layer models its own
-        fault threshold.
-        """
-        for server in self.servers:
-            if server.name == name:
-                return server.is_byzantine
-        return False
-
-    def become_byzantine(self, name: str, behaviour: str = "silent") -> None:
-        """Attach a Byzantine behaviour strategy to a server, mid-run."""
-        self._server_named(name).become_byzantine(behaviour)
-        if self.tracer is not None:
-            self.tracer.annotate(self.sim.now, name, f"byzantine:{behaviour}")
-
-    def become_correct(self, name: str) -> None:
-        """Shed a server's Byzantine behaviour (idempotent)."""
-        self._server_named(name).become_correct()
-        if self.tracer is not None:
-            self.tracer.annotate(self.sim.now, name, "byzantine:reverted")
+        now = self.sim.now
+        for event in events:
+            until = event.until
+            if event.at > now or (until is not None and until <= now):
+                raise ConfigurationError(
+                    f"{event.kind} event (at={event.at}, until={event.until}) "
+                    f"cannot be applied at t={now}; schedule future faults "
+                    "in the scenario")
+        if self.fault_injector is None:
+            self.fault_injector = FaultInjector(self, FaultScheduleConfig())
+        injector = self.fault_injector
+        first = len(injector.applied)
+        for event in events:
+            event.apply(injector.context)
+        return [dict(entry) for entry in injector.applied[first:]]
 
     # -- dynamic membership -----------------------------------------------------
 
@@ -518,48 +477,6 @@ class Deployment:
         if self.tracer is not None:
             self.tracer.annotate(self.sim.now, server.name,
                                  "membership:retired")
-
-    def add_validator(self, name: str | None = None) -> str:
-        """Grow the consensus layer by one (app-less) validator."""
-        add = getattr(self.ledger_backend, "add_validator", None)
-        if add is None:
-            raise NetworkError(
-                f"ledger backend {self.config.ledger_backend!r} has no "
-                "validator set to grow")
-        return add(name).name
-
-    def remove_validator(self, name: str) -> None:
-        """Shrink the consensus layer by one validator (two-block delay).
-
-        Refused while the validator still feeds a Setchain server — remove
-        the server instead, which retires the co-located validator with it.
-        """
-        remove = getattr(self.ledger_backend, "remove_validator", None)
-        nodes = getattr(self.ledger_backend, "nodes", None)
-        if remove is None or nodes is None:
-            raise NetworkError(
-                f"ledger backend {self.config.ledger_backend!r} has no "
-                "validator set to shrink")
-        node = nodes.get(name)
-        if node is None:
-            raise NetworkError(f"unknown validator {name!r}")
-        if node.app is not None:
-            raise NetworkError(
-                f"validator {name!r} still serves a Setchain server; remove "
-                "the server instead")
-        effective = remove(name)
-        retire = getattr(self.ledger_backend, "retire_node", None)
-
-        def _check_inactive() -> None:
-            if name not in nodes:
-                return
-            if self._backend_height() >= effective:
-                if retire is not None:
-                    retire(name)
-                return
-            self.sim.call_in(_MEMBERSHIP_POLL, _check_inactive)
-
-        self.sim.call_in(_MEMBERSHIP_POLL, _check_inactive)
 
     def membership_report(self) -> dict | None:
         """The ``RunResult.membership`` block; ``None`` for static runs."""

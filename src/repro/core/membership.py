@@ -1,11 +1,12 @@
 """Membership epochs: the server set as a step function of time.
 
 Static deployments have a single membership epoch fixed at build time.  A
-``Join`` or ``Leave`` (scheduled fault events or interactive ``Session``
-calls) appends a new epoch whose quorum activates at a *block boundary*
-two blocks after the change is committed — mirroring real Tendermint's
-validator-set update delay — so every correct server switches quorums at
-the same deterministic point in the ledger, not at a wall-clock instant.
+``Join`` or ``Leave`` (a scheduled fault event or one passed to
+``Session.apply``) appends a new epoch whose quorum activates at a *block
+boundary* two blocks after the change is committed — mirroring real
+Tendermint's validator-set update delay — so every correct server switches
+quorums at the same deterministic point in the ledger, not at a wall-clock
+instant.
 
 The log answers two questions:
 

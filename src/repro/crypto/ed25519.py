@@ -26,8 +26,8 @@ earn their own window table (:func:`_mul_public`), so a warm verify is ~96
 table additions instead of ~380 double-and-add steps.  Square-root recovery
 in :func:`_recover_x` uses the single-exponentiation form from RFC 8032
 §5.1.3.  ``sign`` additionally caches the expanded secret (scalar, prefix,
-compressed public key) per seed; :func:`sign_many`/:func:`verify_many` batch
-those shared lookups across whole collector flushes.  None of this changes
+compressed public key) per seed; :func:`verify_many` batches the shared
+lookups across whole collector flushes.  None of this changes
 any emitted byte: the RFC 8032 test vectors in
 ``tests/test_crypto_ed25519.py`` pin the output.
 """
@@ -46,7 +46,7 @@ try:  # optional C accelerator — same RFC 8032 bytes, ~10x faster primitives.
 except Exception:  # pragma: no cover - accelerator genuinely absent
     _ACCEL = False
 
-__all__ = ["generate_public_key", "sign", "sign_many", "verify", "verify_many",
+__all__ = ["generate_public_key", "sign", "verify", "verify_many",
            "SECRET_KEY_SIZE", "PUBLIC_KEY_SIZE", "SIGNATURE_SIZE"]
 
 SECRET_KEY_SIZE = 32
@@ -382,32 +382,6 @@ def sign(secret: bytes, message: bytes) -> bytes:
     h = int.from_bytes(_sha512(R + A + message), "little") % _q
     s = (r + h * a) % _q
     return R + int.to_bytes(s, 32, "little")
-
-
-def sign_many(secret: bytes, messages: list[bytes]) -> list[bytes]:
-    """Sign a batch under one seed: the expanded key is resolved once and the
-    per-message loop binds the hot callables locally.  Output bytes are
-    identical to ``[sign(secret, m) for m in messages]``."""
-    if _ACCEL:
-        if len(secret) != SECRET_KEY_SIZE:
-            raise ValueError("bad secret key size")
-        key_sign = _accel_private(secret).sign
-        return [key_sign(message) for message in messages]
-    a, prefix, A = _expanded_key(secret)
-    sha512 = _sha512
-    from_bytes = int.from_bytes
-    to_bytes = int.to_bytes
-    mul_base = _point_mul_base
-    compress = _point_compress
-    q = _q
-    out: list[bytes] = []
-    append = out.append
-    for message in messages:
-        r = from_bytes(sha512(prefix + message), "little") % q
-        R = compress(mul_base(r))
-        h = from_bytes(sha512(R + A + message), "little") % q
-        append(R + to_bytes((r + h * a) % q, 32, "little"))
-    return out
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:

@@ -81,13 +81,6 @@ class SignatureScheme(ABC):
     def sign(self, keypair: KeyPair, message: str) -> bytes:
         """Sign ``message`` with the private half of ``keypair``."""
 
-    def sign_many(self, keypair: KeyPair,
-                  messages: Sequence[str]) -> list[bytes]:
-        """Sign a batch; element ``i`` is byte-identical to ``sign(keypair,
-        messages[i])``.  Backends share per-key setup across the batch."""
-        sign = self.sign
-        return [sign(keypair, message) for message in messages]
-
     def verify(self, owner: str, message: str, signature: bytes) -> bool:
         """True iff ``signature`` over ``message`` verifies for ``owner``'s registered key."""
         key = (owner, message, signature)
@@ -161,11 +154,6 @@ class Ed25519Scheme(SignatureScheme):
     def sign(self, keypair: KeyPair, message: str) -> bytes:
         return ed25519.sign(keypair.secret, message.encode())
 
-    def sign_many(self, keypair: KeyPair,
-                  messages: Sequence[str]) -> list[bytes]:
-        return ed25519.sign_many(keypair.secret,
-                                 [message.encode() for message in messages])
-
     def _verify(self, owner: str, message: str, signature: bytes) -> bool:
         try:
             public = self.pki.public_key_of(owner)
@@ -228,16 +216,6 @@ class SimulatedScheme(SignatureScheme):
         return hmac.digest(keypair.secret,
                            keypair.owner.encode() + b"|" + message.encode(),
                            "sha512")[:64]
-
-    def sign_many(self, keypair: KeyPair,
-                  messages: Sequence[str]) -> list[bytes]:
-        # The owner prefix is encoded once; the loop is a single tight
-        # comprehension over the C one-shot HMAC.
-        secret = keypair.secret
-        prefix = keypair.owner.encode() + b"|"
-        digest = hmac.digest
-        return [digest(secret, prefix + message.encode(), "sha512")[:64]
-                for message in messages]
 
     def _verify(self, owner: str, message: str, signature: bytes) -> bool:
         if not self.pki.knows(owner):

@@ -10,8 +10,9 @@ The :mod:`repro.faults` package turns the network's raw test hooks
   :class:`Targets` selectors;
 * :class:`FaultScheduleConfig` — the frozen, serialisable timeline carried by
   :class:`~repro.config.ExperimentConfig`;
-* :class:`FaultInjector` — executes a schedule from simulator timers and
-  condenses the resilience report flowing into ``RunResult.faults``;
+* :class:`FaultInjector` — executes a schedule from simulator timers, and
+  the events ``Session.apply`` passes it mid-run, and condenses the
+  resilience report flowing into ``RunResult.faults``;
 * :func:`register_fault` — the plugin registry, so third-party fault kinds
   participate in schedules and serialisation without core edits.
 

@@ -14,9 +14,10 @@ The eight built-in kinds follow the Jepsen nemesis vocabulary:
 =============== ================================================================
 ``partition``   split a node group from the rest (optionally re-rolled every
                 ``period`` seconds — "partition a random minority every N ms")
-``heal``        remove every installed partition
+``heal``        remove every installed partition (ending open partitions)
 ``crash``       crash-fault nodes (auto-recover at ``until``)
-``recover``     explicitly recover crashed nodes
+``recover``     explicitly recover crashed nodes (ending an open crash once
+                it has no node left down)
 ``message-loss`` drop each matching message with probability ``rate``
 ``duplicate``   deliver each matching message twice with probability ``rate``
 ``delay-spike`` add ``extra_ms`` (+ uniform jitter) to matching messages
@@ -204,7 +205,7 @@ class Partition(FaultEvent):
 
     def apply(self, ctx: "FaultContext") -> None:
         stop = self.until if self.until is not None else None
-        state: dict[str, tuple[set[str], set[str]]] = {}
+        state: dict[str, tuple[set[str], set[str], int]] = {}
 
         def install(end: float | None) -> None:
             group = set(ctx.resolve(self.group))
@@ -213,15 +214,15 @@ class Partition(FaultEvent):
                 ctx.record(self.kind, targets=sorted(group),
                            note="degenerate partition (empty side); skipped")
                 return
-            ctx.claim_partition(group, rest)
-            state["pair"] = (group, rest)
+            token = ctx.claim_partition(group, rest)
+            state["claim"] = (group, rest, token)
             ctx.record(self.kind, targets=sorted(group), until=end,
-                       open_ended=end is None)
+                       open_ended=end is None, claim=token)
 
         def uninstall() -> None:
-            pair = state.pop("pair", None)
-            if pair is not None:
-                ctx.release_partition(*pair)
+            claim = state.pop("claim", None)
+            if claim is not None:
+                ctx.release_partition(*claim)
 
         if self.period is None:
             install(stop)
@@ -273,7 +274,7 @@ class Crash(FaultEvent):
             return
         token = ctx.claim_crashes(names)
         ctx.record(self.kind, targets=names, until=self.until,
-                   open_ended=self.until is None)
+                   open_ended=self.until is None, claim=token)
         if self.until is not None:
             ctx.sim.call_at(self.until,
                             lambda: ctx.release_crashes(names, token))
@@ -451,7 +452,7 @@ class BecomeByzantine(FaultEvent):
         token = ctx.claim_byzantine(names, self.behaviour)
         ctx.record(self.kind, targets=names, until=self.until,
                    note=f"behaviour={self.behaviour}",
-                   open_ended=self.until is None)
+                   open_ended=self.until is None, claim=token)
         if self.until is not None:
             ctx.sim.call_at(self.until,
                             lambda: ctx.release_byzantine(names, token))

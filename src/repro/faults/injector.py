@@ -1,10 +1,14 @@
-"""The fault injector: executes a schedule against a live deployment.
+"""The fault injector: the one path by which a fault reaches a deployment.
 
 :class:`FaultInjector` is armed by :meth:`Deployment.start`: it schedules one
-simulator timer per event at its ``at`` time and hands events a
-:class:`FaultContext` — the narrow surface they act through (network hooks,
-crash/recover dispatch, target resolution, a derived RNG stream, and the
-fault-event record on the metrics collector).  All randomness comes from
+simulator timer per event at its ``at`` time.  :meth:`Deployment.apply`
+applies events *now* through the same injector (building it, with an empty
+schedule, on first use), so interactive crashes, partitions, Byzantine turns
+and joins share the scheduled events' ownership claims and timeline.  Events
+act through a :class:`FaultContext` — the narrow surface holding the
+crash/recover, Byzantine and membership dispatch, network hooks, target
+resolution and a derived RNG stream; nothing outside this package crashes,
+recovers or turns a server Byzantine.  All randomness comes from
 ``sim.rng.derive("faults")``, so the same ``(scenario, seed)`` produces the
 same chaos timeline in any process — ``sweep --jobs 1`` and ``--jobs 4`` stay
 byte-identical.
@@ -21,11 +25,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..errors import ConfigurationError, did_you_mean
+from ..errors import ConfigurationError, NetworkError, did_you_mean
 from .events import Targets
 from .schedule import FaultScheduleConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.base import BaseSetchainServer
     from ..core.deployment import Deployment
     from ..net.message import Message
     from ..net.network import Network
@@ -49,9 +54,12 @@ class FaultContext:
         #: server name -> claim token of the Byzantine event that owns it.
         self._byz_claims: dict[str, int] = {}
         self._claim_counter = 0
-        #: normalised cut -> reference count (overlapping Partition events
-        #: share Network's idempotent cut; the last release heals it).
-        self._partition_claims: dict[frozenset[frozenset[str]], int] = {}
+        #: normalised cut -> claim tokens holding it (overlapping Partition
+        #: events share Network's idempotent cut; the last release heals it).
+        self._partition_claims: dict[frozenset[frozenset[str]], list[int]] = {}
+        #: claim token -> the open-ended timeline entry its event opened; the
+        #: explicit event that ends the fault gives the entry its ``until``.
+        self._open: dict[int, dict[str, Any]] = {}
 
     # -- node pools -------------------------------------------------------------
 
@@ -122,14 +130,51 @@ class FaultContext:
 
     # -- crash/recover dispatch ---------------------------------------------------
 
+    def _server(self, name: str) -> "BaseSetchainServer | None":
+        """The Setchain server called ``name``; ``None`` for any other node."""
+        return next((server for server in self.deployment.servers
+                     if server.name == name), None)
+
+    def _annotate(self, name: str, label: str) -> None:
+        tracer = self.deployment.tracer
+        if tracer is not None:
+            tracer.annotate(self.sim.now, name, label)
+
+    def _next_token(self) -> int:
+        self._claim_counter += 1
+        return self._claim_counter
+
+    def _close(self, token: int | None) -> None:
+        """End the open-ended window ``token`` opened (if any), now."""
+        entry = self._open.pop(token, None)
+        if entry is not None:
+            entry["until"] = self.sim.now
+
     def crash_node(self, name: str) -> None:
-        self.deployment.crash_node(name)
+        """Crash-fault a server or ledger node (idempotent)."""
+        crash = getattr(self.deployment.ledger_backend, "crash_node", None)
+        if crash is not None and self._server(name) is None:
+            crash(name)
+        else:
+            self.network.node(name).crash()
+        self._annotate(name, "fault:crash")
 
     def recover_node(self, name: str) -> None:
-        self.deployment.recover_node(name)
+        """Recover a crashed server or ledger node (idempotent).
+
+        Ledger nodes recover through their backend when it knows how (e.g.
+        CometBFT's block-sync from a live peer); servers replay the blocks
+        their co-located ledger node finalised while they were down.
+        """
+        recover = getattr(self.deployment.ledger_backend, "recover_node", None)
+        if recover is not None and self._server(name) is None:
+            recover(name)
+        else:
+            self.network.node(name).recover()
+        self._annotate(name, "fault:recover")
 
     def is_crashed(self, name: str) -> bool:
-        return self.deployment.node_crashed(name)
+        return self.network.node(name).crashed
 
     def live(self, names: list[str]) -> list[str]:
         """Filter out nodes that are already crash-faulted.
@@ -146,8 +191,7 @@ class FaultContext:
         still owns, so a scheduled auto-recover can never bring back a node
         that was explicitly recovered and then re-claimed by a later event.
         """
-        self._claim_counter += 1
-        token = self._claim_counter
+        token = self._next_token()
         for name in names:
             self.crash_node(name)
             self._crash_claims[name] = token
@@ -161,18 +205,24 @@ class FaultContext:
                 self.recover_node(name)
 
     def force_recover(self, name: str) -> None:
-        """Explicit recovery (the ``Recover`` event): clears any ownership."""
-        self._crash_claims.pop(name, None)
+        """Explicit recovery (the ``Recover`` event): clears any ownership,
+        and ends the owning crash's open window once it owns no node."""
+        token = self._crash_claims.pop(name, None)
         self.recover_node(name)
+        if token not in self._crash_claims.values():
+            self._close(token)
 
     # -- Byzantine behaviour dispatch ---------------------------------------------
 
     def is_server(self, name: str) -> bool:
         """Whether ``name`` is a Setchain server (Byzantine-capable)."""
-        return any(server.name == name for server in self.deployment.servers)
+        return self._server(name) is not None
 
     def is_byzantine(self, name: str) -> bool:
-        return self.deployment.node_byzantine(name)
+        """Whether ``name`` is a server running a Byzantine behaviour
+        (``False`` for ledger nodes: consensus models its own threshold)."""
+        server = self._server(name)
+        return server is not None and server.is_byzantine
 
     def correct(self, names: list[str]) -> list[str]:
         """Filter out servers that are already Byzantine.
@@ -184,47 +234,56 @@ class FaultContext:
         return [name for name in names if not self.is_byzantine(name)]
 
     def claim_byzantine(self, names: list[str], behaviour: str) -> int:
-        """Turn ``names`` Byzantine under a fresh ownership token."""
-        self._claim_counter += 1
-        token = self._claim_counter
+        """Turn servers ``names`` Byzantine under a fresh ownership token."""
+        token = self._next_token()
         for name in names:
-            self.deployment.become_byzantine(name, behaviour)
+            self._server(name).become_byzantine(behaviour)  # type: ignore[union-attr]
+            self._annotate(name, f"byzantine:{behaviour}")
             self._byz_claims[name] = token
         self._injector.note_byzantine(names)
         return token
+
+    def _become_correct(self, name: str) -> None:
+        self._server(name).become_correct()  # type: ignore[union-attr]
+        self._annotate(name, "byzantine:reverted")
 
     def release_byzantine(self, names: list[str], token: int) -> None:
         """Revert the servers in ``names`` still owned by ``token``."""
         for name in names:
             if self._byz_claims.get(name) == token:
                 del self._byz_claims[name]
-                self.deployment.become_correct(name)
+                self._become_correct(name)
 
     def force_correct(self, name: str) -> None:
-        """Explicit reversion (the ``BecomeCorrect`` event): clears ownership."""
-        self._byz_claims.pop(name, None)
-        if self.is_server(name):
-            self.deployment.become_correct(name)
+        """Explicit reversion (the ``BecomeCorrect`` event): clears ownership,
+        and ends the owning event's open window once it owns no server."""
+        token = self._byz_claims.pop(name, None)
+        self._become_correct(name)
+        if token not in self._byz_claims.values():
+            self._close(token)
 
     # -- membership dispatch -------------------------------------------------------
 
     def join(self, node: str | None = None, role: str = "servers",
              region: str | None = None, algorithm: str | None = None) -> str:
         """Admit a new node; returns its (possibly auto-assigned) name."""
+        deployment = self.deployment
         if role == "validators":
-            return self.deployment.add_validator(node)
-        server = self.deployment.add_server(name=node, algorithm=algorithm,
-                                            region=region)
-        return server.name
+            add = getattr(deployment.ledger_backend, "add_validator", None)
+            if add is None:
+                raise NetworkError(
+                    f"ledger backend {deployment.config.ledger_backend!r} has "
+                    "no validator set to grow")
+            return add(node).name
+        return deployment.add_server(name=node, algorithm=algorithm,
+                                     region=region).name
 
     def can_leave(self, name: str) -> bool:
         """Whether ``name`` is a server currently eligible to depart."""
-        for server in self.deployment.servers:
-            if server.name == name:
-                return (not server.bootstrapping and not server.draining
-                        and not server.departed
-                        and len(self.deployment.servers) > 1)
-        return False
+        server = self._server(name)
+        return (server is not None and not server.bootstrapping
+                and not server.draining and not server.departed
+                and len(self.deployment.servers) > 1)
 
     def leave(self, name: str, drain: bool = True) -> None:
         """Retire a server cleanly (drained by default)."""
@@ -236,31 +295,37 @@ class FaultContext:
     def _cut_key(group: set[str], rest: set[str]) -> frozenset[frozenset[str]]:
         return frozenset((frozenset(group), frozenset(rest)))
 
-    def claim_partition(self, group: set[str], rest: set[str]) -> None:
-        """Install a cut under reference counting.
+    def claim_partition(self, group: set[str], rest: set[str]) -> int:
+        """Install a cut under a fresh ownership token.
 
         ``Network.partition`` is idempotent, so overlapping Partition events
-        resolving to the same cut share one underlying partition; counting
-        claims makes the cut heal only when its *last* owner releases it.
+        resolving to the same cut share one underlying partition; the cut
+        heals only when its *last* owner releases it.
         """
         key = self._cut_key(group, rest)
-        count = self._partition_claims.get(key, 0)
-        if count == 0:
+        tokens = self._partition_claims.setdefault(key, [])
+        if not tokens:
             self.network.partition(group, rest)
-        self._partition_claims[key] = count + 1
+        tokens.append(self._next_token())
+        return tokens[-1]
 
-    def release_partition(self, group: set[str], rest: set[str]) -> None:
-        """Drop one claim on a cut; the last release heals it."""
+    def release_partition(self, group: set[str], rest: set[str],
+                          token: int) -> None:
+        """Drop ``token``'s claim on a cut; the last release heals it."""
         key = self._cut_key(group, rest)
-        count = self._partition_claims.get(key, 0)
-        if count <= 1:
+        tokens = self._partition_claims.get(key, [])
+        if token in tokens:
+            tokens.remove(token)
+        if not tokens:
             self._partition_claims.pop(key, None)
             self.network.heal(group, rest)
-        else:
-            self._partition_claims[key] = count - 1
 
     def heal_all_partitions(self) -> None:
-        """Explicit global heal (the ``Heal`` event): clears every claim."""
+        """Explicit global heal (the ``Heal`` event): clears every claim and
+        ends every open partition window."""
+        for tokens in self._partition_claims.values():
+            for token in tokens:
+                self._close(token)
         self._partition_claims.clear()
         self.network.heal()
 
@@ -268,19 +333,24 @@ class FaultContext:
 
     def record(self, kind: str, targets: list[str] | None = None,
                until: float | None = None, note: str = "",
-               open_ended: bool = False) -> None:
-        """Log one applied fault into the timeline and the metrics collector.
+               open_ended: bool = False, claim: int | None = None) -> None:
+        """Log one applied fault into the timeline.
 
         An entry is a *fault window* when it has an ``until`` or is declared
-        ``open_ended`` (active until the end of the run); anything else —
-        heals, recoveries, skipped degenerate events — is instantaneous and
-        does not count toward the during-faults metrics.
+        ``open_ended`` (active until an explicit ``Recover``,
+        ``BecomeCorrect`` or ``Heal`` releases ``claim``, or the end of the
+        run); anything else — heals, recoveries, skipped degenerate events —
+        is instantaneous and does not count toward the during-faults metrics.
         """
-        self._injector.record(kind, targets or [], until, note, open_ended)
+        entry = self._injector.record(kind, targets or [], until, note,
+                                      open_ended)
+        if open_ended and claim is not None:
+            self._open[claim] = entry
 
 
 class FaultInjector:
-    """Schedules a :class:`FaultScheduleConfig` onto a deployment's simulator."""
+    """Schedules a :class:`FaultScheduleConfig` onto a deployment's simulator
+    and keeps the one timeline of every fault applied, scheduled or not."""
 
     def __init__(self, deployment: "Deployment",
                  schedule: FaultScheduleConfig) -> None:
@@ -290,10 +360,10 @@ class FaultInjector:
         self.context = FaultContext(deployment, self.rng, self)
         #: Applied-fault timeline (JSON-safe entries, in application order).
         self.applied: list[dict[str, Any]] = []
-        #: Active-fault windows as ``(start, end-or-None)``; ``None`` means
-        #: open-ended (until the end of the run).  Instantaneous entries
-        #: (heal, recover) appear in :attr:`applied` but not here.
-        self._windows: list[tuple[float, float | None]] = []
+        #: The entries of :attr:`applied` that are fault windows, from ``at``
+        #: to ``until`` (absent: open-ended, until the end of the run).
+        #: Instantaneous entries (heal, recover) are not windows.
+        self._windows: list[dict[str, Any]] = []
         #: Servers a Byzantine event actually turned.  Gates the ``byzantine``
         #: block of the report: crash-only and fault-free schedules stay
         #: byte-identical to the pre-Byzantine artifact schema.
@@ -320,7 +390,7 @@ class FaultInjector:
                         lambda e=event: e.apply(self.context))
 
     def record(self, kind: str, targets: list[str], until: float | None,
-               note: str, open_ended: bool = False) -> None:
+               note: str, open_ended: bool = False) -> dict[str, Any]:
         entry: dict[str, Any] = {"at": self.deployment.sim.now, "kind": kind,
                                  "targets": list(targets)}
         if until is not None:
@@ -329,7 +399,8 @@ class FaultInjector:
             entry["note"] = note
         self.applied.append(entry)
         if until is not None or open_ended:
-            self._windows.append((self.deployment.sim.now, until))
+            self._windows.append(entry)
+        return entry
 
     # -- resilience report --------------------------------------------------------
 
@@ -340,8 +411,8 @@ class FaultInjector:
         network = deployment.network
         horizon = deployment.sim.now
 
-        intervals = [(start, horizon if end is None else end)
-                     for start, end in self._windows]
+        intervals = [(entry["at"], entry.get("until", horizon))
+                     for entry in self._windows]
         commit_times = metrics.commit_times()
 
         # Per-window availability over the injection phase: the fraction of

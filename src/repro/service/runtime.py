@@ -9,9 +9,14 @@ durable ``sqlite`` ledger backend, periodically checkpoints hashchain batch
 contents, and — when re-opened on an existing database — restores every
 server from the persisted chain before accepting new traffic.
 
+Faults reach a running service the way they reach a session: as
+:mod:`repro.faults` events passed to :meth:`ServiceRuntime.apply` (joins and
+drained leaves included), recorded in ``result().faults``;
+:meth:`ServiceRuntime.rolling_restart` is a sequence of them.
+
 Threading model: the simulator itself is single-threaded; the runtime guards
-every entry point (submit / tick / snapshot / stop) with one lock so the
-:mod:`repro.service.http` endpoint can serve scrapes from its own thread
+every entry point (submit / tick / apply / snapshot / stop) with one lock so
+the :mod:`repro.service.http` endpoint can serve scrapes from its own thread
 while the driving loop ticks.
 """
 
@@ -30,6 +35,7 @@ from ..api.results import RunResult
 from ..api.session import Session, _resolve_config
 from ..core.types import HashBatch
 from ..errors import ConfigurationError, SimulationError
+from ..faults.events import Crash, FaultEvent, Recover, Targets
 from ..workload.elements import Element, make_elements
 from ..workload.traces import WorkloadTrace
 from .persistence import SqliteLedger, ledger_db
@@ -272,40 +278,24 @@ class ServiceRuntime:
 
     # -- operations ---------------------------------------------------------------
 
+    def apply(self, *events: FaultEvent) -> list[dict]:
+        """Apply fault events now (see :meth:`Session.apply`): a crash, a
+        ``Join`` (scale out), a drained ``Leave`` (scale in; ingress routes
+        around the leaver at once).  They appear in ``result().faults``."""
+        with self._lock:
+            if self._stopped:
+                raise SimulationError("service runtime is stopped")
+            return self.session.apply(*events)
+
     def rolling_restart(self, names: list[str] | None = None,
                         down_for: float = 1.0, between: float = 1.0) -> None:
         """Crash and recover each named server in sequence, ticking throughout."""
         for name in names if names is not None else [s.name for s in self.deployment.servers]:
-            self.session.crash(name)
+            server = Targets(nodes=(name,))
+            self.apply(Crash(targets=server))
             self.run_for(down_for)
-            self.session.recover(name)
+            self.apply(Recover(targets=server))
             self.run_for(between)
-
-    def add_server(self, name: str | None = None, *,
-                   algorithm: str | None = None,
-                   region: str | None = None) -> str:
-        """Scale out: join a server mid-service; returns its name.
-
-        The joiner bootstraps via state transfer and receives ingress
-        traffic (the drain round-robin includes it) once caught up.
-        """
-        with self._lock:
-            if self._stopped:
-                raise SimulationError("service runtime is stopped")
-            server = self.deployment.add_server(name=name, algorithm=algorithm,
-                                                region=region)
-            return server.name
-
-    def remove_server(self, name: str, *, drain: bool = True) -> None:
-        """Scale in: drain and retire a server mid-service.
-
-        Ingress routes around it immediately; the retirement completes once
-        its obligations are handed off (advance ticks to let it finish).
-        """
-        with self._lock:
-            if self._stopped:
-                raise SimulationError("service runtime is stopped")
-            self.deployment.remove_server(name, drain=drain)
 
     def checkpoint(self) -> int:
         """Journal the batches stored since the last checkpoint.

@@ -23,15 +23,7 @@ def _schemes():
             Ed25519Scheme(PublicKeyInfrastructure())]
 
 
-# -- sign_many / verify_many equivalence -------------------------------------------------
-
-@_crypto
-@given(st.lists(st.text(max_size=40), max_size=8))
-def test_sign_many_is_bitwise_scalar_equivalent(messages):
-    for scheme in _schemes():
-        keypair = scheme.generate_keypair("server-0", deployment_seed=3)
-        batch = scheme.sign_many(keypair, messages)
-        assert batch == [scheme.sign(keypair, m) for m in messages]
+# -- verify_many equivalence -------------------------------------------------
 
 
 @_crypto

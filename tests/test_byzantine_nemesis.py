@@ -21,8 +21,8 @@ from repro.core.byzantine import (
 )
 from repro.core.deployment import build_deployment
 from repro.core.properties import check_all
-from repro.errors import ConfigurationError, NetworkError
-from repro.faults import BecomeByzantine, BecomeCorrect, Recover, Targets
+from repro.errors import ConfigurationError
+from repro.faults import BecomeByzantine, BecomeCorrect, Crash, Recover, Targets
 
 from pathlib import Path
 
@@ -36,6 +36,9 @@ BYZ_GOLDEN_RUNS = [
     ("byz/golden/compresschain-equivocate",
      "byz__golden__compresschain-equivocate.json"),
 ]
+
+
+SERVER_3 = Targets(nodes=("server-3",))
 
 
 def byz_scenario():
@@ -64,23 +67,30 @@ def test_server_becomes_byzantine_and_back_mid_run():
     deployment.sim.run_until(1.0)
     server = deployment.servers[3]
     assert not server.is_byzantine and server.byzantine_behaviour is None
-    deployment.become_byzantine("server-3", "withhold")
+    deployment.apply(BecomeByzantine(targets=SERVER_3, behaviour="withhold"))
     assert server.is_byzantine and server.byzantine_behaviour == "withhold"
-    # Switching behaviours detaches the previous one first.
-    deployment.become_byzantine("server-3", "silent")
+    # An already-Byzantine server belongs to the event that turned it.
+    (skipped,) = deployment.apply(
+        BecomeByzantine(targets=SERVER_3, behaviour="silent"))
+    assert "skipped" in skipped["note"]
+    assert server.byzantine_behaviour == "withhold"
+    # Switching behaviours on the server detaches the previous one first.
+    server.become_byzantine("silent")
     assert server.byzantine_behaviour == "silent"
-    deployment.become_correct("server-3")
+    deployment.apply(BecomeCorrect(targets=SERVER_3))
     assert not server.is_byzantine
-    deployment.become_correct("server-3")  # idempotent
+    deployment.apply(BecomeCorrect(targets=SERVER_3))  # idempotent
 
 
 def test_only_servers_can_turn_byzantine():
     deployment = build_deployment(
         Scenario.hashchain().servers(4).rate(200).collector(20)
         .inject_for(5).drain(60).build())
-    with pytest.raises(NetworkError, match="only servers"):
-        deployment.become_byzantine("cometbft-0", "silent")
-    assert deployment.node_byzantine("cometbft-0") is False
+    (skipped,) = deployment.apply(BecomeByzantine(
+        targets=Targets(nodes=("cometbft-0",), role="all")))
+    assert skipped["note"] == "no eligible targets; skipped"
+    assert deployment.fault_injector.context.is_byzantine("cometbft-0") is False
+    assert deployment.fault_injector.byzantine_servers == set()
 
 
 def test_third_party_behaviour_runs_end_to_end():
@@ -136,7 +146,7 @@ def test_mid_run_withhold_then_correct_buffered_replies_resume():
     config = byz_scenario().build()
     with Scenario.from_config(config).session() as session:
         session.run_for(1.0)
-        session.become_byzantine("server-3", "withhold")
+        session.apply(BecomeByzantine(targets=SERVER_3, behaviour="withhold"))
         assert session.byzantine_nodes() == ["server-3"]
         # Elements added only through the Byzantine server: its hash-batches
         # reach the ledger but nobody can pull the contents while it withholds.
@@ -148,7 +158,7 @@ def test_mid_run_withhold_then_correct_buffered_replies_resume():
         assert all(element not in view.elements_in_epochs()
                    for view in correct_views for element in orphaned)
         # Turning correct replays the buffered replies; consolidation resumes.
-        session.become_correct("server-3")
+        session.apply(BecomeCorrect(targets=SERVER_3))
         assert session.byzantine_nodes() == []
         session.run_to_completion()
         views = session.views()
@@ -168,15 +178,15 @@ def test_withhold_buffer_survives_detach_while_crashed():
     server and replays on recovery, so consolidation still converges."""
     with byz_scenario().session() as session:
         session.run_for(1.0)
-        session.become_byzantine("server-3", "withhold")
+        session.apply(BecomeByzantine(targets=SERVER_3, behaviour="withhold"))
         orphaned = [session.inject(server=3) for _ in range(25)]
         session.run_for(3.0)  # batches flushed, peer requests withheld
         withholder = session.deployment.servers[3]
         assert withholder.byzantine_counters.get("withheld_requests", 0) > 0
-        session.crash("server-3")
-        session.become_correct("server-3")  # detach while down
+        session.apply(Crash(targets=SERVER_3),
+                      BecomeCorrect(targets=SERVER_3))  # detach while down
         assert withholder._deferred_request_replays  # parked, not lost
-        session.recover("server-3")
+        session.apply(Recover(targets=SERVER_3))
         assert not withholder._deferred_request_replays  # served on recovery
         session.run_to_completion()
         views = session.views()
@@ -195,10 +205,10 @@ def test_interactive_byzantine_excluded_from_checks_after_revert():
               .inject_for(5).drain(40).backend("ideal").build())
     with Scenario.from_config(config).session() as session:
         session.run_for(1.0)
-        session.become_byzantine("server-3", "silent")
+        session.apply(BecomeByzantine(targets=SERVER_3, behaviour="silent"))
         swallowed = [session.inject(server=3) for _ in range(5)]
         session.run_for(2.0)
-        session.become_correct("server-3")
+        session.apply(BecomeCorrect(targets=SERVER_3))
         session.run()
         assert session.deployment.byzantine_servers() == {"server-3"}
         # The faulty view really is inconsistent (dropped elements never
@@ -509,10 +519,11 @@ def test_builder_sugar_builds_events_and_round_trips():
 def test_session_become_byzantine_validates_names():
     with byz_scenario().session() as session:
         session.run_for(0.5)
-        with pytest.raises(NetworkError):
-            session.become_byzantine("no-such-server")
+        with pytest.raises(ConfigurationError, match="unknown node"):
+            session.apply(BecomeByzantine(
+                targets=Targets(nodes=("no-such-server",))))
         with pytest.raises(ConfigurationError, match="withhold"):
-            session.become_byzantine("server-0", "withold")
+            BecomeByzantine(behaviour="withold")
 
 
 # -- catalog family, goldens, and byte-identity ---------------------------------

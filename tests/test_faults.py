@@ -6,10 +6,10 @@ import json
 import pytest
 
 from repro.api import Scenario, Session, get_scenario, run, scenario_names
-from repro.api.parallel import RunSpec, run_specs
+from repro.api.parallel import RunSpec, reset_run_counters, run_specs
 from repro.config import ExperimentConfig, FaultScheduleConfig
 from repro.core.deployment import build_deployment
-from repro.errors import ConfigurationError, NetworkError
+from repro.errors import ConfigurationError
 from repro.faults import (
     BecomeByzantine,
     BecomeCorrect,
@@ -27,6 +27,9 @@ from repro.faults import (
     register_fault,
     unregister_fault,
 )
+
+
+SERVER_3 = Targets(nodes=("server-3",))
 
 
 def chaos_scenario():
@@ -255,14 +258,14 @@ def test_crashed_server_rejects_adds_and_replays_missed_blocks():
     deployment.start()
     deployment.sim.run_until(1.0)
     server = deployment.servers[3]
-    deployment.crash_node("server-3")
+    deployment.apply(Crash(targets=SERVER_3))
     assert server.crashed
     blocks_before = server.blocks_processed
     deployment.sim.run_until(3.0)
     assert server.crashed_rejects > 0
     assert server.blocks_processed == blocks_before  # buffering, not processing
     assert server._missed_blocks  # the co-located ledger kept finalising
-    deployment.recover_node("server-3")
+    deployment.apply(Recover(targets=SERVER_3))
     assert not server.crashed
     deployment.run()
     assert server.blocks_processed > blocks_before
@@ -279,9 +282,9 @@ def test_crash_recover_round_trips_hashchain_batch_recovery():
     deployment.sim.run_until(1.0)
     server = deployment.servers[3]
     requests_before = server.batch_requests_sent
-    deployment.crash_node("server-3")
+    deployment.apply(Crash(targets=SERVER_3))
     deployment.sim.run_until(3.5)  # peers keep flushing batches meanwhile
-    deployment.recover_node("server-3")
+    deployment.apply(Recover(targets=SERVER_3))
     deployment.run_to_completion()
     assert server.batch_requests_sent > requests_before
     assert deployment.metrics.hash_reversal_success > 0
@@ -319,12 +322,13 @@ def test_cometbft_validator_crash_and_blocksync_recovery():
     deployment.sim.run_until(2.0)
     backend = deployment.ledger_backend
     victim = backend.nodes["cometbft-3"]
-    deployment.crash_node("cometbft-3")
+    validator = Targets(nodes=("cometbft-3",))
+    deployment.apply(Crash(targets=validator))
     assert victim.crashed
     deployment.sim.run_until(6.0)
     peers_height = max(len(n.committed_blocks) for n in backend.node_list())
     assert peers_height > len(victim.committed_blocks)
-    deployment.recover_node("cometbft-3")
+    deployment.apply(Recover(targets=validator))
     assert not victim.crashed
     # Block-sync caught the victim up to the best live peer instantly.
     assert len(victim.committed_blocks) >= peers_height
@@ -340,7 +344,7 @@ def test_network_counts_traffic_to_crashed_nodes_as_dropped():
     deployment.start()
     deployment.sim.run_until(1.0)
     dropped_before = deployment.network.messages_dropped
-    deployment.crash_node("server-1")
+    deployment.apply(Crash(targets=Targets(nodes=("server-1",))))
     # Force a direct send into the crashed node.
     deployment.servers[0].send("server-1", "request_batch", "h", size_bytes=10)
     deployment.sim.run_until(1.5)
@@ -436,22 +440,92 @@ def test_duplicate_and_delay_events_affect_the_network():
 
 def test_deployment_crash_dispatch_rejects_unknown_names():
     deployment = build_deployment(chaos_scenario().build())
-    with pytest.raises(NetworkError):
-        deployment.crash_node("no-such-node")
+    with pytest.raises(ConfigurationError, match="unknown node"):
+        deployment.apply(Crash(targets=Targets(nodes=("no-such-node",))))
+    assert deployment.fault_injector.applied == []
+
+
+def test_apply_refuses_future_and_finished_events_before_applying_any():
+    deployment = build_deployment(chaos_scenario().build())
+    deployment.start()
+    deployment.sim.run_until(2.0)
+    crash = Crash(targets=SERVER_3)
+    for late in (Crash(at=2.5, targets=SERVER_3),
+                 Crash(at=1.0, until=2.0, targets=SERVER_3)):
+        with pytest.raises(ConfigurationError, match="cannot be applied"):
+            deployment.apply(crash, late)
+        assert not deployment.servers[3].crashed
 
 
 def test_session_interactive_chaos_helpers():
     with chaos_scenario().session() as session:
         session.run_for(1.0)
-        session.crash("server-2")
+        server_2 = Targets(nodes=("server-2",))
+        (entry,) = session.apply(Crash(targets=server_2))
+        assert entry == {"at": 1.0, "kind": "crash", "targets": ["server-2"]}
         assert session.crashed_nodes() == ["server-2"]
-        session.partition({"server-0"})
+        session.apply(Partition(group=Targets(nodes=("server-0",))))
         session.run_for(1.0)
-        session.heal()
-        session.recover("server-2")
+        session.apply(Heal(), Recover(targets=server_2))
         assert session.crashed_nodes() == []
+        # Interactive partitions adopt the schedule's semantics: a cut with
+        # an empty side is skipped and recorded instead of raising.
+        (skipped,) = session.apply(Partition(group=Targets(role="all")))
+        assert "skipped" in skipped["note"]
         session.run_to_completion()
         assert session.committed_fraction > 0.5
+        events = session.result().faults["events"]
+    assert [(e["kind"], e["at"], e.get("until")) for e in events] == [
+        ("crash", 1.0, 2.0), ("partition", 1.0, 2.0), ("heal", 2.0, None),
+        ("recover", 2.0, None), ("partition", 2.0, None)]
+
+
+def _one_second_crash(*events):
+    config = (Scenario.hashchain().servers(4).rate(200).collector(20)
+              .inject_for(5).drain(40).backend("ideal").faults(*events)
+              .build())
+    reset_run_counters()
+    return run(config, seed=7).faults
+
+
+def test_explicit_recover_closes_the_open_crash_window():
+    """An open-ended crash ended by an explicit Recover is the same fault
+    window as a crash with an ``until``: same during-faults latency, same
+    recovery entry, same availability."""
+    server_2 = Targets(nodes=("server-2",))
+    spelled_out = _one_second_crash(Crash(at=1.0, targets=server_2),
+                                    Recover(at=2.0, targets=server_2))
+    windowed = _one_second_crash(Crash(at=1.0, until=2.0, targets=server_2))
+    for key in ("commit_latency_s", "recovery", "availability"):
+        assert spelled_out[key] == windowed[key], key
+    assert [entry["healed_at"] for entry in windowed["recovery"]] == [2.0]
+
+
+def test_recover_closes_a_crash_window_only_with_its_last_node():
+    deployment = build_deployment(chaos_scenario().build())
+    deployment.start()
+    deployment.sim.run_until(1.0)
+    deployment.apply(Crash(targets=Targets(nodes=("server-2", "server-3"))))
+    deployment.sim.run_until(2.0)
+    deployment.apply(Recover(targets=Targets(nodes=("server-2",))))
+    (window,) = deployment.fault_injector._windows
+    assert "until" not in window  # server-3 is still down
+    deployment.sim.run_until(3.0)
+    deployment.apply(Recover(targets=SERVER_3))
+    assert window["until"] == 3.0
+
+
+def test_explicit_reversion_and_heal_close_their_open_windows():
+    deployment = build_deployment(chaos_scenario().build())
+    deployment.start()
+    deployment.sim.run_until(1.0)
+    deployment.apply(BecomeByzantine(targets=SERVER_3, behaviour="withhold"),
+                     Partition(group=Targets(nodes=("server-0",))))
+    deployment.sim.run_until(1.5)
+    deployment.apply(BecomeCorrect(targets=SERVER_3), Heal())
+    assert [(w["kind"], w["until"])
+            for w in deployment.fault_injector._windows] == [
+        ("become-byzantine", 1.5), ("partition", 1.5)]
 
 
 def test_message_fault_rule_matches_exactly_the_recorded_targets():
@@ -488,7 +562,8 @@ def test_instantaneous_events_do_not_open_fault_windows():
     injector = deployment.fault_injector
     # Two applied entries (partition + heal) but only one fault window.
     assert len(injector.applied) == 2
-    assert injector._windows == [(1.0, 1.5)]
+    assert injector._windows == [injector.applied[0]]
+    assert injector.applied[0]["until"] == 1.5
     report = injector.report()
     # Elements injected after t=1.5 land in the fault-free bucket.
     assert report["commit_latency_s"]["fault_free"] is not None
@@ -645,6 +720,35 @@ def test_crash_on_already_downed_target_opens_no_window():
     injector = deployment.fault_injector
     skipped = [e for e in injector.applied if "skipped" in e.get("note", "")]
     assert len(skipped) == 1 and skipped[0]["at"] == 2.0
-    assert injector._windows == [(1.0, 4.0)]
+    assert [(w["at"], w["until"]) for w in injector._windows] == [(1.0, 4.0)]
     deployment.sim.run_until(4.5)
     assert not deployment.servers[3].crashed
+
+
+def test_interactive_faults_twin_their_schedule():
+    """The same two events, scheduled in the scenario or passed to
+    ``Session.apply`` at their instants, give the same run and the same
+    ``RunResult`` — faults block included — apart from the config echo and
+    the schedule length.  The instants are shared by no client tick or
+    block, so both spellings order the simulator's events alike."""
+    base = (Scenario.hashchain().servers(4).rate(200)
+            .inject_for(5).drain(40).backend("ideal"))
+    scheduled = (base.crash(1.037, "server-2", until=3.037)
+                 .become_byzantine(3.5371, "server-1", behaviour="withhold",
+                                   until=4.5371).build())
+
+    def artifact(session):
+        data = json.loads(session.run().result().to_json())
+        del data["config"], data["faults"]["schedule_events"]
+        return data
+
+    reset_run_counters()
+    expected = artifact(Session(scheduled, seed=7).start())
+    reset_run_counters()
+    session = Session(base.build(), seed=7).start()
+    for event in scheduled.faults.events:
+        session.run_until(event.at)
+        session.apply(event)
+    assert artifact(session) == expected
+    assert [e["kind"] for e in expected["faults"]["events"]] == [
+        "crash", "become-byzantine"]

@@ -187,17 +187,20 @@ def test_session_add_and_remove_server():
     with Session(Scenario.hashchain().servers(4).rate(200).collector(20)
                  .inject_for(4).drain(30).backend("ideal"), seed=5) as session:
         session.run_for(1.0)
-        name = session.add_server()
-        assert name == "server-4"
+        (joined,) = session.apply(Join())
+        assert joined["targets"] == ["server-4"]
         session.run_for(2.0)
         report = session.membership()
         assert report["current"]["size"] == 5
         assert report["joins"][0]["node"] == "server-4"
-        session.remove_server("server-4")
+        session.apply(Leave(targets=Targets(nodes=("server-4",))))
         session.run_for(2.0)
         report = session.membership()
         assert report["current"]["size"] == 4
         assert report["leaves"][0]["node"] == "server-4"
+        # Joins and leaves land on the fault timeline like scheduled ones.
+        assert [e["kind"] for e in session.result().faults["events"]] == [
+            "join", "leave"]
 
 
 # -- service runtime: epoch-aware health and the durable journal ----------------
@@ -215,14 +218,14 @@ def test_healthz_tracks_the_current_membership_epoch():
         assert runtime.healthz()["epoch"] == 1
         runtime.submit_many(100)
         runtime.run_for(1.0)
-        runtime.add_server()
+        runtime.apply(Join())
         runtime.run_for(2.0)
         health = runtime.healthz()
         assert health["epoch"] == 2
         assert health["live_servers"] == 5
         assert health["quorum"] == 3
         assert health["status"] == "ok"
-        runtime.remove_server("server-1")
+        runtime.apply(Leave(targets=Targets(nodes=("server-1",))))
         runtime.run_for(2.0)
         health = runtime.healthz()
         assert health["epoch"] == 3
@@ -240,9 +243,9 @@ def test_checkpoint_journals_membership_and_audit_verifies_it(tmp_path):
     try:
         runtime.submit_many(150)
         runtime.run_for(1.0)
-        runtime.add_server()
+        runtime.apply(Join())
         runtime.run_for(2.0)
-        runtime.remove_server("server-2")
+        runtime.apply(Leave(targets=Targets(nodes=("server-2",))))
         runtime.run_for(3.0)
         runtime.checkpoint()
     finally:
@@ -262,7 +265,7 @@ def test_audit_rejects_a_gapped_membership_journal(tmp_path):
     try:
         runtime.submit_many(50)
         runtime.run_for(1.0)
-        runtime.add_server()
+        runtime.apply(Join())
         runtime.run_for(2.0)
         runtime.checkpoint()
     finally:
@@ -279,7 +282,7 @@ def test_service_inspect_renders_the_membership_journal(tmp_path, capsys):
     try:
         runtime.submit_many(50)
         runtime.run_for(1.0)
-        runtime.add_server()
+        runtime.apply(Join())
         runtime.run_for(2.0)
         runtime.checkpoint()
     finally:

@@ -28,6 +28,7 @@ from repro.api import Scenario, Session, run
 from repro.api.parallel import RunSpec, execute_spec, reset_run_counters, run_specs
 from repro.api.results import RunResult
 from repro.errors import ConfigurationError
+from repro.faults import Crash, Targets
 from repro.obs.__main__ import _write_collapsed, main as obs_main
 from repro.obs.export import (
     export_chrome,
@@ -481,8 +482,7 @@ def test_http_prometheus_format_and_health_caching_headers():
         with urllib.request.urlopen(endpoint.url + "/healthz") as response:
             assert response.headers["Cache-Control"] == "no-store"
             assert response.headers["Retry-After"] is None
-        for server in list(runtime.deployment.servers):
-            runtime.deployment.crash_node(server.name)
+        runtime.apply(Crash(targets=Targets(role="servers")))
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(endpoint.url + "/healthz")
         assert excinfo.value.code == 503

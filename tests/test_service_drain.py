@@ -23,6 +23,7 @@ import pytest
 
 from repro.api.builder import Scenario
 from repro.api.parallel import reset_run_counters
+from repro.faults import Crash, Leave, Recover, Targets
 from repro.service.runtime import ServiceRuntime
 from repro.workload.elements import make_element
 
@@ -95,25 +96,25 @@ def load(runtime, during=lambda: None, after=lambda: None):
 
 def one_server_crashed(runtime):
     # The round-robin skips server-1 for the whole second wave.
-    load(runtime, during=lambda: runtime.session.crash("server-1"),
-         after=lambda: runtime.session.recover("server-1"))
+    server_1 = Targets(nodes=("server-1",))
+    load(runtime, during=lambda: runtime.apply(Crash(targets=server_1)),
+         after=lambda: runtime.apply(Recover(targets=server_1)))
 
 
 def every_server_down(runtime):
-    def crash_all():
-        for server in runtime.deployment.servers:
-            runtime.session.crash(server.name)
+    servers = Targets(role="servers")
 
     def recover_all():
         assert runtime.queue_depth == 301  # held, not dropped
-        for server in runtime.deployment.servers:
-            runtime.session.recover(server.name)
+        runtime.apply(Recover(targets=servers))
 
-    load(runtime, during=crash_all, after=recover_all)
+    load(runtime, during=lambda: runtime.apply(Crash(targets=servers)),
+         after=recover_all)
 
 
 def draining_leaver(runtime):
-    load(runtime, during=lambda: runtime.remove_server("server-3"))
+    load(runtime, during=lambda: runtime.apply(
+        Leave(targets=Targets(nodes=("server-3",)))))
 
 
 CASES = {
@@ -201,10 +202,11 @@ def test_same_instant_flushes_inside_a_burst_go_in_server_order():
     only the order of the flushes (ledger transaction ids, jitter draws)
     is the batched drain's own."""
     def script(runtime):
-        runtime.session.crash("server-0")
+        server_0 = Targets(nodes=("server-0",))
+        runtime.apply(Crash(targets=server_0))
         runtime.submit_many(15)   # five each to servers 1, 2, 3
         runtime.tick()
-        runtime.session.recover("server-0")
+        runtime.apply(Recover(targets=server_0))
         runtime.submit_many(40)   # ten each: 1-3 overflow at their fifth
         runtime.tick()
         script.flushes = [flush.server for flush

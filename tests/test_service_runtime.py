@@ -14,9 +14,14 @@ import pytest
 
 from repro.api.builder import Scenario
 from repro.errors import ConfigurationError, SimulationError
+from repro.faults import Crash, Leave, Recover, Targets
 from repro.service.http import MetricsEndpoint
 from repro.service.runtime import DEFER_WATERMARK, ServiceRuntime
 from repro.workload.traces import record_trace
+
+
+#: Every server of the deployment (a crash of them all, not a random one).
+SERVERS = Targets(role="servers")
 
 
 def small_runtime(**kwargs):
@@ -77,13 +82,11 @@ def test_submissions_rejected_after_stop():
 
 def test_queue_held_while_every_server_is_down():
     runtime = small_runtime()
-    for server in runtime.deployment.servers:
-        runtime.session.crash(server.name)
+    runtime.apply(Crash(targets=SERVERS))
     runtime.submit_many(50)
     runtime.run_for(1.0)
     assert runtime.queue_depth == 50  # nothing lost, nothing drained
-    for server in runtime.deployment.servers:
-        runtime.session.recover(server.name)
+    runtime.apply(Recover(targets=SERVERS))
     runtime.run_for(8.0)
     assert runtime.queue_depth == 0
     assert runtime.metrics_snapshot()["committed"] == 50
@@ -155,7 +158,24 @@ def test_rolling_restart_keeps_committing():
     assert snapshot["committed"] == 200
     assert all(not state["crashed"]
                for state in snapshot["servers"].values())
+    # The restarts are faults like any other: on the timeline, each crash
+    # window closed by its recovery.
+    events = runtime.result().faults["events"]
+    assert [(e["kind"], e["targets"]) for e in events] == [
+        ("crash", ["server-0"]), ("recover", ["server-0"]),
+        ("crash", ["server-1"]), ("recover", ["server-1"])]
+    for crash, recover in zip(events[::2], events[1::2]):
+        assert crash["until"] == recover["at"] == pytest.approx(crash["at"] + 1)
     runtime.stop()
+
+
+def test_rolling_restart_on_a_stopped_runtime_crashes_nothing():
+    runtime = small_runtime()
+    runtime.stop()
+    with pytest.raises(SimulationError, match="stopped"):
+        runtime.rolling_restart(names=["server-0"])
+    assert not runtime.deployment.servers[0].crashed
+    assert runtime.deployment.fault_injector is None
 
 
 # -- live metrics ---------------------------------------------------------------
@@ -186,7 +206,7 @@ def test_healthz_degrades_below_quorum():
     for server in runtime.deployment.servers:
         if live < quorum:
             break
-        runtime.session.crash(server.name)
+        runtime.apply(Crash(targets=Targets(nodes=(server.name,))))
         live -= 1
     health = runtime.healthz()
     assert health["status"] == "degraded"
@@ -220,8 +240,7 @@ def test_http_healthz_reports_degraded_as_503():
     runtime = small_runtime()
     endpoint = MetricsEndpoint(runtime)
     try:
-        for server in runtime.deployment.servers:
-            runtime.session.crash(server.name)
+        runtime.apply(Crash(targets=SERVERS))
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(endpoint.url + "/healthz")
         assert excinfo.value.code == 503
@@ -260,7 +279,7 @@ def test_healthz_excludes_draining_leaver_from_live_count():
     runtime.submit_many(50)
     runtime.run_for(1.0)
     assert runtime.healthz()["live_servers"] == 4
-    runtime.remove_server("server-3")
+    runtime.apply(Leave(targets=Targets(nodes=("server-3",))))
     draining = next(s for s in runtime.deployment.servers
                     if s.name == "server-3")
     assert draining.draining and not draining.departed
@@ -281,7 +300,7 @@ def test_rolling_restart_after_leave_keeps_health_consistent():
     runtime = small_runtime()
     runtime.submit_many(100)
     runtime.run_for(2.0)
-    runtime.remove_server("server-3")
+    runtime.apply(Leave(targets=Targets(nodes=("server-3",))))
     runtime.run_for(15.0)
     assert [s.name for s in runtime.deployment.departed_servers] == ["server-3"]
     runtime.rolling_restart(names=["server-0", "server-1"],
@@ -328,8 +347,7 @@ def test_sharded_healthz_reports_per_shard_liveness():
     assert all(entry["live"] == 2 for entry in health["shards"].values())
     # One whole shard down: the service is degraded even though the global
     # live count still clears the (per-shard) quorum.
-    runtime.session.crash("server-2")
-    runtime.session.crash("server-3")
+    runtime.apply(Crash(targets=Targets(nodes=("server-2", "server-3"))))
     health = runtime.healthz()
     assert health["status"] == "degraded"
     assert health["shards"]["1"]["live"] == 0
