@@ -82,7 +82,9 @@ membership-smoke:
 # Sharded scale-out drill: the 2- and 4-shard scale scenarios run and render
 # their per-shard tables, the whole shard/ family is byte-identical under
 # serial vs parallel sweeps, and Properties 1-8 hold on the merged logical
-# view of a sharded run.
+# view of a sharded run.  The f-budget is scoped per shard: one equivocating
+# server in each 3-server shard builds and keeps Properties 1-8, while two in
+# one shard leave it below its quorum and the build must refuse them.
 shard-smoke:
 	mkdir -p results
 	$(PYTHON) -m repro run shard/scale/s2 --json results/shard-s2.json --quiet
@@ -98,6 +100,23 @@ shard-smoke:
 	  assert violations == [], violations; \
 	  print('merged logical view: Properties 1-8 hold over', \
 	        len(session.logical_view().the_set), 'elements')"
+	$(PYTHON) -c "from repro import Scenario; \
+	  session = (Scenario.hashchain().servers(3).shards(2).rate(300) \
+	    .collector(20).inject_for(6).drain(30).backend('ideal') \
+	    .become_byzantine(1.0, 'server-0', behaviour='equivocate', until=4.0) \
+	    .become_byzantine(1.0, 'server-3', behaviour='equivocate', until=4.0) \
+	    .session().start()); \
+	  session.run_to_completion(); \
+	  violations = session.check_properties(); \
+	  assert violations == [], violations; \
+	  print('one Byzantine server per shard: Properties 1-8 hold')"
+	! $(PYTHON) -c "from repro import Scenario; \
+	  (Scenario.hashchain().servers(3).shards(2).rate(300) \
+	    .collector(20).inject_for(6).drain(30).backend('ideal') \
+	    .become_byzantine(1.0, 'server-0', behaviour='equivocate', until=4.0) \
+	    .become_byzantine(1.0, 'server-1', behaviour='equivocate', until=4.0) \
+	    .build())" 2> results/shard-budget.err
+	grep "'hashchain#shard0' group below quorum" results/shard-budget.err
 
 # Service mode end to end: start a service on a durable sqlite ledger,
 # stream 1k elements through the ingress queue while probing /metrics every

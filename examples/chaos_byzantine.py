@@ -15,9 +15,10 @@ timeline declared with the :mod:`repro.faults` DSL:
 4. the resilience report attributes the damage: which servers turned, how
    many requests they withheld, and the usual availability/recovery metrics.
 
-Build-time validation enforces the f-budget: a schedule whose Byzantine plus
-crashed servers could reach the quorum at any instant is rejected before a
-single event runs.
+The f-budget is enforced where faults are applied: a schedule whose
+Byzantine plus crashed servers could break the quorum at any instant is
+rejected at build time, before a single event runs, and a fault passed to
+``Session.apply`` that would break it is refused before it touches a server.
 
 Everything is seed-deterministic — rerunning this script reproduces the same
 chaos, the same withheld requests, and the same report.

@@ -569,8 +569,8 @@ _register_chaos()
 # Servers turn Byzantine and back mid-run under the deterministic injector,
 # alone and mixed with crash/partition/loss nemeses.  Every schedule stays
 # within the f-budget (Byzantine + crashed servers < quorum at every instant
-# — enforced at build time), so Properties 1-8 keep holding at the
-# never-faulty servers.
+# — enforced at build time and again as each fault applies), so Properties
+# 1-8 keep holding at the never-faulty servers.
 
 
 def _register_byz() -> None:

@@ -12,10 +12,8 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
 from .errors import ConfigurationError
-from .faults.schedule import (  # noqa: F401  (FaultScheduleConfig re-exported)
-    FaultScheduleConfig,
-    validate_fault_budget,
-)
+from .faults.budget import fault_tolerance, validate_fault_budget
+from .faults.schedule import FaultScheduleConfig
 from .topology.regions import RegionSpec, TopologyConfig  # noqa: F401  (re-export)
 
 # -- Paper constants (Section 4, "Experiment Scenarios") ---------------------
@@ -151,9 +149,7 @@ class SetchainConfig:
     @property
     def max_faulty(self) -> int:
         """Resolved ``f``: explicit value, or the largest f with f < n/2."""
-        if self.f is not None:
-            return self.f
-        return max(0, (self.n_servers - 1) // 2)
+        return fault_tolerance(self.n_servers, self.f)
 
     @property
     def quorum(self) -> int:
@@ -258,14 +254,11 @@ class ExperimentConfig:
                         f"region {region.name!r} uses unknown algorithm "
                         f"{region.algorithm!r}; registered algorithms are "
                         f"{tuple(plugins.algorithm_names())}")
-        if self.faults is not None and self.faults.events:
-            # Schedules that turn servers Byzantine must stay within the
-            # declared tolerance at every instant — this is also where a
-            # static `.byzantine(f=...)` and scheduled `BecomeByzantine`
-            # events are checked against each other (the f the scenario
-            # claims to tolerate bounds what the schedule may inject).
-            validate_fault_budget(self.faults, self.setchain,
-                                  self.server_assignments())
+        # Schedules that turn servers Byzantine must stay within the declared
+        # tolerance at every instant — this is also where a static
+        # `.byzantine(f=...)` and scheduled `BecomeByzantine` events are
+        # checked against each other.
+        validate_fault_budget(self)
 
     @property
     def total_duration(self) -> float:
@@ -283,6 +276,12 @@ class ExperimentConfig:
         if self.shards is None:
             return self.setchain.n_servers
         return self.shards * self.setchain.n_servers
+
+    @property
+    def pinned_f(self) -> int | None:
+        """The f the membership keeps as servers join and leave: ``setchain.f``,
+        or the per-shard resolved f when sharded (``None``: derived from n)."""
+        return self.setchain.max_faulty if self.shards is not None else self.setchain.f
 
     def server_assignments(self) -> list[tuple[str | None, str]]:
         """Per-server ``(region-or-None, algorithm)`` in deployment order."""

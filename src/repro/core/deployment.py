@@ -45,6 +45,7 @@ from ..topology.plugins import (
     get_latency_profile,
     get_ledger_backend,
 )
+from ..topology.regions import server_name
 from ..workload.clients import ClientPool
 from ..workload.elements import Element
 from .base import BaseSetchainServer
@@ -184,8 +185,9 @@ class Deployment:
         """Servers outside the paper's guarantees: every server that ever ran
         a Byzantine behaviour — scheduled or interactive — whether or not it
         has reverted (a reverted server is still a faulty process; it may
-        e.g. hold silently dropped elements in its the_set forever)."""
-        return {server.name for server in self.servers
+        e.g. hold silently dropped elements in its the_set forever), or has
+        since left the cluster."""
+        return {server.name for server in self.servers + self.departed_servers
                 if server.ever_byzantine}
 
     def algorithm_groups(self) -> dict[str, str]:
@@ -311,7 +313,7 @@ class Deployment:
             raise NetworkError("this deployment was not built for runtime joins")
         log = self._activate_membership()
         if name is None:
-            name = f"server-{self._next_server_index}"
+            name = server_name(self._next_server_index)
         if name in self.network or any(s.name == name for s in self.servers):
             raise NetworkError(f"a node named {name!r} already exists")
         self._next_server_index += 1
@@ -602,7 +604,7 @@ def build_latency(config: ExperimentConfig) -> LatencyModel:
     region_of: dict[str, str] = {}
     for index, (region, _algorithm) in enumerate(config.server_assignments()):
         assert region is not None
-        region_of[f"server-{index}"] = region
+        region_of[server_name(index)] = region
     links = {frozenset((a, b)): delay for a, b, delay in topology.links}
     return RegionalLatency(region_of, intra,
                            inter_delay=topology.inter_delay,
@@ -663,7 +665,7 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deplo
                                 scheme=scheme, metrics=metrics)
     servers: list[BaseSetchainServer] = []
     for index, (region, algorithm) in enumerate(assignments):
-        name = f"server-{index}"
+        name = server_name(index)
         keypair = scheme.generate_keypair(name, deployment_seed=config.workload.seed)
         server = get_algorithm(algorithm)(context, name, keypair)
         network.register(server)
@@ -706,9 +708,7 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deplo
     # leaves must never dilute a shard's f+1 commit quorum with the (much
     # larger) deployment-wide server count.
     membership = MembershipLog([server.name for server in servers],
-                               explicit_f=(config.setchain.max_faulty
-                                           if config.shards is not None
-                                           else config.setchain.f))
+                               explicit_f=config.pinned_f)
     deployment = Deployment(config=config, sim=sim, network=network, scheme=scheme,
                             servers=servers, clients=clients, metrics=metrics,
                             ledger_backend=ledger_backend, injected_elements=injected,

@@ -18,7 +18,9 @@ The log answers two questions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..faults.budget import fault_tolerance
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,7 @@ class MembershipLog:
         self.leaves: list[_LeaveRecord] = []
 
     def _f_for(self, n: int) -> int:
-        if self._explicit_f is not None:
-            return self._explicit_f
-        return max(0, (n - 1) // 2)
+        return fault_tolerance(n, self._explicit_f)
 
     # -- mutation ---------------------------------------------------------------
 

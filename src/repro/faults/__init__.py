@@ -13,6 +13,9 @@ The :mod:`repro.faults` package turns the network's raw test hooks
 * :class:`FaultInjector` — executes a schedule from simulator timers, and
   the events ``Session.apply`` passes it mid-run, and condenses the
   resilience report flowing into ``RunResult.faults``;
+* :mod:`repro.faults.budget` — the f-budget: :func:`check_budget`, fed by
+  :func:`validate_fault_budget` at config time and by every applied crash,
+  Byzantine turn and leave at run time;
 * :func:`register_fault` — the plugin registry, so third-party fault kinds
   participate in schedules and serialisation without core edits.
 
@@ -29,6 +32,7 @@ Build schedules through the scenario builder
 
 from __future__ import annotations
 
+from .budget import check_budget, validate_fault_budget
 from .events import (
     BecomeByzantine,
     BecomeCorrect,
@@ -47,11 +51,7 @@ from .events import (
 )
 from .injector import FaultContext, FaultInjector
 from .plugins import fault_names, get_fault, has_fault, register_fault, unregister_fault
-from .schedule import (
-    DEFAULT_AVAILABILITY_WINDOW,
-    FaultScheduleConfig,
-    validate_fault_budget,
-)
+from .schedule import DEFAULT_AVAILABILITY_WINDOW, FaultScheduleConfig
 
 __all__ = [
     "BecomeByzantine",
@@ -72,6 +72,7 @@ __all__ = [
     "Partition",
     "Recover",
     "Targets",
+    "check_budget",
     "fault_names",
     "get_fault",
     "has_fault",

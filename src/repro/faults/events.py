@@ -415,10 +415,11 @@ class BecomeByzantine(FaultEvent):
     models its own fault threshold, so ``role="validators"`` is rejected and
     non-server targets resolved through ``role="all"`` are skipped.
 
-    Schedules containing this kind are validated against the f-budget at
-    config time: at no instant may Byzantine plus crashed servers reach the
-    quorum (``f + 1``) of any algorithm group — see
-    :func:`repro.faults.schedule.validate_fault_budget`.
+    The f-budget bounds it: at no instant may Byzantine plus crashed
+    servers exceed ``f`` deployment-wide or leave any algorithm group (each
+    shard's, in a sharded run) short of ``f + 1`` correct signers.  A
+    schedule is checked at config time, an interactive turn when applied —
+    see :mod:`repro.faults.budget`.
     """
 
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)

@@ -8,10 +8,11 @@ and joins share the scheduled events' ownership claims and timeline.  Events
 act through a :class:`FaultContext` — the narrow surface holding the
 crash/recover, Byzantine and membership dispatch, network hooks, target
 resolution and a derived RNG stream; nothing outside this package crashes,
-recovers or turns a server Byzantine.  All randomness comes from
-``sim.rng.derive("faults")``, so the same ``(scenario, seed)`` produces the
-same chaos timeline in any process — ``sweep --jobs 1`` and ``--jobs 4`` stay
-byte-identical.
+recovers or turns a server Byzantine, and every crash, Byzantine turn and
+leave is checked against the f-budget (:mod:`repro.faults.budget`) first.
+All randomness comes from ``sim.rng.derive("faults")``, so the same
+``(scenario, seed)`` produces the same chaos timeline in any process —
+``sweep --jobs 1`` and ``--jobs 4`` stay byte-identical.
 
 After a run, :meth:`FaultInjector.report` condenses the applied timeline plus
 the metrics collector into the resilience block serialised as
@@ -23,9 +24,10 @@ dropped/duplicated counters.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Collection
 
 from ..errors import ConfigurationError, NetworkError, did_you_mean
+from .budget import ALL, check_budget
 from .events import Targets
 from .schedule import FaultScheduleConfig
 
@@ -184,6 +186,26 @@ class FaultContext:
         """
         return [name for name in names if not self.is_crashed(name)]
 
+    def _check_budget(self, crashed: Collection[str] = (),
+                      byzantine: Collection[str] = (),
+                      leaving: str | None = None) -> None:
+        """Refuse a change that breaks the f-budget before making it: a crashed
+        Byzantine server counts once, a draining one not at all."""
+        deployment = self.deployment
+        present = [server for server in deployment.servers
+                   if not server.draining and server.name != leaving]
+        scopes: dict[str, tuple[int, int, int]] = {}
+        for server in present:
+            byz = server.is_byzantine or server.name in byzantine
+            down = not byz and (server.name in crashed or server.crashed)
+            group = server.algorithm_group()
+            for key in (group,) if deployment.shard_router else (group, ALL):
+                members, byz_count, down_count = scopes.get(key, (0, 0, 0))
+                scopes[key] = (members + 1, byz_count + byz, down_count + down)
+        departed = (len(deployment.departed_servers) + len(deployment.servers)
+                    - len(present))  # the draining ones and ``leaving`` too
+        check_budget(self.sim.now, scopes, departed, deployment.config.pinned_f)
+
     def claim_crashes(self, names: list[str]) -> int:
         """Crash ``names`` under a fresh ownership token.
 
@@ -191,6 +213,7 @@ class FaultContext:
         still owns, so a scheduled auto-recover can never bring back a node
         that was explicitly recovered and then re-claimed by a later event.
         """
+        self._check_budget(crashed=names)
         token = self._next_token()
         for name in names:
             self.crash_node(name)
@@ -235,12 +258,12 @@ class FaultContext:
 
     def claim_byzantine(self, names: list[str], behaviour: str) -> int:
         """Turn servers ``names`` Byzantine under a fresh ownership token."""
+        self._check_budget(byzantine=names)
         token = self._next_token()
         for name in names:
             self._server(name).become_byzantine(behaviour)  # type: ignore[union-attr]
             self._annotate(name, f"byzantine:{behaviour}")
             self._byz_claims[name] = token
-        self._injector.note_byzantine(names)
         return token
 
     def _become_correct(self, name: str) -> None:
@@ -287,6 +310,7 @@ class FaultContext:
 
     def leave(self, name: str, drain: bool = True) -> None:
         """Retire a server cleanly (drained by default)."""
+        self._check_budget(leaving=name)
         self.deployment.remove_server(name, drain=drain)
 
     # -- partition ownership -----------------------------------------------------
@@ -364,20 +388,7 @@ class FaultInjector:
         #: to ``until`` (absent: open-ended, until the end of the run).
         #: Instantaneous entries (heal, recover) are not windows.
         self._windows: list[dict[str, Any]] = []
-        #: Servers a Byzantine event actually turned.  Gates the ``byzantine``
-        #: block of the report: crash-only and fault-free schedules stay
-        #: byte-identical to the pre-Byzantine artifact schema.
-        self._byzantine_servers: set[str] = set()
         self._armed = False
-
-    def note_byzantine(self, names: list[str]) -> None:
-        """Record that a Byzantine event turned ``names``."""
-        self._byzantine_servers.update(names)
-
-    @property
-    def byzantine_servers(self) -> set[str]:
-        """Every server a Byzantine event turned so far (ever, not currently)."""
-        return set(self._byzantine_servers)
 
     def arm(self) -> None:
         """Schedule every event's ``apply`` at its ``at`` time.  Idempotent."""
@@ -476,11 +487,12 @@ class FaultInjector:
                                  "fault_free": mean(outside)},
             "recovery": recovery,
         }
-        if self._byzantine_servers:
-            # Only schedules that actually turned a server Byzantine grow
-            # this block, so crash-only artifacts keep the PR 4 schema.
+        byzantine = deployment.byzantine_servers()
+        if byzantine:
+            # Only runs that actually turned a server Byzantine grow this
+            # block, so crash-only artifacts keep the PR 4 schema.
             report["byzantine"] = {
-                "servers": sorted(self._byzantine_servers),
+                "servers": sorted(byzantine),
                 "counters": dict(sorted(metrics.byzantine_counters.items())),
                 "by_server": {
                     name: dict(sorted(counters.items()))

@@ -12,25 +12,12 @@ byte-identical to pre-faults schemas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from ..errors import ConfigurationError
-from .events import (
-    BecomeByzantine,
-    BecomeCorrect,
-    Churn,
-    Crash,
-    FaultEvent,
-    Join,
-    Leave,
-    Targets,
-)
+from .events import FaultEvent
 from .plugins import get_fault
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import SetchainConfig
 
 #: Default availability-window width (simulated seconds).
 DEFAULT_AVAILABILITY_WINDOW = 5.0
@@ -95,243 +82,3 @@ class FaultScheduleConfig:
                    availability_window=float(
                        data.get("availability_window",
                                 DEFAULT_AVAILABILITY_WINDOW)))
-
-
-# -- static f-budget validation -------------------------------------------------
-#
-# Enforced only for schedules that turn servers Byzantine: the paper's
-# guarantees assume at most ``f`` faulty (Byzantine or crashed) servers, so a
-# schedule whose worst case reaches the quorum (f + 1) can never honour
-# Properties 1-8 and is rejected at config time.  With dynamic membership the
-# budget is a *step function of time*: a ``Join`` grows ``n`` (and, under the
-# derived tolerance, ``f``) from its ``at`` instant on, and a ``Leave``
-# shrinks them — so the same crash window can be legal after a join and
-# illegal before it.  The analysis is a conservative static
-# over-approximation — random ``count`` selectors are charged their full
-# count against every group they could hit, ``Recover`` events are ignored,
-# overlapping events targeting the same node are summed as if they hit
-# distinct nodes, and joiners are credited at ``at`` even though the runtime
-# admits them only once caught up.  Crash-only schedules (e.g. the deliberate
-# beyond-f chaos scenarios) are exempt: exceeding the budget with crashes
-# alone voids liveness only until recovery, which is a legitimate experiment,
-# whereas a Byzantine majority silently voids safety.
-
-
-def _pool_cost(targets: Targets, pool: "set[str]",
-               region_of: "dict[str, str | None]",
-               count_override: int | None = None) -> int:
-    """Worst-case number of servers in ``pool`` a selector can hit at once.
-
-    Mirrors ``FaultContext.resolve`` precedence exactly: explicit ``nodes``
-    win outright (region and role are ignored at apply time), so they must
-    be counted before any narrowing here — filtering named nodes by region
-    first would under-count selectors like ``nodes + region`` and wave a
-    Byzantine majority through.
-    """
-    if targets.nodes:
-        return len(set(targets.nodes) & pool)
-    if targets.region is not None:
-        pool = {name for name in pool
-                if region_of.get(name) == targets.region}
-    if targets.role == "validators":
-        return 0  # validator faults do not consume the Setchain budget
-    count = count_override if count_override is not None else targets.count
-    if count is None:
-        return len(pool)
-    return min(count, len(pool))
-
-
-def _membership_timeline(events: "Sequence[FaultEvent]",
-                         assignments: "Sequence[tuple[str | None, str]]",
-                         region_of: "dict[str, str | None]",
-                         ) -> "list[tuple[float, set[str], dict[str, set[str]], int, dict[str, int], int]]":
-    """Server membership as time-ordered snapshots.
-
-    Each snapshot is ``(time, members, group_pools, unknown_departed,
-    unknown_departed_by_group, departed_total)``.  Joins are credited at
-    their ``at`` along the deployment's deterministic ``server-<i>`` naming
-    sequence; explicitly-named leaves remove exact names, while random
-    ``count`` leaves depart *unknown* members — the effective size shrinks
-    (the ``unknown`` counters) but no name is removed from the cost pools,
-    so later events are charged against the larger pool, the conservative
-    direction.
-    """
-    members = {f"server-{index}" for index in range(len(assignments))}
-    groups: dict[str, set[str]] = {}
-    for index, (_region, algorithm) in enumerate(assignments):
-        groups.setdefault(algorithm, set()).add(f"server-{index}")
-    algorithms = {algorithm for _region, algorithm in assignments}
-    default_group = algorithms.pop() if len(algorithms) == 1 else None
-
-    membership_events = sorted(
-        ((event.at, position, event) for position, event in enumerate(events)
-         if (isinstance(event, Join) and event.role == "servers")
-         or isinstance(event, Leave)),
-        key=lambda entry: (entry[0], entry[1]))
-
-    unknown_total = 0
-    unknown_by_group: dict[str, int] = {}
-    departed = 0
-    snapshots = [(0.0, set(members),
-                  {group: set(pool) for group, pool in groups.items()},
-                  0, {}, 0)]
-    next_index = len(assignments)
-    for at, _position, event in membership_events:
-        if isinstance(event, Join):
-            name = event.node if event.node is not None \
-                else f"server-{next_index}"
-            next_index += 1  # the deployment's counter bumps unconditionally
-            members.add(name)
-            region_of.setdefault(name, event.region)
-            group = event.algorithm or default_group
-            if group is not None:
-                groups.setdefault(group, set()).add(name)
-        else:
-            targets = event.targets
-            if targets.nodes:
-                named = set(targets.nodes) & members
-                members -= named
-                for pool in groups.values():
-                    pool -= named
-                departed += len(named)
-            else:
-                cost = _pool_cost(targets, members, region_of)
-                unknown_total += cost
-                departed += cost
-                for group, pool in groups.items():
-                    unknown_by_group[group] = (
-                        unknown_by_group.get(group, 0)
-                        + _pool_cost(targets, pool, region_of))
-        snapshots.append((at, set(members),
-                          {group: set(pool) for group, pool in groups.items()},
-                          unknown_total, dict(unknown_by_group), departed))
-    return snapshots
-
-
-def _snapshot_at(snapshots, instant):  # type: ignore[no-untyped-def]
-    """The last membership snapshot at or before ``instant``."""
-    current = snapshots[0]
-    for snapshot in snapshots:
-        if snapshot[0] <= instant:
-            current = snapshot
-        else:
-            break
-    return current
-
-
-def _byzantine_end(event: BecomeByzantine, index: int,
-                   events: "Sequence[FaultEvent]") -> float:
-    """When an open-ended BecomeByzantine is statically known to revert."""
-    if event.until is not None:
-        return event.until
-    nodes = set(event.targets.nodes)
-    for later in events[index + 1:]:
-        if not isinstance(later, BecomeCorrect) or later.at < event.at:
-            continue
-        targets = later.targets
-        blanket = (not targets.nodes and targets.count is None
-                   and targets.region is None and targets.role == "servers")
-        if blanket or (nodes and nodes <= set(targets.nodes)):
-            return later.at
-    return math.inf
-
-
-def validate_fault_budget(schedule: "FaultScheduleConfig",
-                          setchain: "SetchainConfig",
-                          assignments: "Sequence[tuple[str | None, str]]") -> None:
-    """Reject schedules whose Byzantine + crashed servers can reach the quorum.
-
-    ``assignments`` is ``ExperimentConfig.server_assignments()`` — per-server
-    ``(region, algorithm)`` — so the check is applied per algorithm group
-    (each group is its own Setchain instance over the shared ledger) as well
-    as globally against the declared tolerance ``f``.  Only schedules
-    containing a :class:`~repro.faults.events.BecomeByzantine` event are
-    validated; see the module comment for the (conservative) approximations.
-    """
-    events = schedule.events
-    if not any(isinstance(event, BecomeByzantine) for event in events):
-        return
-    region_of: dict[str, str | None] = {
-        f"server-{index}": region
-        for index, (region, _algorithm) in enumerate(assignments)}
-    snapshots = _membership_timeline(events, assignments, region_of)
-    explicit_f = setchain.f
-
-    # (start, end, kind, per-scope cost) intervals; scope "all" plus one per
-    # group.  Costs are charged against the membership at the event's start,
-    # so an explicitly-named target that only exists after a join still counts.
-    intervals: list[tuple[float, float, str, dict[str, int]]] = []
-    for index, event in enumerate(events):
-        if isinstance(event, Crash):
-            start, end = event.at, (math.inf if event.until is None
-                                    else event.until)
-            targets, count_override = event.targets, None
-        elif isinstance(event, Churn):
-            start, end = event.at, event.until if event.until is not None else math.inf
-            targets, count_override = event.targets, event.count
-        elif isinstance(event, BecomeByzantine):
-            start = event.at
-            end = _byzantine_end(event, index, events)
-            targets, count_override = event.targets, None
-        else:
-            continue
-        _t, members, group_pools, _unknown, _by_group, _departed = \
-            _snapshot_at(snapshots, start)
-        costs = {"all": _pool_cost(targets, members, region_of,
-                                   count_override)}
-        for group, pool in group_pools.items():
-            costs[group] = _pool_cost(targets, pool, region_of,
-                                      count_override)
-        kind = "byzantine" if isinstance(event, BecomeByzantine) else "crashed"
-        intervals.append((start, end, kind, costs))
-
-    # Every interval start plus every membership change is a potential
-    # worst-case instant: a leave mid-window shrinks f under active faults.
-    instants = sorted({start for start, _end, _kind, _costs in intervals}
-                      | {snapshot[0] for snapshot in snapshots[1:]})
-    for instant in instants:
-        active = [entry for entry in intervals
-                  if entry[0] <= instant < entry[1]]
-        by_kind = {"byzantine": 0, "crashed": 0}
-        for _start, _end, kind, costs in active:
-            by_kind[kind] += costs["all"]
-        if not by_kind["byzantine"]:
-            # Crash-only instant: the crash-only exemption applies even
-            # inside a schedule that turns servers Byzantine elsewhere —
-            # crashes beyond f void liveness only until recovery, and no
-            # Byzantine server is present here to void safety.
-            continue
-        _t, members, group_pools, unknown, unknown_by_group, departed = \
-            _snapshot_at(snapshots, instant)
-        n_t = len(members) - unknown
-        f_t = explicit_f if explicit_f is not None else max(0, (n_t - 1) // 2)
-        quorum_t = f_t + 1
-        total = by_kind["byzantine"] + by_kind["crashed"]
-        if total > f_t:
-            raise ConfigurationError(
-                f"fault schedule exceeds the Byzantine budget at "
-                f"t={instant:g}s: up to {by_kind['byzantine']} Byzantine, "
-                f"{by_kind['crashed']} crashed, and {departed} departed "
-                f"server(s) at that instant, but the membership there is "
-                f"n={n_t} tolerating f={f_t} faulty server(s) "
-                f"(quorum={quorum_t}); shorten or stagger the fault "
-                "windows, join capacity first, or raise f/n")
-        for group, pool in group_pools.items():
-            group_byz = sum(costs.get(group, 0)
-                            for _s, _e, kind, costs in active
-                            if kind == "byzantine")
-            group_total = sum(costs.get(group, 0)
-                              for _s, _e, _kind, costs in active)
-            size_t = len(pool) - unknown_by_group.get(group, 0)
-            # Only the schedule's own *Byzantine* damage counts per group:
-            # a group too small to reach quorum even fault-free is a
-            # topology property, and a crash-only group is a liveness
-            # experiment, not a schedule error.
-            if group_byz and size_t - group_total < quorum_t:
-                raise ConfigurationError(
-                    f"fault schedule leaves the {group!r} group below quorum "
-                    f"at t={instant:g}s: up to {group_byz} Byzantine and "
-                    f"{group_total - group_byz} crashed of {size_t} member "
-                    f"server(s), but epoch commits need {quorum_t} correct "
-                    f"signer(s) (quorum = f+1 with f={f_t}); shorten or "
-                    "stagger the fault windows, or grow the group first")

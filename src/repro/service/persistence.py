@@ -39,6 +39,7 @@ from ..ledger.types import Block, Transaction
 from ..net import message as net_message
 from ..sim.scheduler import Simulator
 from ..topology.plugins import LedgerBackend, register_ledger_backend
+from ..topology.regions import server_name
 from ..workload import elements as elements_mod
 from ..workload.elements import Element
 
@@ -420,7 +421,7 @@ def _sqlite_backend(sim: Simulator, network, n: int,
     """The durable sequencer; opens the path bound by :func:`ledger_db`."""
     ledger = SqliteLedger(sim, config.ledger, path=current_db_path())
     ledger.advance_id_counters()
-    return ledger, [ledger.handle_for(f"server-{i}") for i in range(n)]
+    return ledger, [ledger.handle_for(server_name(i)) for i in range(n)]
 
 
 # -- offline audit ---------------------------------------------------------------

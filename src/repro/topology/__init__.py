@@ -30,7 +30,7 @@ from .plugins import (
     unregister_latency_profile,
     unregister_ledger_backend,
 )
-from .regions import RegionSpec, TopologyConfig, evenly_split, single_region
+from .regions import RegionSpec, TopologyConfig, evenly_split, server_name, single_region
 
 __all__ = [
     "DeploymentContext",
@@ -38,6 +38,7 @@ __all__ = [
     "RegionSpec",
     "TopologyConfig",
     "evenly_split",
+    "server_name",
     "single_region",
     "algorithm_names",
     "ledger_backend_names",

@@ -29,6 +29,7 @@ from .plugins import (
     register_latency_profile,
     register_ledger_backend,
 )
+from .regions import server_name
 
 # -- algorithms ----------------------------------------------------------------
 
@@ -93,7 +94,7 @@ def _cometbft(sim: Simulator, network: Network, n: int,
 def _ideal(sim: Simulator, network: Network, n: int,
            config: ExperimentConfig) -> tuple[LedgerBackend, list[LedgerInterface]]:
     ideal = IdealLedger(sim, config.ledger)
-    return ideal, [ideal.handle_for(f"server-{i}") for i in range(n)]
+    return ideal, [ideal.handle_for(server_name(i)) for i in range(n)]
 
 
 # The durable service-mode backend registers itself on import ("sqlite");

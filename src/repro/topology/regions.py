@@ -20,6 +20,12 @@ from typing import Any, Mapping, Sequence
 from ..errors import ConfigurationError
 
 
+def server_name(index: int) -> str:
+    """The deployment's ``index``-th server: build order first, then one
+    index per join, named or not."""
+    return f"server-{index}"
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """One named region: a server count and an optional algorithm override."""

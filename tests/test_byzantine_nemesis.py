@@ -90,7 +90,7 @@ def test_only_servers_can_turn_byzantine():
         targets=Targets(nodes=("cometbft-0",), role="all")))
     assert skipped["note"] == "no eligible targets; skipped"
     assert deployment.fault_injector.context.is_byzantine("cometbft-0") is False
-    assert deployment.fault_injector.byzantine_servers == set()
+    assert deployment.byzantine_servers() == set()
 
 
 def test_third_party_behaviour_runs_end_to_end():
