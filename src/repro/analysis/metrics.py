@@ -177,27 +177,28 @@ class MetricsCollector:
 
     # -- element lifecycle ------------------------------------------------------
 
-    def record_injected_many(self, elements: Iterable[Element],
-                             time: float) -> None:
-        """One injection tick: the first stamp per element wins."""
-        if self.tracer is not None:
-            elements = list(elements)
+    def record_injected_many(self, elements: Sequence[Element],
+                             time: float) -> list[Element]:
+        """One injection tick: the first stamp per element wins.  Returns
+        the elements this call stamped, in order."""
         records = self.elements
         make = ElementRecord
-        fresh = 0
+        fresh: list[Element] = []
+        keep = fresh.append
         for element in elements:
             element_id = element.element_id
             record = records.get(element_id)
             if record is None:
                 records[element_id] = make(element_id, time)
-                fresh += 1
+                keep(element)
             elif record.injected_at is None:
                 record.injected_at = time
-                fresh += 1
-        self._injected_total += fresh
+                keep(element)
+        self._injected_total += len(fresh)
         if self.tracer is not None:
             self.tracer.injected_many(
                 [element.element_id for element in elements], time)
+        return fresh
 
     def record_added_many(self, elements: Sequence[Element], server: str,
                           time: float) -> None:

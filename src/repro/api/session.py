@@ -63,7 +63,6 @@ class Session:
         self.deployment: Deployment = build_deployment(self.config, seed=seed)
         self._started = False
         self._inject_clients = inject
-        self._injected_by_hand = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -144,7 +143,10 @@ class Session:
         """Add one element to a server, with the same bookkeeping as clients.
 
         Either pass a ready-made ``element`` or let the session create one of
-        ``size_bytes`` (defaults to the scenario's mean element size).
+        ``size_bytes`` (defaults to the scenario's mean element size).  The
+        element goes through ``Deployment.admit``: it is booked as injected
+        (once) even when the server refuses it, which raises
+        :class:`SetchainError`.
         """
         self._require_started()
         servers = self.deployment.servers
@@ -156,13 +158,10 @@ class Session:
                 self.config.workload.element_size_mean)
             element = make_element(client=client, size_bytes=size,
                                    created_at=self.now)
-        if not servers[server].add(element):
+        if not self.deployment.admit([element], servers[server]):
             raise SetchainError(
                 f"server {servers[server].name} rejected the element "
-                "(duplicate or invalid); it was not recorded as injected")
-        self.deployment.injected_elements.append(element)
-        self.deployment.metrics.record_injected_many([element], self.now)
-        self._injected_by_hand += 1
+                "(down, duplicate or invalid)")
         return element
 
     # -- interactive faults ------------------------------------------------------

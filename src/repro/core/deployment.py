@@ -46,7 +46,7 @@ from ..topology.plugins import (
     get_ledger_backend,
 )
 from ..topology.regions import server_name
-from ..workload.clients import ClientPool
+from ..workload.clients import ClientPool, RoutedTarget
 from ..workload.elements import Element
 from .base import BaseSetchainServer
 from .membership import MembershipLog
@@ -67,7 +67,6 @@ class Deployment:
     network: Network
     scheme: SignatureScheme
     servers: list[BaseSetchainServer]
-    clients: ClientPool
     metrics: MetricsCollector
     ledger_backend: LedgerBackend
     injected_elements: list[Element] = field(default_factory=list)
@@ -91,9 +90,13 @@ class Deployment:
     #: collector never sees.
     tracer: Tracer | None = None
     #: Element-space partitioner for sharded deployments; ``None`` (the
-    #: default) is the single-instance layout — workload clients and the
-    #: service ingress bypass routing entirely.
+    #: default) is the single-instance layout, where :meth:`admit` places
+    #: elements on servers directly.
     shard_router: ShardRouter | None = None
+    #: One injection client per build-time server, each adding through
+    #: :meth:`admit`; set by :func:`build_deployment`.
+    clients: ClientPool = field(init=False)
+    _cursor: int = field(default=0, init=False, repr=False)
     _next_server_index: int = field(default=0, init=False, repr=False)
     _started: bool = field(default=False, init=False, repr=False)
     _stopped: bool = field(default=False, init=False, repr=False)
@@ -236,6 +239,56 @@ class Deployment:
         if not self.injected_elements:
             return 0.0
         return self.metrics.committed_count / len(self.injected_elements)
+
+    # -- admission ------------------------------------------------------------------
+
+    def routable(self) -> bool:
+        """Is there anywhere to route a new element now: an active shard,
+        or (unsharded) any server that ``accepts_adds``?"""
+        if self.shard_router is not None:
+            return bool(self.shard_router.active_shards())
+        return any(server.accepts_adds for server in self.servers)
+
+    def admit(self, elements: list[Element],
+              prefer: BaseSetchainServer | int | None = None) -> int:
+        """The one door for elements: book a burst, route it, add it.
+
+        Returns how many elements the servers took.  The burst is booked in
+        arrival order before any server sees it; an element already booked
+        is not booked again, and a refused one stays booked — a client's add
+        against a downed host is offered and lost.  ``prefer`` says where
+        the caller would put the burst: a server takes all of it, with no
+        failover; an int is a sharded client's position within its shard
+        (:meth:`ShardRouter.route_many`); ``None`` round-robins — per shard
+        when sharded, else over the servers, the cursor jumping past the
+        server it chose and stepping over servers that refuse adds.
+        """
+        self.injected_elements += self.metrics.record_injected_many(
+            elements, self.sim.now)
+        if isinstance(prefer, BaseSetchainServer):
+            return prefer.add_many(elements)
+        buckets = (self.shard_router.route_many(elements, prefer)
+                   if self.shard_router is not None
+                   else self._round_robin(elements))
+        return sum(server.add_many(bucket) for server, bucket in buckets)
+
+    def _round_robin(self, elements: list[Element]
+                     ) -> list[tuple[BaseSetchainServer, list[Element]]]:
+        """Unsharded ``prefer=None``: each element to the next server that
+        accepts adds, in first-chosen order; none when no server does."""
+        servers = self.servers
+        open_positions = {i for i, s in enumerate(servers) if s.accepts_adds}
+        if not open_positions:
+            return []
+        by_position: dict[int, list[Element]] = {}
+        cursor = self._cursor
+        for element in elements:
+            while (position := cursor % len(servers)) not in open_positions:
+                cursor += 1
+            cursor += 1
+            by_position.setdefault(position, []).append(element)
+        self._cursor = cursor
+        return [(servers[i], bucket) for i, bucket in by_position.items()]
 
     # -- faults ---------------------------------------------------------------------
 
@@ -695,27 +748,22 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deplo
                                    quorum=config.setchain.quorum)
         metrics.set_shard_map(shard_router.shard_map())
 
-    injected: list[Element] = []
-
-    def on_elements(elements: list[Element]) -> None:
-        injected.extend(elements)
-        metrics.record_injected_many(elements, sim.now)
-
-    clients = ClientPool(sim, targets=list(servers), workload=config.workload,
-                         on_elements=on_elements, router=shard_router)
-
     # Sharded runs pin the membership f to the per-shard tolerance: joins and
     # leaves must never dilute a shard's f+1 commit quorum with the (much
     # larger) deployment-wide server count.
     membership = MembershipLog([server.name for server in servers],
                                explicit_f=config.pinned_f)
     deployment = Deployment(config=config, sim=sim, network=network, scheme=scheme,
-                            servers=servers, clients=clients, metrics=metrics,
-                            ledger_backend=ledger_backend, injected_elements=injected,
-                            region_of=region_of, context=context,
-                            membership=membership, tracer=tracer,
+                            servers=servers, metrics=metrics,
+                            ledger_backend=ledger_backend, region_of=region_of,
+                            context=context, membership=membership, tracer=tracer,
                             shard_router=shard_router)
     deployment._next_server_index = n
+    # Each client admits its bursts through the deployment's one door: to its
+    # home server when unsharded, else from its position within a shard.
+    deployment.clients = ClientPool(sim, [
+        RoutedTarget(deployment.admit, server if shard_router is None else index)
+        for index, server in enumerate(servers)], config.workload)
     if config.faults is not None and config.faults.events:
         # Construction only derives an RNG stream (no draws) and allocates
         # timers at start(); fault-free runs never reach here, so their

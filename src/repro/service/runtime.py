@@ -80,7 +80,6 @@ class ServiceRuntime:
 
         self._lock = threading.RLock()
         self._queue: deque[tuple[str, int]] = deque()
-        self._rr = 0  # round-robin cursor over servers
         self.ticks = 0
         self.restarts = 0
         self._stopped = False
@@ -88,8 +87,8 @@ class ServiceRuntime:
         self.accepted = 0
         self.deferred = 0
         self.rejected = 0
-        #: Elements handed to a server / refused by one (duplicate, invalid,
-        #: or crashed) after leaving the queue.
+        #: Elements that left the queue through ``Deployment.admit`` and a
+        #: server took / refused.  Both kinds are booked as injected.
         self.drained = 0
         self.server_rejected = 0
         self._trace: WorkloadTrace | None = None
@@ -231,21 +230,16 @@ class ServiceRuntime:
             self.tick()
 
     def _drain(self) -> None:
-        """Move this tick's budget from the queue into the servers as one burst.
+        """Admit this tick's budget from the queue as one round-robin burst.
 
         With nowhere to route — every server down, or no shard with a routable
-        quorum — the queue is kept for later.
+        quorum — the queue is kept for later: ids are assigned here, so an
+        unroutable tick must not consume any.
         """
         deployment = self.deployment
         queue = self._queue
-        servers = deployment.servers
-        router = deployment.shard_router
-        if router is not None:
-            active = router.active_shards()
-        else:
-            active = [i for i, s in enumerate(servers) if s.accepts_adds]
         budget = min(len(queue), self.drain_per_tick or len(queue))
-        if not budget or not active:
+        if not budget or not deployment.routable():
             return
         burst = [queue.popleft() for _ in range(budget)]
         now = deployment.sim.now
@@ -253,28 +247,9 @@ class ServiceRuntime:
         for client, run in groupby(burst, key=itemgetter(0)):
             elements += make_elements(client, [size for _, size in run],
                                       created_at=now)
-        if router is not None:
-            # The element's id fixes its shard; round-robin within it.
-            buckets = router.route_many(elements, active=active)
-        else:
-            by_position: dict[int, list[Element]] = {}
-            for element in elements:
-                # Round-robin over the servers, stepping past refusing ones.
-                while (position := self._rr % len(servers)) not in active:
-                    self._rr += 1
-                self._rr += 1
-                by_position.setdefault(position, []).append(element)
-            buckets = [(servers[i], bucket) for i, bucket in by_position.items()]
-        metrics = deployment.metrics
-        admitted = sum(server.add_many(bucket) for server, bucket in buckets)
-        if admitted != budget:
-            # A server admits fresh valid ids all or none, so this is a
-            # refusal: keep only the elements some server recorded as added.
-            elements = [e for e in elements if e.element_id in metrics.elements]
-            self.server_rejected += budget - len(elements)
-        deployment.injected_elements.extend(elements)
-        metrics.record_injected_many(elements, now)
-        self.drained += len(elements)
+        admitted = deployment.admit(elements)
+        self.drained += admitted
+        self.server_rejected += budget - admitted
 
     # -- operations ---------------------------------------------------------------
 

@@ -64,8 +64,9 @@ class ShardRouter:
 
     The router holds the authoritative shard membership (``shard_servers[k]``
     is the server list of shard ``k``; retired servers stay listed but stop
-    being routable) and is shared by the batch workload clients and the
-    service ingress drain.
+    being routable).  Elements reach it only through ``Deployment.admit``,
+    the one door the workload clients, the service drain and hand
+    injections share.
     """
 
     def __init__(self, shard_servers: Sequence[Sequence[Any]],

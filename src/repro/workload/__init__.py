@@ -5,13 +5,13 @@ Setchain at a configurable aggregate ``sending_rate``, split evenly across one
 client per server for 50 seconds.  This package provides the synthetic
 equivalent: an element generator matching those size statistics, client
 processes that add elements to their local server at the per-client rate, and
-trace record/replay helpers so a workload can be frozen and reused.
+trace recording so a workload can be frozen and replayed.
 """
 
 from .elements import Element, make_element, element_signing_payload
 from .generator import ArbitrumLikeGenerator, ElementSizeStats
 from .clients import InjectionClient, ClientPool
-from .traces import WorkloadTrace, record_trace, replay_trace
+from .traces import WorkloadTrace, record_trace
 
 __all__ = [
     "Element",
@@ -23,5 +23,4 @@ __all__ = [
     "ClientPool",
     "WorkloadTrace",
     "record_trace",
-    "replay_trace",
 ]

@@ -3,7 +3,9 @@
 One client runs alongside each Setchain server (as in the paper's docker
 containers) and adds elements to *its local server* at
 ``sending_rate / server_count`` elements per second for the configured
-injection duration.
+injection duration.  In a deployment every client adds through a
+:class:`RoutedTarget`, the deployment's one door (``Deployment.admit``),
+which books, routes and adds each burst.
 
 To keep the discrete-event simulation tractable at high rates, a client fires
 on a coarse tick (default 100 ms) and performs all the adds due in that tick
@@ -14,7 +16,7 @@ actually need.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 
 from ..config import WorkloadConfig
 from ..errors import ConfigurationError
@@ -25,38 +27,34 @@ from .generator import ArbitrumLikeGenerator, ElementSizeStats
 
 
 class AddTarget(Protocol):
-    """The slice of a Setchain server a client uses: the ``add`` operation.
+    """What a client adds a whole tick's burst to; returns how many were taken."""
 
-    Targets may additionally expose ``add_many(elements)``; clients use it
-    for whole-tick injection bursts when present.
-    """
-
-    def add(self, element: Element) -> None: ...  # pragma: no cover - protocol
+    def add_many(self, elements: list[Element]) -> int: ...  # pragma: no cover - protocol
 
 
 class RoutedTarget:
-    """An :class:`AddTarget` that hands each burst to the shard router.
+    """An :class:`AddTarget` that hands each burst to the deployment's door.
 
-    One exists per client in a sharded deployment, remembering the client's
-    index: client *i* prefers the server at position ``i % shard_size``
-    within whichever shard an element hashes to, mirroring the unsharded
-    one-client-per-server affinity.  A tick's elements are routed as one
-    burst (``ShardRouter.route_many``: one decision per shard, not per
-    element) and added bucket by bucket; when no shard is active they are
-    dropped and counted rejected — the client-side equivalent of an add
-    against a downed host failing.
+    One exists per client, holding ``admit`` (``Deployment.admit``) and the
+    client's ``prefer``: its home server when unsharded, or its index *i*
+    when sharded — the server at position ``i % shard_size`` within
+    whichever shard an element hashes to, mirroring the one-client-per-server
+    affinity.  The door books the burst, then routes and adds it; what no
+    server takes is lost, as a client's add against a downed host is.
     """
 
-    def __init__(self, router, preference: int) -> None:  # type: ignore[no-untyped-def]
-        self.router = router
-        self.preference = preference
+    def __init__(self, admit: Callable[[list[Element], Any], int],
+                 prefer: Any) -> None:
+        self.admit = admit
+        self.prefer = prefer
 
     def add(self, element: Element) -> bool:
+        """One element through the door (``benchmarks/e2e/spans.py`` wraps
+        this seam by name)."""
         return self.add_many([element]) == 1
 
     def add_many(self, elements: list[Element]) -> int:
-        return sum(server.add_many(bucket) for server, bucket
-                   in self.router.route_many(elements, self.preference))
+        return self.admit(elements, self.prefer)
 
 
 class InjectionClient:
@@ -65,8 +63,7 @@ class InjectionClient:
     def __init__(self, name: str, sim: Simulator, target: AddTarget,
                  rate: float, duration: float,
                  generator: ArbitrumLikeGenerator,
-                 tick: float = 0.1,
-                 on_elements: Callable[[list[Element]], None] | None = None) -> None:
+                 tick: float = 0.1) -> None:
         if rate <= 0 or duration <= 0 or tick <= 0:
             raise ConfigurationError("client rate, duration and tick must be positive")
         self.name = name
@@ -76,10 +73,6 @@ class InjectionClient:
         self.duration = duration
         self.generator = generator
         self.tick = tick
-        #: Observer handed each tick's elements before they are added.
-        self.on_elements = on_elements
-        #: The target's batched add, when it has one.
-        self._add_many = getattr(target, "add_many", None)
         self.sent = 0
         self._start_time: float | None = None
         self._carry = 0.0
@@ -112,20 +105,11 @@ class InjectionClient:
         self._carry = due - count
         if count <= 0:
             return
-        # The whole tick's burst in three columnar passes: generate, observe,
-        # add.  Every element carries the tick timestamp either way, and the
-        # observers/targets record first observations per element, so the
-        # reordering relative to per-element interleaving is unobservable.
-        elements = self.generator.batch(self.name, count, now=self.sim.now)
-        if self.on_elements is not None:
-            self.on_elements(elements)
-        add_many = self._add_many
-        if add_many is not None:
-            add_many(elements)
-        else:
-            add = self.target.add
-            for element in elements:
-                add(element)
+        # The whole tick's burst in one pass: every element carries the tick
+        # timestamp either way, so per-element interleaving would be
+        # unobservable.
+        self.target.add_many(
+            self.generator.batch(self.name, count, now=self.sim.now))
         self.sent += count
 
 
@@ -133,29 +117,21 @@ class ClientPool:
     """One client per server, splitting the aggregate sending rate evenly."""
 
     def __init__(self, sim: Simulator, targets: list[AddTarget],
-                 workload: WorkloadConfig, tick: float = 0.1,
-                 on_elements: Callable[[list[Element]], None] | None = None,
-                 router=None) -> None:  # type: ignore[no-untyped-def]
+                 workload: WorkloadConfig, tick: float = 0.1) -> None:
         if not targets:
             raise ConfigurationError("need at least one injection target")
         self.sim = sim
         self.workload = workload
-        self.router = router
         per_client_rate = workload.sending_rate / len(targets)
         stats = ElementSizeStats(workload.element_size_mean, workload.element_size_std)
         self.clients: list[InjectionClient] = []
         for index, target in enumerate(targets):
             rng = sim.rng.derive("client", index, workload.seed)
             generator = ArbitrumLikeGenerator(rng, stats)
-            if router is not None:
-                # Sharded: same client count, rates, and RNG streams as the
-                # unsharded layout — only the add path goes through the
-                # shard router instead of the pinned local server.
-                target = RoutedTarget(router, index)
             client = InjectionClient(
                 name=f"client-{index}", sim=sim, target=target,
                 rate=per_client_rate, duration=workload.injection_duration,
-                generator=generator, tick=tick, on_elements=on_elements)
+                generator=generator, tick=tick)
             self.clients.append(client)
 
     def start(self) -> None:

@@ -3,7 +3,7 @@
 The paper replays a fixed Arbitrum trace across experiments so algorithm
 comparisons see identical inputs.  :func:`record_trace` captures the
 ``(time, client, size)`` schedule a generator/rate pair would produce, and
-:func:`replay_trace` re-injects it against any add target.
+``ServiceRuntime.load_trace`` replays it through the service's ingress.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Iterable
 
 from ..errors import ConfigurationError
 from ..sim.rng import DeterministicRNG
-from .elements import Element, make_element
 from .generator import ArbitrumLikeGenerator, ElementSizeStats
 
 
@@ -91,51 +90,3 @@ def record_trace(rate: float, duration: float, clients: Iterable[str],
             t += tick
     entries.sort(key=lambda e: (e.time, e.client))
     return WorkloadTrace(entries=tuple(entries))
-
-
-def replay_trace(trace: WorkloadTrace, sim,  # type: ignore[no-untyped-def]
-                 targets: dict[str, object]) -> list[Element]:
-    """Schedule every trace entry against its client's target server.
-
-    ``targets`` maps client name → object with an ``add(element)`` method.
-    Returns the list of elements that will be injected (in schedule order) so
-    callers can track them.
-
-    Consecutive entries for the same client at the same instant — the common
-    shape of a recorded high-rate tick — are scheduled as one storm event and
-    injected through the target's ``add_many`` when it has one, so a replayed
-    million-element trace does not pay one simulator event per element.
-    Element ids, creation timestamps and add order are those
-    of per-entry scheduling.
-    """
-    injected: list[Element] = []
-    storm_key = ("trace-replay", id(injected))
-
-    def inject_run(entries: list[TraceEntry]) -> None:
-        # A storm run may span several (client, time) groups; they arrive in
-        # schedule order, so regrouping here preserves per-entry order.
-        start = 0
-        total = len(entries)
-        while start < total:
-            client = entries[start].client
-            stop = start + 1
-            while stop < total and entries[stop].client == client:
-                stop += 1
-            target = targets.get(client)
-            if target is None:
-                raise ConfigurationError(f"no target registered for client {client!r}")
-            elements = [make_element(client=client, size_bytes=entry.size_bytes,
-                                     created_at=sim.now)
-                        for entry in entries[start:stop]]
-            injected.extend(elements)
-            add_many = getattr(target, "add_many", None)
-            if add_many is not None:
-                add_many(elements)
-            else:
-                for element in elements:
-                    target.add(element)  # type: ignore[attr-defined]
-            start = stop
-
-    for entry in trace:
-        sim.call_at_storm(entry.time, inject_run, entry, storm_key)
-    return injected

@@ -1,11 +1,12 @@
 """The batched ingress drain against a per-element reference.
 
 ``ServiceRuntime._drain`` pops a tick's budget once, builds the burst with
-``make_elements``, assigns targets, and hands every server its bucket through
-``add_many``.  The reference below is the drain it replaced — one
-``active_shards()`` look, one round-robin walk, one ``make_element``, one
-``add`` and one injected stamp per element — kept here only, as the
-oracle.
+``make_elements`` and hands it to ``Deployment.admit``, which books it,
+assigns targets and hands every server its bucket through ``add_many``.  The
+reference below is the drain it replaced — one ``active_shards()`` look, one
+round-robin walk (on its own cursor), one ``make_element``, one injected
+stamp and one ``add`` per element — kept here only, as the oracle.  Like the
+door, it books the burst in arrival order before any add.
 
 Two orders of applying a burst are compared.  Ids, targets and verdicts never
 depend on the order.  The simulated outcome does, in its last digits: all
@@ -53,13 +54,14 @@ def reference_drain(self, server_major):
         if router is not None:
             target = router.route(element.element_id, None)[0]
         routed.append((target, element))
+    for _, element in routed:  # booked in arrival order, before any add
+        deployment.injected_elements.append(element)
+        deployment.metrics.record_injected_many([element], deployment.sim.now)
     if server_major:
         order = list(dict.fromkeys(target.name for target, _ in routed))
         routed.sort(key=lambda pair: order.index(pair[0].name))
     for target, element in routed:
         if target.add(element):
-            deployment.injected_elements.append(element)
-            deployment.metrics.record_injected_many([element], deployment.sim.now)
             self.drained += 1
         else:
             self.server_rejected += 1
@@ -133,6 +135,7 @@ def drive(case, reference=None):
     reset_run_counters()
     runtime = ServiceRuntime(scenario, seed=5, **options)
     if reference is not None:
+        runtime._rr = 0  # the reference's own round-robin cursor over servers
         runtime._drain = lambda: reference_drain(
             runtime, server_major=reference == "server-major")
     script(runtime)

@@ -7,11 +7,15 @@ into ``MetricsCollector.record_*``.  The runs are small ideal-ledger ones: the
 three algorithms, a crash and a partition, Byzantine servers under each
 algorithm, a join and a leave, two shards, and a service runtime fed through
 its ingress queue — each at full sampling and on the sampling stream (0.25).
-The two service keys were re-recorded once, when the element spans became
-rows of the metrics' lifecycle table: the runtime adds a burst before it
-records the injection, and the old per-tracer spans dropped the
+The two service keys were re-recorded twice.  First, when the element spans
+became rows of the metrics' lifecycle table: the runtime then added a burst
+before it recorded the injection, and the old per-tracer spans dropped the
 ``collector_queued``/``flushed``/``signed`` phases observed before it; their
-Chrome digests, and every other key, did not move.  Re-record, only ever on a commit whose traces are known-good, with
+Chrome digests, and every other key, did not move.  Second, when the drain
+went through ``Deployment.admit``, which books a burst before any server
+sees it: each tick's ``injected`` event now precedes its ``added`` events,
+as in batch runs; the same lines, reordered, and the telemetry did not move.
+Re-record, only ever on a commit whose traces are known-good, with
 ``PYTHONPATH=src python tests/test_trace_manifest.py``.
 """
 

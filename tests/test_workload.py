@@ -9,7 +9,7 @@ from repro.sim.scheduler import Simulator
 from repro.workload.clients import ClientPool, InjectionClient
 from repro.workload.elements import Element, make_element
 from repro.workload.generator import MIN_ELEMENT_SIZE, ArbitrumLikeGenerator, ElementSizeStats
-from repro.workload.traces import WorkloadTrace, record_trace, replay_trace
+from repro.workload.traces import WorkloadTrace, record_trace
 
 
 class SinkServer:
@@ -18,8 +18,9 @@ class SinkServer:
     def __init__(self):
         self.elements = []
 
-    def add(self, element):
-        self.elements.append(element)
+    def add_many(self, elements):
+        self.elements.extend(elements)
+        return len(elements)
 
 
 # -- elements -----------------------------------------------------------------------
@@ -133,15 +134,13 @@ def test_injection_client_fractional_rate_accumulates():
 def test_client_pool_splits_rate_evenly():
     sim = Simulator(seed=0)
     sinks = [SinkServer() for _ in range(4)]
-    seen = []
-    pool = ClientPool(sim, sinks, WorkloadConfig(sending_rate=400, injection_duration=5),
-                      on_elements=seen.extend)
+    pool = ClientPool(sim, sinks, WorkloadConfig(sending_rate=400, injection_duration=5))
     pool.start()
     sim.run_until(10.0)
     assert pool.total_sent == pytest.approx(2000, abs=4)
     per_server = [len(s.elements) for s in sinks]
     assert max(per_server) - min(per_server) <= 2
-    assert len(seen) == pool.total_sent
+    assert sum(per_server) == pool.total_sent
     assert pool.all_finished
 
 
@@ -177,24 +176,6 @@ def test_trace_json_roundtrip(tmp_path):
     trace.to_json(path)
     loaded = WorkloadTrace.from_json(path)
     assert loaded.entries == trace.entries
-
-
-def test_replay_trace_injects_against_named_targets():
-    sim = Simulator(seed=0)
-    trace = record_trace(rate=100, duration=1.0, clients=["c0", "c1"], seed=2)
-    sinks = {"c0": SinkServer(), "c1": SinkServer()}
-    injected = replay_trace(trace, sim, sinks)
-    sim.run_until(2.0)
-    assert len(injected) == len(trace)
-    assert len(sinks["c0"].elements) + len(sinks["c1"].elements) == len(trace)
-
-
-def test_replay_trace_unknown_client_raises():
-    sim = Simulator(seed=0)
-    trace = record_trace(rate=10, duration=1.0, clients=["ghost"], seed=3)
-    replay_trace(trace, sim, targets={})
-    with pytest.raises(ConfigurationError):
-        sim.run_until(2.0)
 
 
 def test_trace_rejects_unsorted_entries():
