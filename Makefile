@@ -9,7 +9,7 @@ SCENARIO ?= bench/hashchain-heavy
 test:
 	$(PYTHON) -m pytest -q
 
-# Source line count, tracked per PR like a benchmark (ROADMAP item 3), with
+# Source line count, tracked per PR like a benchmark (ROADMAP item 9), with
 # the delta against the parent commit: the count must not go up.
 loc:
 	@now=$$(find src -name '*.py' -exec cat {} + | wc -l); \

@@ -27,7 +27,7 @@ from repro.core.byzantine import WithholdBehaviour
 from repro.core.hashchain import HashchainServer
 from repro.core.properties import check_consistent_gets, check_unique_epoch
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.ledger.ideal import IdealLedger
 from repro.net.latency import lan_profile
 from repro.net.network import Network
@@ -38,7 +38,7 @@ from repro.workload.elements import make_element
 def main() -> None:
     sim = Simulator(seed=7)
     network = Network(sim, latency=lan_profile())
-    scheme = SimulatedScheme(PublicKeyInfrastructure())
+    scheme = SignatureScheme(PublicKeyInfrastructure())
     config = SetchainConfig(n_servers=4, collector_limit=10, collector_timeout=0.5,
                             batch_request_timeout=0.5)
     ledger = IdealLedger(sim, LedgerConfig(block_size_bytes=200_000, block_rate=2.0))

@@ -503,10 +503,6 @@ class ScenarioBuilder:
 
     # -- implementation choices ------------------------------------------------
 
-    def signature(self, scheme: str) -> "ScenarioBuilder":
-        """Signature scheme: ``"simulated"`` (fast) or ``"ed25519"`` (real)."""
-        return self._fork("setchain", signature_scheme=str(scheme))
-
     def compressor(self, name: str) -> "ScenarioBuilder":
         """Compresschain codec: ``"model"`` (paper ratios) or ``"zlib"``."""
         return self._fork("setchain", compressor=str(name))

@@ -163,11 +163,11 @@ register_scenario(
 
 # -- fixed-size scenarios, one per hot layer -------------------------------------
 # The ``bench-smoke`` set exercises every hot layer of the simulator: the
-# event loop (heavy hashchain run), the batching/hashing path (compresschain),
-# the per-element ledger path (vanilla), and the real-EdDSA code path
-# (ed25519).  These definitions are pinned — tests/golden/bench__*.json and the
-# Vanilla and trace manifests record their artifacts byte for byte.  Wall-clock
-# numbers come from the workloads of BENCHMARK.json, not from here.
+# event loop (heavy hashchain run), the batching/hashing path (compresschain)
+# and the per-element ledger path (vanilla).  These definitions are pinned —
+# tests/golden/bench__*.json and the Vanilla and trace manifests record their
+# artifacts byte for byte.  Wall-clock numbers come from the workloads of
+# BENCHMARK.json, not from here.
 
 register_scenario(
     "bench/hashchain-base", tags=("bench", "bench-smoke"),
@@ -192,17 +192,10 @@ register_scenario(
     description="Bench: 4-server vanilla, 200 el/s for 20 s",
 )(lambda: Scenario.vanilla().servers(4).rate(200).inject_for(20).drain(60))
 
-register_scenario(
-    "bench/hashchain-ed25519", tags=("bench", "bench-smoke"),
-    description="Bench: 4-server hashchain over real ed25519 signatures",
-)(lambda: Scenario.hashchain().servers(4).rate(100).collector(20)
-  .inject_for(5).drain(40).signature("ed25519"))
-
 # The ``bench-million`` set stresses the columnar hot paths at throughput
-# scale: one million injected elements per run (50k el/s for 20 s), large
-# collectors so flush batches stay thousands of elements wide, and the
-# simulated signature scheme so crypto cost does not mask the data-path cost.
-# Vanilla appends one ledger transaction per element by design — the very
+# scale: one million injected elements per run (50k el/s for 20 s), and large
+# collectors so flush batches stay thousands of elements wide.  Vanilla
+# appends one ledger transaction per element by design — the very
 # bottleneck the Setchain paper's batched variants remove — so its million-
 # element run takes minutes where the batched algorithms take tens of
 # seconds; that contrast is the measurement, not an accident.  The

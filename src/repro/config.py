@@ -116,7 +116,9 @@ class SetchainConfig:
     collector_timeout: float = 1.0
     #: Timeout waiting for a Request_batch reply in Hashchain (seconds).
     batch_request_timeout: float = 1.0
-    #: Name of the signature scheme ("ed25519" or "simulated").
+    #: Name of the signature scheme.  "simulated" (HMAC-SHA512 tags, see
+    #: ``repro.crypto.signatures``) is the one legal value; the field stays
+    #: because every artifact's config echo carries it.
     signature_scheme: str = "simulated"
     #: Name of the compressor ("zlib" or "model").
     compressor: str = "model"
@@ -137,6 +139,11 @@ class SetchainConfig:
             raise ConfigurationError("timeouts must be positive")
         if self.element_validation_time < 0 or self.tx_processing_overhead < 0:
             raise ConfigurationError("processing costs cannot be negative")
+        if self.signature_scheme != "simulated":
+            raise ConfigurationError(
+                f"signature_scheme must be 'simulated', got "
+                f"{self.signature_scheme!r} ('ed25519' was removed: it produced "
+                "identical artifacts)")
         f = self.f
         if f is not None:
             if f < 0:

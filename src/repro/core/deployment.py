@@ -28,7 +28,7 @@ from ..analysis.metrics import MetricsCollector
 from ..analysis.throughput import average_throughput
 from ..config import ExperimentConfig
 from ..crypto.keys import PublicKeyInfrastructure
-from ..crypto.signatures import SignatureScheme, make_scheme
+from ..crypto.signatures import SignatureScheme
 from ..errors import ConfigurationError, NetworkError
 from ..faults.events import FaultEvent
 from ..faults.injector import FaultInjector
@@ -697,7 +697,7 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deplo
     latency = build_latency(config)
     network = Network(sim, latency=latency)
     pki = PublicKeyInfrastructure()
-    scheme = make_scheme(config.setchain.signature_scheme, pki)
+    scheme = SignatureScheme(pki)
     metrics = MetricsCollector()
     tracer: Tracer | None = None
     if config.trace_sample is not None:

@@ -2,27 +2,19 @@
 
 The paper uses SHA-512 for hashing and ed25519 (EdDSA) for signatures, with a
 public-key infrastructure so every process knows every other process's public
-key.  This package provides:
+key.  This package provides, on the standard library alone:
 
 * :mod:`repro.crypto.hashing` — SHA-512 based canonical hashing of batches and
   epochs (the exact hash the epoch-proofs sign).
-* :mod:`repro.crypto.ed25519` — a from-scratch RFC 8032 Ed25519 implementation
-  (no third-party dependencies).
-* :mod:`repro.crypto.signatures` — the :class:`SignatureScheme` interface with
-  an Ed25519 backend and a fast HMAC-based *simulated* backend used for large
-  benchmark runs (documented substitution; see DESIGN.md §2).
+* :mod:`repro.crypto.signatures` — :class:`SignatureScheme`, the one scheme:
+  64-byte HMAC-SHA512 tags that only their owner can produce, verified
+  through the PKI, in place of the paper's Ed25519 signatures.
 * :mod:`repro.crypto.keys` — key pairs and the PKI registry.
 """
 
 from .hashing import sha512_hex, hash_batch, hash_epoch, hash_bytes, canonical_bytes_of
 from .keys import KeyPair, PublicKeyInfrastructure
-from .signatures import (
-    SignatureScheme,
-    Ed25519Scheme,
-    SimulatedScheme,
-    make_scheme,
-)
-from . import ed25519
+from .signatures import SignatureScheme
 
 __all__ = [
     "sha512_hex",
@@ -33,8 +25,4 @@ __all__ = [
     "KeyPair",
     "PublicKeyInfrastructure",
     "SignatureScheme",
-    "Ed25519Scheme",
-    "SimulatedScheme",
-    "make_scheme",
-    "ed25519",
 ]

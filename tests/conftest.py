@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import LedgerConfig, SetchainConfig
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.ledger.ideal import IdealLedger
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -28,9 +28,9 @@ def network(sim: Simulator) -> Network:
 
 
 @pytest.fixture
-def scheme() -> SimulatedScheme:
-    """The fast simulated signature scheme over a fresh PKI."""
-    return SimulatedScheme(PublicKeyInfrastructure())
+def scheme() -> SignatureScheme:
+    """The signature scheme over a fresh PKI."""
+    return SignatureScheme(PublicKeyInfrastructure())
 
 
 @pytest.fixture
@@ -61,7 +61,7 @@ def ideal_ledger(sim: Simulator, fast_ledger_config: LedgerConfig) -> IdealLedge
 
 
 def build_servers(algorithm: str, sim: Simulator, network: Network,
-                  scheme: SimulatedScheme, config: SetchainConfig,
+                  scheme: SignatureScheme, config: SetchainConfig,
                   ledger: IdealLedger, metrics=None, light: bool = False):
     """Helper used by algorithm tests: n servers of one kind over an ideal ledger."""
     from repro.compressor.model import ModelCompressor

@@ -25,7 +25,7 @@ from repro.api.parallel import reset_run_counters
 from repro.config import EPOCH_PROOF_SIZE, LedgerConfig, SetchainConfig
 from repro.core.vanilla import VanillaServer
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.ledger.ideal import IdealLedger
 from repro.ledger.types import Block, Transaction, new_transaction
 from repro.sim.scheduler import Simulator
@@ -103,7 +103,7 @@ class World:
         ledger_type = ReferenceLedger if reference else IdealLedger
         self.ledger = ledger_type(self.sim, LedgerConfig(block_size_bytes=block_size))
         self.metrics = MetricsCollector()
-        scheme = SimulatedScheme(PublicKeyInfrastructure())
+        scheme = SignatureScheme(PublicKeyInfrastructure())
         config = SetchainConfig(n_servers=_SERVERS)
         server_type = ReferenceVanilla if reference else VanillaServer
         self.servers = []

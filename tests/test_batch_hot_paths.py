@@ -10,17 +10,11 @@ from repro.core.validation import batch_matches_hash
 from repro.crypto.hashing import hash_batch
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto import signatures
-from repro.crypto.signatures import Ed25519Scheme, SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.workload.elements import Element, make_element
 
 _crypto = settings(max_examples=25, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
-
-
-def _schemes():
-    """Fresh instances of both backends sharing nothing."""
-    return [SimulatedScheme(PublicKeyInfrastructure()),
-            Ed25519Scheme(PublicKeyInfrastructure())]
 
 
 # -- verify_many equivalence -------------------------------------------------
@@ -35,41 +29,41 @@ def _schemes():
 def test_verify_many_matches_scalar_verify(entries, warm_cache):
     """Batch verdicts equal scalar verdicts: unknown owners, corrupted
     signatures, and cache warm/cold states included."""
-    for scheme in _schemes():
-        pairs = {owner: scheme.generate_keypair(owner, deployment_seed=5)
-                 for owner in ("server-0", "server-1")}
-        signer = pairs["server-0"]
-        triples = []
-        for owner, message, corrupt in entries:
-            signature = scheme.sign(signer, message)
-            if corrupt:
-                signature = bytes(64)  # a tag nobody produced
-            triples.append((owner, message, signature))
-        # A scalar-verified reference on an identical, independent scheme —
-        # the scheme under test must agree whether its cache is cold or warm.
-        fresh = type(scheme)(PublicKeyInfrastructure())
-        for owner in pairs:
-            fresh.generate_keypair(owner, deployment_seed=5)
-        expected = [fresh.verify(*t) for t in triples]
-        if warm_cache:
-            scheme.verify_many(triples)  # prime the positive cache
-        assert scheme.verify_many(triples) == expected
-        assert [scheme.verify(*t) for t in triples] == expected
+    scheme = SignatureScheme(PublicKeyInfrastructure())
+    pairs = {owner: scheme.generate_keypair(owner, deployment_seed=5)
+             for owner in ("server-0", "server-1")}
+    signer = pairs["server-0"]
+    triples = []
+    for owner, message, corrupt in entries:
+        signature = scheme.sign(signer, message)
+        if corrupt:
+            signature = bytes(64)  # a tag nobody produced
+        triples.append((owner, message, signature))
+    # A scalar-verified reference on an identical, independent scheme —
+    # the scheme under test must agree whether its cache is cold or warm.
+    fresh = SignatureScheme(PublicKeyInfrastructure())
+    for owner in pairs:
+        fresh.generate_keypair(owner, deployment_seed=5)
+    expected = [fresh.verify(*t) for t in triples]
+    if warm_cache:
+        scheme.verify_many(triples)  # prime the positive cache
+    assert scheme.verify_many(triples) == expected
+    assert [scheme.verify(*t) for t in triples] == expected
 
 
 def test_verify_many_unknown_owner_is_false_not_raise():
-    for scheme in _schemes():
-        keypair = scheme.generate_keypair("server-0")
-        sig = scheme.sign(keypair, "msg")
-        assert scheme.verify_many([("nobody", "msg", sig),
-                                   ("server-0", "msg", sig)]) == [False, True]
+    scheme = SignatureScheme(PublicKeyInfrastructure())
+    keypair = scheme.generate_keypair("server-0")
+    sig = scheme.sign(keypair, "msg")
+    assert scheme.verify_many([("nobody", "msg", sig),
+                               ("server-0", "msg", sig)]) == [False, True]
 
 
 # -- verify-cache FIFO eviction ----------------------------------------------------------
 
 def test_verify_cache_evicts_oldest_half_in_fifo_order(monkeypatch):
     monkeypatch.setattr(signatures, "_VERIFY_CACHE_MAX", 8)
-    scheme = SimulatedScheme(PublicKeyInfrastructure())
+    scheme = SignatureScheme(PublicKeyInfrastructure())
     keypair = scheme.generate_keypair("server-0")
     messages = [f"m{i}" for i in range(8)]
     triples = [("server-0", m, scheme.sign(keypair, m)) for m in messages]

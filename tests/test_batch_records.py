@@ -26,7 +26,7 @@ from repro.core.types import EpochProof
 from repro.core.validation import batch_matches_hash
 from repro.crypto.hashing import hash_batch
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.net.message import Message
 from repro.sim.scheduler import Simulator
 from repro.workload.elements import Element, make_element
@@ -95,7 +95,7 @@ class ReferenceServer(HashchainServer):
 
 def _world(kind: type[HashchainServer]) -> list[HashchainServer]:
     """An origin and a peer sharing one scheme (hence one record table)."""
-    scheme = SimulatedScheme(PublicKeyInfrastructure())
+    scheme = SignatureScheme(PublicKeyInfrastructure())
     sim = Simulator(seed=1)
     config = SetchainConfig(n_servers=4, collector_limit=10**6)
     return [kind(name, sim, config, scheme,

@@ -52,6 +52,8 @@ def test_setchain_f_bounds_enforced():
         SetchainConfig(collector_limit=0)
     with pytest.raises(ConfigurationError):
         SetchainConfig(element_validation_time=-1)
+    with pytest.raises(ConfigurationError, match="'ed25519' was removed"):
+        SetchainConfig(signature_scheme="ed25519")
 
 
 def test_experiment_config_validation():

@@ -10,13 +10,13 @@ from repro.core.proofs import (
     verify_epoch_proof,
 )
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.workload.elements import make_element
 
 
 @pytest.fixture
 def scheme():
-    return SimulatedScheme(PublicKeyInfrastructure())
+    return SignatureScheme(PublicKeyInfrastructure())
 
 
 @pytest.fixture

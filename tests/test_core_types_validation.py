@@ -15,7 +15,7 @@ from repro.core.validation import (
 )
 from repro.crypto.hashing import hash_batch
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.errors import ConfigurationError, SetchainError
 from repro.sim.scheduler import Simulator
 from repro.workload.elements import make_element
@@ -23,7 +23,7 @@ from repro.workload.elements import make_element
 
 @pytest.fixture
 def scheme():
-    return SimulatedScheme(PublicKeyInfrastructure())
+    return SignatureScheme(PublicKeyInfrastructure())
 
 
 # -- types ---------------------------------------------------------------------------

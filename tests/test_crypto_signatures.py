@@ -3,23 +3,14 @@
 import pytest
 
 from repro.crypto.keys import KeyPair, PublicKeyInfrastructure, derive_secret_seed
-from repro.crypto.signatures import Ed25519Scheme, SimulatedScheme, make_scheme
-from repro.errors import ConfigurationError, CryptoError
+from repro.crypto.signatures import SignatureScheme
+from repro.errors import CryptoError
 
 
-@pytest.fixture(params=["simulated", "ed25519"])
+@pytest.fixture(params=["simulated"])
 def any_scheme(request):
-    return make_scheme(request.param, PublicKeyInfrastructure())
-
-
-def test_make_scheme_rejects_unknown_name():
-    with pytest.raises(ConfigurationError):
-        make_scheme("rsa")
-
-
-def test_make_scheme_types():
-    assert isinstance(make_scheme("ed25519"), Ed25519Scheme)
-    assert isinstance(make_scheme("simulated"), SimulatedScheme)
+    """The scheme ``signature_scheme="simulated"``, its one legal value, names."""
+    return SignatureScheme(PublicKeyInfrastructure())
 
 
 def test_sign_verify_roundtrip(any_scheme):

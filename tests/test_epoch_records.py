@@ -25,7 +25,7 @@ from repro.core.types import epoch_proof_payload
 from repro.core.vanilla import VanillaServer
 from repro.crypto.hashing import hash_batch, hash_epoch
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.sim.scheduler import Simulator
 from repro.workload.elements import Element
 
@@ -40,8 +40,8 @@ def _copies(specs: list[tuple[int, int]], digest: str = "digest") -> tuple[Eleme
                  for element_id, size in specs)
 
 
-def _servers(count: int) -> tuple[SimulatedScheme, list[VanillaServer]]:
-    scheme = SimulatedScheme(PublicKeyInfrastructure())
+def _servers(count: int) -> tuple[SignatureScheme, list[VanillaServer]]:
+    scheme = SignatureScheme(PublicKeyInfrastructure())
     sim = Simulator(seed=1)
     config = SetchainConfig(n_servers=count)
     return scheme, [VanillaServer(f"s{i}", sim, config, scheme,

@@ -21,7 +21,7 @@ from repro.core.deployment import build_deployment
 from repro.core.hashchain import HashchainServer
 from repro.core.properties import check_all, check_consistent_gets
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.config import LedgerConfig, SetchainConfig
 from repro.ledger.ideal import IdealLedger
 from repro.net.latency import ConstantLatency, RegionalLatency
@@ -89,7 +89,7 @@ def _build_two_region_cluster(byzantine_in: str):
     latency = RegionalLatency(region_of, intra=ConstantLatency(base=0.001),
                               inter_delay=0.040, inter_jitter=0.005)
     network = Network(sim, latency=latency)
-    scheme = SimulatedScheme(PublicKeyInfrastructure())
+    scheme = SignatureScheme(PublicKeyInfrastructure())
     config = SetchainConfig(n_servers=4, f=1, collector_limit=10,
                             collector_timeout=0.5, batch_request_timeout=0.5)
     ledger = IdealLedger(sim, LedgerConfig(block_size_bytes=200_000, block_rate=2.0))

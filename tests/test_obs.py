@@ -574,5 +574,5 @@ def test_profile_smoke(tmp_path, capsys):
 
 
 def test_profile_rejects_unknown_sort_key():
-    code = obs_main(["profile", "bench/hashchain-ed25519", "--sort", "bogus"])
+    code = obs_main(["profile", "bench/vanilla", "--sort", "bogus"])
     assert code == 1

@@ -6,9 +6,8 @@ import pytest
 from repro.api.parallel import RunSpec, default_jobs, run_specs
 from repro.core.collector import Collector
 from repro.core.types import EpochProof, HashBatch
-from repro.crypto import ed25519
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.errors import NetworkError
 from repro.net.network import Network
 from repro.net.node import NetworkNode
@@ -74,34 +73,20 @@ def test_fused_run_loop_matches_event_order():
 
 # -- crypto -------------------------------------------------------------------
 
-def test_windowed_base_mul_matches_generic_double_and_add():
-    for scalar in (0, 1, 2, 15, 16, 17, ed25519._q - 1, 2**254 + 12345):
-        assert ed25519._point_equal(ed25519._point_mul_base(scalar),
-                                    ed25519._point_mul(scalar, ed25519._G))
-
-
-def test_point_double_matches_point_add():
-    point = ed25519._G
-    for _ in range(8):
-        assert ed25519._point_equal(ed25519._point_double(point),
-                                    ed25519._point_add(point, point))
-        point = ed25519._point_add(point, ed25519._G)
-
-
 def test_verify_cache_only_keeps_positives(monkeypatch):
-    scheme = SimulatedScheme(PublicKeyInfrastructure())
+    scheme = SignatureScheme(PublicKeyInfrastructure())
     keypair = scheme.generate_keypair("server-0")
     signature = scheme.sign(keypair, "payload")
     assert scheme.verify("server-0", "payload", signature)
     # A cached positive is served without re-running the backend.
-    monkeypatch.setattr(SimulatedScheme, "_verify",
+    monkeypatch.setattr(SignatureScheme, "_verify",
                         lambda self, owner, message, sig: pytest.fail(
                             "cached verification re-ran the backend"))
     assert scheme.verify("server-0", "payload", signature)
 
 
 def test_verify_failures_are_not_cached():
-    scheme = SimulatedScheme(PublicKeyInfrastructure())
+    scheme = SignatureScheme(PublicKeyInfrastructure())
     keypair = scheme.generate_keypair("server-0")
     good = scheme.sign(keypair, "payload")
     forged = bytes(64)

@@ -32,7 +32,7 @@ from repro.core.hashchain import HashchainServer
 from repro.core.types import EpochProof, HashBatch
 from repro.core.vanilla import VanillaServer
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.ledger.types import Block, new_transaction
 from repro.obs.export import export_chrome
 from repro.sim.scheduler import Simulator
@@ -173,7 +173,7 @@ def test_runs_match_the_per_transaction_schedule(case):
     (prelude, main, overhead, validation, start, cut, how, recover_after,
      stepped) = case
     sim = Simulator(seed=1)
-    scheme = SimulatedScheme(PublicKeyInfrastructure())
+    scheme = SignatureScheme(PublicKeyInfrastructure())
     config = SetchainConfig(n_servers=4, tx_processing_overhead=overhead,
                             element_validation_time=validation)
     metrics = MetricsCollector()
@@ -244,7 +244,7 @@ def test_a_run_end_tied_with_an_event_armed_mid_run_goes_to_the_run():
     begins, as every scheduled fault is, wins the tie either way.)"""
     def play(armed_at: float) -> tuple[int, bool]:
         sim = Simulator(seed=1)
-        scheme = SimulatedScheme(PublicKeyInfrastructure())
+        scheme = SignatureScheme(PublicKeyInfrastructure())
         config = SetchainConfig(n_servers=4, tx_processing_overhead=0.25,
                                 element_validation_time=0.25)
         server = VanillaServer("server-0", sim, config, scheme,

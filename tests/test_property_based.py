@@ -10,7 +10,7 @@ from repro.core.proofs import create_epoch_proof, epoch_is_committed
 from repro.core.types import SetchainView
 from repro.crypto.hashing import hash_batch, hash_epoch
 from repro.crypto.keys import PublicKeyInfrastructure
-from repro.crypto.signatures import SimulatedScheme
+from repro.crypto.signatures import SignatureScheme
 from repro.ledger.mempool import Mempool
 from repro.ledger.types import new_transaction
 from repro.sim.events import EventQueue
@@ -115,7 +115,7 @@ def test_mempool_reap_never_exceeds_budget_and_preserves_fifo(sizes, budget):
 @_slow
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9))
 def test_epoch_commit_rule_threshold_exact(signer_count, quorum):
-    scheme = SimulatedScheme(PublicKeyInfrastructure())
+    scheme = SignatureScheme(PublicKeyInfrastructure())
     elements = [make_element("c", 100)]
     proofs = [create_epoch_proof(scheme, scheme.generate_keypair(f"s{i}"), 1, elements)
               for i in range(signer_count)]
