@@ -21,6 +21,7 @@ them (:meth:`BaseSetchainServer._handle_txs`), then one continuation.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from math import inf, nextafter
 from typing import TYPE_CHECKING, Sequence
 
@@ -63,7 +64,14 @@ class BaseSetchainServer(NetworkNode, Application):
         self._history: dict[int, frozenset[Element]] = {}
         self._epoch = 0
         self._proofs: set[EpochProof] = set()
-        self._epoched_ids: set[int] = set()
+        #: ``element id -> epoch number`` of the epoched ids: the group's
+        #: shared index (``scheme.epoch_lineages``) while every epoch this
+        #: server created is the group's record at its number, a private
+        #: copy from the first one that is not (``_own_index``).  The shared
+        #: index may run ahead of this server: an id is epoched here iff its
+        #: number is at most ``_epoch``.  Every epoched id is in ``_the_set``.
+        self._epoch_of: dict[int, int] = {}
+        self._own_index = False
         #: Cache of this server's own epoch hashes, so incoming proofs can be
         #: checked against the epoch content without re-hashing the epoch for
         #: every proof (the dominant cost at high rates).
@@ -378,7 +386,7 @@ class BaseSetchainServer(NetworkNode, Application):
             records.setdefault((number, ids), shared)  # a first record stays
         _, content, epoch_hash, ids = shared
         self._history[number] = content
-        self._epoched_ids.update(ids)
+        self._index_epoch(number, shared, ids)
         if self.metrics is not None:
             self.metrics.record_epoch_assigned_many(ids, number, self.sim.now,
                                                     self.name)
@@ -391,6 +399,31 @@ class BaseSetchainServer(NetworkNode, Application):
                 self._future_proofs.difference_update(ready)
                 self._absorb_proofs(ready)
         return proof
+
+    def _index_epoch(self, number: int, record: tuple, ids: tuple[int, ...]) -> None:
+        """Give ``ids`` epoch ``number`` in this server's index.
+
+        The group's first server to reach a number appends its record to the
+        group's lineage and indexes its ids there; a server whose epoch is
+        that very record has nothing to add.  Any other record makes the
+        server copy the shared entries below ``number`` into an index of its
+        own, once, and extend only that from then on.
+        """
+        epoch_of = self._epoch_of
+        if not self._own_index:
+            records, epoch_of = self.scheme.epoch_lineages.setdefault(
+                self.algorithm_group(), ([], {}))
+            self._epoch_of = epoch_of
+            if len(records) < number:
+                records.append(record)
+            elif records[number - 1] is record:
+                return
+            else:
+                self._own_index = True
+                self._epoch_of = epoch_of = {
+                    element_id: epoch for element_id, epoch in epoch_of.items()
+                    if epoch < number}
+        epoch_of.update(zip(ids, repeat(number)))
 
     def _absorb_proofs(self, candidates: list[EpochProof]) -> None:
         """Validate and store epoch-proofs, tracking the f+1 commit rule.

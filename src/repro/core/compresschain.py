@@ -95,12 +95,13 @@ class CompresschainServer(BaseSetchainServer):
         proofs: list[EpochProof] = []
         keep_proof = proofs.append
         new_epoch: dict[int, Element] = {}
-        epoched = self._epoched_ids
+        epoch_of, epoch = self._epoch_of, self._epoch
         the_set = self._the_set
         for item in items:
             if isinstance(item, Element):
                 element_id = item.element_id
-                if (item.valid and element_id not in epoched
+                if (item.valid and (element_id not in epoch_of
+                                    or epoch_of[element_id] > epoch)
                         and element_id not in new_epoch):
                     new_epoch[element_id] = item
                     the_set.setdefault(element_id, item)

@@ -16,8 +16,10 @@ hash reversal as the ~20k el/s bottleneck of the full algorithm.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import deque
+from itertools import repeat
 from typing import Sequence
 
 from ..config import HASH_BATCH_SIZE, SetchainConfig
@@ -35,6 +37,10 @@ from .batch_store import BatchRecord, BatchStore, batch_record
 from .collector import Collector
 from .types import EpochProof, HashBatch, hash_batch_payload
 from .validation import batch_matches_hash, valid_hash_batch
+
+#: What the fill reads off an epoch index for an id no epoch holds: a number
+#: past every epoch.
+_NEVER = sys.maxsize
 
 #: Wire size of a Request_batch query (a hash plus framing).
 _REQUEST_SIZE = 80
@@ -82,8 +88,8 @@ class HashchainServer(BaseSetchainServer):
         #: digest → epoch-proofs of the batch still awaiting acceptance.  A
         #: co-signed hash appears in the ledger once per signer, so every
         #: server re-absorbs every batch ~``f+1`` times; the element pass of
-        #: a repeat absorb is a provable no-op (``the_set`` and
-        #: ``_epoched_ids`` only grow and ``setdefault`` is idempotent), so
+        #: a repeat absorb is a provable no-op (``the_set`` only grows and
+        #: holds every epoched id, and ``setdefault`` is idempotent), so
         #: repeats replay only the proofs, whose routing depends on the
         #: current epoch — and accepted proofs are dropped from the replay
         #: list as soon as they land in ``_proofs`` (re-processing an
@@ -462,18 +468,17 @@ class HashchainServer(BaseSetchainServer):
             self._absorb_proofs(proofs)
 
     def _feed_the_set(self, record: BatchRecord) -> None:
-        """Add the record's valid elements no epoch holds to the_set, first
-        id wins: one update at a peer's first sight (unique ids, none epoched
-        or held), a test per id otherwise (the origin holds its own)."""
+        """Add the record's valid elements to the_set, first id wins: one
+        update at a peer's first sight (unique ids, none held), a test per id
+        otherwise (the origin holds its own).  No epoched test: an epoch's
+        ids are in the_set before it is created."""
         ids, elements = record.ids, record.elements
-        epoched = self._epoched_ids
         the_set = self._the_set
-        if (record.unique and epoched.isdisjoint(ids)
-                and the_set.keys().isdisjoint(ids)):
+        if record.unique and the_set.keys().isdisjoint(ids):
             the_set.update(zip(ids, elements))
             return
         for element_id, element in zip(ids, elements):
-            if element_id not in epoched and element_id not in the_set:
+            if element_id not in the_set:
                 the_set[element_id] = element
 
     def _pending_replay(self, digest: str) -> list[EpochProof] | None:
@@ -517,12 +522,15 @@ class HashchainServer(BaseSetchainServer):
             if record is None:
                 record = batch_record(items, self.scheme.batch_records)
                 self._feed_the_set(record)
-            epoched = self._epoched_ids
+            # The index and the epoch move with each epoch this loop fills.
+            epoch_of, epoch = self._epoch_of, self._epoch
             ids, elements = record.ids, record.elements
-            if not (record.unique and epoched.isdisjoint(ids)):
+            if not (record.unique and min(map(epoch_of.get, ids, repeat(_NEVER)),
+                                          default=_NEVER) > epoch):
                 fresh = {element_id: element
                          for element_id, element in zip(ids, elements)
-                         if element_id not in epoched}
+                         if element_id not in epoch_of
+                         or epoch_of[element_id] > epoch}
                 ids, elements = tuple(fresh), tuple(fresh.values())
             if ids:
                 proof = self._byz_outgoing_proof(

@@ -66,12 +66,14 @@ class VanillaServer(BaseSetchainServer):
             self._finish_after(overhead)
             return 1
         # Every consecutive element of the block is one run: an element reads
-        # ``_epoched_ids`` (written at block ends, which no run spans) and
-        # writes the epoch candidates, both private; the stamp or refusal
-        # count it owes the metrics waits in ``_run`` for :meth:`_settle`.
+        # the epoch index at or below ``_epoch``, which only this server's
+        # block ends move and no run spans (entries above it are ignored,
+        # whoever writes them), and writes the epoch candidates, private; the
+        # stamp or refusal count it owes the metrics waits in ``_run`` for
+        # :meth:`_settle`.
         step = overhead + self.config.element_validation_time
         at = self.sim.now
-        epoched = self._epoched_ids
+        epoch_of, epoch = self._epoch_of, self._epoch
         candidates = self._block_elements
         ids, times, refused = self._run
         handled = 0
@@ -79,13 +81,14 @@ class VanillaServer(BaseSetchainServer):
             element = tx.payload
             if not isinstance(element, Element):
                 break
+            element_id = element.element_id
             if not element.valid:
                 # A Byzantine server appended an invalid element; refuse it.
                 refused.append(at)
-            elif (element.element_id not in epoched
-                    and element.element_id not in candidates):
-                candidates[element.element_id] = element
-                ids.append(element.element_id)
+            elif ((element_id not in epoch_of or epoch_of[element_id] > epoch)
+                    and element_id not in candidates):
+                candidates[element_id] = element
+                ids.append(element_id)
                 times.append(at)
             at += step
             handled += 1

@@ -55,10 +55,11 @@ class SignatureScheme:
     resolves the signer by the *claimed* owner id and memoises successful
     verifications (every server in a deployment re-verifies the same signed
     artifacts).  Being the one object all servers of a deployment share, the
-    scheme also holds the two memos that die with the deployment: the
-    servers handle the same batch tuples and derive the same epochs, so each
-    batch is hashed and scanned once and each epoch hashed once, instead of
-    once apiece.
+    scheme also holds the memos that die with the deployment: the servers
+    handle the same batch tuples and derive the same epochs, so each batch is
+    hashed and scanned once and each epoch hashed once, instead of once
+    apiece, and the servers of a group share one index of which epoch holds
+    each element.
     """
 
     def __init__(self, pki: PublicKeyInfrastructure) -> None:
@@ -78,6 +79,12 @@ class SignatureScheme:
         #: epoch: ids and elements in arrival order, the first server's; a
         #: later server shares it when its elements are equal to them.
         self.epoch_records: dict[tuple[int, tuple], tuple] = {}
+        #: ``algorithm group -> (records, epoch_of)``: the record of each
+        #: epoch number as the group's first server to reach it created it,
+        #: in number order, and the ``element id -> epoch number`` index
+        #: those records imply, which every server whose epochs are those
+        #: very records reads as its own.
+        self.epoch_lineages: dict[str, tuple[list[tuple], dict[int, int]]] = {}
 
     def generate_keypair(self, owner: str, deployment_seed: int = 0) -> KeyPair:
         """Create (and register with the PKI) a key pair for ``owner``."""

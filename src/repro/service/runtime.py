@@ -382,7 +382,7 @@ class ServiceRuntime:
                 server.name: {"crashed": server.crashed,
                               "byzantine": server.is_byzantine,
                               "backlog": server.backlog,
-                              "epoch": server.get().epoch}
+                              "epoch": server.epoch}
                 for server in deployment.servers}
             backend = deployment.ledger_backend
             ledger: dict[str, Any] = {}

@@ -89,3 +89,10 @@ def build_servers(algorithm: str, sim: Simulator, network: Network,
         server.connect_ledger(ledger.handle_for(name))
         servers.append(server)
     return servers
+
+
+def epoched_ids(server) -> set[int]:
+    """The ids epoched at ``server``, read off its epoch index: what the
+    per-server set the index replaced held."""
+    return {element_id for element_id, number in server._epoch_of.items()
+            if number <= server.epoch}

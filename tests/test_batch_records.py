@@ -31,6 +31,8 @@ from repro.net.message import Message
 from repro.sim.scheduler import Simulator
 from repro.workload.elements import Element, make_element
 
+from conftest import epoched_ids
+
 
 class ReferenceServer(HashchainServer):
     """The per-item absorb and fill loops, as they were before the record."""
@@ -44,7 +46,7 @@ class ReferenceServer(HashchainServer):
             return
         proofs: list[EpochProof] = []
         elements: list[Element] = []
-        epoched = self._epoched_ids
+        epoched = epoched_ids(self)
         the_set = self._the_set
         for item in items:
             if isinstance(item, Element):
@@ -72,13 +74,12 @@ class ReferenceServer(HashchainServer):
             self._fill_queue.popleft()
             block = self._fill_meta.pop(digest)
             scanned = self._scanned_elements.pop(digest, None)
+            epoched = epoched_ids(self)
             if scanned is not None:
-                epoched = self._epoched_ids
                 fresh = {element.element_id: element for element in scanned
                          if element.element_id not in epoched}
             else:
                 fresh = {}
-                epoched = self._epoched_ids
                 the_set = self._the_set
                 for element in items:
                     if (isinstance(element, Element) and element.valid
@@ -109,7 +110,7 @@ def _state(server: HashchainServer) -> dict:
         "epochs": [list(server.epoch_elements(number))
                    for number in range(1, server.epoch + 1)],
         "replay": dict(server._scanned_batches),
-        "epoched": server._epoched_ids,
+        "epoched": epoched_ids(server),
         "proofs": server._proofs,
         "future": server._future_proofs,
         "invalid": server.invalid_proofs,
@@ -149,13 +150,17 @@ def _item(spec):
                               st.integers(0, 3)), max_size=12))
 def test_absorb_and_fill_equal_the_per_item_loops(batches, held, epoched, ops):
     """Duplicate ids with conflicting content, invalid elements, interleaved
-    proofs, ids already epoched or held, unscanned fills, co-sign repeats;
-    the origin (which holds its own elements) and a peer."""
+    proofs, ids already epoched (hence held) or held, unscanned fills,
+    co-sign repeats; the origin (which holds its own elements) and a peer."""
     tuples = [tuple(_item(spec) for spec in specs) for specs in batches]
     worlds = {"record": _world(HashchainServer), "reference": _world(ReferenceServer)}
     for origin, peer in worlds.values():
         for server in (origin, peer):
-            server._epoched_ids.update(epoched)
+            if epoched:  # a recorded epoch 1, its ids in the_set first
+                first = tuple(_item(("element", element_id, 0, True))
+                              for element_id in sorted(epoched))
+                server._the_set.update((e.element_id, e) for e in first)
+                server._record_new_epoch(tuple(sorted(epoched)), first, None)
             for element_id, variant in held:
                 server._the_set.setdefault(element_id, _item(
                     ("element", element_id, variant, True)))

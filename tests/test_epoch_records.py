@@ -1,11 +1,13 @@
 """One epoch record per deployment: every server that derives an epoch's
 content — its ids and elements in arrival order — shares its frozenset, its
 hash and its id tuple, and the metrics skip re-stamping a record they stamped
-in full.
+in full.  The servers of a group whose epochs are those records read one
+index of which epoch holds each id.
 
 The oracle for the hash is a fresh ``hash_epoch`` over the server's own
 history; for the metrics, the replaced per-element commit loop, kept below
-(a collector that is never handed the same immutable object twice).
+(a collector that is never handed the same immutable object twice); for the
+index, the ids of the server's own history.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from repro.core.vanilla import VanillaServer
 from repro.crypto.hashing import hash_batch, hash_epoch
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SignatureScheme
+from repro.service import ServiceRuntime
 from repro.sim.scheduler import Simulator
 from repro.workload.elements import Element
+
+from conftest import epoched_ids
 
 _examples = settings(max_examples=40, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -106,6 +111,23 @@ def test_the_record_is_keyed_by_exact_content_and_number(specs):
     assert later._epoch_hashes[2] != first._epoch_hashes[1]
     assert later.epoch_elements(2) is not shared
     assert len(scheme.epoch_records) == 3
+    # One index for the servers whose epochs are the group's records, the
+    # first's and the twin's; each other server copied one of its own.
+    index = scheme.epoch_lineages["vanilla"][1]
+    assert first._epoch_of is twin._epoch_of is index
+    private = [forged._epoch_of, other._epoch_of, later._epoch_of]
+    assert len({id(index), *map(id, private)}) == 4
+    # The group's index runs ahead of the twin, which still answers only
+    # for its own epoch.
+    ahead = _copies([(extra + 1, 100)])
+    _checked(scheme, first, 2, ahead)
+    assert first._epoch_of is twin._epoch_of is index
+    # Each answers as its own set of epoched ids did.
+    for server, epochs in ((first, [elements, ahead]), (twin, [copy]),
+                           (forged, [unequal]), (other, [different]),
+                           (later, [different, copy])):
+        assert epoched_ids(server) == {element.element_id
+                                       for epoch in epochs for element in epoch}
 
 
 @_examples
@@ -128,6 +150,83 @@ def test_every_cached_epoch_hash_equals_a_fresh_one(name):
         assert sorted(server._epoch_hashes) == list(range(1, server.epoch + 1))
         for number, cached in server._epoch_hashes.items():
             assert cached == hash_epoch(number, server.epoch_elements(number))
+
+
+# -- one epoch index per group ----------------------------------------------------
+
+
+def _check_indexes(servers) -> dict[str, set[int]]:
+    """Each server's epoched ids, read off its index, are its history's ids,
+    all in its the_set; returns the ``id`` of every index, per group."""
+    indexes: dict[str, set[int]] = {}
+    for server in servers:
+        history = {element.element_id for number in range(1, server.epoch + 1)
+                   for element in server.epoch_elements(number)}
+        assert epoched_ids(server) == history, server.name
+        assert history <= server._the_set.keys(), server.name
+        indexes.setdefault(server.algorithm_group(), set()).add(id(server._epoch_of))
+    return indexes
+
+
+@pytest.mark.parametrize("name", [
+    "bench/vanilla", "bench/compresschain", "bench/hashchain-base",
+    "byz/smoke", "byz/golden/compresschain-equivocate",
+    "byz/golden/vanilla-silent", "chaos/smoke", "shard/smoke",
+    "shard/elastic/add-shard-under-load", "member/smoke",
+    "member/join/vanilla-pair", "member/join/compresschain-under-load"])
+def test_the_index_answers_as_the_per_server_sets_did(name):
+    """A joiner replays the chain behind a group index that already holds
+    every epoch: it must still read only its own, or its epochs break the
+    safety properties."""
+    session = Session(name, seed=7).start().run()
+    deployment = session.deployment
+    servers = deployment.servers + deployment.departed_servers
+    assert sum(server.epoch for server in servers) > 0
+    _check_indexes(servers)
+    assert session.check_properties(include_liveness=False) == []
+
+
+#: The five end-to-end benchmark workloads' configs at seed 7, service-durable
+#: driven as its pass drives it.
+_WORKLOADS = {
+    "bulk-hashchain": lambda: (
+        Scenario.hashchain().servers(4).rate(20_000).collector(2000)
+        .inject_for(1.25).drain(40).backend("ideal")),
+    "perelement-vanilla": lambda: (
+        Scenario.vanilla().servers(4).rate(20_000).block_size(8_388_608)
+        .block_rate(4).inject_for(1.25).drain(40).backend("ideal")),
+    "faulted-hashchain": lambda: (
+        Scenario.hashchain().servers(10).rate(500).collector(100)
+        .inject_for(20).drain(60)
+        .partition(4.0, until=9.0, nodes=("server-7", "server-8", "server-9"))
+        .crash(21.0, "server-2", until=26.0)),
+    "service-durable": lambda: (
+        Scenario.hashchain().servers(4).rate(1).collector(500)
+        .inject_for(1).drain(1).backend("ideal")),
+    "overload-1shard": lambda: (
+        Scenario.hashchain().servers(3).byzantine(f=1).shards(1).rate(3_500)
+        .collector(50).setchain(element_validation_time=2e-3).block_rate(2.0)
+        .inject_for(20).drain(20).backend("ideal")),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+def test_every_server_of_a_group_reads_one_index(workload, tmp_path):
+    config = _WORKLOADS[workload]().seed(7).build()
+    if workload == "service-durable":
+        runtime = ServiceRuntime(config, db=tmp_path / "service.sqlite",
+                                 tick=0.1, queue_limit=100_000)
+        for _ in range(20):
+            runtime.submit_many(500)
+            runtime.tick()
+        runtime.run_for(8.0)
+        runtime.stop()
+        deployment = runtime.deployment
+    else:
+        deployment = Session(config).start().run().deployment
+    assert min(server.epoch for server in deployment.servers) > 1
+    indexes = _check_indexes(deployment.servers)
+    assert all(len(ids) == 1 for ids in indexes.values()), indexes
 
 
 def test_a_fault_free_hashchain_run_hashes_each_epoch_and_batch_once():

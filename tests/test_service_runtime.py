@@ -9,10 +9,12 @@ endpoint), and the idempotent stop lifecycle.
 import json
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import pytest
 
 from repro.api.builder import Scenario
+from repro.core.types import SetchainView
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import Crash, Leave, Recover, Targets
 from repro.service.http import MetricsEndpoint
@@ -195,6 +197,21 @@ def test_metrics_snapshot_uses_run_result_vocabulary():
     assert snapshot["ledger"]["height"] > 0
     assert set(snapshot["servers"]) == {f"server-{i}" for i in range(4)}
     json.dumps(snapshot)  # must be JSON-serialisable as scraped
+    runtime.stop()
+
+
+def test_a_scrape_reads_epochs_without_snapshotting_a_server():
+    """A scrape needs each server's epoch number, not a frozen copy of its
+    the_set, history and proofs."""
+    runtime = small_runtime()
+    runtime.submit_many(100)
+    runtime.run_for(5.0)
+    refuse = AssertionError("a scrape must not build a SetchainView")
+    with mock.patch.object(SetchainView, "snapshot", side_effect=refuse):
+        snapshot = runtime.metrics_snapshot()
+    epochs = {server.name: server.epoch for server in runtime.deployment.servers}
+    assert {name: state["epoch"] for name, state in snapshot["servers"].items()} == epochs
+    assert min(epochs.values()) > 0
     runtime.stop()
 
 
