@@ -9,15 +9,18 @@ SCENARIO ?= bench/hashchain-heavy
 test:
 	$(PYTHON) -m pytest -q
 
-# Source line count, tracked per PR like a benchmark (ROADMAP item 9), with
-# the delta against the parent commit: the count must not go up.
-loc:
-	@now=$$(find src -name '*.py' -exec cat {} + | wc -l); \
-	was=$$(git ls-tree -r --name-only HEAD~1 -- src 2>/dev/null | grep '\.py$$' \
+# Line counts of src/ and of tests/*.py, tracked per PR like a benchmark
+# (ROADMAP item 9), each with its delta against the parent commit: neither
+# count may go up.  $(call loc_of,label,find roots,git path regex)
+loc_of = now=$$(find $(2) -name '*.py' -exec cat {} + | wc -l); \
+	was=$$(git ls-tree -r --name-only HEAD~1 2>/dev/null | grep -E '$(3)' \
 	  | sed 's/^/HEAD~1:/' | xargs -r git show 2>/dev/null | wc -l); \
 	if [ "$$was" -gt 0 ]; then \
-	  echo "src: $$now lines ($$(printf '%+d' $$((now - was))) against HEAD~1's $$was)"; \
-	else echo "src: $$now lines (no HEAD~1 to compare with)"; fi
+	  echo "$(1): $$now lines ($$(printf '%+d' $$((now - was))) against HEAD~1's $$was)"; \
+	else echo "$(1): $$now lines (no HEAD~1 to compare with)"; fi
+loc:
+	@$(call loc_of,src,src,^src/.*\.py$$)
+	@$(call loc_of,tests/*.py,tests -maxdepth 1,^tests/[^/]*\.py$$)
 
 # The repo benchmark (BENCHMARK.json): all five pinned workloads, end-to-end
 # metrics only.  Reports land in the git-ignored benchmarks/e2e/out/.

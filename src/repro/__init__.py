@@ -41,11 +41,6 @@ from .config import (
     TopologyConfig,
     WorkloadConfig,
 )
-from .topology import (
-    register_algorithm,
-    register_latency_profile,
-    register_ledger_backend,
-)
 from .core import (
     BaseSetchainServer,
     ByzantineBehaviour,
@@ -55,7 +50,6 @@ from .core import (
     SetchainView,
     VanillaServer,
     build_deployment,
-    register_behaviour,
 )
 from .experiments.runner import scaled_config
 from .api import (
@@ -78,10 +72,6 @@ __all__ = [
     "WorkloadConfig",
     "RegionSpec",
     "TopologyConfig",
-    # topology registries
-    "register_algorithm",
-    "register_ledger_backend",
-    "register_latency_profile",
     # public experiment API
     "Scenario",
     "ScenarioBuilder",
@@ -94,7 +84,6 @@ __all__ = [
     # core system
     "BaseSetchainServer",
     "ByzantineBehaviour",
-    "register_behaviour",
     "VanillaServer",
     "CompresschainServer",
     "HashchainServer",

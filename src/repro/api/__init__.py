@@ -29,12 +29,6 @@ from ..faults import (
     Partition,
     Recover,
     Targets,
-    register_fault,
-)
-from ..topology import (
-    register_algorithm,
-    register_latency_profile,
-    register_ledger_backend,
 )
 from .builder import Scenario, ScenarioBuilder
 from .registry import (
@@ -88,10 +82,6 @@ __all__ = [
     "Duplicate",
     "DelaySpike",
     "Churn",
-    "register_algorithm",
-    "register_ledger_backend",
-    "register_latency_profile",
-    "register_fault",
     "run",
     "register_scenario",
     "unregister_scenario",

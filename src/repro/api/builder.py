@@ -31,7 +31,7 @@ from ..config import (
     TopologyConfig,
     WorkloadConfig,
 )
-from ..errors import ConfigurationError, did_you_mean
+from ..errors import ConfigurationError, check_name, did_you_mean
 from ..faults.events import (
     BecomeByzantine,
     BecomeCorrect,
@@ -46,7 +46,7 @@ from ..faults.events import (
     Partition,
     Targets,
 )
-from ..topology import plugins as _plugins
+from ..topology.components import ALGORITHMS, LATENCY_PROFILES, LEDGER_BACKENDS
 
 _LAYER_FIELDS: dict[str, tuple[str, ...]] = {
     "setchain": tuple(f.name for f in fields(SetchainConfig)),
@@ -87,10 +87,7 @@ class ScenarioBuilder:
                  "_topology", "_faults", "_fault_window")
 
     def __init__(self, algorithm: str = "hashchain") -> None:
-        if not _plugins.has_algorithm(algorithm):
-            raise ConfigurationError(
-                f"unknown algorithm {algorithm!r}"
-                + _did_you_mean(algorithm, _plugins.algorithm_names()))
+        check_name("algorithm", algorithm, ALGORITHMS)
         self._algorithm = algorithm
         self._setchain: dict[str, Any] = {}
         self._ledger: dict[str, Any] = {}
@@ -231,14 +228,12 @@ class ScenarioBuilder:
         """Declare a named region holding ``servers`` servers.
 
         ``algorithm`` overrides the scenario algorithm for this region's
-        servers (heterogeneous cluster); any registered algorithm name is
+        servers (heterogeneous cluster); any key of ``ALGORITHMS`` is
         accepted.  Declaring regions fixes the total server count to the sum
         of the region sizes.
         """
-        if algorithm is not None and not _plugins.has_algorithm(algorithm):
-            raise ConfigurationError(
-                f"unknown algorithm {algorithm!r}"
-                + _did_you_mean(algorithm, _plugins.algorithm_names()))
+        if algorithm is not None:
+            check_name("algorithm", algorithm, ALGORITHMS)
         clone = self._fork()
         regions = clone._topology.setdefault("regions", [])
         regions.append((str(name), int(servers), algorithm))
@@ -250,14 +245,12 @@ class ScenarioBuilder:
 
         ``inter_ms`` is the base one-way cross-region delay, ``jitter_ms``
         the uniform extra-delay width on cross-region messages; ``intra``
-        optionally selects a registered latency profile for intra-region
+        optionally selects a latency profile ("lan" or "wan") for intra-region
         links ("lan" by default).  Requires :meth:`region` declarations (or
         :meth:`mixed`) by build time.
         """
-        if intra is not None and not _plugins.has_latency_profile(intra):
-            raise ConfigurationError(
-                f"unknown latency profile {intra!r}"
-                + _did_you_mean(intra, _plugins.latency_profile_names()))
+        if intra is not None:
+            check_name("latency profile", intra, LATENCY_PROFILES)
         clone = self._fork()
         clone._topology["inter_delay"] = float(inter_ms) / 1000.0
         clone._topology["inter_jitter"] = float(jitter_ms) / 1000.0
@@ -277,8 +270,8 @@ class ScenarioBuilder:
 
         ``Scenario.hashchain().mixed(vanilla=2, hashchain=2)`` builds a
         4-server cluster where two servers run Vanilla and two run Hashchain
-        over the same ledger.  Keyword names are registered algorithm names
-        with ``-`` spelled ``_``; combine with :meth:`wan` to spread the
+        over the same ledger.  Keyword names are algorithm names with ``-``
+        spelled ``_``; combine with :meth:`wan` to spread the
         groups across a wide-area network.
         """
         if not servers_by_algorithm:
@@ -287,16 +280,8 @@ class ScenarioBuilder:
         clone = self._fork()
         regions = clone._topology.setdefault("regions", [])
         for keyword, count in servers_by_algorithm.items():
-            # Prefer the literal keyword (third-party names may genuinely
-            # contain underscores); fall back to the '-' spelling for the
-            # builtins ("hashchain_light" -> "hashchain-light").
-            algorithm = keyword
-            if not _plugins.has_algorithm(algorithm):
-                algorithm = keyword.replace("_", "-")
-            if not _plugins.has_algorithm(algorithm):
-                raise ConfigurationError(
-                    f"unknown algorithm {algorithm!r}"
-                    + _did_you_mean(algorithm, _plugins.algorithm_names()))
+            algorithm = keyword.replace("_", "-")
+            check_name("algorithm", algorithm, ALGORITHMS)
             regions.append((algorithm, int(count), algorithm))
         return clone
 
@@ -307,7 +292,7 @@ class ScenarioBuilder:
         """Append fault events to the scenario's chaos timeline.
 
         Accepts :class:`~repro.faults.events.FaultEvent` instances (any
-        registered kind, including third-party ones) or a whole
+        kind in ``FAULT_KINDS``) or a whole
         :class:`FaultScheduleConfig` (which *replaces* the timeline built so
         far).  ``window`` sets the availability-window width used by the
         resilience report.  The convenience methods (:meth:`partition`,
@@ -375,9 +360,8 @@ class ScenarioBuilder:
         ``become_byzantine(10.0, "server-3", behaviour="withhold", until=30.0)``
         makes one named server withhold ``Request_batch`` replies for 20 s;
         ``become_byzantine(10.0, count=2)`` silences two random servers.  The
-        built-in behaviours are withhold / wrong-hash / invalid-element /
-        equivocate / silent (plus anything registered through
-        :func:`repro.core.byzantine.register_behaviour`).  Build-time
+        behaviours (``repro.core.byzantine.BEHAVIOURS``) are withhold /
+        wrong-hash / invalid-element / equivocate / silent.  Build-time
         validation rejects schedules whose Byzantine + crashed servers could
         reach the quorum of any algorithm group.
         """
@@ -473,11 +457,8 @@ class ScenarioBuilder:
 
     def backend(self, name: str) -> "ScenarioBuilder":
         """Ledger backend: ``"cometbft"`` (full consensus), ``"ideal"``
-        (centralized sequencer), or any registered third-party backend."""
-        if not _plugins.has_ledger_backend(name):
-            raise ConfigurationError(
-                f"unknown ledger backend {name!r}"
-                + _did_you_mean(name, _plugins.ledger_backend_names()))
+        (centralized sequencer) or ``"sqlite"`` (durable sequencer)."""
+        check_name("ledger backend", name, LEDGER_BACKENDS)
         return self._fork_top(ledger_backend=name)
 
     # -- workload knobs --------------------------------------------------------

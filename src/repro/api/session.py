@@ -33,6 +33,8 @@ from .builder import ScenarioBuilder
 from .results import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from pathlib import Path
+
     from ..core.types import SetchainView
     from ..faults.events import FaultEvent
 
@@ -56,11 +58,12 @@ class Session:
 
     def __init__(self, scenario: "ScenarioBuilder | ExperimentConfig | str",
                  *, scale: float = 1.0, seed: int | None = None,
-                 inject: bool = True) -> None:
+                 inject: bool = True, db_path: "str | Path | None" = None) -> None:
         from ..experiments.runner import scaled_config
         self.config = scaled_config(_resolve_config(scenario), scale)
         self.scale = scale
-        self.deployment: Deployment = build_deployment(self.config, seed=seed)
+        self.deployment: Deployment = build_deployment(self.config, seed=seed,
+                                                       db_path=db_path)
         self._started = False
         self._inject_clients = inject
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_name
 from .faults.budget import fault_tolerance, validate_fault_budget
 from .faults.schedule import FaultScheduleConfig
 from .topology.regions import RegionSpec, TopologyConfig  # noqa: F401  (re-export)
@@ -172,9 +172,9 @@ class ExperimentConfig:
     setchain: SetchainConfig = field(default_factory=SetchainConfig)
     ledger: LedgerConfig = field(default_factory=LedgerConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    #: Which ledger implementation backs the run.  Any registered backend name
-    #: is accepted; "cometbft" (full consensus simulation) and "ideal"
-    #: (centralized sequencer, fast sweeps) are built in.
+    #: Which ledger implementation backs the run: "cometbft" (full consensus
+    #: simulation), "ideal" (centralized sequencer, fast sweeps) or "sqlite"
+    #: (the ideal sequencer on a durable database, for service mode).
     ledger_backend: str = "cometbft"
     #: Multi-region/heterogeneous deployment description.  ``None`` (the
     #: default) is the paper's homogeneous single-site cluster.
@@ -206,17 +206,11 @@ class ExperimentConfig:
         "topology", "faults", "trace_sample", "shards")
 
     def __post_init__(self) -> None:
-        # Imported lazily: the registries load the builtin plugin module,
-        # which imports the core/ledger layers (and, transitively, this one).
-        from .topology import plugins
-        if not plugins.has_algorithm(self.algorithm):
-            raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; registered algorithms "
-                f"are {tuple(plugins.algorithm_names())}")
-        if not plugins.has_ledger_backend(self.ledger_backend):
-            raise ConfigurationError(
-                f"unknown ledger backend {self.ledger_backend!r}; registered "
-                f"backends are {tuple(plugins.ledger_backend_names())}")
+        # Imported lazily: the component tables import the core/ledger
+        # layers (and, transitively, this module).
+        from .topology.components import ALGORITHMS, LATENCY_PROFILES, LEDGER_BACKENDS
+        check_name("algorithm", self.algorithm, ALGORITHMS)
+        check_name("ledger backend", self.ledger_backend, LEDGER_BACKENDS)
         if self.drain_duration < 0:
             raise ConfigurationError("drain_duration cannot be negative")
         if self.trace_sample is not None and not 0.0 < self.trace_sample <= 1.0:
@@ -249,18 +243,11 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"topology places {topology.n_servers} server(s) but "
                     f"setchain.n_servers is {self.setchain.n_servers}")
-            if not plugins.has_latency_profile(topology.intra_profile):
-                raise ConfigurationError(
-                    f"unknown latency profile {topology.intra_profile!r}; "
-                    f"registered profiles are "
-                    f"{tuple(plugins.latency_profile_names())}")
+            check_name("latency profile", topology.intra_profile,
+                       LATENCY_PROFILES)
             for region in topology.regions:
-                if (region.algorithm is not None
-                        and not plugins.has_algorithm(region.algorithm)):
-                    raise ConfigurationError(
-                        f"region {region.name!r} uses unknown algorithm "
-                        f"{region.algorithm!r}; registered algorithms are "
-                        f"{tuple(plugins.algorithm_names())}")
+                if region.algorithm is not None:
+                    check_name("algorithm", region.algorithm, ALGORITHMS)
         # Schedules that turn servers Byzantine must stay within the declared
         # tolerance at every instant — this is also where a static
         # `.byzantine(f=...)` and scheduled `BecomeByzantine` events are

@@ -32,18 +32,14 @@ from .vanilla import VanillaServer
 from .compresschain import CompresschainServer
 from .hashchain import HashchainServer
 from .byzantine import (
+    BEHAVIOURS,
     ByzantineBehaviour,
     EquivocateBehaviour,
     InvalidElementBehaviour,
     SilentBehaviour,
     WithholdBehaviour,
     WrongHashBehaviour,
-    behaviour_names,
-    get_behaviour,
-    has_behaviour,
     make_invalid_element,
-    register_behaviour,
-    unregister_behaviour,
 )
 from .client import SetchainClient, CommitCheck
 from .properties import check_all
@@ -72,18 +68,14 @@ __all__ = [
     "VanillaServer",
     "CompresschainServer",
     "HashchainServer",
+    "BEHAVIOURS",
     "ByzantineBehaviour",
     "EquivocateBehaviour",
     "InvalidElementBehaviour",
     "SilentBehaviour",
     "WithholdBehaviour",
     "WrongHashBehaviour",
-    "behaviour_names",
-    "get_behaviour",
-    "has_behaviour",
     "make_invalid_element",
-    "register_behaviour",
-    "unregister_behaviour",
     "SetchainClient",
     "CommitCheck",
     "check_all",

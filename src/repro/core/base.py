@@ -232,16 +232,17 @@ class BaseSetchainServer(NetworkNode, Application):
 
     @property
     def byzantine_behaviour(self) -> str | None:
-        """Registry name of the active behaviour (``None`` when correct)."""
+        """Name of the active behaviour (``None`` when correct)."""
         return self._byz.name if self._byz is not None else None
 
     def become_byzantine(self, behaviour: "ByzantineBehaviour | str") -> None:
         """Adopt a Byzantine behaviour strategy, mid-run or at construction.
 
-        ``behaviour`` is an instance or a registered name (a fresh instance is
-        created — behaviour state is private to one server).  Switching
-        behaviours detaches the previous one first, running its detach
-        side effects (e.g. ``withhold`` serving its buffered requests).
+        ``behaviour`` is an instance or a key of ``BEHAVIOURS`` (a fresh
+        instance is created — behaviour state is private to one server).
+        Switching behaviours detaches the previous one first, running its
+        detach side effects (e.g. ``withhold`` serving its buffered
+        requests).
         """
         from .byzantine import resolve_behaviour
         resolved = resolve_behaviour(behaviour)

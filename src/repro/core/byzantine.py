@@ -10,9 +10,7 @@ chaos timelines could not mix crash and Byzantine nemeses.  They are now
 which is what the ``become-byzantine`` / ``become-correct`` fault kinds in
 :mod:`repro.faults.events` drive from deterministic schedules.
 
-The five built-in behaviours, resolved by name through a
-:class:`~repro.topology.plugins.PluginRegistry` (``register_behaviour`` lets
-third-party code add more):
+The five behaviours, resolved by name through :data:`BEHAVIOURS`:
 
 =================== ==========================================================
 ``withhold``        sign and append hash-batches but never answer
@@ -44,7 +42,7 @@ from typing import TYPE_CHECKING, ClassVar
 
 from ..config import EPOCH_PROOF_SIZE, HASH_BATCH_SIZE
 from ..crypto.hashing import hash_batch
-from ..topology.plugins import PluginRegistry
+from ..errors import check_name
 from ..workload.elements import Element, make_element
 from .hashchain import HashchainServer
 from .types import EpochProof, HashBatch, epoch_proof_payload, hash_batch_payload
@@ -72,7 +70,7 @@ class ByzantineBehaviour:
     or suppress (``None``) an epoch-proof the server is about to publish.
     """
 
-    #: Registry name, assigned by ``@register_behaviour``.
+    #: The behaviour's key in :data:`BEHAVIOURS`.
     name: ClassVar[str] = "?"
 
     def on_attach(self, server: "BaseSetchainServer") -> None:
@@ -106,51 +104,16 @@ class ByzantineBehaviour:
         return proof
 
 
-_BEHAVIOURS: "PluginRegistry[type[ByzantineBehaviour]]" = PluginRegistry(
-    "byzantine behaviour")
-
-
-def register_behaviour(name: str, *, replace: bool = False):
-    """Decorator registering a :class:`ByzantineBehaviour` class under ``name``.
-
-    The name becomes valid for ``BecomeByzantine(behaviour=...)`` events —
-    scheduled, built by ``Scenario....become_byzantine(...)``, or passed to
-    ``Session.apply`` — the same extension contract as the fault and
-    algorithm registries.
-    """
-    def decorator(cls: "type[ByzantineBehaviour]") -> "type[ByzantineBehaviour]":
-        cls.name = name
-        return _BEHAVIOURS.register(name, cls, replace=replace)
-    return decorator
-
-
-def get_behaviour(name: str) -> "type[ByzantineBehaviour]":
-    return _BEHAVIOURS.get(name)
-
-
-def behaviour_names() -> list[str]:
-    return _BEHAVIOURS.names()
-
-
-def has_behaviour(name: str) -> bool:
-    return name in _BEHAVIOURS
-
-
-def unregister_behaviour(name: str) -> None:
-    _BEHAVIOURS.unregister(name)
-
-
 def resolve_behaviour(behaviour: "str | ByzantineBehaviour") -> ByzantineBehaviour:
-    """Accept a behaviour instance or a registered name (fresh instance)."""
+    """Accept a behaviour instance or a name (fresh instance)."""
     if isinstance(behaviour, ByzantineBehaviour):
         return behaviour
-    return get_behaviour(behaviour)()
+    return check_name("Byzantine behaviour", behaviour, BEHAVIOURS)()
 
 
-# -- the five built-in behaviours ---------------------------------------------
+# -- the five behaviours --------------------------------------------------------
 
 
-@register_behaviour("withhold")
 class WithholdBehaviour(ByzantineBehaviour):
     """Append hash-batches normally but refuse to serve their contents.
 
@@ -158,6 +121,8 @@ class WithholdBehaviour(ByzantineBehaviour):
     correct again they are answered from the (durable) batch store, so
     consolidation of the withheld hashes resumes and converges.
     """
+
+    name: ClassVar[str] = "withhold"
 
     def __init__(self) -> None:
         self.withheld: list["Message"] = []
@@ -182,13 +147,14 @@ class WithholdBehaviour(ByzantineBehaviour):
             serve(message)
 
 
-@register_behaviour("wrong-hash")
 class WrongHashBehaviour(ByzantineBehaviour):
     """Append hash-batches whose hash corresponds to no real batch.
 
     On a server without a hash-batch flush path the batch simply vanishes
     (equivalent to ``silent`` for that flush).
     """
+
+    name: ClassVar[str] = "wrong-hash"
 
     def on_flush_batch(self, server: "BaseSetchainServer",
                        batch: tuple[object, ...]) -> bool:
@@ -214,9 +180,10 @@ class WrongHashBehaviour(ByzantineBehaviour):
         return True
 
 
-@register_behaviour("invalid-element")
 class InvalidElementBehaviour(ByzantineBehaviour):
     """Flood the ledger with invalid elements alongside normal behaviour."""
+
+    name: ClassVar[str] = "invalid-element"
 
     def __init__(self, invalid_per_add: int = 1) -> None:
         self.invalid_per_add = invalid_per_add
@@ -231,9 +198,10 @@ class InvalidElementBehaviour(ByzantineBehaviour):
         return True
 
 
-@register_behaviour("equivocate")
 class EquivocateBehaviour(ByzantineBehaviour):
     """Sign epoch-proofs over a hash unrelated to the real epoch content."""
+
+    name: ClassVar[str] = "equivocate"
 
     def outgoing_proof(self, server: "BaseSetchainServer",
                        proof: EpochProof) -> EpochProof | None:
@@ -249,9 +217,10 @@ class EquivocateBehaviour(ByzantineBehaviour):
         )
 
 
-@register_behaviour("silent")
 class SilentBehaviour(ByzantineBehaviour):
     """Accept adds but never forward anything to the ledger."""
+
+    name: ClassVar[str] = "silent"
 
     def on_after_add(self, server: "BaseSetchainServer",
                      element: Element) -> bool:
@@ -272,6 +241,8 @@ class SilentBehaviour(ByzantineBehaviour):
         return None
 
 
-#: Referenced by docs/tests enumerating the built-in strategy set.
-BUILTIN_BEHAVIOURS = ("withhold", "wrong-hash", "invalid-element",
-                     "equivocate", "silent")
+#: Every behaviour, ``name -> class``: what ``BecomeByzantine(behaviour=...)``
+#: and ``server.become_byzantine(name)`` resolve a name through.
+BEHAVIOURS: dict[str, type[ByzantineBehaviour]] = {cls.name: cls for cls in (
+    WithholdBehaviour, WrongHashBehaviour, InvalidElementBehaviour,
+    EquivocateBehaviour, SilentBehaviour)}

@@ -6,13 +6,13 @@ become ``n`` triples of (injection client, Setchain server, ledger node) wired
 over a latency-modelled network, plus a metrics collector standing in for the
 log analysis pipeline.
 
-Construction is composed in stages from the :mod:`repro.topology` registries
-— latency profile, ledger backend, then one algorithm factory per server — so
-new algorithms, backends, and link models plug in without editing this
-module.  A :class:`~repro.config.TopologyConfig` on the experiment config
-generalises the paper's homogeneous LAN cluster to named regions with
-per-region algorithms (heterogeneous clusters) and inter-region delay
-matrices; configs without a topology build exactly the legacy deployment.
+Construction is composed in stages, each indexing one of the
+:mod:`repro.topology.components` tables — latency profile, ledger backend,
+then one algorithm factory per server.  A
+:class:`~repro.config.TopologyConfig` on the experiment config generalises
+the paper's homogeneous LAN cluster to named regions with per-region
+algorithms (heterogeneous clusters) and inter-region delay matrices; configs
+without a topology build exactly the legacy deployment.
 
 Faults have one entry point: scheduled events fire from ``config.faults`` and
 interactive ones go through :meth:`Deployment.apply`, both via the
@@ -23,13 +23,14 @@ crash/recover and Byzantine dispatch — this module keeps none of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from ..analysis.metrics import MetricsCollector
 from ..analysis.throughput import average_throughput
 from ..config import ExperimentConfig
 from ..crypto.keys import PublicKeyInfrastructure
 from ..crypto.signatures import SignatureScheme
-from ..errors import ConfigurationError, NetworkError
+from ..errors import ConfigurationError, NetworkError, check_name
 from ..faults.events import FaultEvent
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultScheduleConfig
@@ -38,12 +39,13 @@ from ..net.network import Network
 from ..obs.trace import Tracer
 from ..shard.router import ShardRouter
 from ..sim.scheduler import Simulator
-from ..topology.plugins import (
+from ..ledger.cometbft.engine import CometBFTNetwork
+from ..ledger.ideal import IdealLedger
+from ..topology.components import (
+    ALGORITHMS,
+    LATENCY_PROFILES,
+    LEDGER_BACKENDS,
     DeploymentContext,
-    LedgerBackend,
-    get_algorithm,
-    get_latency_profile,
-    get_ledger_backend,
 )
 from ..topology.regions import server_name
 from ..workload.clients import ClientPool, RoutedTarget
@@ -68,14 +70,14 @@ class Deployment:
     scheme: SignatureScheme
     servers: list[BaseSetchainServer]
     metrics: MetricsCollector
-    ledger_backend: LedgerBackend
+    ledger_backend: IdealLedger | CometBFTNetwork
     injected_elements: list[Element] = field(default_factory=list)
     #: Server name -> region name (empty for homogeneous deployments).
     region_of: dict[str, str] = field(default_factory=dict)
     #: Executes ``config.faults`` and every :meth:`apply`; ``None`` while
     #: the run has seen no fault.
     fault_injector: FaultInjector | None = None
-    #: Build-time context, kept so runtime joins can run algorithm factories.
+    #: Build-time context, kept so runtime joins can build servers.
     context: DeploymentContext | None = None
     #: Server-set membership epochs.  Always built (one initial epoch); the
     #: servers only start consulting it once the first join/leave happens, so
@@ -374,7 +376,8 @@ class Deployment:
             algorithm = self.config.algorithm
         keypair = self.scheme.generate_keypair(
             name, deployment_seed=self.config.workload.seed)
-        server = get_algorithm(algorithm)(self.context, name, keypair)
+        server = check_name("algorithm", algorithm, ALGORITHMS)(
+            self.context, name, keypair)
         if self.shard_router is not None:
             # Shard placement before any group-scoped step below (donor
             # selection, store handoff) — the joiner's group key carries its
@@ -640,20 +643,20 @@ class Deployment:
 
 
 def build_latency(config: ExperimentConfig) -> LatencyModel:
-    """Stage 1: the latency model, from the profile/topology registries.
+    """Stage 1: the latency model, from the latency profile and topology.
 
     Without a topology this is exactly the legacy LAN profile.  With one, the
     intra-region profile is wrapped in a :class:`RegionalLatency` carrying
     the inter-region delay matrix.  Only the servers are mapped here; ledger
     nodes are co-located with their servers by :func:`build_deployment` once
     the backend has built them (see :func:`colocate_ledger_nodes`), so the
-    mapping works for any registered backend, not one naming convention.
+    mapping works for any backend, not one naming convention.
     """
     topology = config.topology
     network_delay = config.ledger.network_delay
     if topology is None:
-        return get_latency_profile("lan")(network_delay)
-    intra = get_latency_profile(topology.intra_profile)(0.0)
+        return LATENCY_PROFILES["lan"](network_delay)
+    intra = LATENCY_PROFILES[topology.intra_profile](0.0)
     region_of: dict[str, str] = {}
     for index, (region, _algorithm) in enumerate(config.server_assignments()):
         assert region is not None
@@ -684,14 +687,14 @@ def colocate_ledger_nodes(latency: LatencyModel, network: Network,
             latency.region_of[name] = region
 
 
-def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deployment:
+def build_deployment(config: ExperimentConfig, seed: int | None = None,
+                     db_path: str | Path | None = None) -> Deployment:
     """Construct (but do not start) a full deployment for ``config``.
 
     Stages: simulator → latency model → network → signature scheme → ledger
-    backend → one registered algorithm factory per server → injection
-    clients.  Every stage resolves through the :mod:`repro.topology`
-    registries, so third-party algorithms/backends/profiles registered from
-    user code participate without core edits.
+    backend → one algorithm factory per server → injection clients.
+    ``db_path`` is the database the ``sqlite`` backend opens (``None``: an
+    in-memory one); the other backends ignore it.
     """
     sim = Simulator(seed=seed if seed is not None else config.workload.seed)
     latency = build_latency(config)
@@ -708,8 +711,8 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deplo
         metrics.tracer = tracer
 
     n = config.total_servers
-    ledger_backend, ledger_handles = get_ledger_backend(config.ledger_backend)(
-        sim, network, n, config)
+    ledger_backend, ledger_handles = LEDGER_BACKENDS[config.ledger_backend](
+        sim, network, n, config, db_path)
 
     assignments = config.server_assignments()
     colocate_ledger_nodes(latency, network, ledger_handles, assignments)
@@ -720,7 +723,7 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None) -> Deplo
     for index, (region, algorithm) in enumerate(assignments):
         name = server_name(index)
         keypair = scheme.generate_keypair(name, deployment_seed=config.workload.seed)
-        server = get_algorithm(algorithm)(context, name, keypair)
+        server = ALGORITHMS[algorithm](context, name, keypair)
         network.register(server)
         server.connect_ledger(ledger_handles[index])
         servers.append(server)

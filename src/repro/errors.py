@@ -7,13 +7,17 @@ library failures without also swallowing programming errors.
 from __future__ import annotations
 
 import difflib
+from typing import Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 def did_you_mean(unknown: str, candidates: list[str]) -> str:
     """Error-message suffix naming the closest valid spellings.
 
     Shared by every name-lookup surface (scenario registry, builder methods,
-    topology plugin registries) so lookup failures read the same everywhere.
+    :func:`check_name` over the component tables) so lookup failures read the
+    same everywhere.
     """
     close = difflib.get_close_matches(unknown, candidates, n=3, cutoff=0.5)
     if close:
@@ -23,6 +27,19 @@ def did_you_mean(unknown: str, candidates: list[str]) -> str:
         return (f"; valid names include {', '.join(shown[:10])}, "
                 f"… ({len(shown)} total)")
     return f"; valid names: {', '.join(shown)}"
+
+
+def check_name(kind: str, name: str, table: Mapping[str, T]) -> T:
+    """``table[name]``, or a :class:`ConfigurationError` with a did-you-mean hint.
+
+    The one refusal of an unknown component name (algorithm, ledger backend,
+    latency profile, fault kind, Byzantine behaviour).
+    """
+    try:
+        return table[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown {kind} {name!r}" + did_you_mean(name, list(table))) from None
 
 
 class ReproError(Exception):

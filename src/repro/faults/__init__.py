@@ -16,8 +16,8 @@ The :mod:`repro.faults` package turns the network's raw test hooks
 * :mod:`repro.faults.budget` — the f-budget: :func:`check_budget`, fed by
   :func:`validate_fault_budget` at config time and by every applied crash,
   Byzantine turn and leave at run time;
-* :func:`register_fault` — the plugin registry, so third-party fault kinds
-  participate in schedules and serialisation without core edits.
+* :data:`FAULT_KINDS` — every fault kind, ``kind -> event class``, through
+  which serialised schedules resolve.
 
 Build schedules through the scenario builder
 (``Scenario.hashchain().crash(at=10, until=30)``) or directly::
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from .budget import check_budget, validate_fault_budget
 from .events import (
+    FAULT_KINDS,
     BecomeByzantine,
     BecomeCorrect,
     Churn,
@@ -50,7 +51,6 @@ from .events import (
     Targets,
 )
 from .injector import FaultContext, FaultInjector
-from .plugins import fault_names, get_fault, has_fault, register_fault, unregister_fault
 from .schedule import DEFAULT_AVAILABILITY_WINDOW, FaultScheduleConfig
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "Crash",
     "DelaySpike",
     "Duplicate",
+    "FAULT_KINDS",
     "FaultContext",
     "FaultEvent",
     "FaultInjector",
@@ -73,10 +74,5 @@ __all__ = [
     "Recover",
     "Targets",
     "check_budget",
-    "fault_names",
-    "get_fault",
-    "has_fault",
-    "register_fault",
-    "unregister_fault",
     "validate_fault_budget",
 ]

@@ -5,9 +5,9 @@ where the fault has an extent, an ``until`` time; targets are described by a
 :class:`Targets` selector (explicit node names, a region, a role, or an
 RNG-derived random subset via ``count``) resolved at apply time against the
 live deployment.  Events serialise to plain JSON dicts with a ``kind``
-discriminator resolved through the :mod:`repro.faults.plugins` registry, so
-schedules round-trip through ``ExperimentConfig`` echoes and third-party
-event classes participate without core edits.
+discriminator (each class's ``kind`` ClassVar, resolved back to the class
+through :data:`FAULT_KINDS`), so schedules round-trip through
+``ExperimentConfig`` echoes.
 
 The eight built-in kinds follow the Jepsen nemesis vocabulary:
 
@@ -52,8 +52,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Mapping
 
-from ..errors import ConfigurationError, did_you_mean
-from .plugins import register_fault
+from ..errors import ConfigurationError, check_name, did_you_mean
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .injector import FaultContext
@@ -119,7 +118,7 @@ class FaultEvent:
     ``_target_fields`` so generic (de)serialisation converts them.
     """
 
-    #: Wire discriminator, assigned by ``@register_fault``.
+    #: Wire discriminator: the event's key in :data:`FAULT_KINDS`.
     kind: ClassVar[str] = "?"
     #: Field names (de)serialised as :class:`Targets`.
     _target_fields: ClassVar[tuple[str, ...]] = ()
@@ -179,7 +178,6 @@ def _require_rate(rate: float, kind: str) -> None:
             f"{kind} rate must be in (0, 1], got {rate}")
 
 
-@register_fault("partition")
 @dataclass(frozen=True, kw_only=True)
 class Partition(FaultEvent):
     """Split ``group`` from every other node until ``until`` (or forever).
@@ -189,6 +187,7 @@ class Partition(FaultEvent):
     the selector uses ``count`` — is isolated, until the event's extent ends.
     """
 
+    kind: ClassVar[str] = "partition"
     _target_fields: ClassVar[tuple[str, ...]] = ("group",)
 
     group: Targets = Targets(role="all")
@@ -241,17 +240,17 @@ class Partition(FaultEvent):
         cycle()
 
 
-@register_fault("heal")
 @dataclass(frozen=True, kw_only=True)
 class Heal(FaultEvent):
     """Remove every installed partition at ``at`` (clearing all ownership)."""
+
+    kind: ClassVar[str] = "heal"
 
     def apply(self, ctx: "FaultContext") -> None:
         ctx.heal_all_partitions()
         ctx.record(self.kind)
 
 
-@register_fault("crash")
 @dataclass(frozen=True, kw_only=True)
 class Crash(FaultEvent):
     """Crash-fault the targeted nodes; auto-recover at ``until`` if set.
@@ -261,6 +260,7 @@ class Crash(FaultEvent):
     overlapping schedules never truncate each other's fault windows.
     """
 
+    kind: ClassVar[str] = "crash"
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)
 
     targets: Targets = Targets(role="servers", count=1)
@@ -280,11 +280,11 @@ class Crash(FaultEvent):
                             lambda: ctx.release_crashes(names, token))
 
 
-@register_fault("recover")
 @dataclass(frozen=True, kw_only=True)
 class Recover(FaultEvent):
     """Recover crashed nodes (no-op for nodes that are up)."""
 
+    kind: ClassVar[str] = "recover"
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)
 
     targets: Targets = Targets(role="servers")
@@ -296,7 +296,6 @@ class Recover(FaultEvent):
         ctx.record(self.kind, targets=names)
 
 
-@register_fault("message-loss")
 @dataclass(frozen=True, kw_only=True)
 class MessageLoss(FaultEvent):
     """Drop each matching message with probability ``rate`` while active.
@@ -305,6 +304,7 @@ class MessageLoss(FaultEvent):
     recipient is a resolved target — a flaky host rather than a flaky fabric.
     """
 
+    kind: ClassVar[str] = "message-loss"
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)
 
     rate: float = 0.01
@@ -331,7 +331,6 @@ class MessageLoss(FaultEvent):
                             lambda: ctx.network.remove_drop_rule(rule))
 
 
-@register_fault("duplicate")
 @dataclass(frozen=True, kw_only=True)
 class Duplicate(FaultEvent):
     """Deliver each matching message twice with probability ``rate``.
@@ -340,6 +339,7 @@ class Duplicate(FaultEvent):
     at-least-once transports; protocol layers must already deduplicate.
     """
 
+    kind: ClassVar[str] = "duplicate"
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)
 
     rate: float = 0.01
@@ -366,11 +366,11 @@ class Duplicate(FaultEvent):
                             lambda: ctx.network.remove_duplicate_rule(rule))
 
 
-@register_fault("delay-spike")
 @dataclass(frozen=True, kw_only=True)
 class DelaySpike(FaultEvent):
     """Add ``extra_ms`` (plus uniform ``jitter_ms`` noise) to matching messages."""
 
+    kind: ClassVar[str] = "delay-spike"
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)
 
     extra_ms: float = 100.0
@@ -403,7 +403,6 @@ class DelaySpike(FaultEvent):
                             lambda: ctx.network.remove_delay_rule(rule))
 
 
-@register_fault("become-byzantine")
 @dataclass(frozen=True, kw_only=True)
 class BecomeByzantine(FaultEvent):
     """Turn the targeted servers Byzantine with ``behaviour`` at ``at``.
@@ -422,6 +421,7 @@ class BecomeByzantine(FaultEvent):
     see :mod:`repro.faults.budget`.
     """
 
+    kind: ClassVar[str] = "become-byzantine"
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)
 
     targets: Targets = Targets(role="servers", count=1)
@@ -436,11 +436,8 @@ class BecomeByzantine(FaultEvent):
                 "(use role='servers')")
         # Imported lazily: core.byzantine transitively imports repro.config,
         # which imports this module at load time.
-        from ..core.byzantine import behaviour_names, has_behaviour
-        if not has_behaviour(self.behaviour):
-            raise ConfigurationError(
-                f"unknown Byzantine behaviour {self.behaviour!r}"
-                + did_you_mean(self.behaviour, behaviour_names()))
+        from ..core.byzantine import BEHAVIOURS
+        check_name("Byzantine behaviour", self.behaviour, BEHAVIOURS)
 
     def apply(self, ctx: "FaultContext") -> None:
         names = [name for name in ctx.correct(ctx.resolve(self.targets))
@@ -459,7 +456,6 @@ class BecomeByzantine(FaultEvent):
                             lambda: ctx.release_byzantine(names, token))
 
 
-@register_fault("become-correct")
 @dataclass(frozen=True, kw_only=True)
 class BecomeCorrect(FaultEvent):
     """Shed the targeted servers' Byzantine behaviours (no-op when correct).
@@ -469,6 +465,7 @@ class BecomeCorrect(FaultEvent):
     of the withheld hashes resumes.
     """
 
+    kind: ClassVar[str] = "become-correct"
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)
 
     targets: Targets = Targets(role="servers")
@@ -481,7 +478,6 @@ class BecomeCorrect(FaultEvent):
         ctx.record(self.kind, targets=names)
 
 
-@register_fault("join")
 @dataclass(frozen=True, kw_only=True)
 class Join(FaultEvent):
     """Admit a new node at ``at``: state transfer, then epoch-aware quorums.
@@ -495,6 +491,8 @@ class Join(FaultEvent):
     newcomer explicitly; by default names continue the deployment's
     ``server-<i>`` / ``cometbft-<i>`` sequences deterministically.
     """
+
+    kind: ClassVar[str] = "join"
 
     node: str | None = None
     role: str = "servers"
@@ -517,7 +515,6 @@ class Join(FaultEvent):
                        f" region={self.region}" if self.region else ""))
 
 
-@register_fault("leave")
 @dataclass(frozen=True, kw_only=True)
 class Leave(FaultEvent):
     """Retire the targeted nodes at ``at`` — a clean departure, not a crash.
@@ -531,6 +528,7 @@ class Leave(FaultEvent):
     skipped; the last member of the deployment can never leave.
     """
 
+    kind: ClassVar[str] = "leave"
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)
 
     targets: Targets = Targets(role="servers", count=1)
@@ -557,7 +555,6 @@ class Leave(FaultEvent):
                    note="drain" if self.drain else "immediate")
 
 
-@register_fault("churn")
 @dataclass(frozen=True, kw_only=True)
 class Churn(FaultEvent):
     """Rolling crash/recover: every ``period``, recover the previous victims
@@ -568,6 +565,7 @@ class Churn(FaultEvent):
     consensus layer at its fault budget continuously.
     """
 
+    kind: ClassVar[str] = "churn"
     _target_fields: ClassVar[tuple[str, ...]] = ("targets",)
 
     period: float = 5.0
@@ -608,3 +606,10 @@ class Churn(FaultEvent):
             ctx.sim.call_at(min(ctx.sim.now + self.period, stop), tick)
 
         tick()
+
+
+#: Every fault kind, ``kind -> event class``: how
+#: ``FaultScheduleConfig.from_dict`` resolves a serialised event.
+FAULT_KINDS: dict[str, type[FaultEvent]] = {cls.kind: cls for cls in (
+    Partition, Heal, Crash, Recover, MessageLoss, Duplicate, DelaySpike,
+    BecomeByzantine, BecomeCorrect, Join, Leave, Churn)}

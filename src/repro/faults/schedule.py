@@ -4,10 +4,11 @@ The schedule is the frozen, serialisable piece that rides on
 :class:`~repro.config.ExperimentConfig` — a tuple of
 :class:`~repro.faults.events.FaultEvent` instances plus the window width used
 by the resilience report's per-window availability metric.  ``to_dict`` /
-``from_dict`` round-trip exactly through JSON (events carry their registry
-``kind``), so chaos scenarios persist in ``RunResult`` config echoes the same
-way topologies do, and fault-free configs (``faults=None``) leave artifacts
-byte-identical to pre-faults schemas.
+``from_dict`` round-trip exactly through JSON (events carry their ``kind``,
+a key of :data:`~repro.faults.events.FAULT_KINDS`), so chaos scenarios
+persist in ``RunResult`` config echoes the same way topologies do, and
+fault-free configs (``faults=None``) leave artifacts byte-identical to
+pre-faults schemas.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from ..errors import ConfigurationError
-from .events import FaultEvent
-from .plugins import get_fault
+from ..errors import ConfigurationError, check_name
+from .events import FAULT_KINDS, FaultEvent
 
 #: Default availability-window width (simulated seconds).
 DEFAULT_AVAILABILITY_WINDOW = 5.0
@@ -77,7 +77,8 @@ class FaultScheduleConfig:
             if not isinstance(entry, Mapping) or "kind" not in entry:
                 raise ConfigurationError(
                     "each fault schedule event needs a 'kind' discriminator")
-            events.append(get_fault(str(entry["kind"])).from_dict(entry))
+            event_cls = check_name("fault kind", str(entry["kind"]), FAULT_KINDS)
+            events.append(event_cls.from_dict(entry))
         return cls(events=tuple(events),
                    availability_window=float(
                        data.get("availability_window",

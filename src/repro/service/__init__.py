@@ -9,9 +9,9 @@
 * the ``service/`` scenario family and the ``repro serve`` /
   ``repro service inspect`` CLI entry points.
 
-Attributes resolve lazily (PEP 562) so importing :mod:`repro.service` — which
-the topology builtins do to register the ``sqlite`` backend — never drags the
-whole API layer in at registry-load time.
+Attributes resolve lazily (PEP 562) so importing
+:mod:`repro.service.persistence` — which the topology component tables do for
+the ``sqlite`` backend — never drags the whole API layer in.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ _EXPORTS = {
     "ServiceRuntime": ("repro.service.runtime", "ServiceRuntime"),
     "MetricsEndpoint": ("repro.service.http", "MetricsEndpoint"),
     "SqliteLedger": ("repro.service.persistence", "SqliteLedger"),
-    "ledger_db": ("repro.service.persistence", "ledger_db"),
     "audit_chain": ("repro.service.persistence", "audit_chain"),
 }
 

@@ -7,16 +7,16 @@ cut block into a sqlite database — one transaction per block, flushed before
 any application observes it — so a process killed mid-run loses at most the
 block being written, never a block an application acted on.
 
-The module also carries the payload codec (Setchain objects ↔ JSON rows), the
-``sqlite`` entry for the :mod:`repro.topology` ledger-backend registry, and
+The module also carries the payload codec (Setchain objects ↔ JSON rows) and
 :func:`audit_chain`, which re-opens a persisted database offline and checks
 the chain (``repro service inspect``).
 
 The database path is deliberately *not* an :class:`~repro.config.ExperimentConfig`
 field: configs are echoed byte-for-byte into ``RunResult`` artifacts, and the
-golden artifacts of PRs 3-5 must stay identical.  Service entry points bind a
-path with the :func:`ledger_db` context manager instead; outside it the
-backend runs on ``:memory:`` and behaves exactly like the ideal ledger.
+golden artifacts must stay identical.  It is an argument instead
+(``build_deployment(config, db_path=...)``, ``Session(..., db_path=...)``);
+without one the ``sqlite`` backend runs on ``:memory:`` and behaves exactly
+like the ideal ledger.
 """
 
 from __future__ import annotations
@@ -24,22 +24,17 @@ from __future__ import annotations
 import itertools
 import json
 import sqlite3
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from ..compressor.base import CompressedBatch
-from ..config import ExperimentConfig
 from ..core.types import EpochProof, HashBatch
 from ..errors import ConfigurationError, LedgerError
 from ..ledger import types as ledger_types
-from ..ledger.abci import LedgerInterface
 from ..ledger.ideal import IdealLedger
 from ..ledger.types import Block, Transaction
 from ..net import message as net_message
 from ..sim.scheduler import Simulator
-from ..topology.plugins import LedgerBackend, register_ledger_backend
-from ..topology.regions import server_name
 from ..workload import elements as elements_mod
 from ..workload.elements import Element
 
@@ -152,35 +147,6 @@ def _max_element_id(payload: object) -> int:
     if isinstance(payload, CompressedBatch):
         return max((_max_element_id(item) for item in payload.items), default=-1)
     return -1
-
-
-# -- database-path binding ------------------------------------------------------
-
-_current_db_path: str | None = None
-
-
-@contextmanager
-def ledger_db(path: str | Path | None) -> Iterator[None]:
-    """Bind the database path the ``sqlite`` backend factory opens.
-
-    Deployment construction resolves backends by registry name with a fixed
-    factory signature, and the config cannot grow a path field without
-    breaking artifact byte-identity — so service entry points bind the path
-    around ``build_deployment`` instead.  ``None`` leaves the default
-    (``:memory:``) in place.
-    """
-    global _current_db_path
-    previous = _current_db_path
-    _current_db_path = str(path) if path is not None else previous
-    try:
-        yield
-    finally:
-        _current_db_path = previous
-
-
-def current_db_path() -> str:
-    """The bound database path, defaulting to in-memory."""
-    return _current_db_path if _current_db_path is not None else ":memory:"
 
 
 # -- the durable ledger ---------------------------------------------------------
@@ -413,15 +379,6 @@ class SqliteLedger(IdealLedger):
     @property
     def closed(self) -> bool:
         return self._closed
-
-
-@register_ledger_backend("sqlite")
-def _sqlite_backend(sim: Simulator, network, n: int,
-                    config: ExperimentConfig) -> tuple[LedgerBackend, list[LedgerInterface]]:
-    """The durable sequencer; opens the path bound by :func:`ledger_db`."""
-    ledger = SqliteLedger(sim, config.ledger, path=current_db_path())
-    ledger.advance_id_counters()
-    return ledger, [ledger.handle_for(server_name(i)) for i in range(n)]
 
 
 # -- offline audit ---------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import nullcontext
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -38,7 +37,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..faults.events import Crash, FaultEvent, Recover, Targets
 from ..workload.elements import Element, make_elements
 from ..workload.traces import WorkloadTrace
-from .persistence import SqliteLedger, ledger_db
+from .persistence import SqliteLedger
 
 #: Queue-depth fraction above which accepted submissions are flagged deferred.
 DEFER_WATERMARK = 0.5
@@ -68,9 +67,8 @@ class ServiceRuntime:
         config = _resolve_config(scenario)
         if self.db_path is not None:
             config = config.with_overrides(ledger_backend="sqlite")
-        binding = ledger_db(self.db_path) if self.db_path is not None else nullcontext()
-        with binding:
-            self.session = Session(config, scale=scale, seed=seed, inject=False)
+        self.session = Session(config, scale=scale, seed=seed, inject=False,
+                               db_path=self.db_path)
         self.deployment = self.session.deployment
         self.config = self.session.config
 

@@ -37,9 +37,9 @@ _MIX = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 #: Separator between an algorithm name and its shard suffix in the
-#: multi-tenant group key (``hashchain#shard0``).  ``#`` cannot appear in an
-#: algorithm name (the registry validates identifiers), so the suffix can be
-#: split off unambiguously.
+#: multi-tenant group key (``hashchain#shard0``).  No algorithm name (the
+#: keys of ``ALGORITHMS``) contains ``#``, so the suffix can be split off
+#: unambiguously.
 SHARD_GROUP_SEPARATOR = "#shard"
 
 

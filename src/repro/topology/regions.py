@@ -3,8 +3,8 @@
 The paper's evaluation platform is a homogeneous LAN cluster: ``n`` identical
 (client, server, ledger-node) triples behind one latency profile.  A
 :class:`TopologyConfig` generalises that to named *regions*, each holding a
-slice of the servers and optionally running a different registered algorithm,
-with intra-region links drawn from a registered latency profile and
+slice of the servers and optionally running a different algorithm, with
+intra-region links drawn from one of the latency profiles and
 inter-region links modelled by a per-pair delay matrix plus jitter (following
 the heterogeneous communication-quality-class modelling of arXiv:2404.04894).
 
@@ -33,7 +33,7 @@ class RegionSpec:
     name: str
     servers: int
     #: Algorithm run by this region's servers; ``None`` inherits the
-    #: experiment-level algorithm.  Must be a registered algorithm name.
+    #: experiment-level algorithm.  Must be a key of ``ALGORITHMS``.
     algorithm: str | None = None
 
     def __post_init__(self) -> None:

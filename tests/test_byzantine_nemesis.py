@@ -4,6 +4,8 @@ attribution counters, builder/session sugar, the ``byz/`` catalog family, and
 the golden/byte-identity guarantees."""
 
 import json
+from typing import ClassVar
+from unittest import mock
 
 import pytest
 
@@ -11,13 +13,10 @@ from repro.api import RunResult, Scenario, Session, get_scenario, run, scenario_
 from repro.api.cli import main
 from repro.api.parallel import RunSpec, reset_run_counters, run_specs
 from repro.core.byzantine import (
-    BUILTIN_BEHAVIOURS,
+    BEHAVIOURS,
     ByzantineBehaviour,
     WithholdBehaviour,
-    behaviour_names,
-    get_behaviour,
-    register_behaviour,
-    unregister_behaviour,
+    resolve_behaviour,
 )
 from repro.core.deployment import build_deployment
 from repro.core.properties import check_all
@@ -51,14 +50,10 @@ def byz_scenario():
 
 
 def test_builtin_behaviours_registered_with_did_you_mean():
-    assert set(behaviour_names()) >= set(BUILTIN_BEHAVIOURS)
+    assert set(BEHAVIOURS) == {"withhold", "wrong-hash", "invalid-element",
+                               "equivocate", "silent"}
     with pytest.raises(ConfigurationError, match="withhold"):
-        get_behaviour("withold")
-
-
-def test_duplicate_behaviour_registration_rejected():
-    with pytest.raises(ConfigurationError, match="already registered"):
-        register_behaviour("silent")(ByzantineBehaviour)
+        resolve_behaviour("withold")
 
 
 def test_server_becomes_byzantine_and_back_mid_run():
@@ -96,13 +91,14 @@ def test_only_servers_can_turn_byzantine():
 def test_third_party_behaviour_runs_end_to_end():
     flushed = []
 
-    @register_behaviour("test-flush-probe")
     class FlushProbe(ByzantineBehaviour):
+        name: ClassVar[str] = "test-flush-probe"
+
         def on_flush_batch(self, server, batch):
             flushed.append(len(batch))
             return False  # observe, then fall through to the correct path
 
-    try:
+    with mock.patch.dict(BEHAVIOURS, {FlushProbe.name: FlushProbe}):
         config = (byz_scenario()
                   .become_byzantine(1.0, "server-0",
                                     behaviour="test-flush-probe", until=4.0)
@@ -111,8 +107,6 @@ def test_third_party_behaviour_runs_end_to_end():
         assert flushed  # the hook fired on the live server
         assert result.faults is not None
         assert result.faults["byzantine"]["servers"] == ["server-0"]
-    finally:
-        unregister_behaviour("test-flush-probe")
 
 
 # -- the BecomeByzantine / BecomeCorrect events ---------------------------------
@@ -539,7 +533,7 @@ def test_catalog_has_a_byz_family_that_builds():
         for event in config.faults.events:
             if isinstance(event, BecomeByzantine):
                 behaviours_seen.add(event.behaviour)
-    assert behaviours_seen >= set(BUILTIN_BEHAVIOURS)
+    assert behaviours_seen == set(BEHAVIOURS)
 
 
 @pytest.mark.parametrize("scenario,artifact", BYZ_GOLDEN_RUNS)

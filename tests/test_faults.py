@@ -1,7 +1,9 @@
-"""The fault-injection subsystem: DSL, registry, injector, crash recovery,
+"""The fault-injection subsystem: DSL, kind table, injector, crash recovery,
 resilience metrics, and determinism guarantees."""
 
+import inspect
 import json
+from unittest import mock
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.config import ExperimentConfig, FaultScheduleConfig
 from repro.core.deployment import build_deployment
 from repro.errors import ConfigurationError
 from repro.faults import (
+    FAULT_KINDS,
     BecomeByzantine,
     BecomeCorrect,
     Churn,
@@ -23,9 +26,6 @@ from repro.faults import (
     Partition,
     Recover,
     Targets,
-    fault_names,
-    register_fault,
-    unregister_fault,
 )
 
 
@@ -123,70 +123,63 @@ def test_event_from_dict_rejects_unknown_fields():
 
 
 def test_all_builtin_kinds_registered():
-    assert set(fault_names()) >= {"partition", "heal", "crash", "recover",
-                                  "message-loss", "duplicate", "delay-spike",
-                                  "churn", "become-byzantine",
-                                  "become-correct"}
+    assert set(FAULT_KINDS) == {"partition", "heal", "crash", "recover",
+                                "message-loss", "duplicate", "delay-spike",
+                                "churn", "become-byzantine", "become-correct",
+                                "join", "leave"}
 
 
-# -- registry error paths (repro.faults.plugins) --------------------------------
+def test_kind_tables_hold_every_concrete_class():
+    """A class left out of ``FAULT_KINDS``/``BEHAVIOURS`` would silently
+    fail to deserialize or resolve."""
+    from repro.core import byzantine
+    from repro.faults import events
+
+    def subclasses(module, base):
+        return {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                if issubclass(cls, base) and cls is not base}
+
+    assert set(FAULT_KINDS.values()) == subclasses(events, FaultEvent)
+    assert set(byzantine.BEHAVIOURS.values()) == subclasses(
+        byzantine, byzantine.ByzantineBehaviour)
 
 
 def test_unknown_fault_kind_lookup_gets_did_you_mean():
-    from repro.faults import get_fault, has_fault
+    from repro.errors import check_name
     with pytest.raises(ConfigurationError,
                        match="did you mean 'become-byzantine'"):
-        get_fault("become-byzantin")
-    assert not has_fault("become-byzantin")
+        check_name("fault kind", "become-byzantin", FAULT_KINDS)
+    assert check_name("fault kind", "crash", FAULT_KINDS) is Crash
 
 
-def test_duplicate_fault_kind_registration_rejected():
-    from dataclasses import dataclass
-
-    with pytest.raises(ConfigurationError, match="already registered"):
-        @register_fault("crash")
-        @dataclass(frozen=True, kw_only=True)
-        class ShadowCrash(FaultEvent):
-            pass
-    # The original registration is untouched.
-    from repro.faults import get_fault
-    assert get_fault("crash") is Crash
-
-
-def test_register_fault_rejects_empty_name():
-    with pytest.raises(ConfigurationError, match="cannot be empty"):
-        register_fault("")(Crash)
-
-
-# -- third-party fault kinds ---------------------------------------------------
+# -- fault kinds outside the package -------------------------------------------
 
 
 def test_third_party_fault_event_runs_end_to_end():
-    from dataclasses import dataclass, field
+    from dataclasses import dataclass
+    from typing import ClassVar
 
     applied = []
 
-    @register_fault("test-probe")
     @dataclass(frozen=True, kw_only=True)
     class Probe(FaultEvent):
+        kind: ClassVar[str] = "test-probe"
         note: str = "hello"
 
         def apply(self, ctx):
             applied.append((ctx.sim.now, self.note, ctx.server_names()))
             ctx.record(self.kind, note=self.note)
 
-    try:
+    with mock.patch.dict(FAULT_KINDS, {Probe.kind: Probe}):
         config = chaos_scenario().faults(Probe(at=1.5, note="chaos")).build()
         result = run(config)
         assert applied == [(1.5, "chaos",
                             ["server-0", "server-1", "server-2", "server-3"])]
         assert result.faults is not None
         assert result.faults["events"][0]["kind"] == "test-probe"
-        # Serialisation round-trips through the registry.
+        # Serialisation round-trips through the kind table.
         echo = result.experiment_config()
         assert echo.faults == config.faults
-    finally:
-        unregister_fault("test-probe")
 
 
 # -- builder wiring ------------------------------------------------------------

@@ -16,6 +16,7 @@ import gc
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import inf
+from typing import ClassVar
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
@@ -26,8 +27,7 @@ from repro.analysis.metrics import MetricsCollector
 from repro.api.parallel import reset_run_counters
 from repro.config import HASH_BATCH_SIZE, SetchainConfig
 from repro.core.base import BaseSetchainServer
-from repro.core.byzantine import (ByzantineBehaviour, register_behaviour,
-                                  unregister_behaviour)
+from repro.core.byzantine import BEHAVIOURS, ByzantineBehaviour
 from repro.core.hashchain import HashchainServer
 from repro.core.types import EpochProof, HashBatch
 from repro.core.vanilla import VanillaServer
@@ -362,6 +362,8 @@ class Forger(ByzantineBehaviour):
     hash-batch of a real, held digest under a forged signature, and a payload
     that is no hash-batch at all."""
 
+    name: ClassVar[str] = "forger"
+
     def on_after_add(self, server, element) -> bool:
         server._after_add(element)
         if server.hash_to_signers:
@@ -434,41 +436,38 @@ def _play(case: dict, cut: float | None, oracle: bool, *, stops=(),
     one event at a time if ``stepped``.  Returns the stops, what the servers
     showed and their backlogs at each, and the final artifact."""
     reset_run_counters()
-    register_behaviour("forger", replace=True)(Forger)
     original = HashchainServer._handle_tx
 
     def spying(server, block, tx):
         spy.append((server.sim.now, server.name))
         original(server, block, tx)
 
-    try:
-        with per_transaction(oracle), (
-                mock.patch.object(HashchainServer, "_handle_tx", spying)
-                if spy is not None else nullcontext()):
-            session = _deployment(case, cut).session().start()
-            deployment, sim = session.deployment, session.deployment.sim
-            horizon = session.config.total_duration
+    with per_transaction(oracle), (
+            mock.patch.dict(BEHAVIOURS, {Forger.name: Forger})), (
+            mock.patch.object(HashchainServer, "_handle_tx", spying)
+            if spy is not None else nullcontext()):
+        session = _deployment(case, cut).session().start()
+        deployment, sim = session.deployment, session.deployment.sim
+        horizon = session.config.total_duration
 
-            def wherever_there_is_an_event():
-                while ((stop := sim._queue.peek_time()) is not None
-                       and stop <= horizon):
-                    yield stop
+        def wherever_there_is_an_event():
+            while ((stop := sim._queue.peek_time()) is not None
+                   and stop <= horizon):
+                yield stop
 
-            if stops is None:
-                stops, stepped = wherever_there_is_an_event(), True
-            taken, shown, backlogs = [], [], []
-            for index, stop in enumerate(stops):
-                while stepped and (sim._queue.peek_time() or inf) <= stop:
-                    sim.step()
-                sim.run_until(stop)
-                taken.append(stop)
-                shown.append(_shows(deployment, full=index % 16 == 0))
-                backlogs.append([s.backlog for s in deployment.servers])
-            session.run()
-            shown.append(_shows(deployment, full=True))
-            return taken, shown, backlogs, session.result().to_json()
-    finally:
-        unregister_behaviour("forger")
+        if stops is None:
+            stops, stepped = wherever_there_is_an_event(), True
+        taken, shown, backlogs = [], [], []
+        for index, stop in enumerate(stops):
+            while stepped and (sim._queue.peek_time() or inf) <= stop:
+                sim.step()
+            sim.run_until(stop)
+            taken.append(stop)
+            shown.append(_shows(deployment, full=index % 16 == 0))
+            backlogs.append([s.backlog for s in deployment.servers])
+        session.run()
+        shown.append(_shows(deployment, full=True))
+        return taken, shown, backlogs, session.result().to_json()
 
 
 @st.composite

@@ -33,7 +33,6 @@ from repro.service.persistence import (
     audit_chain,
     decode_payload,
     encode_payload,
-    ledger_db,
 )
 from repro.service.runtime import ServiceRuntime
 from repro.workload.elements import Element, make_element
@@ -132,8 +131,8 @@ def test_crash_mid_write_recovers_exact_committed_prefix(
 
     # Reference: the same run, uninterrupted.
     reset_run_counters()
-    with ledger_db(tmp_path / "reference.sqlite"):
-        reference = build_deployment(config, seed=7)
+    reference = build_deployment(config, seed=7,
+                                 db_path=tmp_path / "reference.sqlite")
     reference.start()
     reference.run()
     reference.ledger_backend.close()
@@ -154,8 +153,7 @@ def test_crash_mid_write_recovers_exact_committed_prefix(
     monkeypatch.setattr(SqliteLedger, "_persist_block", crashing)
     reset_run_counters()
     crashed_db = tmp_path / "crashed.sqlite"
-    with ledger_db(crashed_db):
-        deployment = build_deployment(config, seed=7)
+    deployment = build_deployment(config, seed=7, db_path=crashed_db)
     deployment.start()
     with pytest.raises(RuntimeError, match="simulated crash"):
         deployment.run()
@@ -364,16 +362,6 @@ def test_audit_reports_elements_for_chain_carried_payloads(tmp_path):
     assert audit["elements"]["total_bytes"] > 0
     assert "element" in audit["tx_kinds"]
     assert audit["max_element_id"] is not None
-
-
-def test_ledger_db_binding_nests_and_restores():
-    from repro.service.persistence import current_db_path
-    assert current_db_path() == ":memory:"
-    with ledger_db("/tmp/a.sqlite"):
-        assert current_db_path() == "/tmp/a.sqlite"
-        with ledger_db(None):  # None keeps the outer binding
-            assert current_db_path() == "/tmp/a.sqlite"
-    assert current_db_path() == ":memory:"
 
 
 def test_make_element_counter_untouched_by_fresh_database(tmp_path):

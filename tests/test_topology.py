@@ -1,16 +1,16 @@
-"""The pluggable deployment architecture: registries, topologies, regions.
+"""The deployment architecture: component tables, topologies, regions.
 
-Covers the tentpole of the topology refactor: the algorithm/ledger/latency
-registries (including third-party registrations from user code, no core
-edits), the ``TopologyConfig`` layer, the regional latency models, the
-builder knobs (``.region()/.wan()/.link()/.mixed()``), the new scenario
-families, and the golden byte-identity guarantee for legacy homogeneous
-configs.
+Covers the algorithm/ledger/latency tables (validation and construction
+read the same table), the ``TopologyConfig`` layer, the regional latency
+models, the builder knobs (``.region()/.wan()/.link()/.mixed()``), the new
+scenario families, and the golden byte-identity guarantee for legacy
+homogeneous configs.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -23,18 +23,8 @@ from repro.core.vanilla import VanillaServer
 from repro.errors import ConfigurationError
 from repro.net.latency import ConstantLatency, RegionalLatency
 from repro.sim.rng import DeterministicRNG
-from repro.topology import (
-    DeploymentContext,
-    LedgerBackend,
-    evenly_split,
-    has_algorithm,
-    register_algorithm,
-    register_latency_profile,
-    register_ledger_backend,
-    unregister_algorithm,
-    unregister_latency_profile,
-    unregister_ledger_backend,
-)
+from repro.topology import evenly_split
+from repro.topology.components import ALGORITHMS, LATENCY_PROFILES, LEDGER_BACKENDS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -68,12 +58,7 @@ def test_homogeneous_artifacts_carry_no_topology_or_regions_keys():
     assert result.regions is None
 
 
-# -- registries ----------------------------------------------------------------
-
-def test_registering_duplicate_algorithm_is_rejected():
-    with pytest.raises(ConfigurationError, match="already registered"):
-        register_algorithm("vanilla")(lambda ctx, name, keypair: None)
-
+# -- component tables ----------------------------------------------------------
 
 def test_unknown_algorithm_gets_did_you_mean():
     with pytest.raises(ConfigurationError, match="hashchain"):
@@ -90,18 +75,16 @@ def test_unknown_backend_and_profile_get_did_you_mean():
 
 
 def test_third_party_algorithm_runs_in_a_deployment_without_core_edits():
-    """A user-registered algorithm is valid everywhere a name is and runs e2e."""
+    """An ``ALGORITHMS`` entry is valid everywhere a name is and runs e2e."""
 
     class ShoutingVanillaServer(VanillaServer):
         algorithm = "shouting-vanilla"
 
-    @register_algorithm("shouting-vanilla")
-    def _build(ctx: DeploymentContext, name, keypair):
+    def _build(ctx, name, keypair):
         return ShoutingVanillaServer(name, ctx.sim, ctx.config.setchain,
                                      ctx.scheme, keypair, metrics=ctx.metrics)
 
-    try:
-        assert has_algorithm("shouting-vanilla")
+    with mock.patch.dict(ALGORITHMS, {"shouting-vanilla": _build}):
         config = (Scenario("shouting-vanilla").servers(4).rate(200)
                   .inject_for(5).drain(40).backend("ideal").build())
         deployment = build_deployment(config)
@@ -111,19 +94,12 @@ def test_third_party_algorithm_runs_in_a_deployment_without_core_edits():
         deployment.run_to_completion()
         assert deployment.committed_fraction == 1.0
         assert deployment.check_properties() == []
-    finally:
-        unregister_algorithm("shouting-vanilla")
     with pytest.raises(ConfigurationError):
         Scenario("shouting-vanilla")
 
 
 def test_third_party_algorithm_in_a_region_of_a_mixed_cluster():
-    @register_algorithm("vanilla-prime")
-    def _build(ctx: DeploymentContext, name, keypair):
-        return VanillaServer(name, ctx.sim, ctx.config.setchain, ctx.scheme,
-                             keypair, metrics=ctx.metrics)
-
-    try:
+    with mock.patch.dict(ALGORITHMS, {"vanilla-prime": ALGORITHMS["vanilla"]}):
         config = (Scenario.hashchain()
                   .region("prime", 2, "vanilla-prime")
                   .region("hash", 2, "hashchain")
@@ -134,23 +110,16 @@ def test_third_party_algorithm_in_a_region_of_a_mixed_cluster():
         deployment.run_to_completion()
         assert deployment.committed_fraction == 1.0
         assert deployment.check_properties() == []
-    finally:
-        unregister_algorithm("vanilla-prime")
 
 
 def test_third_party_ledger_backend_and_latency_profile():
     from repro.ledger.ideal import IdealLedger
 
-    @register_ledger_backend("ideal-twin")
-    def _backend(sim, network, n, config):
-        ledger = IdealLedger(sim, config.ledger)
-        return ledger, [ledger.handle_for(f"server-{i}") for i in range(n)]
-
-    @register_latency_profile("zero")
     def _zero(network_delay):
         return ConstantLatency(base=0.0, extra_delay=network_delay)
 
-    try:
+    with (mock.patch.dict(LEDGER_BACKENDS, {"ideal-twin": LEDGER_BACKENDS["ideal"]}),
+          mock.patch.dict(LATENCY_PROFILES, {"zero": _zero})):
         config = (Scenario.hashchain().region("site", 4)
                   .wan(inter_ms=0, jitter_ms=0, intra="zero")
                   .rate(200).collector(20).inject_for(5).drain(40)
@@ -158,13 +127,9 @@ def test_third_party_ledger_backend_and_latency_profile():
         assert config.ledger_backend == "ideal-twin"
         deployment = build_deployment(config)
         assert isinstance(deployment.ledger_backend, IdealLedger)
-        assert isinstance(deployment.ledger_backend, LedgerBackend)
         deployment.start()
         deployment.run_to_completion()
         assert deployment.committed_fraction == 1.0
-    finally:
-        unregister_ledger_backend("ideal-twin")
-        unregister_latency_profile("zero")
 
 
 # -- TopologyConfig ------------------------------------------------------------
@@ -306,19 +271,6 @@ def test_mixed_rejects_unknown_algorithm_with_hint():
         Scenario.hashchain().mixed(vanila=2)
     with pytest.raises(ConfigurationError, match="at least one"):
         Scenario.hashchain().mixed()
-
-
-def test_mixed_accepts_third_party_names_containing_underscores():
-    register_algorithm("my_algo")(
-        lambda ctx, name, keypair: VanillaServer(
-            name, ctx.sim, ctx.config.setchain, ctx.scheme, keypair,
-            metrics=ctx.metrics))
-    try:
-        config = Scenario.hashchain().mixed(my_algo=2, hashchain=2).build()
-        assert [r.algorithm for r in config.topology.regions] == [
-            "my_algo", "hashchain"]
-    finally:
-        unregister_algorithm("my_algo")
 
 
 def test_builder_from_config_round_trips_topology():
