@@ -10,7 +10,7 @@ test:
 	$(PYTHON) -m pytest -q
 
 # Line counts of src/ and of tests/*.py, tracked per PR like a benchmark
-# (ROADMAP item 9), each with its delta against the parent commit: neither
+# (ROADMAP item 21), each with its delta against the parent commit: neither
 # count may go up.  $(call loc_of,label,find roots,git path regex)
 loc_of = now=$$(find $(2) -name '*.py' -exec cat {} + | wc -l); \
 	was=$$(git ls-tree -r --name-only HEAD~1 2>/dev/null | grep -E '$(3)' \

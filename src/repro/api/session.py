@@ -184,7 +184,7 @@ class Session:
 
     def membership(self) -> dict | None:
         """The membership timeline so far (None for static deployments)."""
-        return self.deployment.membership_report()
+        return self.deployment.membership.report()
 
     def byzantine_nodes(self) -> list[str]:
         """Names of currently Byzantine servers, sorted."""

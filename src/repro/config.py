@@ -13,6 +13,7 @@ from typing import ClassVar, Sequence
 
 from .errors import ConfigurationError, check_name
 from .faults.budget import fault_tolerance, validate_fault_budget
+from .faults.events import Join
 from .faults.schedule import FaultScheduleConfig
 from .topology.regions import RegionSpec, TopologyConfig  # noqa: F401  (re-export)
 
@@ -206,9 +207,10 @@ class ExperimentConfig:
         "topology", "faults", "trace_sample", "shards")
 
     def __post_init__(self) -> None:
-        # Imported lazily: the component tables import the core/ledger
-        # layers (and, transitively, this module).
+        # Imported lazily: the component tables and the membership actuator
+        # import the core/ledger layers (and, transitively, this module).
         from .topology.components import ALGORITHMS, LATENCY_PROFILES, LEDGER_BACKENDS
+        from .core.membership import check_joiner
         check_name("algorithm", self.algorithm, ALGORITHMS)
         check_name("ledger backend", self.ledger_backend, LEDGER_BACKENDS)
         if self.drain_duration < 0:
@@ -230,6 +232,9 @@ class ExperimentConfig:
                     "drain): timers past the horizon would never fire, "
                     "leaving nodes crashed or cuts unhealed — extend "
                     "drain_duration or move the events earlier")
+            for event in self.faults.events:
+                if isinstance(event, Join):
+                    check_joiner(self, event.algorithm, event.region)
         if self.shards is not None:
             if self.shards < 1:
                 raise ConfigurationError("shards must be at least 1")

@@ -180,7 +180,7 @@ class BaseSetchainServer(NetworkNode, Application):
     # -- dynamic membership --------------------------------------------------------
 
     def attach_membership(self, log) -> None:
-        """Track quorum changes through a :class:`~repro.core.membership.MembershipLog`."""
+        """Track quorum changes through a :class:`~repro.core.membership.Membership`."""
         self._membership = log
 
     @property

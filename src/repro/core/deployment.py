@@ -14,10 +14,12 @@ the paper's homogeneous LAN cluster to named regions with per-region
 algorithms (heterogeneous clusters) and inter-region delay matrices; configs
 without a topology build exactly the legacy deployment.
 
-Faults have one entry point: scheduled events fire from ``config.faults`` and
-interactive ones go through :meth:`Deployment.apply`, both via the
-:class:`~repro.faults.injector.FaultInjector`, whose context holds the
-crash/recover and Byzantine dispatch — this module keeps none of it.
+A deployment keeps the lifecycle, the views and checks, and the one door for
+elements (:meth:`Deployment.admit`).  Every fault, scheduled in
+``config.faults`` or passed to :meth:`Deployment.apply`, goes through the
+:class:`~repro.faults.injector.FaultInjector`, whose context checks the
+f-budget and holds the crash/recover and Byzantine dispatch; joins and leaves
+go on to :class:`~repro.core.membership.Membership`.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..analysis.metrics import MetricsCollector
-from ..analysis.throughput import average_throughput
 from ..config import ExperimentConfig
 from ..crypto.keys import PublicKeyInfrastructure
 from ..crypto.signatures import SignatureScheme
-from ..errors import ConfigurationError, NetworkError, check_name
+from ..errors import ConfigurationError, NetworkError
 from ..faults.events import FaultEvent
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultScheduleConfig
@@ -51,13 +52,9 @@ from ..topology.regions import server_name
 from ..workload.clients import ClientPool, RoutedTarget
 from ..workload.elements import Element
 from .base import BaseSetchainServer
-from .membership import MembershipLog
+from .membership import Membership
 from .properties import check_all
 from .types import SetchainView
-
-#: How often (simulated seconds) join/leave transitions re-check whether a
-#: bootstrapping server has caught up or a draining server has emptied.
-_MEMBERSHIP_POLL = 0.25
 
 
 @dataclass
@@ -71,18 +68,14 @@ class Deployment:
     servers: list[BaseSetchainServer]
     metrics: MetricsCollector
     ledger_backend: IdealLedger | CometBFTNetwork
+    #: Build-time context, kept so runtime joins can build servers.
+    context: DeploymentContext
     injected_elements: list[Element] = field(default_factory=list)
     #: Server name -> region name (empty for homogeneous deployments).
     region_of: dict[str, str] = field(default_factory=dict)
     #: Executes ``config.faults`` and every :meth:`apply`; ``None`` while
     #: the run has seen no fault.
     fault_injector: FaultInjector | None = None
-    #: Build-time context, kept so runtime joins can build servers.
-    context: DeploymentContext | None = None
-    #: Server-set membership epochs.  Always built (one initial epoch); the
-    #: servers only start consulting it once the first join/leave happens, so
-    #: static runs never touch the membership hot paths.
-    membership: MembershipLog | None = None
     #: Servers that left the cluster (kept for reporting, not for checks).
     departed_servers: list[BaseSetchainServer] = field(default_factory=list)
     #: Lifecycle tracer; ``None`` when ``config.trace_sample`` is unset.  The
@@ -98,8 +91,9 @@ class Deployment:
     #: One injection client per build-time server, each adding through
     #: :meth:`admit`; set by :func:`build_deployment`.
     clients: ClientPool = field(init=False)
+    #: Epochs and the one join/leave actuator; set by :func:`build_deployment`.
+    membership: Membership = field(init=False)
     _cursor: int = field(default=0, init=False, repr=False)
-    _next_server_index: int = field(default=0, init=False, repr=False)
     _started: bool = field(default=False, init=False, repr=False)
     _stopped: bool = field(default=False, init=False, repr=False)
 
@@ -226,7 +220,7 @@ class Deployment:
         views = {name: view for name, view in self.views().items()
                  if name not in faulty and name not in still_bootstrapping}
         quorum = self.config.setchain.quorum
-        if self.membership is not None and self.membership.changed:
+        if self.membership.changed:
             # Epochs committed under an earlier (smaller) membership carry
             # that epoch's quorum of proofs; check against the weakest quorum
             # any epoch used.  Static runs never take this branch.
@@ -241,6 +235,11 @@ class Deployment:
         if not self.injected_elements:
             return 0.0
         return self.metrics.committed_count / len(self.injected_elements)
+
+    def annotate(self, name: str, label: str) -> None:
+        """Mark a fault, membership or shard event on a traced run's timeline."""
+        if self.tracer is not None:
+            self.tracer.annotate(self.sim.now, name, label)
 
     # -- admission ------------------------------------------------------------------
 
@@ -320,326 +319,6 @@ class Deployment:
         for event in events:
             event.apply(injector.context)
         return [dict(entry) for entry in injector.applied[first:]]
-
-    # -- dynamic membership -----------------------------------------------------
-
-    def _backend_height(self) -> int:
-        """The ledger's current committed height, backend-agnostic."""
-        height = getattr(self.ledger_backend, "height", None)
-        if height is not None:
-            return int(height)
-        min_height = getattr(self.ledger_backend, "min_committed_height", None)
-        if min_height is not None:
-            return int(min_height())
-        return 0
-
-    def _require_membership(self) -> MembershipLog:
-        if self.membership is None:
-            raise NetworkError("this deployment has no membership log")
-        return self.membership
-
-    def _activate_membership(self) -> MembershipLog:
-        """Wire every server to the membership log (first change only)."""
-        log = self._require_membership()
-        for server in self.servers:
-            server.attach_membership(log)
-        return log
-
-    def _active_peers(self, group: str, exclude: str) -> list[BaseSetchainServer]:
-        """Live, caught-up servers of ``group`` other than ``exclude``."""
-        return [server for server in self.servers
-                if server.name != exclude and server.algorithm_group() == group
-                and server.accepts_adds]
-
-    def add_server(self, name: str | None = None, algorithm: str | None = None,
-                   region: str | None = None) -> BaseSetchainServer:
-        """Join a server at runtime: build, state-transfer, then admit.
-
-        The joiner bootstraps by replaying the committed chain (the same
-        replay path crash recovery uses) with its batch store primed from a
-        live peer; it counts toward f+1 quorums only once caught up, at which
-        point a membership epoch activating two blocks later is appended.
-        With the CometBFT backend a new co-located validator joins the
-        validator set the same way.
-        """
-        if not self._started or self._stopped:
-            raise NetworkError("joins need a started, not-yet-stopped deployment")
-        if self.context is None:
-            raise NetworkError("this deployment was not built for runtime joins")
-        log = self._activate_membership()
-        if name is None:
-            name = server_name(self._next_server_index)
-        if name in self.network or any(s.name == name for s in self.servers):
-            raise NetworkError(f"a node named {name!r} already exists")
-        self._next_server_index += 1
-        if algorithm is None:
-            algorithm = self.config.algorithm
-        keypair = self.scheme.generate_keypair(
-            name, deployment_seed=self.config.workload.seed)
-        server = check_name("algorithm", algorithm, ALGORITHMS)(
-            self.context, name, keypair)
-        if self.shard_router is not None:
-            # Shard placement before any group-scoped step below (donor
-            # selection, store handoff) — the joiner's group key carries its
-            # shard index.  Filling an under-sized shard first and opening a
-            # fresh shard otherwise gives both elastic stories: replace a
-            # lost member, or add a whole shard under load (router traffic
-            # starts once the new shard reaches a routable quorum).
-            self._enroll_in_shard(server)
-        self.network.register(server)
-        # Ledger hookup: a fresh co-located validator (CometBFT) or a fresh
-        # sequencer handle (ideal/sqlite).
-        add_validator = getattr(self.ledger_backend, "add_validator", None)
-        if add_validator is not None:
-            ledger_node = add_validator()
-            handle = ledger_node
-            committed = list(ledger_node.committed_blocks)
-            if region is not None and isinstance(self.network.latency,
-                                                RegionalLatency):
-                self.network.latency.region_of[ledger_node.name] = region
-        else:
-            handle = self.ledger_backend.handle_for(name)  # type: ignore[attr-defined]
-            committed = list(self.ledger_backend.blocks)  # type: ignore[attr-defined]
-        server.connect_ledger(handle)
-        if region is not None:
-            self.region_of[name] = region
-            if isinstance(self.network.latency, RegionalLatency):
-                self.network.latency.region_of[name] = region
-        server.attach_membership(log)
-        server.begin_bootstrap()
-        server.start()
-        self.servers.append(server)
-        # State transfer, stage 1: prime the batch store from a live peer so
-        # the replay resolves hashes locally instead of storming the donors
-        # with Request_batch traffic (the sqlite restart-resume treatment).
-        store = getattr(server, "store", None)
-        if store is not None:
-            donors = self._active_peers(server.algorithm_group(), name)
-            if donors:
-                for digest, items in donors[0].store.items():
-                    store.register_remote(digest, items)
-        # State transfer, stage 2: replay the committed chain through the
-        # normal FinalizeBlock path (crash recovery's replay, from genesis).
-        for block in committed:
-            server.finalize_block(block)
-        join_record_at = self.sim.now
-
-        def _check_caught_up() -> None:
-            if server.departed:
-                return  # left again before ever catching up
-            if server.pipeline_idle:
-                server.end_bootstrap()
-                epoch = log.join(name, at=join_record_at,
-                                 effective_height=self._backend_height() + 2)
-                log.joins[-1].caught_up_at = self.sim.now
-                for member in self.servers:
-                    member.attach_membership(log)
-                del epoch
-                return
-            self.sim.call_in(_MEMBERSHIP_POLL, _check_caught_up)
-
-        self.sim.call_in(_MEMBERSHIP_POLL, _check_caught_up)
-        if self.tracer is not None:
-            self.tracer.annotate(self.sim.now, name, "membership:join")
-        return server
-
-    def remove_server(self, name: str, drain: bool = True) -> None:
-        """Leave: drain the server's obligations, then retire it cleanly.
-
-        Draining stops new adds immediately, flushes the collector, keeps
-        processing blocks until the pipeline and any in-flight Request_batch
-        are empty, hands the batch store off to live peers (so pending
-        hash-reversal obligations stay servable), and only then retires the
-        server — distinct from a crash, which drops all of that on the floor.
-        ``drain=False`` retires immediately (an impatient operator).
-        """
-        log = self._activate_membership()
-        server = next((s for s in self.servers if s.name == name), None)
-        if server is None:
-            raise NetworkError(f"no Setchain server named {name!r} to remove")
-        if len(self.servers) <= 1:
-            raise NetworkError("cannot remove the last server")
-        # With CometBFT, the co-located validator leaves the set now (two-
-        # block activation); the node keeps validating until then.
-        ledger_node = server._ledger
-        remove_validator = getattr(self.ledger_backend, "remove_validator", None)
-        node_name = getattr(ledger_node, "name", None)
-        nodes = getattr(self.ledger_backend, "nodes", None)
-        colocated = (remove_validator is not None and nodes is not None
-                     and node_name in nodes)
-        if colocated:
-            remove_validator(node_name)
-        if self.tracer is not None:
-            self.tracer.annotate(self.sim.now, name, "membership:leave")
-        if not drain:
-            self._retire_server(server, drained=False)
-            return
-        server.begin_drain()
-
-        def _shard_pipeline_dry() -> bool:
-            # Whole-shard retirement: when no continuing (non-draining)
-            # member would remain to process the shard's ledger traffic, the
-            # last leavers must also wait for every element admitted to the
-            # shard to commit — the origin filter means no other shard can
-            # finish that work for them.  Unsharded drains are unchanged.
-            if self.shard_router is None:
-                return True
-            shard = server.shard_index
-            continuing = any(s is not server and s.shard_index == shard
-                             and not s.departed and not s.draining
-                             for s in self.servers)
-            if continuing:
-                return True
-            added = self.metrics.shard_added.get(shard, 0)
-            return self.metrics.shard_committed.get(shard, 0) >= added
-
-        def _check_drained() -> None:
-            if server.departed:
-                return  # crashed-and-removed or retired through another path
-            collector = getattr(server, "collector", None)
-            collector_empty = collector is None or not collector.pending_view()
-            if (server.pipeline_idle and collector_empty
-                    and _shard_pipeline_dry()):
-                self._retire_server(server, drained=True)
-                return
-            self.sim.call_in(_MEMBERSHIP_POLL, _check_drained)
-
-        self.sim.call_in(_MEMBERSHIP_POLL, _check_drained)
-
-    def _retire_server(self, server: BaseSetchainServer, drained: bool) -> None:
-        log = self._require_membership()
-        # Hand off Request_batch obligations: every batch only this server
-        # holds is copied to the live peers of its group before it goes away.
-        store = getattr(server, "store", None)
-        if store is not None:
-            peers = self._active_peers(server.algorithm_group(), server.name)
-            for digest, items in store.items():
-                for peer in peers:
-                    peer_store = getattr(peer, "store", None)
-                    if peer_store is not None and digest not in peer_store:
-                        peer_store.register_remote(digest, items)
-        server.retire()
-        self.network.unregister(server.name)
-        self.servers.remove(server)
-        self.departed_servers.append(server)
-        log.leave(server.name, at=self.sim.now,
-                  effective_height=self._backend_height() + 2, drained=drained)
-        log.leaves[-1].retired_at = self.sim.now
-        for member in self.servers:
-            member.attach_membership(log)
-        retire_node = getattr(self.ledger_backend, "retire_node", None)
-        nodes = getattr(self.ledger_backend, "nodes", None)
-        node_name = getattr(server._ledger, "name", None)
-        if retire_node is not None and nodes is not None and node_name in nodes:
-            retire_node(node_name)
-        if self.tracer is not None:
-            self.tracer.annotate(self.sim.now, server.name,
-                                 "membership:retired")
-
-    def membership_report(self) -> dict | None:
-        """The ``RunResult.membership`` block; ``None`` for static runs."""
-        log = self.membership
-        if log is None or not log.changed:
-            return None
-        by_name = {server.name: server
-                   for server in list(self.servers) + self.departed_servers}
-        joins = []
-        for record in log.joins:
-            entry: dict = {"node": record.node, "at": record.at,
-                           "effective_height": record.effective_height}
-            if record.caught_up_at is not None:
-                entry["caught_up_at"] = record.caught_up_at
-                entry["catch_up_s"] = record.caught_up_at - record.at
-            server = by_name.get(record.node)
-            if server is not None and server.first_commit_at is not None:
-                first = server.first_commit_at
-                entry["first_commit_at"] = first
-                entry["join_to_first_commit_s"] = max(0.0, first - record.at)
-            joins.append(entry)
-        leaves = []
-        for record in log.leaves:
-            entry = {"node": record.node, "at": record.at,
-                     "effective_height": record.effective_height,
-                     "drained": record.drained}
-            if record.retired_at is not None:
-                entry["retired_at"] = record.retired_at
-            server = by_name.get(record.node)
-            if server is not None:
-                entry["drained_rejects"] = server.drained_rejects
-            leaves.append(entry)
-        current = log.current
-        report = {
-            "epochs": [epoch.to_dict() for epoch in log.epochs],
-            "joins": joins,
-            "leaves": leaves,
-            "current": {"epoch": current.index,
-                        "members": list(current.members),
-                        "size": len(current.members),
-                        "f": current.f,
-                        "quorum": current.quorum},
-        }
-        validators = getattr(self.ledger_backend, "validators", None)
-        if validators is not None and validators.version:
-            report["validator_epochs"] = [
-                {"effective_height": height, "members": list(members)}
-                for height, members in validators.epochs()]
-        return report
-
-    # -- sharding -----------------------------------------------------------------
-
-    def _enroll_in_shard(self, server: BaseSetchainServer) -> None:
-        """Assign a runtime joiner to a shard and refresh the peer sets."""
-        router = self.shard_router
-        assert router is not None
-        shard = router.placement_for_join(self.config.setchain.n_servers)
-        server.shard_index = shard
-        router.add_server(shard, server)
-        members = frozenset(s.name for s in router.shard_servers[shard]
-                            if not s.departed)
-        for member in router.shard_servers[shard]:
-            member.shard_peers = members
-        self.metrics.assign_shard(server.name, shard)
-        if self.tracer is not None:
-            self.tracer.annotate(self.sim.now, server.name, f"shard:{shard}")
-
-    def shard_report(self) -> dict | None:
-        """The ``RunResult.shards`` block; ``None`` for unsharded runs.
-
-        Per shard: its server roster, router admissions, added/committed
-        element counts (observed by that shard's servers), first-commit time,
-        and committed throughput over the paper's 50 s window.  The router's
-        defer/reject counters and the admission skew ratio (max/mean per-shard
-        load; 1.0 is perfectly even) summarise the partition quality.
-        """
-        router = self.shard_router
-        if router is None:
-            return None
-        metrics = self.metrics
-        per_shard: dict[str, dict] = {}
-        for index, members in enumerate(router.shard_servers):
-            added = metrics.shard_added.get(index, 0)
-            committed = metrics.shard_committed.get(index, 0)
-            times = metrics.shard_commit_times.get(index, [])
-            entry: dict = {
-                "servers": [s.name for s in members],
-                "routed": router.per_shard_routed[index],
-                "added": added,
-                "committed": committed,
-                "committed_fraction": (round(committed / added, 6)
-                                       if added else 0.0),
-                "avg_throughput_50s": round(
-                    average_throughput(sorted(times), up_to=50.0), 1),
-            }
-            if times:
-                entry["first_commit"] = round(min(times), 6)
-            per_shard[str(index)] = entry
-        return {
-            "count": router.n_shards,
-            "quorum": router.quorum,
-            "router": router.counters(),
-            "skew_ratio": router.skew_ratio(),
-            "per_shard": per_shard,
-        }
 
 
 def build_latency(config: ExperimentConfig) -> LatencyModel:
@@ -751,17 +430,12 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None,
                                    quorum=config.setchain.quorum)
         metrics.set_shard_map(shard_router.shard_map())
 
-    # Sharded runs pin the membership f to the per-shard tolerance: joins and
-    # leaves must never dilute a shard's f+1 commit quorum with the (much
-    # larger) deployment-wide server count.
-    membership = MembershipLog([server.name for server in servers],
-                               explicit_f=config.pinned_f)
     deployment = Deployment(config=config, sim=sim, network=network, scheme=scheme,
                             servers=servers, metrics=metrics,
                             ledger_backend=ledger_backend, region_of=region_of,
-                            context=context, membership=membership, tracer=tracer,
+                            context=context, tracer=tracer,
                             shard_router=shard_router)
-    deployment._next_server_index = n
+    deployment.membership = Membership(deployment)
     # Each client admits its bursts through the deployment's one door: to its
     # home server when unsharded, else from its position within a shard.
     deployment.clients = ClientPool(sim, [

@@ -102,8 +102,9 @@ def package_result(deployment: Deployment, scale: float = 1.0) -> RunResult:
         regions=metrics.region_summary(),
         faults=(deployment.fault_injector.report()
                 if deployment.fault_injector is not None else None),
-        membership=deployment.membership_report(),
+        membership=deployment.membership.report(),
         telemetry=(deployment.tracer.telemetry_report(deployment)
                    if deployment.tracer is not None else None),
-        shards=deployment.shard_report(),
+        shards=(deployment.shard_router.report(metrics)
+                if deployment.shard_router is not None else None),
     )

@@ -15,7 +15,7 @@ The :mod:`repro.faults` package turns the network's raw test hooks
   resilience report flowing into ``RunResult.faults``;
 * :mod:`repro.faults.budget` — the f-budget: :func:`check_budget`, fed by
   :func:`validate_fault_budget` at config time and by every applied crash,
-  Byzantine turn and leave at run time;
+  Byzantine turn, join and leave at run time;
 * :data:`FAULT_KINDS` — every fault kind, ``kind -> event class``, through
   which serialised schedules resolve.
 

@@ -3,10 +3,10 @@
 :func:`check_budget` keeps a run within the f Properties 1-8 assume, in each
 ``algorithm_group()`` (one per shard) and, unsharded, deployment-wide
 (:data:`ALL`).  :func:`validate_fault_budget` feeds it the schedule's worst
-case, ``FaultContext`` the exact state before each crash, Byzantine turn and
-leave.  Both count a server toward n from its ``Join`` until its ``Leave``,
-so no scheduled event trips the run-time check — bar a heterogeneous cluster
-with a derived f, where a leave the run skips keeps n (and quorums) higher.
+case, ``FaultContext`` the exact state before each crash, Byzantine turn,
+join and leave.  Both count a server toward n from its ``Join`` until its
+``Leave`` (a crashed leaver leaves at once and drains on recovery), so no
+scheduled event trips the run-time check.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def budget_states(events: Sequence[FaultEvent], config: "ExperimentConfig",
                   shard if config.shards else None)
             next_index += 1  # the deployment's counter bumps on every join
         elif isinstance(event, Leave):
-            # Leavers stay in the pools, so a leave the run skips stays charged.
+            # Leavers stay in the pools: a draining server is still a target.
             departed += _pool_cost(event.targets, pools[ALL], region_of)
             for key, pool in pools.items():
                 members[key] -= _pool_cost(event.targets, pool, region_of)

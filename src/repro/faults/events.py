@@ -490,6 +490,9 @@ class Join(FaultEvent):
     ``role="validators"`` only a consensus node is added.  ``node`` names the
     newcomer explicitly; by default names continue the deployment's
     ``server-<i>`` / ``cometbft-<i>`` sequences deterministically.
+    ``algorithm`` must name an algorithm and ``region`` a region of the
+    deployment's topology (see :func:`repro.core.membership.check_joiner`),
+    and a joining server must keep the f-budget.
     """
 
     kind: ClassVar[str] = "join"
@@ -523,9 +526,10 @@ class Leave(FaultEvent):
     elements, flushes its collector, waits out its pending ``Request_batch``
     obligations, hands its batch store off to the surviving peers, and only
     then leaves the membership; ``drain=False`` retires it immediately (the
-    store handoff still happens — the node departs politely either way).
-    Targets that are crashed, still bootstrapping, or already gone are
-    skipped; the last member of the deployment can never leave.
+    store handoff still happens — the node departs politely either way).  A
+    crashed target leaves the f-budget now and drains once it recovers.
+    Targets still bootstrapping, already leaving or gone are skipped; the
+    last member of the deployment can never leave.
     """
 
     kind: ClassVar[str] = "leave"
@@ -544,7 +548,7 @@ class Leave(FaultEvent):
             raise ConfigurationError("leave is instantaneous; it takes no until")
 
     def apply(self, ctx: "FaultContext") -> None:
-        names = [name for name in ctx.live(ctx.resolve(self.targets))
+        names = [name for name in ctx.resolve(self.targets)
                  if ctx.can_leave(name)]
         if not names:
             ctx.record(self.kind, note="no eligible targets; skipped")

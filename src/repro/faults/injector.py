@@ -8,8 +8,10 @@ and joins share the scheduled events' ownership claims and timeline.  Events
 act through a :class:`FaultContext` — the narrow surface holding the
 crash/recover, Byzantine and membership dispatch, network hooks, target
 resolution and a derived RNG stream; nothing outside this package crashes,
-recovers or turns a server Byzantine, and every crash, Byzantine turn and
-leave is checked against the f-budget (:mod:`repro.faults.budget`) first.
+recovers or turns a server Byzantine, and every crash, Byzantine turn, join
+and leave is checked against the f-budget (:mod:`repro.faults.budget`) first.
+Joins and leaves then act through the deployment's
+:class:`~repro.core.membership.Membership` actuator.
 All randomness comes from ``sim.rng.derive("faults")``, so the same
 ``(scenario, seed)`` produces the same chaos timeline in any process —
 ``sweep --jobs 1`` and ``--jobs 4`` stay byte-identical.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Callable, Collection
 
-from ..errors import ConfigurationError, NetworkError, did_you_mean
+from ..errors import ConfigurationError, did_you_mean
 from .budget import ALL, check_budget
 from .events import Targets
 from .schedule import FaultScheduleConfig
@@ -137,11 +139,6 @@ class FaultContext:
         return next((server for server in self.deployment.servers
                      if server.name == name), None)
 
-    def _annotate(self, name: str, label: str) -> None:
-        tracer = self.deployment.tracer
-        if tracer is not None:
-            tracer.annotate(self.sim.now, name, label)
-
     def _next_token(self) -> int:
         self._claim_counter += 1
         return self._claim_counter
@@ -159,7 +156,7 @@ class FaultContext:
             crash(name)
         else:
             self.network.node(name).crash()
-        self._annotate(name, "fault:crash")
+        self.deployment.annotate(name, "fault:crash")
 
     def recover_node(self, name: str) -> None:
         """Recover a crashed server or ledger node (idempotent).
@@ -173,7 +170,7 @@ class FaultContext:
             recover(name)
         else:
             self.network.node(name).recover()
-        self._annotate(name, "fault:recover")
+        self.deployment.annotate(name, "fault:recover")
 
     def is_crashed(self, name: str) -> bool:
         return self.network.node(name).crashed
@@ -188,22 +185,27 @@ class FaultContext:
 
     def _check_budget(self, crashed: Collection[str] = (),
                       byzantine: Collection[str] = (),
-                      leaving: str | None = None) -> None:
+                      leaving: str | None = None,
+                      joining: str | None = None) -> None:
         """Refuse a change that breaks the f-budget before making it: a crashed
-        Byzantine server counts once, a draining one not at all."""
+        Byzantine server counts once, a draining one not at all, and a server
+        joining group ``joining`` as one more correct member."""
         deployment = self.deployment
-        present = [server for server in deployment.servers
+        present = [(server.algorithm_group(),
+                    server.is_byzantine or server.name in byzantine,
+                    server.name in crashed or server.crashed)
+                   for server in deployment.servers
                    if not server.draining and server.name != leaving]
-        scopes: dict[str, tuple[int, int, int]] = {}
-        for server in present:
-            byz = server.is_byzantine or server.name in byzantine
-            down = not byz and (server.name in crashed or server.crashed)
-            group = server.algorithm_group()
-            for key in (group,) if deployment.shard_router else (group, ALL):
-                members, byz_count, down_count = scopes.get(key, (0, 0, 0))
-                scopes[key] = (members + 1, byz_count + byz, down_count + down)
         departed = (len(deployment.departed_servers) + len(deployment.servers)
                     - len(present))  # the draining ones and ``leaving`` too
+        if joining is not None:
+            present.append((joining, False, False))
+        scopes: dict[str, tuple[int, int, int]] = {}
+        for group, byz, down in present:
+            for key in (group,) if deployment.shard_router else (group, ALL):
+                members, byz_count, down_count = scopes.get(key, (0, 0, 0))
+                scopes[key] = (members + 1, byz_count + byz,
+                               down_count + (down and not byz))
         check_budget(self.sim.now, scopes, departed, deployment.config.pinned_f)
 
     def claim_crashes(self, names: list[str]) -> int:
@@ -262,13 +264,13 @@ class FaultContext:
         token = self._next_token()
         for name in names:
             self._server(name).become_byzantine(behaviour)  # type: ignore[union-attr]
-            self._annotate(name, f"byzantine:{behaviour}")
+            self.deployment.annotate(name, f"byzantine:{behaviour}")
             self._byz_claims[name] = token
         return token
 
     def _become_correct(self, name: str) -> None:
         self._server(name).become_correct()  # type: ignore[union-attr]
-        self._annotate(name, "byzantine:reverted")
+        self.deployment.annotate(name, "byzantine:reverted")
 
     def release_byzantine(self, names: list[str], token: int) -> None:
         """Revert the servers in ``names`` still owned by ``token``."""
@@ -289,29 +291,32 @@ class FaultContext:
 
     def join(self, node: str | None = None, role: str = "servers",
              region: str | None = None, algorithm: str | None = None) -> str:
-        """Admit a new node; returns its (possibly auto-assigned) name."""
-        deployment = self.deployment
-        if role == "validators":
-            add = getattr(deployment.ledger_backend, "add_validator", None)
-            if add is None:
-                raise NetworkError(
-                    f"ledger backend {deployment.config.ledger_backend!r} has "
-                    "no validator set to grow")
-            return add(node).name
-        return deployment.add_server(name=node, algorithm=algorithm,
-                                     region=region).name
+        """Admit a new node; returns its (possibly auto-assigned) name.  Its
+        names, and a server's place in the f-budget, are checked first."""
+        membership = self.deployment.membership
+        group = membership.joining_group(algorithm, region)
+        if role == "servers":
+            self._check_budget(joining=group)
+        return membership.join(node, algorithm, region, role=role)
 
     def can_leave(self, name: str) -> bool:
         """Whether ``name`` is a server currently eligible to depart."""
         server = self._server(name)
         return (server is not None and not server.bootstrapping
                 and not server.draining and not server.departed
-                and len(self.deployment.servers) > 1)
+                and sum(not s.draining for s in self.deployment.servers) > 1)
 
     def leave(self, name: str, drain: bool = True) -> None:
         """Retire a server cleanly (drained by default)."""
         self._check_budget(leaving=name)
-        self.deployment.remove_server(name, drain=drain)
+        self.deployment.membership.leave(name, drain=drain)
+
+    def forget(self, names: Collection[str]) -> None:
+        """Drop the crash and Byzantine claims on nodes that left the
+        cluster, so the events owning them release nothing later."""
+        for name in names:
+            self._crash_claims.pop(name, None)
+            self._byz_claims.pop(name, None)
 
     # -- partition ownership -----------------------------------------------------
 

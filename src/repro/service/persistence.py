@@ -470,7 +470,7 @@ def _audit_membership(conn: sqlite3.Connection,
                       db: Path) -> dict[str, Any] | None:
     """Audit the journaled membership timeline (None when none was journaled).
 
-    The invariants mirror :class:`repro.core.membership.MembershipLog`:
+    The invariants mirror :class:`repro.core.membership.Membership`:
     epoch indices count 1, 2, 3, ... with no gaps; activation heights never
     decrease; and every non-initial epoch's member set differs from its
     predecessor by exactly the one node it records joining or leaving.

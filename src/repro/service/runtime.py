@@ -284,7 +284,7 @@ class ServiceRuntime:
         if not isinstance(backend, SqliteLedger):
             return 0
         membership = self.deployment.membership
-        if membership is not None and membership.changed:
+        if membership.changed:
             backend.journal_membership(
                 [epoch.to_dict() for epoch in membership.epochs])
         batches: dict[str, tuple[object, ...]] = {}
@@ -328,7 +328,7 @@ class ServiceRuntime:
             deployment = self.deployment
             membership = deployment.membership
 
-            if membership is not None and membership.changed:
+            if membership.changed:
                 current = membership.current
                 members = set(current.members)
                 live = sum(1 for s in deployment.servers
@@ -414,7 +414,7 @@ class ServiceRuntime:
                 "recovered_blocks": self.recovered_blocks,
             }
             membership = deployment.membership
-            if membership is not None and membership.changed:
+            if membership.changed:
                 # Scrapes of static services keep the earlier shape; elastic
                 # ones expose the current epoch's set and quorum.
                 current = membership.current

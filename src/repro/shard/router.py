@@ -30,7 +30,10 @@ from __future__ import annotations
 
 from itertools import repeat
 from types import SimpleNamespace
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.metrics import MetricsCollector
 
 #: 64-bit golden-ratio multiplier (Fibonacci hashing).
 _MIX = 0x9E3779B97F4A7C15
@@ -219,3 +222,43 @@ class ShardRouter:
             return None
         mean = self.routed / len(self.per_shard_routed)
         return round(max(self.per_shard_routed) / mean, 4) if mean else None
+
+    def report(self, metrics: "MetricsCollector") -> dict:
+        """The ``RunResult.shards`` block.
+
+        Per shard: its server roster, router admissions, added/committed
+        element counts (observed by that shard's servers, off the
+        :class:`~repro.analysis.metrics.MetricsCollector`), first-commit
+        time, and committed throughput over the paper's 50 s window.  The
+        defer/reject counters and the admission skew ratio (max/mean
+        per-shard load; 1.0 is perfectly even) summarise the partition
+        quality.
+        """
+        # Imported lazily: repro.analysis imports repro.config, which
+        # imports this module (through the f-budget) at load time.
+        from ..analysis.throughput import average_throughput
+        per_shard: dict[str, dict] = {}
+        for index, members in enumerate(self.shard_servers):
+            added = metrics.shard_added.get(index, 0)
+            committed = metrics.shard_committed.get(index, 0)
+            times = metrics.shard_commit_times.get(index, [])
+            entry: dict = {
+                "servers": [s.name for s in members],
+                "routed": self.per_shard_routed[index],
+                "added": added,
+                "committed": committed,
+                "committed_fraction": (round(committed / added, 6)
+                                       if added else 0.0),
+                "avg_throughput_50s": round(
+                    average_throughput(sorted(times), up_to=50.0), 1),
+            }
+            if times:
+                entry["first_commit"] = round(min(times), 6)
+            per_shard[str(index)] = entry
+        return {
+            "count": self.n_shards,
+            "quorum": self.quorum,
+            "router": self.counters(),
+            "skew_ratio": self.skew_ratio(),
+            "per_shard": per_shard,
+        }

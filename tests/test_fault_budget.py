@@ -1,6 +1,6 @@
 """The f-budget: one predicate over the deployment's own scopes, fed by the
-schedule at config time and by every crash, Byzantine turn and leave applied
-at run time.
+schedule at config time and by every crash, Byzantine turn, join and leave
+applied at run time.
 
 The static feed charges selectors their worst case; these tests pin that it
 scopes by ``algorithm_group()`` (per shard, joiners included), that
@@ -14,7 +14,7 @@ from __future__ import annotations
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Scenario
@@ -111,6 +111,25 @@ def test_interactive_leave_that_shrinks_f_below_the_faults_is_refused():
     assert not session.deployment.servers[4].draining
 
 
+def test_a_leave_on_a_crashed_server_leaves_the_budget_and_drains_on_recovery():
+    # The build charges the t=1 s leave, so n=6 (f=2) from then on.  Were
+    # the run to skip the leave of the crashed server-0, n would stay 7
+    # (f=3) and the t=1.5 s Byzantine turn would leave the 4-server
+    # hashchain group below its quorum of 4.
+    session = (_small(Scenario.hashchain().mixed(vanilla=3, hashchain=4))
+               .crash(0.5, "server-0").leave(1.0, "server-0")
+               .become_byzantine(1.5, "server-6", until=3.0)
+               .session().start())
+    session.run_for(4.0)
+    events = session.deployment.fault_injector.applied
+    assert [e["targets"] for e in events if e["kind"] == "leave"] == [["server-0"]]
+    leaver = session.deployment.servers[0]
+    assert leaver.draining and not leaver.departed
+    session.apply(Recover(targets=Targets(nodes=("server-0",))))
+    session.run_for(2.0)
+    assert leaver.departed and leaver.retired_at > 4.0
+
+
 # -- the twin: config time and run time agree on named schedules --------------------
 
 #: Distinct instants for every ``at`` and ``until`` of a generated schedule.
@@ -120,19 +139,28 @@ _GRID = [round(0.5 + 0.25 * step, 2) for step in range(26)]
 @st.composite
 def _named_schedules(draw):
     """Distinct named targets: each server is hit by at most one event, and
-    no instant is shared, so the static bound is exact."""
-    sharded = draw(st.booleans())
-    per_shard = 3 if sharded else draw(st.sampled_from([4, 5, 6]))
-    scenario = Scenario.hashchain().servers(per_shard)
-    if sharded:
-        scenario = scenario.shards(2)
-    elif draw(st.booleans()):
-        scenario = scenario.byzantine(f=1)
+    no instant is shared, so the static bound is exact.  The heterogeneous
+    layout derives f from n: at n=8 (f=3) the hashchain group keeps its
+    quorum of 4 with one Byzantine member, until a join of either algorithm
+    lifts n to 9 (f=4) — or grows the group too."""
+    layout = draw(st.sampled_from(["flat", "mixed", "sharded"]))
+    sharded = layout == "sharded"
+    if layout == "mixed":
+        scenario = Scenario.hashchain().mixed(vanilla=3, hashchain=5)
+        total = 8
+    else:
+        per_shard = 3 if sharded else draw(st.sampled_from([4, 5, 6]))
+        scenario = Scenario.hashchain().servers(per_shard)
+        if sharded:
+            scenario = scenario.shards(2)
+        elif draw(st.booleans()):
+            scenario = scenario.byzantine(f=1)
+        total = per_shard * (1 + sharded)
     size = draw(st.integers(2, 6))
     instants = draw(st.lists(st.sampled_from(_GRID), min_size=2 * size,
                              max_size=2 * size, unique=True))
     ats, ends = sorted(instants[:size]), instants[size:]
-    originals = [server_name(i) for i in range(per_shard * (1 + sharded))]
+    originals = [server_name(i) for i in range(total)]
     unused, next_index, events = list(originals), len(originals), []
     for at, end in zip(ats, ends):
         until = end if end > at else None
@@ -140,7 +168,9 @@ def _named_schedules(draw):
         kinds += [] if sharded else ["leave"]
         kind = draw(st.sampled_from(kinds))
         if kind == "join":
-            events.append(Join(at=at))
+            algorithm = (draw(st.sampled_from(["vanilla", "hashchain"]))
+                         if layout == "mixed" else None)
+            events.append(Join(at=at, algorithm=algorithm))
             unused.append(server_name(next_index))
             next_index += 1
             continue
@@ -167,6 +197,9 @@ def _named_schedules(draw):
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_named_schedules())
+@example((_small(Scenario.hashchain().mixed(vanilla=3, hashchain=5)), [
+    BecomeByzantine(at=1.0, targets=Targets(nodes=("server-7",))),
+    Join(at=2.0, algorithm="vanilla")]))
 def test_schedules_refused_at_build_are_refused_at_the_same_event_when_applied(case):
     scenario, events = case
     try:
@@ -235,14 +268,14 @@ def _random_schedules(draw):
             joined += 1
         else:
             events.append(Leave(at=at, targets=targets()))
-    return layout, _small(scenario), events
+    return _small(scenario), events
 
 
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_random_schedules())
 def test_the_exact_count_never_exceeds_the_static_bound(case):
-    layout, scenario, events = case
+    scenario, events = case
     config = scenario.build()
     static = list(budget_states(events, config))
     exact = []
@@ -276,6 +309,5 @@ def test_the_exact_count_never_exceeds_the_static_bound(case):
         return False
 
     # A schedule the static sweep accepts never trips the run-time check.
-    # Heterogeneous clusters are the exception noted in repro.faults.budget.
-    if layout != "mixed" and not refused(static):
+    if not refused(static):
         assert not refused(exact)

@@ -7,6 +7,7 @@ legal only because a Join lands before a Crash), the membership journal in
 durable ledgers, and the epoch-aware ``/healthz`` payload.
 """
 
+import dataclasses
 import json
 import sqlite3
 
@@ -102,7 +103,7 @@ def test_drained_leave_is_not_a_crash():
                     if s.name == "server-3")
     assert departed.departed and not departed.crashed
     assert departed.retired_at is not None
-    block = deployment.membership_report()
+    block = deployment.membership.report()
     (leave,) = block["leaves"]
     assert leave["drained"] is True
     # Everything accepted before the drain still commits at the survivors.
@@ -119,7 +120,7 @@ def test_cometbft_join_changes_validator_set_at_block_boundary():
               .inject_for(4).drain(40)
               .join(1.5).leave(3.0, "server-2").seed(3).build())
     deployment = Session(config).start().run().deployment
-    block = deployment.membership_report()
+    block = deployment.membership.report()
     epochs = block["validator_epochs"]
     assert len(epochs) >= 3  # initial + join + leave
     names = [set(epoch["members"]) for epoch in epochs]
@@ -127,7 +128,7 @@ def test_cometbft_join_changes_validator_set_at_block_boundary():
     assert any("cometbft-2" in earlier - later
                for earlier, later in zip(names, names[1:]))
     # Consensus kept producing blocks across both set changes.
-    assert deployment._backend_height() > epochs[-1]["effective_height"]
+    assert deployment.membership.height > epochs[-1]["effective_height"]
 
 
 # -- the time-varying fault budget ----------------------------------------------
@@ -178,6 +179,57 @@ def test_join_and_leave_events_validate_their_shape():
         Leave(at=1.0, until=2.0)
     with pytest.raises(ConfigurationError, match="servers"):
         Leave(at=1.0, targets=Targets(role="validators", count=1))
+
+
+_SMALL = (Scenario.hashchain().servers(4).rate(200).collector(20)
+          .inject_for(4).drain(30).backend("ideal"))
+
+
+@pytest.mark.parametrize("scenario, join, refusal", [
+    (_SMALL, Join(algorithm="hashchian"), "unknown algorithm 'hashchian'"),
+    (_SMALL, Join(region="mars"), "region 'mars' needs a topology"),
+    (_SMALL.mixed(vanilla=2, hashchain=2), Join(region="mars"),
+     "unknown region 'mars'"),
+], ids=["algorithm", "region-without-topology", "region"])
+def test_a_join_naming_an_unknown_algorithm_or_region_changes_nothing(
+        scenario, join, refusal):
+    with pytest.raises(ConfigurationError, match=refusal):
+        scenario.faults(dataclasses.replace(join, at=2.0)).build()
+    with Session(scenario, seed=5) as session:
+        session.run_for(1.0)
+        deployment = session.deployment
+        servers = list(deployment.servers)
+        with pytest.raises(ConfigurationError, match=refusal):
+            session.apply(join)
+        assert deployment.servers == servers
+        assert deployment.membership._next_index == len(servers)
+        assert not deployment.membership.changed
+
+
+@pytest.mark.parametrize("scenario, byzantine, retired_after", [
+    (_SMALL.servers(5).leave(2.0, "server-4")
+     .crash(2.1, "server-4", until=4.0), set(), 4.0),
+    (_SMALL.servers(5).become_byzantine(1.0, "server-4", until=4.0)
+     .leave(2.0, "server-4"), {"server-4"}, 2.0),
+], ids=["crash-after-leave", "byzantine-before-leave"])
+def test_a_fault_released_after_its_server_left_is_a_no_op(
+        scenario, byzantine, retired_after):
+    # A drain waits out a crash; a retired server's windows end untouched.
+    session = scenario.session().start()
+    session.run_to_completion()
+    assert session.check_properties() == []
+    deployment = session.deployment
+    (leaver,) = deployment.departed_servers
+    assert leaver.name == "server-4" and leaver.retired_at > retired_after
+    assert deployment.byzantine_servers() == byzantine
+
+
+def test_the_last_server_that_is_not_draining_never_leaves():
+    session = (_SMALL.servers(2).leave(1.0, "server-0").leave(1.1, "server-1")
+               .session().start())
+    session.run_to_completion()
+    assert [s.name for s in session.deployment.servers] == ["server-1"]
+    assert session.membership()["current"]["members"] == ["server-1"]
 
 
 # -- interactive membership through the Session façade --------------------------

@@ -404,6 +404,6 @@ def test_shard_faults_never_leak_into_healthy_shards(algorithm, data):
                            all_added=shard_0_added, include_liveness=True)
     assert violations == [], violations[:5]
 
-    report = deployment.shard_report()
+    report = deployment.shard_router.report(deployment.metrics)
     assert report["per_shard"]["0"]["added"] == len(shard_0_added)
     assert report["per_shard"]["0"]["committed"] == len(shard_0_added)
