@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc e2e e2e-one bench-pytest profile sweep-identical chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke-core list-scenarios clean
+.PHONY: test loc reach e2e e2e-one bench-pytest profile sweep-identical chaos-smoke byz-smoke membership-smoke shard-smoke service-smoke trace-smoke-core list-scenarios clean
 
 # Scenario to profile with `make profile` (override: make profile SCENARIO=...).
 SCENARIO ?= bench/hashchain-heavy
@@ -21,6 +21,14 @@ loc_of = now=$$(find $(2) -name '*.py' -exec cat {} + | wc -l); \
 loc:
 	@$(call loc_of,src,src,^src/.*\.py$$)
 	@$(call loc_of,tests/*.py,tests -maxdepth 1,^tests/[^/]*\.py$$)
+
+# The reach audit (ROADMAP item 21): the examples, the five workloads, the
+# paper-shape suite, the *-smoke targets, CI's CLI smoke and a --scale 20
+# sweep of the catalog run under one profile hook; benchmarks/reach.txt is
+# rewritten with every src/ function none of them entered, each classified
+# needed/duplicate/dead (about 16 min).
+reach:
+	$(PYTHON) benchmarks/reach.py
 
 # The repo benchmark (BENCHMARK.json): all five pinned workloads, end-to-end
 # metrics only.  Reports land in the git-ignored benchmarks/e2e/out/.
@@ -84,10 +92,10 @@ membership-smoke:
 
 # Sharded scale-out drill: the 2- and 4-shard scale scenarios run and render
 # their per-shard tables, the whole shard/ family is byte-identical under
-# serial vs parallel sweeps, and Properties 1-8 hold on the merged logical
-# view of a sharded run.  The f-budget is scoped per shard: one equivocating
-# server in each 3-server shard builds and keeps Properties 1-8, while two in
-# one shard leave it below its quorum and the build must refuse them.
+# serial vs parallel sweeps, and Properties 1 and 3-8 hold on the merged
+# logical view of a sharded run.  The f-budget is scoped per shard: one
+# equivocating server in each 3-server shard builds and keeps them, while two
+# in one shard leave it below its quorum and the build must refuse them.
 shard-smoke:
 	mkdir -p results
 	$(PYTHON) -m repro run shard/scale/s2 --json results/shard-s2.json --quiet
@@ -101,7 +109,7 @@ shard-smoke:
 	  session.run_to_completion(); \
 	  violations = session.check_logical_properties(); \
 	  assert violations == [], violations; \
-	  print('merged logical view: Properties 1-8 hold over', \
+	  print('merged logical view: Properties 1 and 3-8 hold over', \
 	        len(session.logical_view().the_set), 'elements')"
 	$(PYTHON) -c "from repro import Scenario; \
 	  session = (Scenario.hashchain().servers(3).shards(2).rate(300) \
@@ -112,7 +120,7 @@ shard-smoke:
 	  session.run_to_completion(); \
 	  violations = session.check_properties(); \
 	  assert violations == [], violations; \
-	  print('one Byzantine server per shard: Properties 1-8 hold')"
+	  print('one Byzantine server per shard: Properties 1 and 3-8 hold')"
 	! $(PYTHON) -c "from repro import Scenario; \
 	  (Scenario.hashchain().servers(3).shards(2).rate(300) \
 	    .collector(20).inject_for(6).drain(30).backend('ideal') \

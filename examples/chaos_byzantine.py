@@ -70,7 +70,7 @@ def main() -> None:
           f"({result.committed_fraction:.1%})")
     print(f"  adds refused (down)  : {report['rejected_while_crashed']}")
 
-    # The guarantees story: Properties 1-8 hold at every never-crashed,
+    # The guarantees story: Properties 1 and 3-8 hold at every never-crashed,
     # never-Byzantine server (the withholder and the crashed server are
     # faulty processes in the paper's model).  Because the withholder served
     # its buffered replies on reversion, even its own hashes consolidated —

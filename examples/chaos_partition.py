@@ -73,7 +73,7 @@ def main() -> None:
             print(f"  recovery ({entry['kind']:<9}) : first commit "
                   f"{entry['recovery_s']:.2f} s after heal")
 
-    # The guarantees story: the never-crashed servers keep Properties 1-8
+    # The guarantees story: the never-crashed servers keep Properties 1 and 3-8
     # (the crashed server is a faulty process in the paper's model — it may
     # hold elements it lost in its wiped collector forever).
     from repro.core.properties import check_all

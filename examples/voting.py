@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""E-voting on a Setchain with an epoch barrier and tallying via execution.
+"""E-voting on a Setchain with an epoch barrier and a deterministic tally.
 
 The paper lists voting systems (Follow My Vote, Chirotonia) as Setchain
 applications: ballots cast during the voting window need no relative order,
@@ -10,8 +10,8 @@ This example:
 
 1. runs a Compresschain deployment while voters cast signed ballots,
 2. closes the election at a chosen epoch barrier,
-3. tallies ballots deterministically with the Appendix-G execution layer
-   semantics (each ballot validated independently, duplicates voided), and
+3. tallies ballots deterministically (each ballot validated independently,
+   duplicates voided), and
 4. shows that every server computes the identical tally.
 
 Run with::

@@ -226,7 +226,8 @@ class Session:
         return self.deployment.committed_fraction
 
     def check_properties(self, include_liveness: bool = True):
-        """Run the Setchain Property 1-8 checkers over the current views."""
+        """Run the Setchain property checkers (Properties 1 and 3-8) over the
+        current views."""
         return self.deployment.check_properties(include_liveness=include_liveness)
 
     # -- sharding: the merged logical set ----------------------------------------
@@ -285,7 +286,8 @@ class Session:
                             proofs=frozenset(proofs))
 
     def check_logical_properties(self, include_liveness: bool = True):
-        """Run the Property 1-8 checkers over the merged logical view.
+        """Run the property checkers (Properties 1 and 3-8) over the merged
+        logical view.
 
         The single merged view exercises the per-view properties (consistent
         sets, unique epochs, add-before-get over *all* injected elements,

@@ -210,7 +210,7 @@ class ExperimentConfig:
         # Imported lazily: the component tables and the membership actuator
         # import the core/ledger layers (and, transitively, this module).
         from .topology.components import ALGORITHMS, LATENCY_PROFILES, LEDGER_BACKENDS
-        from .core.membership import check_joiner
+        from .core.membership import check_joiner, check_leavers
         check_name("algorithm", self.algorithm, ALGORITHMS)
         check_name("ledger backend", self.ledger_backend, LEDGER_BACKENDS)
         if self.drain_duration < 0:
@@ -235,6 +235,7 @@ class ExperimentConfig:
             for event in self.faults.events:
                 if isinstance(event, Join):
                     check_joiner(self, event.algorithm, event.region)
+            check_leavers(self.faults.events)
         if self.shards is not None:
             if self.shards < 1:
                 raise ConfigurationError("shards must be at least 1")

@@ -6,7 +6,7 @@ Public surface:
   :class:`HashchainServer` — and the Byzantine behaviours any of them can
   adopt mid-run (:meth:`BaseSetchainServer.become_byzantine`),
 * the light-client workflow (:class:`SetchainClient`, f+1 epoch-proof rule),
-* the Property 1-8 checkers,
+* the Property 1-8 checkers (``check_all`` runs all but Property 2),
 * :func:`build_deployment` to assemble a full cluster (run it through
   :class:`repro.api.Session`).
 """
@@ -14,19 +14,8 @@ Public surface:
 from .types import EpochProof, HashBatch, SetchainView, epoch_proof_payload, hash_batch_payload
 from .collector import Collector
 from .batch_store import BatchRecord, BatchStore
-from .proofs import (
-    create_epoch_proof,
-    verify_epoch_proof,
-    epoch_is_committed,
-    committed_epochs,
-    distinct_signers,
-)
-from .validation import (
-    valid_element,
-    valid_proof,
-    valid_hash_batch,
-    batch_matches_hash,
-)
+from .proofs import create_epoch_proof, verify_epoch_proof
+from .validation import valid_hash_batch, batch_matches_hash
 from .base import BaseSetchainServer
 from .vanilla import VanillaServer
 from .compresschain import CompresschainServer
@@ -43,7 +32,6 @@ from .byzantine import (
 )
 from .client import SetchainClient, CommitCheck
 from .properties import check_all
-from .execution import AccountState, EpochExecutor, ExecutionResult, Transfer
 from .deployment import Deployment, build_deployment
 
 __all__ = [
@@ -57,11 +45,6 @@ __all__ = [
     "BatchStore",
     "create_epoch_proof",
     "verify_epoch_proof",
-    "epoch_is_committed",
-    "committed_epochs",
-    "distinct_signers",
-    "valid_element",
-    "valid_proof",
     "valid_hash_batch",
     "batch_matches_hash",
     "BaseSetchainServer",
@@ -79,10 +62,6 @@ __all__ = [
     "SetchainClient",
     "CommitCheck",
     "check_all",
-    "AccountState",
-    "EpochExecutor",
-    "ExecutionResult",
-    "Transfer",
     "Deployment",
     "build_deployment",
 ]

@@ -141,6 +141,10 @@ class BaseSetchainServer(NetworkNode, Application):
         # so isolation needs the *origin* of a transaction, not its type.
         self.shard_index: int | None = None
         self.shard_peers: frozenset[str] | None = None
+        #: The ``ALGORITHMS`` row the server was built from (``build_server``
+        #: sets it; ``hashchain-light`` for a light Hashchain server), which
+        #: keys its group.  ``algorithm`` names the protocol it speaks.
+        self.variant = self.algorithm
         #: Height of the last block this server finalized; keys the current
         #: quorum when membership changes mid-run.
         self._last_seen_height = 0
@@ -281,17 +285,17 @@ class BaseSetchainServer(NetworkNode, Application):
 
         Servers in the same group speak the same ledger wire format and are
         expected to agree on epochs (Properties 3 and 6 are checked within a
-        group).  By default every algorithm is its own group — even the light
-        variants, whose out-of-band stores do not serve the full variants'
-        batches.  In a sharded deployment each shard is its own tenant, so
-        the shard index joins the key (``hashchain#shard2``) and all the
-        group-scoped machinery — property checks, peer selection, state
-        transfer — becomes shard-scoped for free.
+        group).  Every ``variant`` is its own group — even the light ones,
+        whose out-of-band stores do not serve the full variants' batches.
+        In a sharded deployment each shard is its own tenant, so the shard
+        index joins the key (``hashchain#shard2``) and all the group-scoped
+        machinery — property checks, peer selection, state transfer —
+        becomes shard-scoped for free.
         """
         if self.shard_index is not None:
             from ..shard.router import shard_group
-            return shard_group(self.algorithm, self.shard_index)
-        return self.algorithm
+            return shard_group(self.variant, self.shard_index)
+        return self.variant
 
     # -- Setchain API (paper §2) -------------------------------------------------
 

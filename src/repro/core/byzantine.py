@@ -55,7 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def make_invalid_element(client: str = "byzantine-client", size_bytes: int = 400,
                          created_at: float = 0.0) -> Element:
-    """An element that fails ``valid_element`` (models a bad client signature)."""
+    """An element every correct server's ``add`` refuses (the pseudocode's
+    ``valid_element`` fails: a bad client signature)."""
     return make_element(client=client, size_bytes=size_bytes,
                         created_at=created_at, valid=False)
 

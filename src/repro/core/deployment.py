@@ -43,10 +43,10 @@ from ..sim.scheduler import Simulator
 from ..ledger.cometbft.engine import CometBFTNetwork
 from ..ledger.ideal import IdealLedger
 from ..topology.components import (
-    ALGORITHMS,
     LATENCY_PROFILES,
     LEDGER_BACKENDS,
     DeploymentContext,
+    build_server,
 )
 from ..topology.regions import server_name
 from ..workload.clients import ClientPool, RoutedTarget
@@ -201,15 +201,16 @@ class Deployment:
                 for server in self.servers}
 
     def check_properties(self, include_liveness: bool = True):  # type: ignore[no-untyped-def]
-        """Run the Property 1-8 checkers over the current views.
+        """Run the property checkers (Properties 1 and 3-8) over the current views.
 
         The quorum is always computed over the *full* server set
         (``config.setchain.quorum``).  For heterogeneous deployments the
         cross-server properties (Get-Global, Consistent-Gets) are checked
         within each algorithm group — see :meth:`algorithm_groups`; sharded
         deployments reuse exactly that scoping, one group per shard.  Servers
-        that are (or ever were) Byzantine are excluded: Properties 1-8 are
-        claimed for correct servers only.
+        that are (or ever were) Byzantine are excluded: the properties are
+        claimed for correct servers only.  Property 2 (Add-Get-Local) needs
+        a per-server add log no run keeps, so it is not checked here.
         """
         groups = (self.algorithm_groups()
                   if (self.config.is_heterogeneous
@@ -402,7 +403,7 @@ def build_deployment(config: ExperimentConfig, seed: int | None = None,
     for index, (region, algorithm) in enumerate(assignments):
         name = server_name(index)
         keypair = scheme.generate_keypair(name, deployment_seed=config.workload.seed)
-        server = ALGORITHMS[algorithm](context, name, keypair)
+        server = build_server(algorithm, context, name, keypair)
         network.register(server)
         server.connect_ledger(ledger_handles[index])
         servers.append(server)

@@ -23,15 +23,17 @@ up) and a leave (drain, hand off, retire).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError, NetworkError, check_name
 from ..faults.budget import fault_tolerance
+from ..faults.events import FaultEvent, Leave
 from ..ledger.cometbft.engine import CometBFTNetwork
 from ..net.latency import RegionalLatency
 from ..shard.router import shard_group
-from ..topology.components import ALGORITHMS
+from ..topology.components import ALGORITHMS, build_server
 from ..topology.regions import server_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,6 +59,34 @@ def check_joiner(config: "ExperimentConfig", algorithm: str | None,
                 f"join region {region!r} needs a topology; this deployment "
                 "has no regions")
         check_name("region", region, dict.fromkeys(config.topology.region_names))
+
+
+def check_leavers(events: Sequence[FaultEvent]) -> None:
+    """Refuse a schedule that names a server its named ``Leave`` may already
+    have retired: the run would abort there on an unknown node.  A drained
+    leave retires its server one drain poll after the leave at the earliest,
+    ``drain=False`` at once; a periodic event names its targets again at
+    every re-roll until its ``until``."""
+    ordered = sorted(events, key=lambda event: event.at)  # the injector's order
+    gone: dict[str, tuple[int, float]] = {}  # name -> (leave's index, earliest retirement)
+    for index, event in enumerate(ordered):
+        if isinstance(event, Leave):
+            for name in event.targets.nodes:
+                gone.setdefault(name, (index, event.at + (_POLL if event.drain else 0.0)))
+    for index, event in enumerate(ordered):
+        last = event.at
+        if getattr(event, "period", None) is not None:
+            last = math.inf if event.until is None else event.until
+        for field in event._target_fields:
+            targets = getattr(event, field)
+            for name in targets.nodes if targets is not None else ():
+                left, retired = gone.get(name, (index, math.inf))
+                if (index > left and event.at >= retired) or last > retired:
+                    raise ConfigurationError(
+                        f"{event.kind} at t={event.at:g}s names {name!r}, which "
+                        f"its leave may have retired from t={retired:g}s on; "
+                        "name it before then, or end its fault window with "
+                        "until= instead of a later event")
 
 
 @dataclass(frozen=True)
@@ -212,8 +242,8 @@ class Membership:
         self._next_index += 1
         keypair = deployment.scheme.generate_keypair(
             name, deployment_seed=deployment.config.workload.seed)
-        server = ALGORITHMS[algorithm or deployment.config.algorithm](
-            deployment.context, name, keypair)
+        server = build_server(algorithm or deployment.config.algorithm,
+                              deployment.context, name, keypair)
         if deployment.shard_router is not None:
             # Shard placement before any group-scoped step below (donor
             # selection, store handoff) — the joiner's group key carries its

@@ -7,7 +7,9 @@ has drained, where "eventually" has already had a chance to happen.
 
 Each checker returns a list of :class:`~repro.errors.PropertyViolation`; an
 empty list means the property holds for the supplied views.  ``check_all``
-aggregates every applicable property.
+aggregates Properties 1 and 3-8; Property 2 (Add-Get-Local) needs the
+elements each server accepted, which no run records, so only its checker's
+own tests call :func:`check_add_get_local`.
 """
 
 from __future__ import annotations
@@ -135,17 +137,17 @@ def check_valid_epoch_proofs(view: SetchainView, quorum: int,
 
 def check_all(views: Mapping[str, SetchainView], quorum: int,
               all_added: Sequence[Element] | None = None,
-              added_per_server: Mapping[str, Sequence[Element]] | None = None,
               include_liveness: bool = True,
               groups: Mapping[str, str] | None = None) -> list[PropertyViolation]:
-    """Run every applicable property checker over the given correct-server views.
+    """Run the checkers of Properties 1 and 3-8 over the given correct-server
+    views (5, Add-before-Get, only when ``all_added`` is given).
 
     ``groups`` (server name -> group key) scopes the cross-server properties
     (3, Get-Global; 6, Consistent-Gets) to servers in the same group.  A
     heterogeneous deployment passes its algorithm groups here: servers running
     different algorithms are separate Setchain instances sharing one ledger
     substrate, so cross-group epoch agreement is neither expected nor claimed.
-    The per-view properties (1, 2, 4, 5, 7, 8) and the quorum are always over
+    The per-view properties (1, 4, 5, 7, 8) and the quorum are always over
     the full server set.  ``groups=None`` (or a single group) checks every
     pair, exactly as before.
     """
@@ -158,8 +160,6 @@ def check_all(views: Mapping[str, SetchainView], quorum: int,
         if include_liveness:
             violations.extend(check_eventual_get(view, server))
             violations.extend(check_valid_epoch_proofs(view, quorum, server))
-            if added_per_server is not None and server in added_per_server:
-                violations.extend(check_add_get_local(view, added_per_server[server], server))
     if groups is None:
         grouped_views: list[Mapping[str, SetchainView]] = [views]
     else:

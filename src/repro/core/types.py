@@ -54,11 +54,6 @@ class EpochProof(SlotValue):
     def canonical_bytes(self) -> bytes:
         return self._canonical
 
-    @property
-    def is_element(self) -> bool:
-        """Type tag: epoch-proofs are not Setchain elements."""
-        return False
-
 
 def hash_batch_payload(batch_hash: str) -> str:
     """Canonical string a server signs when emitting a hash-batch."""
@@ -91,10 +86,6 @@ class HashBatch(SlotValue):
 
     def canonical_bytes(self) -> bytes:
         return self._canonical
-
-    @property
-    def is_element(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)

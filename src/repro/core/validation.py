@@ -1,51 +1,19 @@
 """Validation predicates used by the algorithms.
 
-These correspond to the paper's ``valid_element``, ``valid_proof`` and
-``valid_hash`` helper functions.  They are side-effect free — but for the
-batch records ``batch_matches_hash`` fills when handed them, which no
-verdict depends on — so both servers and property checkers can call them.
+These correspond to the paper's ``valid_hash`` helper function; a server's
+``add`` is its ``valid_element`` check and ``SetchainClient`` its
+``valid_proof`` one.  They are side-effect free — but for the batch records
+``batch_matches_hash`` fills when handed them, which no verdict depends on.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from ..crypto.hashing import hash_batch, hash_epoch
+from ..crypto.hashing import hash_batch
 from ..crypto.signatures import SignatureScheme
-from ..workload.elements import Element
 from .batch_store import BatchRecord, batch_record
-from .types import EpochProof, HashBatch, epoch_proof_payload, hash_batch_payload
-
-
-def valid_element(element: object) -> bool:
-    """Syntactic/semantic validity of a client element.
-
-    The simulation encodes a failed client signature or semantic check as
-    ``Element.valid == False`` (set by fault-injection helpers); correct
-    servers must discard such elements even if a Byzantine server put them in
-    the ledger.
-    """
-    return isinstance(element, Element) and element.valid
-
-
-def valid_proof(proof: object, scheme: SignatureScheme,
-                epoch_elements: Iterable[Element] | None) -> bool:
-    """Check an epoch-proof against the locally known epoch content.
-
-    A proof is valid when (i) it is well-formed, (ii) the local server already
-    has the epoch it refers to and its hash matches the proof's, and (iii) the
-    signature verifies under the claimed signer's registered public key.
-    """
-    if not isinstance(proof, EpochProof):
-        return False
-    if epoch_elements is None:
-        return False
-    expected_hash = hash_epoch(proof.epoch_number, epoch_elements)
-    if expected_hash != proof.epoch_hash:
-        return False
-    return scheme.verify(proof.signer, epoch_proof_payload(proof.epoch_number,
-                                                           proof.epoch_hash),
-                         proof.signature)
+from .types import HashBatch, hash_batch_payload
 
 
 def valid_hash_batch(hash_batch_obj: object, scheme: SignatureScheme) -> bool:

@@ -79,7 +79,7 @@ class SetchainError(ReproError):
 
 
 class InvalidElementError(SetchainError):
-    """An element failed ``valid_element`` validation."""
+    """A malformed element (the pseudocode's ``valid_element`` fails)."""
 
 
 class PropertyViolation(ReproError):

@@ -42,9 +42,6 @@ class FaultScheduleConfig:
         if self.availability_window <= 0:
             raise ConfigurationError("availability window must be positive")
 
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
     @property
     def last_time(self) -> float:
         """Latest instant named by the schedule (0 when empty)."""

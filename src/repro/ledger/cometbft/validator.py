@@ -103,6 +103,3 @@ class ValidatorSet:
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
-
-    def __iter__(self):  # type: ignore[no-untyped-def]
-        return iter(self.names)

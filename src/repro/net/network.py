@@ -127,10 +127,6 @@ class Network:
             self._drop_rules.remove(rule)
         self._refresh_faulty()
 
-    def clear_drop_rules(self) -> None:
-        self._drop_rules.clear()
-        self._refresh_faulty()
-
     def add_duplicate_rule(self, rule: DuplicateRule) -> None:
         """Deliver a second copy of every message for which ``rule`` is true."""
         self._duplicate_rules.append(rule)

@@ -1,10 +1,10 @@
 """CLI entry points for service mode: ``repro serve`` and ``repro service``.
 
 ``serve`` drives a :class:`~repro.service.runtime.ServiceRuntime` from the
-command line: it streams elements (at a fixed rate or from a recorded trace)
-through the ingress queue, ticks the simulation, serves live metrics over
-HTTP, and shuts down cleanly on SIGINT/SIGTERM.  ``service inspect`` re-opens
-a persisted sqlite ledger offline and audits the chain.
+command line: it streams elements at a fixed rate through the ingress queue,
+ticks the simulation, serves live metrics over HTTP, and shuts down cleanly
+on SIGINT/SIGTERM.  ``service inspect`` re-opens a persisted sqlite ledger
+offline and audits the chain.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default 5)")
     parser.add_argument("--rate", type=float, default=200.0,
                         help="submissions per simulated second (default 200)")
-    parser.add_argument("--trace", metavar="PATH",
-                        help="replay a recorded workload trace instead of "
-                             "submitting at --rate")
     parser.add_argument("--tick", type=float, default=0.1,
                         help="simulated seconds per service tick (default 0.1)")
     parser.add_argument("--queue-limit", type=int, default=10_000,
@@ -113,18 +110,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
             resumed = (f", resumed {runtime.recovered_blocks} blocks"
                        if runtime.recovered_blocks else "")
             print(f"serving {args.scenario} on {where} ({listen}){resumed}")
-        if args.trace:
-            runtime.load_trace(args.trace)
         carry = 0.0
         ticks = max(1, round(args.duration / args.tick))
         for _ in range(ticks):
             if stop_requested:
                 break
-            if not args.trace:
-                due = args.rate * args.tick + carry
-                count = int(due)
-                carry = due - count
-                runtime.submit_many(count, client="serve")
+            due = args.rate * args.tick + carry
+            count = int(due)
+            carry = due - count
+            runtime.submit_many(count, client="serve")
             runtime.tick()
             if probing:
                 probes_total += 1

@@ -376,10 +376,6 @@ class SqliteLedger(IdealLedger):
         self._conn.rollback()
         self._conn.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
 
 # -- offline audit ---------------------------------------------------------------
 

@@ -36,7 +36,6 @@ from ..core.types import HashBatch
 from ..errors import ConfigurationError, SimulationError
 from ..faults.events import Crash, FaultEvent, Recover, Targets
 from ..workload.elements import Element, make_elements
-from ..workload.traces import WorkloadTrace
 from .persistence import SqliteLedger
 
 #: Queue-depth fraction above which accepted submissions are flagged deferred.
@@ -89,9 +88,6 @@ class ServiceRuntime:
         #: server took / refused.  Both kinds are booked as injected.
         self.drained = 0
         self.server_rejected = 0
-        self._trace: WorkloadTrace | None = None
-        self._trace_pos = 0
-        self._trace_offset = 0.0
 
     # -- restart restoration ------------------------------------------------------
 
@@ -172,46 +168,13 @@ class ServiceRuntime:
             self.rejected += verdicts["rejected"]
             return verdicts
 
-    def load_trace(self, trace: WorkloadTrace | str | Path) -> int:
-        """Arm a recorded workload trace to drive ingest through ticks.
-
-        Entry times are interpreted relative to the moment the trace is
-        loaded; each tick submits the entries that fall due during it, so
-        replayed streams flow through the same backpressure accounting as
-        live producers.
-        """
-        if not isinstance(trace, WorkloadTrace):
-            trace = WorkloadTrace.from_json(trace)
-        with self._lock:
-            self._trace = trace
-            self._trace_pos = 0
-            self._trace_offset = self.session.now
-        return len(trace)
-
-    @property
-    def trace_done(self) -> bool:
-        """True when no trace is armed or every entry has been submitted."""
-        with self._lock:
-            return self._trace is None or self._trace_pos >= len(self._trace)
-
-    def _feed_trace(self) -> None:
-        if self._trace is None:
-            return
-        horizon = self.session.now - self._trace_offset + self.tick_duration
-        entries = self._trace.entries
-        while self._trace_pos < len(entries) and entries[self._trace_pos].time <= horizon + 1e-9:
-            entry = entries[self._trace_pos]
-            self._trace_pos += 1
-            self.submit(client=entry.client, size_bytes=entry.size_bytes)
-
     # -- advancing ----------------------------------------------------------------
 
     def tick(self) -> None:
-        """One service tick: feed the trace, drain the queue, advance the sim."""
+        """One service tick: drain the queue, advance the sim."""
         with self._lock:
             if self._stopped:
                 raise SimulationError("service runtime is stopped")
-            self._feed_trace()
             self._drain()
             self.session.run_for(self.tick_duration)
             self.ticks += 1

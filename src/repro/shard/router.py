@@ -29,7 +29,6 @@ Backpressure vocabulary (PR 6): an element routed to its preferred server is
 from __future__ import annotations
 
 from itertools import repeat
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,13 +88,6 @@ class ShardRouter:
     def n_shards(self) -> int:
         return len(self.shard_servers)
 
-    def shard_of(self, server_name: str) -> int | None:
-        """The shard a server belongs to, or ``None`` for unknown names."""
-        for index, servers in enumerate(self.shard_servers):
-            if any(s.name == server_name for s in servers):
-                return index
-        return None
-
     def shard_map(self) -> dict[str, int]:
         """``server name -> shard index`` over every server ever enrolled."""
         return {server.name: index
@@ -127,24 +119,6 @@ class ShardRouter:
         """Shards currently taking new elements: quorum-many routable members."""
         return [index for index, servers in enumerate(self.shard_servers)
                 if sum(1 for s in servers if s.accepts_adds) >= self.quorum]
-
-    def shard_for(self, element_id: int,
-                  active: Sequence[int] | None = None) -> int | None:
-        """The owning shard for a new element, or ``None`` if none is active."""
-        if active is None:
-            active = self.active_shards()
-        if not active:
-            return None
-        return active[shard_slot(element_id, len(active))]
-
-    def route(self, element_id: int, preference: int | None = 0,
-              active: Sequence[int] | None = None) -> tuple[Any, int] | None:
-        """One-element :meth:`route_many`: ``(server, shard)``, or ``None``
-        (counted rejected) when no shard is active."""
-        for server, _ in self.route_many(
-                (SimpleNamespace(element_id=element_id),), preference, active):
-            return server, self.shard_of(server.name)
-        return None
 
     def route_many(self, elements: Sequence[Any], preference: int | None = None,
                    active: Sequence[int] | None = None

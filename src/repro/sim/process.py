@@ -21,11 +21,6 @@ class Timer:
         self._callback = callback
         self._event: Event | None = None
 
-    @property
-    def active(self) -> bool:
-        """True while an expiry is pending."""
-        return self._event is not None and not self._event.cancelled
-
     def start(self, delay: float) -> None:
         """(Re)arm the timer to fire ``delay`` seconds from now."""
         if delay < 0:
@@ -64,14 +59,6 @@ class PeriodicTask:
         #: Number of times the callback has fired.
         self.fired = 0
 
-    @property
-    def running(self) -> bool:
-        return not self._stopped
-
-    @property
-    def period(self) -> float:
-        return self._period
-
     def start(self) -> None:
         """Begin firing.  Idempotent while running."""
         if not self._stopped:
@@ -85,15 +72,6 @@ class PeriodicTask:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    def set_period(self, period: float) -> None:
-        """Change the period.  Any pending tick is re-armed ``period`` from now."""
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period}")
-        self._period = period
-        if not self._stopped and self._event is not None:
-            self._event.cancel()
-            self._event = self._sim.call_in(self._period, self._tick)
 
     def _tick(self) -> None:
         if self._stopped:

@@ -31,10 +31,8 @@ class Simulator:
         self.take_seq = self._queue.take_seq
         self._running = False
         self.rng = DeterministicRNG(seed)
-        #: Number of events executed so far (useful for progress/limits).
+        #: Number of events executed so far.
         self.events_executed = 0
-        #: Optional hard cap on executed events; ``None`` means unlimited.
-        self.max_events: int | None = None
         #: Called, in order, whenever the event loop hands control back to its
         #: caller: a component that has worked ahead of the clock brings what
         #: it shows the outside up to ``now`` here, whoever stopped the clock.
@@ -124,8 +122,7 @@ class Simulator:
         if event.storm_key is None:
             event.callback()
         else:
-            # Scalar dispatch of a storm event: a one-element run.  The
-            # budgeted path never batches, so budget accounting stays exact.
+            # Scalar dispatch of a storm event: a one-element run.
             event.callback([event.payload])
         if not self._running:
             self._pause()
@@ -138,45 +135,32 @@ class Simulator:
     def _drain(self, horizon: float) -> None:
         """Execute every due event up to ``horizon`` (the shared main loop).
 
-        The common, unbudgeted case fuses the queue's peek/pop pair into a
-        single :meth:`~repro.sim.events.EventQueue.pop_due` heap access per
-        event and skips the :meth:`step` call frame entirely; with an event
-        budget the peek-first formulation is kept so exhausting the budget
-        never loses an unexecuted event.
+        The queue's peek/pop pair is fused into a single
+        :meth:`~repro.sim.events.EventQueue.pop_due` heap access per event, and
+        the :meth:`step` call frame is skipped entirely.
         """
         queue = self._queue
-        if self.max_events is None:
-            pop_due = queue.pop_due
-            take_storm_run = queue.take_storm_run
-            while True:
-                event = pop_due(horizon)
-                if event is None:
-                    return
-                self._now = event.time
-                self._seq = event.seq
-                key = event.storm_key
-                if key is None:
-                    self.events_executed += 1
-                    event.callback()
-                    continue
-                # Storm dispatch: drain the whole same-instant run in one
-                # handler call.  Every member still counts as an executed
-                # event, so progress counters match the scalar schedule.
-                payloads = [event.payload]
-                run = take_storm_run(event.time, event.priority, key,
-                                     event.seq, payloads)
-                self.events_executed += 1 + run
-                event.callback(payloads)
-        else:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None or next_time > horizon:
-                    return
-                if self.events_executed >= self.max_events:
-                    raise SimulationError(
-                        f"event budget of {self.max_events} exhausted at t={self._now:.3f}"
-                    )
-                self.step()
+        pop_due = queue.pop_due
+        take_storm_run = queue.take_storm_run
+        while True:
+            event = pop_due(horizon)
+            if event is None:
+                return
+            self._now = event.time
+            self._seq = event.seq
+            key = event.storm_key
+            if key is None:
+                self.events_executed += 1
+                event.callback()
+                continue
+            # Storm dispatch: drain the whole same-instant run in one
+            # handler call.  Every member still counts as an executed
+            # event, so progress counters match the scalar schedule.
+            payloads = [event.payload]
+            run = take_storm_run(event.time, event.priority, key,
+                                 event.seq, payloads)
+            self.events_executed += 1 + run
+            event.callback(payloads)
 
     def run_until(self, end_time: float) -> None:
         """Run events until the clock reaches ``end_time`` (inclusive).

@@ -9,12 +9,10 @@
   ``Scenario`` builder's ``.region()/.wan()/.mixed()`` knobs.
 """
 
-from .regions import RegionSpec, TopologyConfig, evenly_split, server_name, single_region
+from .regions import RegionSpec, TopologyConfig, server_name
 
 __all__ = [
     "RegionSpec",
     "TopologyConfig",
-    "evenly_split",
     "server_name",
-    "single_region",
 ]

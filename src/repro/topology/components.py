@@ -84,6 +84,16 @@ ALGORITHMS: dict[str, Callable[[DeploymentContext, str, KeyPair], BaseSetchainSe
 }
 
 
+def build_server(algorithm: str, ctx: DeploymentContext, name: str,
+                 keypair: KeyPair) -> BaseSetchainServer:
+    """One server from its ``ALGORITHMS`` row, whose name is the server's
+    ``variant`` and so its group key: a ``hashchain-light`` server is a
+    ``HashchainServer`` (``algorithm`` "hashchain") in the light group."""
+    server = ALGORITHMS[algorithm](ctx, name, keypair)
+    server.variant = algorithm
+    return server
+
+
 # -- ledger backends -----------------------------------------------------------
 # Each returns the backend plus one ledger handle per server; only sqlite
 # reads ``db_path`` (``None`` is an in-memory database).

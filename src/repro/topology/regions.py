@@ -15,7 +15,7 @@ everything here is additive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from ..errors import ConfigurationError
 
@@ -125,15 +125,6 @@ class TopologyConfig:
     def is_heterogeneous(self, default_algorithm: str) -> bool:
         return len(self.algorithms(default_algorithm)) > 1
 
-    def link_delay(self, region_a: str, region_b: str) -> float:
-        """One-way inter-region base delay for the (symmetric) pair."""
-        if region_a == region_b:
-            return 0.0
-        for a, b, delay in self.links:
-            if {a, b} == {region_a, region_b}:
-                return delay
-        return self.inter_delay
-
     # -- serialisation (the RunResult config echo) -----------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -168,28 +159,3 @@ class TopologyConfig:
         except (KeyError, TypeError, ValueError) as error:
             raise ConfigurationError(
                 f"malformed topology echo: {error}") from error
-
-
-def single_region(name: str, servers: int, *, algorithm: str | None = None,
-                  intra_profile: str = "lan") -> TopologyConfig:
-    """A one-region topology (homogeneous links, but profile-selectable)."""
-    return TopologyConfig(regions=(RegionSpec(name, servers, algorithm),),
-                          intra_profile=intra_profile)
-
-
-def evenly_split(region_names: Sequence[str], n_servers: int,
-                 **kwargs: Any) -> TopologyConfig:
-    """Split ``n_servers`` across ``region_names`` as evenly as possible.
-
-    Earlier regions absorb the remainder, so the split is deterministic.
-    """
-    if not region_names:
-        raise ConfigurationError("need at least one region name")
-    if n_servers < len(region_names):
-        raise ConfigurationError(
-            f"cannot place {n_servers} server(s) in {len(region_names)} regions")
-    base, remainder = divmod(n_servers, len(region_names))
-    regions = tuple(
-        RegionSpec(name, base + (1 if index < remainder else 0))
-        for index, name in enumerate(region_names))
-    return TopologyConfig(regions=regions, **kwargs)

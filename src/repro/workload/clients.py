@@ -48,11 +48,6 @@ class RoutedTarget:
         self.admit = admit
         self.prefer = prefer
 
-    def add(self, element: Element) -> bool:
-        """One element through the door (``benchmarks/e2e/spans.py`` wraps
-        this seam by name)."""
-        return self.add_many([element]) == 1
-
     def add_many(self, elements: list[Element]) -> int:
         return self.admit(elements, self.prefer)
 

@@ -47,7 +47,8 @@ class Element(SlotValue):
     created_at:
         Simulated creation time (latency stage 0).
     valid:
-        Syntactic/semantic validity flag checked by ``valid_element``.
+        Syntactic/semantic validity flag a server's ``add`` checks (the
+        pseudocode's ``valid_element``).
         Byzantine clients and servers may circulate elements with
         ``valid=False``; correct servers discard them.
     """
@@ -83,11 +84,6 @@ class Element(SlotValue):
     def canonical_bytes(self) -> bytes:
         """Stable encoding used for batch/epoch hashing (cached)."""
         return self._canonical
-
-    @property
-    def is_element(self) -> bool:
-        """Type tag used when unpacking mixed batches (elements + epoch-proofs)."""
-        return True
 
 
 def make_element(client: str, size_bytes: int, body_digest: str = "",

@@ -118,5 +118,4 @@ def callers(method):
 def test_the_door_is_the_only_place_that_books_and_routes():
     door = "repro/core/deployment.py:admit"
     assert callers("record_injected_many") == [door]
-    assert sorted(callers("route_many")) == [
-        door, "repro/shard/router.py:route"]
+    assert callers("route_many") == [door]

@@ -44,9 +44,14 @@ def inject(servers, count, size=100):
     return elements
 
 
-def test_make_invalid_element_fails_validation():
-    from repro.core.validation import valid_element
-    assert not valid_element(make_invalid_element())
+def test_make_invalid_element_fails_validation(sim, network, scheme,
+                                              small_setchain_config, ideal_ledger):
+    server = VanillaServer("server-0", sim, small_setchain_config, scheme,
+                           scheme.generate_keypair("server-0"))
+    network.register(server)
+    server.connect_ledger(ideal_ledger.handle_for("server-0"))
+    assert not server.add(make_invalid_element())
+    assert server.rejected_elements == 1
 
 
 def test_withholding_server_does_not_block_consolidation(sim, network, scheme,

@@ -1,14 +1,11 @@
-"""Tests for epoch-proof creation and the f+1 commit rule."""
+"""Tests for epoch-proof creation and the f+1 commit rule
+(``SetchainClient.check_commit``, the one implementation of the rule)."""
 
 import pytest
 
-from repro.core.proofs import (
-    committed_epochs,
-    create_epoch_proof,
-    distinct_signers,
-    epoch_is_committed,
-    verify_epoch_proof,
-)
+from repro.core.client import SetchainClient
+from repro.core.proofs import create_epoch_proof, verify_epoch_proof
+from repro.core.types import SetchainView
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SignatureScheme
 from repro.workload.elements import make_element
@@ -32,6 +29,18 @@ def make_proofs(scheme, elements, epoch, signers):
     return proofs
 
 
+def view_of(history, proofs):
+    """The single-server view a light client reads: ``history`` plus ``proofs``."""
+    the_set = {e.element_id: e for epoch in history.values() for e in epoch}
+    return SetchainView.snapshot(the_set, history, max(history), set(proofs))
+
+
+def committed(scheme, elements, proofs, quorum):
+    """Does a client with this quorum trust epoch 1 = ``elements``?"""
+    view = view_of({1: elements}, proofs)
+    return SetchainClient("c", scheme, quorum).check_commit(view, elements[0]).committed
+
+
 def test_create_and_verify_epoch_proof(scheme, elements):
     keypair = scheme.generate_keypair("server-0")
     proof = create_epoch_proof(scheme, keypair, 3, elements)
@@ -53,22 +62,25 @@ def test_distinct_signers_counts_unique_and_filters_epoch(scheme, elements):
     proofs = make_proofs(scheme, elements, 1, ["s0", "s1", "s2"])
     proofs.append(proofs[0])  # duplicate
     other_epoch = create_epoch_proof(scheme, scheme.generate_keypair("s3"), 2, elements)
-    signers = distinct_signers(proofs + [other_epoch], 1)
-    assert signers == {"s0", "s1", "s2"}
-    assert distinct_signers(proofs, 1, epoch_hash="bogus") == set()
+    client = SetchainClient("c", scheme, quorum=3)
+    view = view_of({1: elements, 2: elements}, proofs + [other_epoch])
+    assert client.count_valid_proofs(view, 1) == 3
+    bogus = [type(p)(epoch_number=1, epoch_hash="bogus", signature=p.signature,
+                     signer=p.signer) for p in proofs]
+    assert client.count_valid_proofs(view_of({1: elements}, bogus), 1) == 0
 
 
 def test_epoch_is_committed_requires_quorum(scheme, elements):
     proofs = make_proofs(scheme, elements, 1, ["s0", "s1"])
-    assert not epoch_is_committed(proofs, 1, elements, quorum=3)
+    assert not committed(scheme, elements, proofs, quorum=3)
     proofs += make_proofs(scheme, elements, 1, ["s2"])
-    assert epoch_is_committed(proofs, 1, elements, quorum=3)
+    assert committed(scheme, elements, proofs, quorum=3)
 
 
 def test_epoch_is_committed_ignores_mismatching_proofs(scheme, elements):
     good = make_proofs(scheme, elements, 1, ["s0", "s1"])
     wrong_content = make_proofs(scheme, elements[:-1], 1, ["s2", "s3"])
-    assert not epoch_is_committed(good + wrong_content, 1, elements, quorum=3)
+    assert not committed(scheme, elements, good + wrong_content, quorum=3)
 
 
 def test_epoch_is_committed_with_signature_verification(scheme, elements):
@@ -76,10 +88,7 @@ def test_epoch_is_committed_with_signature_verification(scheme, elements):
     forged = type(proofs[0])(epoch_number=1, epoch_hash=proofs[0].epoch_hash,
                              signature=b"f" * 64, signer="s9")
     scheme.generate_keypair("s9")
-    assert not epoch_is_committed(proofs + [forged], 1, elements, quorum=3, scheme=scheme)
-    assert epoch_is_committed(proofs + [forged], 1, elements, quorum=3)  # unchecked counts it? no:
-    # without scheme the forged proof's hash matches, so it counts; this is the
-    # server-side path where signatures were already verified before storage.
+    assert not committed(scheme, elements, proofs + [forged], quorum=3)
 
 
 def test_committed_epochs_over_history(scheme, elements):
@@ -87,4 +96,7 @@ def test_committed_epochs_over_history(scheme, elements):
     proofs = []
     proofs += make_proofs(scheme, history[1], 1, ["a0", "a1", "a2"])
     proofs += make_proofs(scheme, history[2], 2, ["a0"])
-    assert committed_epochs(proofs, history, quorum=3) == {1}
+    client = SetchainClient("c", scheme, quorum=3)
+    view = view_of(history, proofs)
+    assert {number for number, epoch in history.items()
+            if client.check_commit(view, next(iter(epoch))).committed} == {1}

@@ -4,21 +4,19 @@ import pytest
 
 from repro.config import EPOCH_PROOF_SIZE, HASH_BATCH_SIZE
 from repro.core.batch_store import BatchRecord, BatchStore
+from repro.core.client import SetchainClient
 from repro.core.collector import Collector
 from repro.core.proofs import create_epoch_proof
 from repro.core.types import EpochProof, HashBatch, SetchainView
-from repro.core.validation import (
-    batch_matches_hash,
-    valid_element,
-    valid_hash_batch,
-    valid_proof,
-)
+from repro.core.validation import batch_matches_hash, valid_hash_batch
 from repro.crypto.hashing import hash_batch
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SignatureScheme
 from repro.errors import ConfigurationError, SetchainError
 from repro.sim.scheduler import Simulator
-from repro.workload.elements import make_element
+from repro.workload.elements import Element, make_element
+
+from conftest import build_servers
 
 
 @pytest.fixture
@@ -47,7 +45,7 @@ def test_epoch_proof_validation():
 def test_proof_and_hash_batch_are_not_elements():
     proof = EpochProof(epoch_number=1, epoch_hash="h", signature=b"s", signer="v")
     hb = HashBatch(batch_hash="h", signature=b"s", signer="v")
-    assert not proof.is_element and not hb.is_element
+    assert not isinstance(proof, Element) and not isinstance(hb, Element)
     assert proof.canonical_bytes() != hb.canonical_bytes()
 
 
@@ -74,24 +72,37 @@ def test_setchain_view_helpers():
 
 # -- validation ---------------------------------------------------------------------------
 
-def test_valid_element_checks():
-    assert valid_element(make_element("c", 100))
-    assert not valid_element(make_element("c", 100, valid=False))
-    assert not valid_element("not an element")
-    assert not valid_element(None)
+def test_valid_element_checks(sim, network, scheme, small_setchain_config,
+                              ideal_ledger):
+    """A server's add is the pseudocode's ``assert valid_element(e)``."""
+    server = build_servers("vanilla", sim, network, scheme, small_setchain_config,
+                           ideal_ledger)[0]
+    assert server.add(make_element("c", 100))
+    assert not server.add(make_element("c", 100, valid=False))
+    assert not server.add("not an element")
+    assert not server.add(None)
+    assert server.rejected_elements == 3
 
 
 def test_valid_proof_requires_matching_epoch_and_signature(scheme):
+    """A light client counts a proof only against the epoch content it was
+    handed and under the claimed signer's key."""
     keypair = scheme.generate_keypair("server-0")
     elements = [make_element("c", 50) for _ in range(3)]
     proof = create_epoch_proof(scheme, keypair, 1, elements)
-    assert valid_proof(proof, scheme, elements)
-    assert not valid_proof(proof, scheme, elements[:-1])     # different content
-    assert not valid_proof(proof, scheme, None)              # epoch unknown locally
-    assert not valid_proof("junk", scheme, elements)
+    client = SetchainClient("c", scheme, quorum=1)
+
+    def counted(proof, epoch):
+        history = {} if epoch is None else {1: epoch}
+        return client.count_valid_proofs(
+            SetchainView.snapshot({}, history, 1, {proof}), 1)
+
+    assert counted(proof, elements) == 1
+    assert counted(proof, elements[:-1]) == 0     # different content
+    assert counted(proof, None) == 0              # epoch unknown locally
     forged = EpochProof(epoch_number=1, epoch_hash=proof.epoch_hash,
                         signature=b"0" * 64, signer="server-0")
-    assert not valid_proof(forged, scheme, elements)
+    assert counted(forged, elements) == 0
 
 
 def test_valid_hash_batch_checks_signature(scheme):

@@ -244,7 +244,6 @@ def test_a_fault_free_hashchain_run_hashes_each_epoch_and_batch_once():
     batch_counter = counting("batch", hash_batch)
     with mock.patch.object(base, "hash_epoch", epoch_counter), \
             mock.patch.object(proofs, "hash_epoch", epoch_counter), \
-            mock.patch.object(validation, "hash_epoch", epoch_counter), \
             mock.patch.object(hashchain_module, "hash_batch", batch_counter), \
             mock.patch.object(validation, "hash_batch", batch_counter):
         session = (Scenario.hashchain().servers(4).rate(2000).collector(250)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import get_scenario
+from repro.api import Scenario, get_scenario
 from repro.api.parallel import RunSpec, run_specs
 from repro.core.byzantine import WithholdBehaviour
 from repro.core.deployment import build_deployment
@@ -22,6 +22,8 @@ from repro.core.hashchain import HashchainServer
 from repro.core.properties import check_all, check_consistent_gets
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SignatureScheme
+from repro.faults import Crash, Targets
+from repro.faults.budget import budget_states
 from repro.config import LedgerConfig, SetchainConfig
 from repro.ledger.ideal import IdealLedger
 from repro.net.latency import ConstantLatency, RegionalLatency
@@ -215,3 +217,21 @@ def test_topology_scenarios_byte_identical_across_jobs(scenario):
     parallel = [result.to_json() for result in run_specs(specs, jobs=4)]
     assert serial == parallel
     assert serial[0] != serial[1]  # different seeds genuinely differ
+
+
+def test_a_light_variant_is_its_own_group_at_run_time_as_at_build():
+    """The group key is the ``ALGORITHMS`` row a server was built from, as the
+    build-time budget and ``Membership.joining_group`` key it: at the parent
+    every server below was in "hashchain"."""
+    config = (Scenario.hashchain().mixed(hashchain_light=2, hashchain=3)
+              .backend("ideal").build())
+    deployment = build_deployment(config)
+    assert deployment.algorithm_groups() == {
+        "server-0": "hashchain-light", "server-1": "hashchain-light",
+        "server-2": "hashchain", "server-3": "hashchain", "server-4": "hashchain"}
+    assert {server.algorithm for server in deployment.servers} == {"hashchain"}
+    (_, scopes, _), = budget_states(
+        [Crash(at=1.0, targets=Targets(nodes=("server-0",)))], config)
+    assert set(scopes) - {""} == set(deployment.algorithm_groups().values())
+    assert deployment.membership.joining_group("hashchain-light", None) \
+        == "hashchain-light"

@@ -17,7 +17,7 @@ from repro.api import Scenario, Session, run
 from repro.api.cli import main as repro_main
 from repro.core.properties import check_all
 from repro.errors import ConfigurationError, LedgerError
-from repro.faults import Join, Leave, Targets
+from repro.faults import Join, Leave, Partition, Recover, Targets
 from repro.service.persistence import audit_chain
 from repro.service.runtime import ServiceRuntime
 
@@ -204,6 +204,29 @@ def test_a_join_naming_an_unknown_algorithm_or_region_changes_nothing(
         assert deployment.servers == servers
         assert deployment.membership._next_index == len(servers)
         assert not deployment.membership.changed
+
+
+_SERVER_4 = Targets(nodes=("server-4",))
+
+
+@pytest.mark.parametrize("late, early", [
+    (Recover(at=3.0, targets=_SERVER_4), Recover(at=1.1, targets=_SERVER_4)),
+    (Leave(at=3.0, targets=_SERVER_4), Leave(at=1.1, targets=_SERVER_4)),
+    (Partition(at=0.5, until=3.0, period=1.0, group=_SERVER_4),
+     Partition(at=1.1, group=_SERVER_4)),
+], ids=["recover", "second-leave", "flapping-partition"])
+def test_a_fault_naming_a_server_its_leave_may_have_retired_is_refused(
+        late, early):
+    # At the parent the build accepted the Recover and the run aborted at
+    # t=3 s on "fault targets unknown node 'server-4'".
+    scenario = _SMALL.servers(5).leave(1.0, "server-4")
+    with pytest.raises(ConfigurationError, match="may have retired"):
+        scenario.faults(late).build()
+    # Inside the drain's first poll the leaver is still there to name.
+    session = scenario.faults(early).session().start()
+    session.run_to_completion()
+    assert [server.name for server in session.deployment.departed_servers] \
+        == ["server-4"]
 
 
 @pytest.mark.parametrize("scenario, byzantine, retired_after", [

@@ -177,13 +177,14 @@ def test_byte_and_message_accounting(pair, sim):
 
 def test_drop_rule_drops_matching_messages(pair, sim):
     network, a, b = pair
-    network.add_drop_rule(lambda m: m.msg_type == "ping")
+    rule = lambda m: m.msg_type == "ping"  # noqa: E731
+    network.add_drop_rule(rule)
     a.send("b", "ping", 1)
     a.send("b", "data", 2)
     sim.run_until(1.0)
     assert [p for _, _, p in b.received] == [2]
     assert network.messages_dropped == 1
-    network.clear_drop_rules()
+    network.remove_drop_rule(rule)
     a.send("b", "ping", 3)
     sim.run_until(2.0)
     assert [p for _, _, p in b.received] == [2, 3]

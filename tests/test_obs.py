@@ -545,12 +545,16 @@ def test_write_collapsed_emits_flamegraph_lines(tmp_path):
     def root():
         return [leaf() for _ in range(50)]
 
+    # cProfile, and pstats.Stats (which disables it again), drop an outer
+    # profiler's hook: restore it once both are done.
+    outer = sys.getprofile()
     profiler = cProfile.Profile()
     profiler.enable()
     root()
     profiler.disable()
-    target = _write_collapsed(pstats.Stats(profiler),
-                              str(tmp_path / "stacks.txt"))
+    stats = pstats.Stats(profiler)
+    sys.setprofile(outer)
+    target = _write_collapsed(stats, str(tmp_path / "stacks.txt"))
     lines = target.read_text().splitlines()
     assert lines == sorted(lines)
     for line in lines:
@@ -563,9 +567,13 @@ def test_write_collapsed_emits_flamegraph_lines(tmp_path):
 
 def test_profile_smoke(tmp_path, capsys):
     out = tmp_path / "profile.pstats"
-    code = obs_main(["profile", "bench/hashchain-base", "--seed", "2",
-                     "--sort", "cumulative", "--limit", "3",
-                     "--out", str(out)])
+    outer = sys.getprofile()
+    try:
+        code = obs_main(["profile", "bench/hashchain-base", "--seed", "2",
+                         "--sort", "cumulative", "--limit", "3",
+                         "--out", str(out)])
+    finally:
+        sys.setprofile(outer)
     assert code == 0
     captured = capsys.readouterr().out
     assert "committed=" in captured

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from repro.analysis.throughput import average_throughput, rolling_throughput
 from repro.compressor.model import ModelCompressor
-from repro.core.proofs import create_epoch_proof, epoch_is_committed
+from repro.core.client import SetchainClient
+from repro.core.proofs import create_epoch_proof
 from repro.core.types import SetchainView
 from repro.crypto.hashing import hash_batch, hash_epoch
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SignatureScheme
 from repro.ledger.mempool import Mempool
 from repro.ledger.types import new_transaction
+from repro.shard import shard_slot
 from repro.sim.events import EventQueue
 from repro.sim.rng import derive_seed
 from repro.workload.elements import make_element
@@ -119,7 +121,10 @@ def test_epoch_commit_rule_threshold_exact(signer_count, quorum):
     elements = [make_element("c", 100)]
     proofs = [create_epoch_proof(scheme, scheme.generate_keypair(f"s{i}"), 1, elements)
               for i in range(signer_count)]
-    assert epoch_is_committed(proofs, 1, elements, quorum) == (signer_count >= quorum)
+    view = SetchainView.snapshot({elements[0].element_id: elements[0]},
+                                 {1: elements}, 1, set(proofs))
+    check = SetchainClient("c", scheme, quorum).check_commit(view, elements[0])
+    assert check.committed == (signer_count >= quorum)
 
 
 # -- SetchainView invariants ---------------------------------------------------------------------------
@@ -394,7 +399,7 @@ def test_shard_faults_never_leak_into_healthy_shards(algorithm, data):
     # quorum (at most one of three members is down), so the routing function
     # reproduces each element's owner post hoc.
     shard_0_added = [e for e in deployment.injected_elements
-                     if router.shard_for(e.element_id) == 0]
+                     if shard_slot(e.element_id, router.n_shards) == 0]
     assert shard_0_added
 
     views = {server.name: server.get() for server in deployment.servers

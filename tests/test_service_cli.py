@@ -4,7 +4,6 @@ import json
 import sqlite3
 
 from repro.api.cli import main
-from repro.workload.traces import record_trace
 
 
 def test_serve_streams_persists_and_probes_metrics(tmp_path, capsys):
@@ -30,18 +29,6 @@ def test_serve_reopens_existing_database(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "resumed" in out
     assert "recovered commits" in out
-
-
-def test_serve_replays_a_recorded_trace(tmp_path, capsys):
-    trace = record_trace(rate=200.0, duration=3.0, clients=["c0", "c1"], seed=4)
-    path = tmp_path / "trace.json"
-    trace.to_json(path)
-    rc = main(["serve", "service/smoke", "--trace", str(path),
-               "--duration", "3", "--settle", "6", "--no-http"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert f"streamed {len(trace)} accepted+deferred" in out
-    assert "100.0%" in out  # everything replayed committed
 
 
 def test_serve_writes_run_result_artifact(tmp_path):

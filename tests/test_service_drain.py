@@ -52,7 +52,7 @@ def reference_drain(self, server_major):
         element = make_element(client=client, size_bytes=size,
                                created_at=deployment.sim.now)
         if router is not None:
-            target = router.route(element.element_id, None)[0]
+            target = router.route_many([element], None)[0][0]
         routed.append((target, element))
     for _, element in routed:  # booked in arrival order, before any add
         deployment.injected_elements.append(element)

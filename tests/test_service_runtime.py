@@ -1,7 +1,7 @@
 """ServiceRuntime: streamed ingest, backpressure, ticking, live metrics.
 
 Covers the service façade over a deployment: bounded-queue backpressure with
-exact accept/defer/reject accounting, trace-driven ingest, rolling restarts
+exact accept/defer/reject accounting, rolling restarts
 under traffic, the live metrics/health snapshots (including the stdlib HTTP
 endpoint), and the idempotent stop lifecycle.
 """
@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.faults import Crash, Leave, Recover, Targets
 from repro.service.http import MetricsEndpoint
 from repro.service.runtime import DEFER_WATERMARK, ServiceRuntime
-from repro.workload.traces import record_trace
 
 
 #: Every server of the deployment (a crash of them all, not a random one).
@@ -115,33 +114,6 @@ def test_invalid_parameters_rejected():
     assert runtime.submit_many(0) == {"accepted": 0, "deferred": 0, "rejected": 0}
     with pytest.raises(ConfigurationError):
         runtime.run_for(-1.0)
-    runtime.stop()
-
-
-# -- trace-driven ingest --------------------------------------------------------
-
-
-def test_trace_replay_drives_ingest_through_backpressure(tmp_path):
-    trace = record_trace(rate=100.0, duration=3.0,
-                         clients=["client-0", "client-1"], seed=9)
-    path = tmp_path / "trace.json"
-    trace.to_json(path)
-
-    runtime = small_runtime()
-    assert runtime.load_trace(path) == len(trace)
-    assert not runtime.trace_done
-    runtime.run_for(4.0)
-    assert runtime.trace_done
-    counters = runtime.ingress_counters
-    assert counters["accepted"] == len(trace)
-    assert counters["drained"] == len(trace)
-    runtime.run_for(6.0)
-    snapshot = runtime.metrics_snapshot()
-    assert snapshot["injected"] == len(trace)
-    assert snapshot["committed"] == len(trace)
-    # The replayed clients, not the submit() default, appear as origins.
-    clients = {e.client for e in runtime.deployment.injected_elements}
-    assert clients == {"client-0", "client-1"}
     runtime.stop()
 
 

@@ -71,9 +71,21 @@ def two_shard_router():
     return ShardRouter(shards, quorum=2), shards
 
 
+class Item:
+    def __init__(self, element_id):
+        self.element_id = element_id
+
+
+def route_one(router, element_id, preference=0, active=None):
+    """A one-element ``route_many`` burst: ``(server, shard)``, or ``None``."""
+    for server, _ in router.route_many([Item(element_id)], preference, active):
+        return server, router.shard_map()[server.name]
+    return None
+
+
 def test_route_accepts_at_preferred_server():
     router, shards = two_shard_router()
-    routed = router.route(17, preference=1)
+    routed = route_one(router, 17, preference=1)
     assert routed is not None
     server, shard = routed
     assert server is shards[shard][1]
@@ -82,14 +94,14 @@ def test_route_accepts_at_preferred_server():
 
 def test_route_fails_over_within_shard_and_counts_deferred():
     router, shards = two_shard_router()
-    shard = router.shard_for(17)
+    shard = router.active_shards()[shard_slot(17, 2)]
     shards[shard][1].crashed = False
     shards[shard][0].crashed = True
     # Preferred position 0 is down but the shard still has quorum?  It does
     # not (1 of 2 routable < quorum 2) — so drop the quorum to 1 to isolate
     # the failover path.
     router.quorum = 1
-    server, routed_shard = router.route(17, preference=0)
+    server, routed_shard = route_one(router, 17, preference=0)
     assert routed_shard == shard
     assert server is shards[shard][1]
     assert router.deferred == 1
@@ -101,8 +113,8 @@ def test_route_rejects_when_no_shard_is_active():
         for server in servers:
             server.crashed = True
     assert router.active_shards() == []
-    assert router.route(17) is None
-    assert router.route(18, None) is None
+    assert route_one(router, 17) is None
+    assert route_one(router, 18, None) is None
     assert router.rejected == 2
     assert router.routed == 0
 
@@ -122,7 +134,7 @@ def test_inactive_shard_receives_no_new_elements():
     router, shards = two_shard_router()
     shards[1][0].crashed = True  # shard 1 below quorum: all traffic -> shard 0
     for element_id in range(100):
-        server, shard = router.route(element_id)
+        server, shard = route_one(router, element_id)
         assert shard == 0
     assert router.per_shard_routed == [100, 0]
 
@@ -131,7 +143,7 @@ def test_skew_ratio_none_before_traffic_then_near_one():
     router, _shards = two_shard_router()
     assert router.skew_ratio() is None
     for element_id in range(2000):
-        router.route(element_id)
+        route_one(router, element_id)
     skew = router.skew_ratio()
     assert skew is not None
     assert 1.0 <= skew < 1.2
@@ -145,7 +157,7 @@ def test_placement_for_join_fills_smallest_then_opens_new_shard():
     assert router.placement_for_join(per_shard_size=2) == 2  # all full: new
     router.add_server(2, FakeServer("s2-0"))
     assert router.n_shards == 3
-    assert router.shard_of("s2-0") == 2
+    assert router.shard_map()["s2-0"] == 2
     assert router.shard_map()["s0-1"] == 0
 
 
@@ -153,8 +165,8 @@ def test_route_without_preference_round_robins_within_a_shard():
     router, shards = two_shard_router()
     # Pin every element to one shard so the rotation is observable.
     shards[1][0].crashed = True
-    first = router.route(1, None)[0]
-    second = router.route(2, None)[0]
+    first = route_one(router, 1, None)[0]
+    second = route_one(router, 2, None)[0]
     assert {first.name, second.name} == {s.name for s in shards[0]}
 
 
@@ -166,10 +178,12 @@ class ReferenceRouter(ShardRouter):
     one failover scan and four counter bumps per element."""
 
     def route(self, element_id, preference=0, active=None):
-        shard = self.shard_for(element_id, active)
-        if shard is None:
+        if active is None:
+            active = self.active_shards()
+        if not active:
             self.rejected += 1
             return None
+        shard = active[shard_slot(element_id, len(active))]
         servers = self.shard_servers[shard]
         start = self._rr[shard] if preference is None else preference
         for offset in range(len(servers)):
@@ -194,11 +208,6 @@ class ReferenceRouter(ShardRouter):
             if routed is not None:
                 buckets.setdefault(routed[0].name, (routed[0], []))[1].append(element)
         return list(buckets.values())
-
-
-class Item:
-    def __init__(self, element_id):
-        self.element_id = element_id
 
 
 FLAGS = (None, None, None, "crashed", "draining", "bootstrapping", "departed")
@@ -243,8 +252,8 @@ def test_route_many_equals_the_per_element_reference(case):
             == [(s.name, bucket) for s, bucket in expected]
         for name in ("routed", "deferred", "rejected", "per_shard_routed", "_rr"):
             assert getattr(router, name) == getattr(reference, name), name
-        for element_id in ids[:3]:  # the scalar form is a one-element burst
-            assert router.route(element_id, preference, active) \
+        for element_id in ids[:3]:  # one-element bursts
+            assert route_one(router, element_id, preference, active) \
                 == reference.route(element_id, preference, active)
     assert router.counters() == reference.counters()
 
@@ -289,11 +298,12 @@ def test_a_tick_through_the_router_stays_inside_its_call_budget():
         nonlocal calls
         calls += event == "call"
 
+    outer = sys.getprofile()  # a coverage or reach run's hook, restored after
     sys.setprofile(profiler)
     try:
         client._on_tick()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     router = session.deployment.shard_router
     assert client.sent == router.routed == 1000
     assert sorted(router.per_shard_routed) != [0, 1000]  # both shards took some

@@ -37,16 +37,6 @@ def test_timer_cancel_prevents_firing():
     assert fired == []
 
 
-def test_timer_active_flag():
-    sim = Simulator()
-    timer = Timer(sim, lambda: None)
-    assert not timer.active
-    timer.start(1.0)
-    assert timer.active
-    sim.run_until(2.0)
-    assert not timer.active
-
-
 def test_timer_negative_delay_raises():
     sim = Simulator()
     timer = Timer(sim, lambda: None)
@@ -82,7 +72,6 @@ def test_periodic_task_stop_halts_firing():
     task.stop()
     sim.run_until(10.0)
     assert times == [1.0, 2.0]
-    assert not task.running
 
 
 def test_periodic_task_start_is_idempotent():
@@ -95,24 +84,12 @@ def test_periodic_task_start_is_idempotent():
     assert times == [1.0, 2.0]
 
 
-def test_periodic_task_set_period():
-    sim = Simulator()
-    times = []
-    task = PeriodicTask(sim, period=1.0, callback=lambda: times.append(sim.now))
-    task.start()
-    sim.run_until(1.0)
-    task.set_period(3.0)
-    sim.run_until(8.0)
-    assert times == [1.0, 4.0, 7.0]
-
-
 def test_periodic_task_invalid_period_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
         PeriodicTask(sim, period=0.0, callback=lambda: None)
-    task = PeriodicTask(sim, period=1.0, callback=lambda: None)
     with pytest.raises(SimulationError):
-        task.set_period(-1.0)
+        PeriodicTask(sim, period=-1.0, callback=lambda: None)
 
 
 def test_callback_can_stop_its_own_task():

@@ -96,16 +96,6 @@ def test_events_executed_counter():
     assert sim.events_executed == 4
 
 
-def test_max_events_budget_enforced():
-    sim = Simulator()
-    def reschedule():
-        sim.call_in(0.1, reschedule)
-    sim.call_soon(reschedule)
-    sim.max_events = 50
-    with pytest.raises(SimulationError):
-        sim.run_until(1000.0)
-
-
 def test_run_until_condition_stops_when_predicate_true():
     sim = Simulator()
     state = {"count": 0}

@@ -23,7 +23,6 @@ from repro.core.vanilla import VanillaServer
 from repro.errors import ConfigurationError
 from repro.net.latency import ConstantLatency, RegionalLatency
 from repro.sim.rng import DeterministicRNG
-from repro.topology import evenly_split
 from repro.topology.components import ALGORITHMS, LATENCY_PROFILES, LEDGER_BACKENDS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -171,13 +170,6 @@ def test_topology_round_trips_through_dict():
     assert TopologyConfig.from_dict(topology.to_dict()) == topology
 
 
-def test_evenly_split_is_deterministic():
-    topology = evenly_split(["a", "b", "c"], 10)
-    assert [r.servers for r in topology.regions] == [4, 3, 3]
-    with pytest.raises(ConfigurationError):
-        evenly_split(["a", "b", "c"], 2)
-
-
 def test_assignments_and_heterogeneity():
     topology = TopologyConfig(regions=(RegionSpec("us", 1, "vanilla"),
                                        RegionSpec("eu", 2)))
@@ -185,7 +177,6 @@ def test_assignments_and_heterogeneity():
         ("us", "vanilla"), ("eu", "hashchain"), ("eu", "hashchain")]
     assert topology.is_heterogeneous("hashchain")
     assert not topology.is_heterogeneous("vanilla")
-    assert topology.link_delay("us", "eu") == 0.0  # default inter_delay
 
 
 # -- RegionalLatency -----------------------------------------------------------

@@ -161,12 +161,12 @@ def test_validation_errors_are_raised_by_the_constructors():
 def test_defaults_and_cached_encodings():
     element = Element(1, "c", 10, "d")
     assert (element.signature, element.created_at, element.valid) == (b"", 0.0, True)
-    assert element.canonical_bytes() == b"element|1|c|10|d" and element.is_element
+    assert element.canonical_bytes() == b"element|1|c|10|d"
     proof = EpochProof(2, "h", b"\xab", "server-0")
-    assert proof.size_bytes == 139 and not proof.is_element
+    assert proof.size_bytes == 139
     assert proof.canonical_bytes() == b"proof|2|h|server-0|ab"
     batch = HashBatch("h", b"\xcd", "server-0")
-    assert batch.size_bytes == 139 and not batch.is_element
+    assert batch.size_bytes == 139
     assert batch.canonical_bytes() == b"hash-batch|h|server-0|cd"
     first, second = make_elements("c", [5, 6], created_at=2.0)
     assert second.element_id == first.element_id + 1

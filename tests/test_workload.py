@@ -1,4 +1,4 @@
-"""Tests for elements, the Arbitrum-like generator, clients, and traces."""
+"""Tests for elements, the Arbitrum-like generator and clients."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.sim.scheduler import Simulator
 from repro.workload.clients import ClientPool, InjectionClient
 from repro.workload.elements import Element, make_element
 from repro.workload.generator import MIN_ELEMENT_SIZE, ArbitrumLikeGenerator, ElementSizeStats
-from repro.workload.traces import WorkloadTrace, record_trace
 
 
 class SinkServer:
@@ -40,7 +39,6 @@ def test_element_canonical_bytes_stable_and_distinct():
     b = make_element("c", 100)
     assert a.canonical_bytes() == a.canonical_bytes()
     assert a.canonical_bytes() != b.canonical_bytes()
-    assert a.is_element
 
 
 # -- generator -----------------------------------------------------------------------
@@ -155,30 +153,3 @@ def test_client_validation_errors():
     with pytest.raises(ConfigurationError):
         InjectionClient("c", sim, SinkServer(), rate=0, duration=1,
                         generator=ArbitrumLikeGenerator(DeterministicRNG(0)))
-
-
-# -- traces ---------------------------------------------------------------------------------
-
-def test_record_trace_is_deterministic_and_ordered():
-    a = record_trace(rate=100, duration=2.0, clients=["c0", "c1"], seed=5)
-    b = record_trace(rate=100, duration=2.0, clients=["c0", "c1"], seed=5)
-    assert a.entries == b.entries
-    assert len(a) == pytest.approx(200, abs=2)
-    times = [e.time for e in a]
-    assert times == sorted(times)
-    assert a.total_bytes > 0
-    assert a.duration <= 2.0 + 1e-6
-
-
-def test_trace_json_roundtrip(tmp_path):
-    trace = record_trace(rate=50, duration=1.0, clients=["c0"], seed=1)
-    path = tmp_path / "trace.json"
-    trace.to_json(path)
-    loaded = WorkloadTrace.from_json(path)
-    assert loaded.entries == trace.entries
-
-
-def test_trace_rejects_unsorted_entries():
-    from repro.workload.traces import TraceEntry
-    with pytest.raises(ConfigurationError):
-        WorkloadTrace(entries=(TraceEntry(2.0, "c", 10), TraceEntry(1.0, "c", 10)))
