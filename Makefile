@@ -10,7 +10,7 @@ test:
 	$(PYTHON) -m pytest -q
 
 # Line counts of src/ and of tests/*.py, tracked per PR like a benchmark
-# (ROADMAP item 21), each with its delta against the parent commit: neither
+# (ROADMAP item 26), each with its delta against the parent commit: neither
 # count may go up.  $(call loc_of,label,find roots,git path regex)
 loc_of = now=$$(find $(2) -name '*.py' -exec cat {} + | wc -l); \
 	was=$$(git ls-tree -r --name-only HEAD~1 2>/dev/null | grep -E '$(3)' \
@@ -22,7 +22,7 @@ loc:
 	@$(call loc_of,src,src,^src/.*\.py$$)
 	@$(call loc_of,tests/*.py,tests -maxdepth 1,^tests/[^/]*\.py$$)
 
-# The reach audit (ROADMAP item 21): the examples, the five workloads, the
+# The reach audit (ROADMAP item 26): the examples, the five workloads, the
 # paper-shape suite, the *-smoke targets, CI's CLI smoke and a --scale 20
 # sweep of the catalog run under one profile hook; benchmarks/reach.txt is
 # rewritten with every src/ function none of them entered, each classified
@@ -48,7 +48,7 @@ bench-pytest:
 # cProfile one scenario (override the target: make profile SCENARIO=bench/vanilla).
 # It finds candidates; the numbers that count come from `make e2e`, unprofiled.
 profile:
-	$(PYTHON) -m repro.obs profile $(SCENARIO) --limit 30 \
+	$(PYTHON) -m repro profile $(SCENARIO) --limit 30 \
 	  --out-collapsed results/profile-collapsed.txt
 
 # The determinism bar every family is held to: the same (selection, seed 7)
@@ -149,14 +149,14 @@ service-smoke:
 trace-smoke-core:
 	$(PYTHON) -m repro trace chaos/smoke --seed 7 \
 	  --out results/trace-chaos.trace.json
-	$(PYTHON) -m repro.obs validate-trace results/trace-chaos.trace.json \
+	$(PYTHON) -m repro validate-trace results/trace-chaos.trace.json \
 	  --min-tracks 3
 	$(PYTHON) -m repro trace service/smoke --seed 7 --format jsonl \
 	  --out results/trace-service.trace.jsonl
-	$(PYTHON) -m repro.obs validate-trace results/trace-service.trace.jsonl \
+	$(PYTHON) -m repro validate-trace results/trace-service.trace.jsonl \
 	  --min-tracks 3
 	$(MAKE) sweep-identical SELECT="--contains chaos/smoke" OUT=results/trace TRACE=1
-	$(PYTHON) -m repro.obs prom-smoke
+	$(PYTHON) -m repro prom-smoke
 
 list-scenarios:
 	$(PYTHON) -m repro list-scenarios

@@ -7,8 +7,8 @@ event simulation, network, crypto, mempool/consensus, compression, workload)
 and the full evaluation harness.
 
 The public face is the :mod:`repro.api` subsystem — a typed scenario
-builder, a named-scenario registry, interactive sessions, and serialisable
-results::
+builder, a catalog of named scenarios, interactive sessions, and
+serialisable results::
 
     from repro import Scenario, run
 
@@ -16,7 +16,7 @@ results::
     print(result.avg_throughput_50s, result.efficiency["100s"])
     result.save("hashchain.json")          # exact JSON round-trip
 
-    run("figure4/hashchain", scale=50)     # any registered scenario by name
+    run("figure4/hashchain", scale=50)     # any catalog scenario by name
 
 Interactive control of a deployment (step time, inject, inspect views)::
 
@@ -28,7 +28,7 @@ Interactive control of a deployment (step time, inject, inspect views)::
 
 :class:`Session` is the one way a scenario runs (:func:`run` is its
 one-call form) and :class:`RunResult` the one result every figure, table,
-sweep and report reads.  The same registry backs the command line:
+sweep and report reads.  The same catalog backs the command line:
 ``python -m repro list-scenarios``, ``run``, ``sweep``, and ``report``.
 """
 
@@ -57,10 +57,7 @@ from .api import (
     Scenario,
     ScenarioBuilder,
     Session,
-    get_scenario,
-    register_scenario,
     run,
-    scenario_names,
 )
 
 __all__ = [
@@ -78,9 +75,6 @@ __all__ = [
     "Session",
     "RunResult",
     "run",
-    "register_scenario",
-    "get_scenario",
-    "scenario_names",
     # core system
     "BaseSetchainServer",
     "ByzantineBehaviour",

@@ -1,13 +1,13 @@
-"""The public experiment API: builder, registry, sessions, results, CLI.
+"""The public experiment API: builder, sessions, results, CLI.
 
 This package is the intended entry point for everything user-facing:
 
 * :class:`Scenario` / :class:`ScenarioBuilder` — typed, fluent scenario
   construction with validated per-layer overrides;
-* :func:`register_scenario` / :func:`get_scenario` / :func:`scenario_names` —
-  the named-scenario registry, pre-populated (via :mod:`repro.api.catalog`)
-  with the paper's Table 1 grid, the figure scenario sets, and
-  stress/byzantine/burst workloads;
+* named scenarios — :data:`repro.api.catalog.SCENARIOS`, one table holding
+  the paper's Table 1 grid, the figure scenario sets, and the
+  stress/fault/membership/shard/service families; pass a name wherever a
+  scenario is taken;
 * :class:`Session` — the one way a scenario runs, with incremental control
   over its deployment;
 * :class:`RunResult` — the one result of a run: serialisable, with exact
@@ -31,27 +31,14 @@ from ..faults import (
     Targets,
 )
 from .builder import Scenario, ScenarioBuilder
-from .registry import (
-    ScenarioEntry,
-    get_entry,
-    get_scenario,
-    iter_scenarios,
-    register_scenario,
-    scenario_names,
-    scenario_tags,
-    unregister_scenario,
-)
 from .results import RunResult
 from .session import Session
-
-# The built-in catalog (repro.api.catalog) is loaded lazily by the registry
-# on first access — see registry._ensure_catalog().
 
 
 def run(scenario: "ScenarioBuilder | ExperimentConfig | str",
         scale: float = 1.0, *, seed: int | None = None,
         to_completion: bool = False) -> RunResult:
-    """Run a scenario (builder, config, or registered name) to a :class:`RunResult`.
+    """Run a scenario (builder, config, or catalog name) to a :class:`RunResult`.
 
     The one-call form of :class:`Session`: start, run to the horizon (or to
     completion), package.
@@ -67,7 +54,6 @@ def run(scenario: "ScenarioBuilder | ExperimentConfig | str",
 __all__ = [
     "Scenario",
     "ScenarioBuilder",
-    "ScenarioEntry",
     "Session",
     "RunResult",
     "RegionSpec",
@@ -83,11 +69,4 @@ __all__ = [
     "DelaySpike",
     "Churn",
     "run",
-    "register_scenario",
-    "unregister_scenario",
-    "get_entry",
-    "get_scenario",
-    "iter_scenarios",
-    "scenario_names",
-    "scenario_tags",
 ]

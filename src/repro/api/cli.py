@@ -1,11 +1,9 @@
-"""The ``python -m repro`` command line.
+"""The ``python -m repro`` command line: one subcommand table.
 
-Subcommands:
-
-* ``list-scenarios`` — enumerate the registry grouped by family (filter by
+* ``list-scenarios`` — enumerate the catalog grouped by family (filter by
   ``--tag`` / ``--contains`` / ``--family``, machine-readable with
   ``--json``);
-* ``run`` — run one registered scenario, print its summary, and optionally
+* ``run`` — run one catalog scenario, print its summary, and optionally
   persist the :class:`RunResult` as a JSON artifact;
 * ``sweep`` — run every scenario matching a filter and write one JSON
   artifact per run into an output directory;
@@ -15,7 +13,15 @@ Subcommands:
   anything; ``--phases`` adds the per-phase latency percentiles of traced
   artifacts;
 * ``trace`` — run one scenario with lifecycle tracing enabled and write the
-  trace as a Chrome ``trace_event`` file (Perfetto-loadable) or JSONL.
+  trace as a Chrome ``trace_event`` file (Perfetto-loadable) or JSONL;
+* ``validate-trace PATH`` — parse a trace file written by ``trace`` and
+  check its structural schema;
+* ``profile SCENARIO`` — cProfile one scenario, built, run and packaged as
+  a ``benchmarks/e2e`` batch pass is.  cProfile taxes every Python call and
+  no native one, so it finds candidates; wall-clock numbers come from the
+  harness (``make e2e``), profiling off;
+* ``serve``, ``service inspect`` and ``prom-smoke`` — service mode
+  (:mod:`repro.service.cli`).
 """
 
 from __future__ import annotations
@@ -24,13 +30,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..analysis.report import render_table
 from ..errors import ReproError
-from .parallel import RunSpec, iter_spec_results, jobs_arg
-from .registry import iter_scenarios, scenario_tags
+from ..obs.export import validate_trace_file
+from ..service.cli import (add_prom_smoke_arguments, add_serve_arguments,
+                           add_service_arguments, cmd_prom_smoke, cmd_serve,
+                           cmd_service)
+from .parallel import RunSpec, execute_spec, iter_spec_results, jobs_arg
 from .results import SUMMARY_HEADERS, RunResult
+from .session import Session
 
 
 def _non_negative_int(text: str) -> int:
@@ -112,9 +122,33 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--json", metavar="PATH",
                          help="also write the RunResult JSON artifact here")
 
-    # Service mode (repro.service): the arguments are declared by the service
-    # package; the handlers are imported lazily at dispatch time.
-    from ..service.cli import add_serve_arguments, add_service_arguments
+    check_p = sub.add_parser("validate-trace",
+                             help="validate a trace file's schema")
+    check_p.add_argument("path", help="trace file written by `repro trace`")
+    check_p.add_argument("--format", choices=("auto", "chrome", "jsonl"),
+                         default="auto", help="trace format (default: sniff)")
+    check_p.add_argument("--min-tracks", type=int, default=1,
+                         help="fail below this many named tracks (default 1)")
+
+    prof_p = sub.add_parser(
+        "profile", help="cProfile one scenario run and print the hottest functions")
+    prof_p.add_argument("scenario", help="registered scenario name")
+    prof_p.add_argument("--seed", type=int, default=1, help="run seed (default 1)")
+    prof_p.add_argument("--scale", type=float, default=1.0,
+                        help="scale factor passed to the runner (default 1.0)")
+    prof_p.add_argument("--sort", default="tottime",
+                        help="pstats sort key: tottime, cumulative, calls, ... "
+                             "(default tottime)")
+    prof_p.add_argument("--limit", type=int, default=25,
+                        help="number of rows to print (default 25)")
+    prof_p.add_argument("--out", metavar="PATH",
+                        help="also dump raw pstats data here (for snakeviz etc.)")
+    prof_p.add_argument("--out-collapsed", metavar="PATH",
+                        help="also write caller;callee collapsed stacks here "
+                             "(feed to flamegraph.pl / speedscope)")
+
+    # Service mode (repro.service): the service package declares the
+    # arguments and holds the handlers.
     serve_p = sub.add_parser("serve",
                              help="run a scenario as a long-lived service "
                                   "(streamed ingest, live /metrics)")
@@ -122,6 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     service_p = sub.add_parser("service",
                                help="operate on persisted service ledgers")
     add_service_arguments(service_p)
+    add_prom_smoke_arguments(sub.add_parser(
+        "prom-smoke",
+        help="end-to-end check of the service Prometheus endpoint"))
 
     return parser
 
@@ -156,19 +193,13 @@ def _print_summary(result: RunResult) -> None:
         print(f"  first commit         : {result.first_commit:.2f} s")
 
 
-def _family_of(name: str) -> str:
-    """A scenario's family: the first ``/``-separated segment of its name."""
-    return name.split("/", 1)[0]
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
-    entries = iter_scenarios(tag=args.tag, contains=args.contains)
-    if args.family:
-        entries = [e for e in entries if _family_of(e.name) == args.family]
+    from .catalog import SCENARIOS, select
+    entries = select(args.tag, args.contains, args.family)
     if args.json:
         for entry in entries:
             print(json.dumps({"name": entry.name,
-                              "family": _family_of(entry.name),
+                              "family": entry.family,
                               "description": entry.description,
                               "tags": sorted(entry.tags)}))
         return 0
@@ -177,7 +208,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         return 1
     families: dict[str, list] = {}
     for entry in entries:
-        families.setdefault(_family_of(entry.name), []).append(entry)
+        families.setdefault(entry.family, []).append(entry)
     blocks = []
     for family in sorted(families):
         members = families[family]
@@ -186,8 +217,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
         blocks.append(render_table(["name", "tags", "description"], rows,
                                    title=f"[{family}] ({len(members)})"))
     print("\n\n".join(blocks))
+    tags = sorted(set().union(*(entry.tags for entry in SCENARIOS.values())))
     print(f"\n{len(entries)} scenarios in {len(families)} families; "
-          f"tags: {', '.join(scenario_tags())}")
+          f"tags: {', '.join(tags)}")
     return 0
 
 
@@ -203,15 +235,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    entries = iter_scenarios(tag=args.tag, contains=args.contains)
-    if args.family:
-        entries = [e for e in entries if _family_of(e.name) == args.family]
-        if not entries:
-            from .registry import iter_scenarios as _all
-            families = sorted({_family_of(e.name) for e in _all()})
-            print(f"no scenarios in family {args.family!r}; families: "
-                  f"{', '.join(families)}", file=sys.stderr)
-            return 1
+    from .catalog import SCENARIOS, select
+    entries = select(args.tag, args.contains, args.family)
+    if args.family and not entries:
+        families = sorted({entry.family for entry in SCENARIOS.values()})
+        print(f"no scenarios in family {args.family!r}; families: "
+              f"{', '.join(families)}", file=sys.stderr)
+        return 1
     if not entries:
         print("no scenarios match the sweep filter", file=sys.stderr)
         return 1
@@ -403,7 +433,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # Routed through execute_spec — the exact code path sweep workers run —
     # so `repro trace` and `repro sweep --trace-dir` write byte-identical
     # files for the same (scenario, scale, seed, sample).
-    from .parallel import RunSpec, execute_spec
     spec = RunSpec(name=args.name, scale=args.scale, seed=args.seed,
                    to_completion=args.to_completion, trace_sample=args.sample,
                    trace_out=args.out, trace_format=args.format)
@@ -421,14 +450,91 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..service.cli import cmd_serve
-    return cmd_serve(args)
+def _cmd_validate_trace(args: argparse.Namespace) -> int:
+    stats = validate_trace_file(args.path, fmt=args.format)
+    tracks = stats.get("tracks", [])
+    if len(tracks) < args.min_tracks:
+        print(f"error: {args.path}: {len(tracks)} named tracks, "
+              f"expected at least {args.min_tracks}", file=sys.stderr)
+        return 1
+    print(f"{args.path}: valid {stats['format']} trace — "
+          f"{stats['events']} events on {len(tracks)} tracks "
+          f"({', '.join(tracks)})")
+    return 0
 
 
-def _cmd_service(args: argparse.Namespace) -> int:
-    from ..service.cli import cmd_service
-    return cmd_service(args)
+def _frame_name(func: tuple) -> str:
+    """Render a pstats function key as one flamegraph frame.
+
+    Semicolons separate frames in the collapsed format, so they (and spaces,
+    which separate the frame stack from the sample count) must not appear
+    inside a name.
+    """
+    filename, lineno, funcname = func
+    if filename == "~":  # C builtins profile as ('~', 0, '<built-in ...>')
+        label = funcname
+    else:
+        label = f"{Path(filename).name}:{lineno}:{funcname}"
+    return label.replace(";", ",").replace(" ", "_")
+
+
+def _write_collapsed(stats: Any, path: str) -> Path:
+    """Write flamegraph-collapsed stacks (``caller;callee usec`` lines).
+
+    cProfile keeps caller/callee edges, not full stacks, so the output is
+    two frames deep: each line charges a callee's internal time (µs) to one
+    caller edge; root frames (no recorded caller) appear alone.  That is
+    enough for ``flamegraph.pl`` or speedscope to render a useful profile
+    without any third-party tooling.
+    """
+    lines = []
+    for func, (cc, nc, tt, ct, callers) in stats.stats.items():
+        name = _frame_name(func)
+        edges = [(f"{_frame_name(caller)};{name}", edge_tt)
+                 for caller, (_, _, edge_tt, _) in callers.items()] or [(name, tt)]
+        for stack, seconds in edges:
+            usec = int(round(seconds * 1e6))
+            if usec > 0:
+                lines.append(f"{stack} {usec}")
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text("\n".join(sorted(lines)) + "\n")
+    return target
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    import cProfile
+    import pstats
+
+    if args.sort not in pstats.Stats.sort_arg_dict_default:
+        valid = ", ".join(sorted(pstats.Stats.sort_arg_dict_default))
+        print(f"error: unknown --sort key {args.sort!r} (valid: {valid})",
+              file=sys.stderr)
+        return 1
+    # cProfile's enable/disable and pstats.Stats (which disables again) each
+    # drop the caller's profile hook: put it back, on error too.
+    outer = sys.getprofile()
+    profiler = cProfile.Profile()
+    try:
+        profiler.enable()
+        session = Session(args.scenario, scale=args.scale, seed=args.seed).start().run()
+        result = session.result()
+        profiler.disable()
+        stats = pstats.Stats(profiler).sort_stats(args.sort)
+    finally:
+        profiler.disable()
+        sys.setprofile(outer)
+    print(f"{args.scenario}: committed={result.committed} "
+          f"events={session.deployment.sim.events_executed}")
+    stats.print_stats(args.limit)
+    if args.out:
+        target = Path(args.out)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        stats.dump_stats(str(target))
+        print(f"wrote {target}")
+    if args.out_collapsed:
+        print(f"wrote {_write_collapsed(stats, args.out_collapsed)}")
+    return 0
 
 
 _COMMANDS = {
@@ -437,8 +543,11 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "report": _cmd_report,
     "trace": _cmd_trace,
-    "serve": _cmd_serve,
-    "service": _cmd_service,
+    "validate-trace": _cmd_validate_trace,
+    "profile": _cmd_profile,
+    "serve": cmd_serve,
+    "service": cmd_service,
+    "prom-smoke": cmd_prom_smoke,
 }
 
 

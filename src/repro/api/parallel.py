@@ -53,7 +53,7 @@ def reset_run_counters() -> None:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One scenario execution request: registry name plus run options."""
+    """One scenario execution request: catalog name plus run options."""
 
     name: str
     scale: float = 1.0

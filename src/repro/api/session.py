@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING
 from ..analysis.latency import LatencyCDF, stage_latencies
 from ..config import ExperimentConfig
 from ..core.deployment import Deployment, build_deployment
-from ..errors import ConfigurationError, SetchainError, SimulationError
+from ..errors import (ConfigurationError, SetchainError, SimulationError,
+                      check_name)
 from ..workload.elements import Element, make_element
 from .builder import ScenarioBuilder
 from .results import RunResult
@@ -40,17 +41,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _resolve_config(scenario: "ScenarioBuilder | ExperimentConfig | str") -> ExperimentConfig:
-    """Accept a builder, a finished config, or a registry name."""
+    """Accept a builder, a finished config, or a catalog name."""
     if isinstance(scenario, ScenarioBuilder):
         return scenario.build()
     if isinstance(scenario, ExperimentConfig):
         return scenario
     if isinstance(scenario, str):
-        from .registry import get_scenario
-        return get_scenario(scenario)
+        from .catalog import SCENARIOS  # imported here: `import repro` skips it
+        return check_name("scenario", scenario, SCENARIOS).build()
     raise ConfigurationError(
         f"cannot build a session from {type(scenario).__name__}; expected a "
-        "Scenario builder, ExperimentConfig, or registered scenario name")
+        "Scenario builder, ExperimentConfig, or catalog scenario name")
 
 
 class Session:

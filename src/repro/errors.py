@@ -15,8 +15,8 @@ T = TypeVar("T")
 def did_you_mean(unknown: str, candidates: list[str]) -> str:
     """Error-message suffix naming the closest valid spellings.
 
-    Shared by every name-lookup surface (scenario registry, builder methods,
-    :func:`check_name` over the component tables) so lookup failures read the
+    Shared by every name-lookup surface (builder methods, :func:`check_name`
+    over the scenario catalog and the component tables) so lookup failures read the
     same everywhere.
     """
     close = difflib.get_close_matches(unknown, candidates, n=3, cutoff=0.5)
@@ -32,7 +32,7 @@ def did_you_mean(unknown: str, candidates: list[str]) -> str:
 def check_name(kind: str, name: str, table: Mapping[str, T]) -> T:
     """``table[name]``, or a :class:`ConfigurationError` with a did-you-mean hint.
 
-    The one refusal of an unknown component name (algorithm, ledger backend,
+    The one refusal of an unknown name (scenario, algorithm, ledger backend,
     latency profile, fault kind, Byzantine behaviour).
     """
     try:

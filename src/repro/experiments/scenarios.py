@@ -1,7 +1,7 @@
 """Named scenarios matching the paper's evaluation section.
 
 These grids are expressed through the typed :class:`repro.api.Scenario`
-builder; the same scenario sets are also individually registered by name in
+builder; the same scenario sets are also named one by one in
 :mod:`repro.api.catalog` for CLI use (``python -m repro list-scenarios``).
 """
 

@@ -2,11 +2,12 @@
 
 :func:`check_budget` keeps a run within the f Properties 1-8 assume, in each
 ``algorithm_group()`` (one per shard) and, unsharded, deployment-wide
-(:data:`ALL`).  :func:`validate_fault_budget` feeds it the schedule's worst
-case, ``FaultContext`` the exact state before each crash, Byzantine turn,
-join and leave.  Both count a server toward n from its ``Join`` until its
-``Leave`` (a crashed leaver leaves at once and drains on recovery), so no
-scheduled event trips the run-time check.
+(:data:`ALL`), and refuses an unsharded group too small to ever reach
+quorum.  :func:`validate_fault_budget` feeds it the membership at t=0 and
+the schedule's worst case, ``FaultContext`` the exact state before each
+crash, Byzantine turn, join and leave.  Both count a server toward n from
+its ``Join`` until its ``Leave`` (a crashed leaver leaves at once and drains
+on recovery), so no scheduled event trips the run-time check.
 """
 
 from __future__ import annotations
@@ -33,12 +34,20 @@ def fault_tolerance(n: int, explicit_f: int | None) -> int:
 
 def check_budget(at: float, scopes: Mapping[str, tuple[int, int, int]],
                  departed: int, explicit_f: int | None) -> None:
-    """Raise unless every scope holding a Byzantine server keeps the budget:
-    at most f faulty deployment-wide, f+1 correct signers in each group."""
+    """Raise unless each unsharded group with members holds f+1 of them (a
+    shard below quorum takes no element: ``ShardRouter.active_shards``) and
+    every scope holding a Byzantine server keeps the budget: at most f
+    faulty deployment-wide, f+1 correct signers in each group."""
     f = fault_tolerance(scopes[ALL][0] if ALL in scopes else 0, explicit_f)
     for key, (members, byzantine, crashed) in sorted(scopes.items()):
-        if not byzantine:
-            continue  # crash-only: the exemption
+        if not byzantine:  # crash-only: the exemption
+            if key != ALL and ALL in scopes and 0 < members < f + 1:
+                raise ConfigurationError(
+                    f"the {key!r} group has {members} member server(s) at "
+                    f"t={at:g}s, but its epoch commits need {f + 1} signer(s) "
+                    f"(quorum = f+1 with f={f} for n={scopes[ALL][0]}); grow "
+                    "the group or pin a smaller f with .byzantine(f=...)")
+            continue
         if key == ALL and byzantine + crashed > f:
             raise ConfigurationError(
                 f"fault schedule exceeds the Byzantine budget at t={at:g}s: "
@@ -71,9 +80,10 @@ def _pool_cost(targets: Targets, pool: set[str],
 
 def budget_states(events: Sequence[FaultEvent], config: "ExperimentConfig",
                   ) -> Iterator[tuple[float, dict[str, tuple[int, int, int]], int]]:
-    """The worst-case ``(at, scopes, departed)`` after each fault, join and leave
-    in injector order.  Windows count through their end instant (releases fire
-    after its events); sharded joiners follow ``placement_for_join`` until a leave."""
+    """The worst-case ``(at, scopes, departed)`` at t=0, then after each fault,
+    join and leave in injector order.  Windows count through their end
+    instant (releases fire after its events); sharded joiners follow
+    ``placement_for_join`` until a leave."""
     per_shard = config.setchain.n_servers
     shard_sizes = dict.fromkeys(range(config.shards or 0), per_shard)
     region_of: dict[str, str | None] = {}
@@ -92,6 +102,10 @@ def budget_states(events: Sequence[FaultEvent], config: "ExperimentConfig",
               index // per_shard if config.shards else None)
     next_index = config.total_servers
     windows: list[tuple[float, FaultEvent, dict[str, int] | None]] = []
+    scopes = {key: (count, 0, 0) for key, count in members.items()}
+    if config.shards:
+        del scopes[ALL]
+    yield 0.0, scopes, 0
     for event in sorted(events, key=lambda event: event.at):  # stable: ties keep order
         windows = [window for window in windows if window[0] >= event.at]
         if isinstance(event, Join) and event.role == "servers":
@@ -141,9 +155,8 @@ def budget_states(events: Sequence[FaultEvent], config: "ExperimentConfig",
 
 
 def validate_fault_budget(config: "ExperimentConfig") -> None:
-    """Reject a schedule whose worst case breaks the f-budget at any instant
-    (Byzantine-free schedules return at once: they build as before)."""
+    """Reject a membership or schedule whose worst case breaks the f-budget
+    at any instant."""
     events = config.faults.events if config.faults is not None else ()
-    if any(isinstance(event, BecomeByzantine) for event in events):
-        for at, scopes, departed in budget_states(events, config):
-            check_budget(at, scopes, departed, config.pinned_f)
+    for at, scopes, departed in budget_states(events, config):
+        check_budget(at, scopes, departed, config.pinned_f)

@@ -17,7 +17,7 @@ process.
   the machine-diffable format the determinism tests byte-compare.
 
 The validators parse a file back and check structural invariants; they are
-what ``repro.obs validate-trace`` and ``make trace-smoke`` run.
+what ``repro validate-trace`` and ``make trace-smoke-core`` run.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""CLI entry points for service mode: ``repro serve`` and ``repro service``.
+"""CLI entry points for service mode: ``repro serve``, ``repro service`` and
+``repro prom-smoke``.
 
 ``serve`` drives a :class:`~repro.service.runtime.ServiceRuntime` from the
 command line: it streams elements at a fixed rate through the ingress queue,
 ticks the simulation, serves live metrics over HTTP, and shuts down cleanly
 on SIGINT/SIGTERM.  ``service inspect`` re-opens a persisted sqlite ledger
-offline and audits the chain.
+offline and audits the chain.  ``prom-smoke`` starts an in-process runtime
+with its HTTP endpoint, streams a little traffic, then validates the
+Prometheus exposition at ``/metrics?format=prometheus``, the JSON default at
+``/metrics``, and the ``/healthz`` response headers.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import urllib.error
 import urllib.request
 
 from ..analysis.report import render_table
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
+from ..obs.prom import parse_exposition
 from .http import MetricsEndpoint
 from .persistence import audit_chain
 from .runtime import ServiceRuntime
@@ -73,10 +78,28 @@ def add_service_arguments(parser: argparse.ArgumentParser) -> None:
                            help="emit the audit as one JSON object")
 
 
+def add_prom_smoke_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", default="service/smoke",
+                        help="service scenario to run (default service/smoke)")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--elements", type=int, default=200,
+                        help="elements to stream before scraping (default 200)")
+    parser.add_argument("--ticks", type=int, default=20,
+                        help="service ticks to advance (default 20)")
+
+
+def _fetch(url: str, timeout: float = 10.0) -> tuple[int, dict, bytes]:
+    """``(status, headers, body)`` of a GET; 4xx/5xx replies still carry them."""
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as response:
+            return response.status, dict(response.headers), response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, dict(error.headers), error.read()
+
+
 def _probe(url: str) -> bool:
     try:
-        with urllib.request.urlopen(url + "/metrics", timeout=2.0) as response:
-            return response.status == 200
+        return _fetch(url + "/metrics", timeout=2.0)[0] == 200
     except (urllib.error.URLError, OSError):
         return False
 
@@ -218,4 +241,53 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print()
         print(render_table(["field", "value"], member_rows,
                            title="membership journal"))
+    return 0
+
+
+def cmd_prom_smoke(args: argparse.Namespace) -> int:
+    failures: list[str] = []
+    with ServiceRuntime(args.scenario, seed=args.seed) as runtime:
+        runtime.submit_many(args.elements)
+        for _ in range(args.ticks):
+            runtime.tick()
+        with MetricsEndpoint(runtime) as endpoint:
+            # 1. Prometheus exposition parses and carries the core families.
+            status, headers, body = _fetch(
+                endpoint.url + "/metrics?format=prometheus")
+            if status != 200:
+                failures.append(f"/metrics?format=prometheus returned {status}")
+            if not headers.get("Content-Type", "").startswith("text/plain"):
+                failures.append("prometheus reply is not text/plain")
+            try:
+                metrics = parse_exposition(body.decode())
+            except ConfigurationError as error:
+                failures.append(f"exposition invalid: {error}")
+                metrics = {}
+            for family in ("repro_injected_total", "repro_committed_total",
+                           "repro_ingress_total", "repro_server_backlog"):
+                if family not in metrics:
+                    failures.append(f"exposition missing {family}")
+            # 2. The JSON default is unchanged.
+            status, headers, body = _fetch(endpoint.url + "/metrics")
+            if status != 200 or not headers.get("Content-Type", "").startswith(
+                    "application/json"):
+                failures.append("/metrics JSON default broken")
+            else:
+                snapshot = json.loads(body)
+                if snapshot.get("injected", 0) <= 0:
+                    failures.append("JSON snapshot shows no injected elements")
+            # 3. healthz carries the caching headers (and Retry-After on 503).
+            status, headers, body = _fetch(endpoint.url + "/healthz")
+            if headers.get("Cache-Control") != "no-store":
+                failures.append("/healthz missing Cache-Control: no-store")
+            if status == 503 and "Retry-After" not in headers:
+                failures.append("/healthz 503 without Retry-After")
+            if status == 200 and json.loads(body).get("status") != "ok":
+                failures.append("/healthz 200 but status != ok")
+    if failures:
+        for failure in failures:
+            print(f"error: {failure}", file=sys.stderr)
+        return 1
+    print(f"prom-smoke ok: {args.scenario} exposition valid "
+          f"({len(metrics)} metric families)")
     return 0

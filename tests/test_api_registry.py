@@ -1,47 +1,46 @@
-"""Named-scenario registry: catalog contents, lookup, filtering, registration."""
+"""The scenario catalog: contents, lookup by name, filtering, added entries."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from repro.api import (
-    Scenario,
-    get_entry,
-    get_scenario,
-    iter_scenarios,
-    register_scenario,
-    scenario_names,
-    scenario_tags,
-    unregister_scenario,
-)
+from repro.api import Scenario
+from repro.api.catalog import SCENARIOS, ScenarioEntry, _add, select
+from repro.api.session import _resolve_config as build
 from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
 
 
+def entry(name: str, factory, description: str = "", *tags: str) -> ScenarioEntry:
+    return ScenarioEntry(name, factory, description, frozenset(tags))
+
+
 def test_catalog_registers_at_least_ten_scenarios():
-    assert len(scenario_names()) >= 10
+    assert len(SCENARIOS) >= 10
 
 
 def test_catalog_covers_the_advertised_families():
-    names = scenario_names()
+    names = set(SCENARIOS)
     assert "base" in names
     assert "quickstart" in names and "smoke" in names
-    assert any(n.startswith("table1/") for n in names)
-    assert any(n.startswith("figure1/") for n in names)
-    assert any(n.startswith("figure2/") for n in names)
-    assert any(n.startswith("figure4/") for n in names)
-    assert any(n.startswith("stress/") for n in names)
-    assert any(n.startswith("byzantine/") for n in names)
-    assert any(n.startswith("burst/") for n in names)
+    for family in ("table1", "figure1", "figure2", "figure4", "stress",
+                   "byzantine", "burst", "service"):
+        assert any(n.startswith(f"{family}/") for n in names)
 
 
 def test_table1_grid_is_complete():
     # vanilla has no collector dimension: 4 rates x 3 servers x 3 delays.
-    assert len(scenario_names(tag="table1", contains="vanilla")) == 36
+    assert len(select(tag="table1", contains="vanilla")) == 36
     # compresschain/hashchain add the 2 collector limits.
-    assert len(scenario_names(tag="table1", contains="/hashchain/")) == 72
+    assert len(select(tag="table1", contains="/hashchain/")) == 72
 
 
 def test_get_scenario_builds_a_config_labelled_by_name():
-    config = get_scenario("table1/hashchain/r5000-n7-d30-c500")
+    config = build("table1/hashchain/r5000-n7-d30-c500")
     assert isinstance(config, ExperimentConfig)
     assert config.workload.sending_rate == 5_000
     assert config.setchain.n_servers == 7
@@ -52,64 +51,57 @@ def test_get_scenario_builds_a_config_labelled_by_name():
 
 def test_unknown_scenario_gets_did_you_mean():
     with pytest.raises(ConfigurationError, match="quickstart"):
-        get_scenario("quickstrt")
+        build("quickstrt")
 
 
 def test_no_close_match_error_is_capped():
-    # With 200+ registered names, the fallback must not dump them all.
+    # With 300+ catalog names, the fallback must not dump them all.
     with pytest.raises(ConfigurationError) as excinfo:
-        get_scenario("zzz")
+        build("zzz")
     message = str(excinfo.value)
+    assert message.startswith("unknown scenario 'zzz'")
     assert "total)" in message
     assert len(message) < 500
 
 
 def test_tag_and_substring_filters():
-    byzantine = iter_scenarios(tag="byzantine")
+    byzantine = select(tag="byzantine")
     assert byzantine and all("byzantine" in e.tags for e in byzantine)
-    assert scenario_names(contains="figure2/") == sorted(
-        n for n in scenario_names() if "figure2/" in n)
-    assert scenario_names(tag="no-such-tag") == []
+    assert [e.name for e in select(contains="figure2/")] == sorted(
+        n for n in SCENARIOS if "figure2/" in n)
+    assert select(tag="no-such-tag") == []
+    shard = select(family="shard", tag="ci")
+    assert shard and all(e.family == "shard" and "ci" in e.tags for e in shard)
+    assert select(family="shar") == []
 
 
 def test_byzantine_scenarios_set_f():
-    config = get_scenario("byzantine/f4-n10")
+    config = build("byzantine/f4-n10")
     assert config.setchain.f == 4
     assert config.setchain.quorum == 5
 
 
 def test_tags_are_enumerable():
-    tags = scenario_tags()
-    assert {"paper", "table1", "stress", "byzantine", "burst"} <= set(tags)
+    tags = set().union(*(e.tags for e in SCENARIOS.values()))
+    assert {"paper", "table1", "stress", "byzantine", "burst"} <= tags
 
 
 def test_register_and_unregister_custom_scenario():
-    @register_scenario("test/custom", tags=("custom-test",),
-                       description="registered by the test suite")
-    def _custom():
-        return Scenario.vanilla().rate(123)
-
-    try:
-        assert get_scenario("test/custom").workload.sending_rate == 123
-        assert get_entry("test/custom").description.startswith("registered")
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_scenario("test/custom")(_custom)
-        register_scenario("test/custom", replace=True)(
-            lambda: Scenario.vanilla().rate(456))
-        assert get_scenario("test/custom").workload.sending_rate == 456
-    finally:
-        unregister_scenario("test/custom")
-    assert "test/custom" not in scenario_names()
+    custom = entry("test/custom", lambda: Scenario.vanilla().rate(123),
+                   "added by the test suite", "custom-test")
+    with mock.patch.dict(SCENARIOS, {"test/custom": custom}):
+        assert build("test/custom").workload.sending_rate == 123
+        assert build("test/custom").label == "test/custom"
+        assert select(tag="custom-test") == [custom]
+    assert "test/custom" not in SCENARIOS
 
 
 def test_explicit_labels_survive_registration():
     # Even a label that starts with the algorithm name must not be clobbered.
-    register_scenario("test/labelled")(
-        lambda: Scenario.vanilla().label("vanilla baseline run A"))
-    try:
-        assert get_scenario("test/labelled").label == "vanilla baseline run A"
-    finally:
-        unregister_scenario("test/labelled")
+    labelled = entry("test/labelled",
+                     lambda: Scenario.vanilla().label("vanilla baseline run A"))
+    with mock.patch.dict(SCENARIOS, {"test/labelled": labelled}):
+        assert build("test/labelled").label == "vanilla baseline run A"
 
 
 def test_table1_entries_match_the_grid_enumeration():
@@ -117,15 +109,14 @@ def test_table1_entries_match_the_grid_enumeration():
     from repro.config import table1_grid
 
     grid = list(table1_grid())
-    names = scenario_names(tag="table1")
-    assert len(names) == len(grid)
+    assert len(select(tag="table1")) == len(grid)
     sample = grid[0]
     name = (f"table1/{sample.algorithm}/r{sample.workload.sending_rate:g}"
             f"-n{sample.setchain.n_servers}"
             f"-d{sample.ledger.network_delay * 1000:g}")
     if sample.algorithm != "vanilla":
         name += f"-c{sample.setchain.collector_limit}"
-    assert get_scenario(name).setchain == sample.setchain
+    assert build(name).setchain == sample.setchain
 
 
 def test_figure_entries_match_the_harness_grids():
@@ -133,48 +124,34 @@ def test_figure_entries_match_the_harness_grids():
     from repro.experiments.scenarios import figure2_left_scenarios, figure4_scenarios
 
     for config in figure2_left_scenarios():
-        assert get_scenario(f"figure2/{config.algorithm}") == config
+        assert build(f"figure2/{config.algorithm}") == config
     for config in figure4_scenarios():
-        assert get_scenario(f"figure4/{config.algorithm}") == config
+        assert build(f"figure4/{config.algorithm}") == config
 
 
 def test_registering_a_catalog_name_fails_at_the_registration_site():
-    # The clash must surface here, not wedge later lookups of other names.
-    with pytest.raises(ConfigurationError, match="already registered"):
-        register_scenario("base")(lambda: Scenario.vanilla())
-    assert get_scenario("smoke").algorithm == "hashchain"  # registry still works
-
-
-def test_direct_catalog_import_does_not_latch_the_loaded_flag():
-    # `import repro.api.catalog` (sanctioned by its docstring) must not set
-    # _catalog_loaded mid-import via the re-entrant register_scenario calls.
-    import importlib
-    import sys
-
-    import repro.api.registry as reg
-
-    saved_registry = dict(reg._REGISTRY)
-    saved_loaded = reg._catalog_loaded
-    saved_module = sys.modules.pop("repro.api.catalog", None)
-    reg._REGISTRY.clear()
-    reg._catalog_loaded = False
-    try:
-        importlib.import_module("repro.api.catalog")
-        assert reg._catalog_loaded is False
-        assert len(reg.scenario_names()) >= 10  # latches now, fully populated
-        assert reg._catalog_loaded is True
-    finally:
-        reg._REGISTRY.clear()
-        reg._REGISTRY.update(saved_registry)
-        reg._catalog_loaded = saved_loaded
-        if saved_module is not None:
-            sys.modules["repro.api.catalog"] = saved_module
+    # A second entry under a catalog name must fail where it is added,
+    # not silently replace the first.
+    with pytest.raises(ConfigurationError, match="defined twice"):
+        _add("base", tags=(), description="", factory=Scenario.vanilla)
+    assert build("base").algorithm == "hashchain"
 
 
 def test_factory_must_return_builder_or_config():
-    register_scenario("test/broken")(lambda: "nonsense")
-    try:
+    broken = entry("test/broken", lambda: "nonsense")
+    with mock.patch.dict(SCENARIOS, {"test/broken": broken}):
         with pytest.raises(ConfigurationError, match="expected a Scenario"):
-            get_scenario("test/broken")
-    finally:
-        unregister_scenario("test/broken")
+            build("test/broken")
+
+
+def test_import_repro_leaves_the_catalog_unloaded():
+    # The catalog is lazy by import placement alone: only a name lookup and
+    # the command line import it.
+    code = ("import sys, repro; "
+            "print('repro.api.catalog' in sys.modules, "
+            "'repro.api.cli' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.split() == ["False", "False"]

@@ -9,7 +9,8 @@ from unittest import mock
 
 import pytest
 
-from repro.api import RunResult, Scenario, Session, get_scenario, run, scenario_names
+from repro.api import RunResult, Scenario, Session, run
+from repro.api.catalog import SCENARIOS, select
 from repro.api.cli import main
 from repro.api.parallel import RunSpec, reset_run_counters, run_specs
 from repro.core.byzantine import (
@@ -412,7 +413,7 @@ def test_crash_only_schedules_beyond_f_stay_allowed():
     """Crash-beyond-f voids liveness only until recovery — a legitimate
     experiment (chaos/crash/beyond-f); the budget gate only arms when the
     schedule turns servers Byzantine."""
-    config = get_scenario("chaos/crash/beyond-f")
+    config = SCENARIOS["chaos/crash/beyond-f"].build()
     assert config.faults is not None
 
 
@@ -524,11 +525,11 @@ def test_session_become_byzantine_validates_names():
 
 
 def test_catalog_has_a_byz_family_that_builds():
-    names = scenario_names(contains="byz/")
-    assert len(names) >= 15
+    entries = select(contains="byz/")
+    assert len(entries) >= 15
     behaviours_seen = set()
-    for name in names:
-        config = get_scenario(name)
+    for entry in entries:
+        config = entry.build()
         assert config.faults is not None and config.faults.events
         for event in config.faults.events:
             if isinstance(event, BecomeByzantine):

@@ -15,7 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.api.registry import iter_scenarios
+from repro.api.catalog import SCENARIOS
 from repro.api.results import config_echo
 
 MANIFEST = Path(__file__).parent / "golden" / "catalog_configs.json"
@@ -23,9 +23,9 @@ MANIFEST = Path(__file__).parent / "golden" / "catalog_configs.json"
 
 def catalog_manifest() -> dict[str, dict[str, object]]:
     manifest = {}
-    for entry in iter_scenarios():
+    for name, entry in sorted(SCENARIOS.items()):
         echo = json.dumps(config_echo(entry.build()), sort_keys=True)
-        manifest[entry.name] = {
+        manifest[name] = {
             "description": entry.description,
             "tags": sorted(entry.tags),
             "config_sha256": hashlib.sha256(echo.encode()).hexdigest(),

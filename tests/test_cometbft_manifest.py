@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 from test_vanilla_manifest import artifact_digest
 
-from repro.api.registry import get_scenario
+from repro.api.catalog import SCENARIOS
 
 MANIFEST = Path(__file__).parent / "golden" / "cometbft_manifest.json"
 SCALE = 10
@@ -50,7 +50,7 @@ PINNED = (
 
 def test_manifest_covers_the_pinned_selection():
     assert tuple(json.loads(MANIFEST.read_text())) == PINNED
-    assert all(get_scenario(name).ledger_backend == "cometbft"
+    assert all(SCENARIOS[name].build().ledger_backend == "cometbft"
                for name in PINNED)
 
 

@@ -68,11 +68,29 @@ def test_one_byzantine_server_per_shard_builds_and_keeps_the_properties():
     assert session.check_properties() == []
 
 
+def test_a_group_below_quorum_is_refused_without_any_fault():
+    # n=7 derives f=3, and the 3 Vanilla servers can never sign quorum 4.
+    with pytest.raises(ConfigurationError,
+                       match=r"'vanilla' group has 3 member server\(s\) at t=0s"):
+        Scenario.hashchain().mixed(vanilla=3, hashchain=4).build()
+    # A join lifts n=4 to 5 (f=2): the other 2-server group drops below 3,
+    # refused at build and, with the same message, when applied.
+    mixed = _small(Scenario.hashchain().mixed(vanilla=2, hashchain=2))
+    with pytest.raises(ConfigurationError, match="'vanilla' group") as built:
+        mixed.join(1.0).build()
+    session = mixed.session().start()
+    session.run_for(1.0)
+    with pytest.raises(ConfigurationError) as applied:
+        session.apply(Join())
+    assert str(applied.value) == str(built.value)
+
+
 def _mixed_with_joiner(target: str):
-    # 3 vanilla + 3 hashchain; the t=1 s joiner runs the config's algorithm
-    # (hashchain), so server-5 and server-6 share one group.
+    # 3 vanilla + 3 hashchain at f=2; the t=1 s joiner runs the config's
+    # algorithm (hashchain), so server-5 and server-6 share one group, which
+    # a crash of server-3 and one Byzantine member leave with 2 of 4 correct.
     return (_small(Scenario.hashchain().mixed(vanilla=3, hashchain=3))
-            .join(1.0)
+            .byzantine(f=2).join(1.0).crash(1.5, "server-3", until=3.5)
             .become_byzantine(2.0, target, behaviour="silent", until=3.0))
 
 
@@ -113,15 +131,17 @@ def test_interactive_leave_that_shrinks_f_below_the_faults_is_refused():
 
 
 def test_a_leave_on_a_crashed_server_leaves_the_budget_and_drains_on_recovery():
-    # The build charges the t=1 s leave, so n=6 (f=2) from then on.  Were
-    # the run to skip the leave of the crashed server-0, n would stay 7
-    # (f=3) and the t=1.5 s Byzantine turn would leave the 4-server
-    # hashchain group below its quorum of 4.
-    session = (_small(Scenario.hashchain().mixed(vanilla=3, hashchain=4))
+    # Once the crashed server-0 has left, it no longer counts: n=3 (f=1)
+    # takes a Byzantine turn of server-3.  Were the run to skip the leave,
+    # server-0 would still count as crashed, and 1 Byzantine + 1 crashed
+    # would exceed f=1.
+    session = (_small(Scenario.hashchain().servers(4))
                .crash(0.5, "server-0").leave(1.0, "server-0")
-               .become_byzantine(1.5, "server-6", until=3.0)
                .session().start())
-    session.run_for(4.0)
+    session.run_for(1.5)
+    session.apply(BecomeByzantine(targets=Targets(nodes=("server-3",)),
+                                  until=3.0))
+    session.run_for(2.5)
     events = session.deployment.fault_injector.applied
     assert [e["targets"] for e in events if e["kind"] == "leave"] == [["server-0"]]
     leaver = session.deployment.servers[0]
@@ -141,13 +161,13 @@ _GRID = [round(0.5 + 0.25 * step, 2) for step in range(26)]
 def _named_schedules(draw):
     """Distinct named targets: each server is hit by at most one event, and
     no instant is shared, so the static bound is exact.  The heterogeneous
-    layout derives f from n: at n=8 (f=3) the hashchain group keeps its
-    quorum of 4 with one Byzantine member, until a join of either algorithm
-    lifts n to 9 (f=4) — or grows the group too."""
+    layout derives f from n: at n=8 (f=3) each 4-server group sits at its
+    quorum of 4, so a crash is taken while a Byzantine member, a leave, or
+    a join of either algorithm (which lifts n to 9, f=4) is refused."""
     layout = draw(st.sampled_from(["flat", "mixed", "sharded"]))
     sharded = layout == "sharded"
     if layout == "mixed":
-        scenario = Scenario.hashchain().mixed(vanilla=3, hashchain=5)
+        scenario = Scenario.hashchain().mixed(vanilla=4, hashchain=4)
         total = 8
     else:
         per_shard = 3 if sharded else draw(st.sampled_from([4, 5, 6]))
@@ -198,8 +218,8 @@ def _named_schedules(draw):
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_named_schedules())
-@example((_small(Scenario.hashchain().mixed(vanilla=3, hashchain=5)), [
-    BecomeByzantine(at=1.0, targets=Targets(nodes=("server-7",))),
+@example((_small(Scenario.hashchain().mixed(vanilla=4, hashchain=4)), [
+    Crash(at=1.0, until=3.0, targets=Targets(nodes=("server-7",))),
     Join(at=2.0, algorithm="vanilla")]))
 def test_schedules_refused_at_build_are_refused_at_the_same_event_when_applied(case):
     scenario, events = case

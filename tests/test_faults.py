@@ -7,7 +7,8 @@ from unittest import mock
 
 import pytest
 
-from repro.api import Scenario, Session, get_scenario, run, scenario_names
+from repro.api import Scenario, Session, run
+from repro.api.catalog import select
 from repro.api.parallel import RunSpec, reset_run_counters, run_specs
 from repro.config import ExperimentConfig, FaultScheduleConfig
 from repro.core.deployment import build_deployment
@@ -374,10 +375,10 @@ def test_fault_free_artifacts_omit_the_faults_key():
 
 
 def test_catalog_has_at_least_twenty_chaos_scenarios_that_build():
-    names = scenario_names(contains="chaos/")
-    assert len(names) >= 20
-    for name in names:
-        config = get_scenario(name)
+    entries = select(contains="chaos/")
+    assert len(entries) >= 20
+    for entry in entries:
+        config = entry.build()
         assert config.faults is not None and config.faults.events
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Scenario, get_scenario
+from repro.api import Scenario
+from repro.api.catalog import SCENARIOS
 from repro.api.parallel import RunSpec, run_specs
 from repro.core.byzantine import WithholdBehaviour
 from repro.core.deployment import build_deployment
@@ -22,7 +23,6 @@ from repro.core.hashchain import HashchainServer
 from repro.core.properties import check_all, check_consistent_gets
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SignatureScheme
-from repro.faults import Crash, Targets
 from repro.faults.budget import budget_states
 from repro.config import LedgerConfig, SetchainConfig
 from repro.ledger.ideal import IdealLedger
@@ -36,7 +36,7 @@ from repro.workload.elements import make_element
 
 def test_mixed_vanilla_hashchain_satisfies_properties_with_full_quorum():
     """Properties 1-8 hold on a 2+2 mixed cluster, quorum over all 4 servers."""
-    config = get_scenario("mixed/smoke")
+    config = SCENARIOS["mixed/smoke"].build()
     assert config.setchain.quorum == 2  # f=1 over the full 4-server set
     deployment = build_deployment(config, seed=11)
     deployment.start()
@@ -48,7 +48,7 @@ def test_mixed_vanilla_hashchain_satisfies_properties_with_full_quorum():
 
 def test_mixed_cluster_groups_scope_cross_server_checks():
     """Each algorithm group agrees internally; groups are distinct tenants."""
-    config = get_scenario("mixed/smoke")
+    config = SCENARIOS["mixed/smoke"].build()
     deployment = build_deployment(config, seed=3)
     deployment.start()
     deployment.run_to_completion()
@@ -71,7 +71,7 @@ def test_mixed_cluster_groups_scope_cross_server_checks():
 
 def test_mixed_light_groups_do_not_share_batch_stores():
     """hashchain and hashchain-light groups each keep their own store."""
-    config = get_scenario("mixed/light/hashchain-vs-light-n4")
+    config = SCENARIOS["mixed/light/hashchain-vs-light-n4"].build()
     deployment = build_deployment(config)
     light = [s for s in deployment.servers
              if getattr(s, "light", False)]
@@ -224,14 +224,13 @@ def test_a_light_variant_is_its_own_group_at_run_time_as_at_build():
     build-time budget and ``Membership.joining_group`` key it: at the parent
     every server below was in "hashchain"."""
     config = (Scenario.hashchain().mixed(hashchain_light=2, hashchain=3)
-              .backend("ideal").build())
+              .byzantine(f=1).backend("ideal").build())
     deployment = build_deployment(config)
     assert deployment.algorithm_groups() == {
         "server-0": "hashchain-light", "server-1": "hashchain-light",
         "server-2": "hashchain", "server-3": "hashchain", "server-4": "hashchain"}
     assert {server.algorithm for server in deployment.servers} == {"hashchain"}
-    (_, scopes, _), = budget_states(
-        [Crash(at=1.0, targets=Targets(nodes=("server-0",)))], config)
+    (_, scopes, _), = budget_states([], config)
     assert set(scopes) - {""} == set(deployment.algorithm_groups().values())
     assert deployment.membership.joining_group("hashchain-light", None) \
         == "hashchain-light"

@@ -7,7 +7,7 @@ validators, the Prometheus exposition renderer + parser pair, the HTTP
 surfacing (``/metrics?format=prometheus``, health caching headers), the
 byte-identity guarantees: untraced artifacts match the pre-observability
 schema, and trace files are a pure function of ``(scenario, seed, sample)``
-regardless of worker-process count; and the ``repro.obs profile`` tool.
+regardless of worker-process count; and the ``repro profile`` tool.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import pytest
 
 from repro.analysis.metrics import MetricsCollector
 from repro.api import Scenario, Session, run
+from repro.api.cli import _write_collapsed, main as cli_main
 from repro.api.parallel import RunSpec, execute_spec, reset_run_counters, run_specs
 from repro.api.results import RunResult
 from repro.errors import ConfigurationError
 from repro.faults import Crash, Targets
-from repro.obs.__main__ import _write_collapsed, main as obs_main
 from repro.obs.export import (
     export_chrome,
     export_jsonl,
@@ -535,7 +535,7 @@ def test_prometheus_scrapes_while_the_service_ticks():
     assert failures == [] and scrapes[0] > 0
 
 
-# -- python -m repro.obs profile -----------------------------------------------
+# -- repro profile -------------------------------------------------------------
 
 
 def test_write_collapsed_emits_flamegraph_lines(tmp_path):
@@ -567,13 +567,8 @@ def test_write_collapsed_emits_flamegraph_lines(tmp_path):
 
 def test_profile_smoke(tmp_path, capsys):
     out = tmp_path / "profile.pstats"
-    outer = sys.getprofile()
-    try:
-        code = obs_main(["profile", "bench/hashchain-base", "--seed", "2",
-                         "--sort", "cumulative", "--limit", "3",
-                         "--out", str(out)])
-    finally:
-        sys.setprofile(outer)
+    code = cli_main(["profile", "bench/hashchain-base", "--seed", "2",
+                     "--sort", "cumulative", "--limit", "3", "--out", str(out)])
     assert code == 0
     captured = capsys.readouterr().out
     assert "committed=" in captured
@@ -582,5 +577,19 @@ def test_profile_smoke(tmp_path, capsys):
 
 
 def test_profile_rejects_unknown_sort_key():
-    code = obs_main(["profile", "bench/vanilla", "--sort", "bogus"])
+    code = cli_main(["profile", "bench/vanilla", "--sort", "bogus"])
     assert code == 1
+
+
+def test_profile_restores_the_callers_profile_hook(capsys):
+    # An outer profiler (coverage, the reach audit) must keep its hook.
+    def hook(frame, event, arg):
+        pass
+
+    outer = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        assert cli_main(["profile", "smoke", "--limit", "1"]) == 0
+        assert sys.getprofile() is hook
+    finally:
+        sys.setprofile(outer)

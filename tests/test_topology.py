@@ -14,7 +14,8 @@ from unittest import mock
 
 import pytest
 
-from repro.api import RunResult, Scenario, get_scenario, run, scenario_names
+from repro.api import RunResult, Scenario, run
+from repro.api.catalog import SCENARIOS, select
 from repro.api.cli import main
 from repro.api.parallel import reset_run_counters
 from repro.config import ExperimentConfig, RegionSpec, SetchainConfig, TopologyConfig
@@ -305,17 +306,17 @@ def test_run_result_regions_round_trip_and_rebuild():
 # -- scenario families ---------------------------------------------------------
 
 def test_catalog_registers_at_least_thirty_topology_scenarios():
-    names = (scenario_names(contains="wan/") + scenario_names(contains="geo/")
-             + scenario_names(contains="mixed/"))
+    names = [name for name in SCENARIOS
+             if any(family in name for family in ("wan/", "geo/", "mixed/"))]
     assert len(names) >= 30
 
 
 @pytest.mark.parametrize("family", ["wan/", "geo/", "mixed/"])
 def test_every_topology_scenario_builds_a_valid_config(family):
-    names = scenario_names(contains=family)
-    assert names
-    for name in names:
-        config = get_scenario(name)
+    entries = select(contains=family)
+    assert entries
+    for entry in entries:
+        config = entry.build()
         assert config.topology is not None
         assert config.topology.n_servers == config.setchain.n_servers
 
@@ -353,7 +354,7 @@ def test_list_scenarios_json_includes_family(capsys):
 # -- deployment shape ----------------------------------------------------------
 
 def test_heterogeneous_deployment_builds_declared_algorithms():
-    config = get_scenario("mixed/smoke")
+    config = SCENARIOS["mixed/smoke"].build()
     deployment = build_deployment(config)
     algorithms = [server.algorithm for server in deployment.servers]
     assert algorithms == ["vanilla", "vanilla", "hashchain", "hashchain"]

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro import run
-from repro.api.registry import scenario_names
+from repro.api.catalog import SCENARIOS
 from repro.api.parallel import reset_run_counters
 
 MANIFEST = Path(__file__).parent / "golden" / "vanilla_manifest.json"
@@ -31,7 +31,7 @@ SEED = 7
 def pinned_scenarios() -> list[str]:
     """First four scenarios of every family naming vanilla, mixed or hetero."""
     per_family: dict[str, list[str]] = {}
-    for name in scenario_names():
+    for name in sorted(SCENARIOS):
         if "million" in name or name.startswith("stress/"):
             continue
         if any(key in name for key in ("vanilla", "mixed", "hetero")):
