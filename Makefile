@@ -22,11 +22,12 @@ loc:
 	@$(call loc_of,src,src,^src/.*\.py$$)
 	@$(call loc_of,tests/*.py,tests -maxdepth 1,^tests/[^/]*\.py$$)
 
-# The reach audit (ROADMAP item 26): the examples, the five workloads, the
-# paper-shape suite, the *-smoke targets, CI's CLI smoke and a --scale 20
-# sweep of the catalog run under one profile hook; benchmarks/reach.txt is
-# rewritten with every src/ function none of them entered, each classified
-# needed/duplicate/dead (about 16 min).
+# The reach audit (ROADMAP item 26): the examples, the README's python
+# blocks (tests/test_readme.py), the five workloads, the paper-shape suite,
+# the *-smoke targets, CI's CLI smoke and a --scale 20 sweep of the catalog
+# run under one profile hook; benchmarks/reach.txt is rewritten with every
+# src/ function none of them entered, each classified needed/duplicate/dead
+# (about 10 min).
 reach:
 	$(PYTHON) benchmarks/reach.py
 

@@ -1,9 +1,11 @@
 """Reach audit: which ``src/repro`` functions does the system never enter?
 
-    python benchmarks/reach.py          # or: make reach (about 16 min)
+    python benchmarks/reach.py          # or: make reach (about 10 min)
 
-Runs what the system is for -- every example, the five benchmark workloads
-(one untraced measuring child each), the paper-shape suite, the six
+Runs what the system is for -- every example, the README's ``python`` blocks
+(``tests/test_readme.py``, the one block extractor), the five benchmark
+workloads (one setup child and one untraced measuring child each, as
+``benchmarks/e2e/run.py`` runs them), the paper-shape suite, the six
 ``make *-smoke`` targets, CI's CLI smoke and a ``--scale 20`` sweep of the
 whole catalog -- with ``PYTHONHASHSEED=0`` and one profile hook in every
 interpreter they start (``sys.setprofile`` plus ``threading.setprofile``,
@@ -16,10 +18,12 @@ function that no interpreter entered, sorted by path and line,
 where ``lines`` counts the ``def`` through its last line.  A function nested
 in an unentered function goes with its parent and is not listed.  ``class``
 and ``reason`` are carried over from the list being replaced, keyed by
-(path, qualname): ``needed`` (an error path, a public-API method, a protocol
-stub or a diagnostic; the reason says which), ``duplicate`` (fold it into
-the path the system runs) or ``dead`` (delete it with the tests that only
-test it).  A new entry reads ``unclassified -`` until someone decides.
+(path, qualname): ``needed`` (an error path, a protocol stub, a diagnostic,
+or a path a test or the benchmark harness names as its reference; the
+reason says which), ``duplicate`` (fold it into the path the system runs) or
+``dead`` (delete it with the tests that only test it).  "Public" is no
+reason: a name a user needs earns a README block that runs it.  A new entry
+reads ``unclassified -`` until someone decides.
 """
 
 from __future__ import annotations
@@ -97,6 +101,10 @@ def sources(tmp: str, python_path: str) -> list[list[str]]:
                  json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     return [
         *([python, str(path)] for path in sorted((ROOT / "examples").glob("*.py"))),
+        [python, "-m", "pytest", "tests/test_readme.py", "-q",
+         "-p", "no:cacheprovider"],
+        *([python, "benchmarks/e2e/child.py", "setup", name, "7"]
+          for name in workloads),
         *([python, "benchmarks/e2e/child.py", "measure", name, "7", "2", "0"]
           for name in workloads),
         [python, "-m", "pytest", "benchmarks/", "--ignore=benchmarks/e2e",

@@ -18,7 +18,7 @@ serialisable results::
 
     run("figure4/hashchain", scale=50)     # any catalog scenario by name
 
-Interactive control of a deployment (step time, inject, inspect views)::
+Interactive control of a deployment (advance time, inject, inspect views)::
 
     from repro import Session
 

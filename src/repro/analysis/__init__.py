@@ -13,7 +13,7 @@ from .analytical import (
 )
 from .throughput import rolling_throughput, average_throughput, ThroughputSeries
 from .efficiency import efficiency_at, EfficiencyResult
-from .latency import latency_cdf, stage_latencies, LatencyCDF
+from .latency import stage_latencies, LatencyCDF
 from .committime import commit_time_quantiles, CommitTimeSummary
 from .report import render_table, render_series
 
@@ -30,7 +30,6 @@ __all__ = [
     "ThroughputSeries",
     "efficiency_at",
     "EfficiencyResult",
-    "latency_cdf",
     "stage_latencies",
     "LatencyCDF",
     "commit_time_quantiles",

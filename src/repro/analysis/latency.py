@@ -143,8 +143,3 @@ def stage_latencies(metrics: MetricsCollector,
         result["quorum_mempools"] = LatencyCDF("quorum_mempools", tuple(sorted(quorum_latencies)))
         result["all_mempools"] = LatencyCDF("all_mempools", tuple(sorted(all_latencies)))
     return result
-
-
-def latency_cdf(latencies: Sequence[float], stage: str = "committed") -> LatencyCDF:
-    """Build a :class:`LatencyCDF` directly from raw latencies."""
-    return LatencyCDF(stage, tuple(sorted(float(v) for v in latencies)))

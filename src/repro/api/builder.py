@@ -34,7 +34,6 @@ from ..config import (
 from ..errors import ConfigurationError, check_name, did_you_mean
 from ..faults.events import (
     BecomeByzantine,
-    BecomeCorrect,
     Churn,
     Crash,
     DelaySpike,
@@ -371,16 +370,6 @@ class ScenarioBuilder:
         return self.faults(BecomeByzantine(at=at, until=until, targets=targets,
                                            behaviour=behaviour))
 
-    def become_correct(self, at: float, *nodes: str,
-                       region: str | None = None) -> "ScenarioBuilder":
-        """Shed the targeted servers' Byzantine behaviours at ``at``.
-
-        Without ``nodes``/``region`` every Byzantine server reverts — the
-        Byzantine analogue of :meth:`faults`' global ``Heal``.
-        """
-        targets = self._fault_targets(nodes, region, "servers", None)
-        return self.faults(BecomeCorrect(at=at, targets=targets))
-
     def churn(self, at: float, until: float, period: float, count: int = 1,
               *, role: str = "servers",
               region: str | None = None) -> "ScenarioBuilder":
@@ -474,19 +463,6 @@ class ScenarioBuilder:
     def seed(self, value: int) -> "ScenarioBuilder":
         """Deterministic seed for the workload generator and simulator."""
         return self._fork("workload", seed=int(value))
-
-    def element_size(self, mean: float, std: float | None = None) -> "ScenarioBuilder":
-        """Element size distribution in bytes (defaults match the Arbitrum trace)."""
-        overrides: dict[str, Any] = {"element_size_mean": float(mean)}
-        if std is not None:
-            overrides["element_size_std"] = float(std)
-        return self._fork("workload", **overrides)
-
-    # -- implementation choices ------------------------------------------------
-
-    def compressor(self, name: str) -> "ScenarioBuilder":
-        """Compresschain codec: ``"model"`` (paper ratios) or ``"zlib"``."""
-        return self._fork("setchain", compressor=str(name))
 
     def label(self, text: str) -> "ScenarioBuilder":
         """Label used by reports (auto-derived when not set)."""

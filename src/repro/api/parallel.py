@@ -1,8 +1,8 @@
 """Parallel scenario execution for sweeps and benchmarks.
 
 Registry sweeps are embarrassingly parallel — every scenario runs its own
-simulator, RNG, and deployment — so :func:`run_specs` fans a list of
-:class:`RunSpec` out over a :mod:`multiprocessing` pool and returns the
+simulator, RNG, and deployment — so :func:`iter_spec_results` fans a list of
+:class:`RunSpec` out over a :mod:`multiprocessing` pool and yields the
 :class:`~repro.api.results.RunResult` objects in input order.
 
 Determinism: two global id counters (element ids in
@@ -26,15 +26,11 @@ from typing import Iterator, Sequence
 from .results import RunResult
 
 
-def default_jobs() -> int:
-    """Worker count for ``--jobs auto``: one per available core."""
-    return os.cpu_count() or 1
-
-
 def jobs_arg(text: str) -> int:
-    """argparse ``type=`` parser for ``--jobs N|auto`` (shared by the CLIs)."""
+    """argparse ``type=`` parser for ``--jobs N|auto`` (shared by the CLIs);
+    ``auto`` is one worker per available core."""
     if text == "auto":
-        return default_jobs()
+        return os.cpu_count() or 1
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("jobs must be >= 1 (or 'auto')")
@@ -112,8 +108,3 @@ def iter_spec_results(specs: Sequence[RunSpec],
         return
     with multiprocessing.Pool(processes=min(jobs, len(specs))) as pool:
         yield from pool.imap(execute_spec, specs)
-
-
-def run_specs(specs: Sequence[RunSpec], jobs: int = 1) -> list[RunResult]:
-    """Run every spec, ``jobs`` at a time, returning results in input order."""
-    return list(iter_spec_results(specs, jobs=jobs))

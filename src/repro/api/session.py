@@ -3,7 +3,7 @@
 :class:`Session` builds the :class:`~repro.core.deployment.Deployment` for
 a scenario and hands control of simulated time to the caller: run to the
 configured horizon in one call (:meth:`Session.run`, which is all
-:func:`repro.api.run` does), or start the cluster, step the simulator,
+:func:`repro.api.run` does), or start the cluster, advance simulated time,
 inject individual elements, inspect ``SetchainView`` snapshots and
 per-server backlog mid-run.  Faults are applied mid-run with
 :meth:`Session.apply`, which takes the same :mod:`repro.faults` events a
@@ -34,8 +34,6 @@ from .builder import ScenarioBuilder
 from .results import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
-
     from ..core.types import SetchainView
     from ..faults.events import FaultEvent
 
@@ -55,31 +53,31 @@ def _resolve_config(scenario: "ScenarioBuilder | ExperimentConfig | str") -> Exp
 
 
 class Session:
-    """A started-on-demand deployment with incremental control of sim time."""
+    """A started-on-demand deployment with incremental control of sim time.
 
-    def __init__(self, scenario: "ScenarioBuilder | ExperimentConfig | str",
-                 *, scale: float = 1.0, seed: int | None = None,
-                 inject: bool = True, db_path: "str | Path | None" = None) -> None:
-        from ..experiments.runner import scaled_config
-        self.config = scaled_config(_resolve_config(scenario), scale)
+    ``scenario`` may also be a :class:`Deployment` built by the caller:
+    service mode builds its own, on the database it owns, and starts it
+    without the batch injection clients.
+    """
+
+    def __init__(self, scenario: "ScenarioBuilder | ExperimentConfig | str | Deployment",
+                 *, scale: float = 1.0, seed: int | None = None) -> None:
         self.scale = scale
-        self.deployment: Deployment = build_deployment(self.config, seed=seed,
-                                                       db_path=db_path)
-        self._started = False
-        self._inject_clients = inject
+        if isinstance(scenario, Deployment):
+            self.deployment = scenario
+        else:
+            from ..experiments.runner import scaled_config
+            self.deployment = build_deployment(
+                scaled_config(_resolve_config(scenario), scale), seed=seed)
+        self.config = self.deployment.config
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "Session":
-        """Start ledger block production, servers, and client injection.
-
-        Sessions built with ``inject=False`` start everything except the
-        batch injection clients (service mode streams its own workload).
-        """
-        if self._started:
+        """Start ledger block production, servers, and client injection."""
+        if self.deployment.started:
             raise SimulationError("session already started")
-        self.deployment.start(inject=self._inject_clients)
-        self._started = True
+        self.deployment.start()
         return self
 
     def stop(self) -> None:
@@ -87,12 +85,8 @@ class Session:
         :meth:`Deployment.stop`."""
         self.deployment.stop()
 
-    @property
-    def started(self) -> bool:
-        return self._started
-
     def __enter__(self) -> "Session":
-        if not self._started:
+        if not self.deployment.started:
             self.start()
         return self
 
@@ -100,7 +94,7 @@ class Session:
         return None
 
     def _require_started(self) -> None:
-        if not self._started:
+        if not self.deployment.started:
             raise SimulationError("session not started; call start() or use "
                                   "the session as a context manager")
 
@@ -110,11 +104,6 @@ class Session:
     def now(self) -> float:
         """Current simulated time (seconds)."""
         return self.deployment.sim.now
-
-    def step(self) -> bool:
-        """Process exactly one simulation event; False when none are pending."""
-        self._require_started()
-        return self.deployment.sim.step()
 
     def run_for(self, duration: float) -> "Session":
         """Advance simulated time by ``duration`` seconds."""

@@ -29,9 +29,6 @@ class CompressedBatch:
             return float("inf")
         return self.original_size / self.compressed_size
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 class Compressor(ABC):
     """Compress/decompress collector batches."""

@@ -234,11 +234,6 @@ class BaseSetchainServer(NetworkNode, Application):
         """Whether a Byzantine behaviour strategy is currently attached."""
         return self._byz is not None
 
-    @property
-    def byzantine_behaviour(self) -> str | None:
-        """Name of the active behaviour (``None`` when correct)."""
-        return self._byz.name if self._byz is not None else None
-
     def become_byzantine(self, behaviour: "ByzantineBehaviour | str") -> None:
         """Adopt a Byzantine behaviour strategy, mid-run or at construction.
 
@@ -366,10 +361,6 @@ class BaseSetchainServer(NetworkNode, Application):
 
     def epoch_elements(self, epoch_number: int) -> frozenset[Element] | None:
         return self._history.get(epoch_number)
-
-    def committed_epoch_numbers(self) -> set[int]:
-        """Epochs this server has seen reach f+1 distinct proofs."""
-        return set(self._committed_epochs)
 
     def _record_new_epoch(self, ids: tuple[int, ...], elements: tuple[Element, ...],
                           block: Block) -> EpochProof:

@@ -61,7 +61,6 @@ class BatchStore:
 
     def __init__(self) -> None:
         self._batches: dict[str, tuple[object, ...]] = {}
-        self._local_hashes: set[str] = set()
         #: Number of Request_batch calls served to peers.
         self.served_requests = 0
         #: Number of batches recovered from peers (hash-reversal successes).
@@ -70,13 +69,9 @@ class BatchStore:
     def __contains__(self, batch_hash: str) -> bool:
         return batch_hash in self._batches
 
-    def __len__(self) -> int:
-        return len(self._batches)
-
     def register_local(self, batch_hash: str, items: tuple[object, ...]) -> None:
         """``Register_batch`` for a batch this server built itself."""
         self._batches[batch_hash] = items
-        self._local_hashes.add(batch_hash)
 
     def register_remote(self, batch_hash: str, items: tuple[object, ...]) -> None:
         """Store a batch recovered from a peer via ``Request_batch``."""
@@ -94,10 +89,6 @@ class BatchStore:
         if items is not None:
             self.served_requests += 1
         return items
-
-    def is_local(self, batch_hash: str) -> bool:
-        """True if this server originated the batch (no hash-reversal needed)."""
-        return batch_hash in self._local_hashes
 
     def items(self) -> list[tuple[str, tuple[object, ...]]]:
         """Every stored ``(hash, batch)`` pair, for journaling/checkpointing."""

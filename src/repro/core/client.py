@@ -1,6 +1,7 @@
 """The light client workflow (paper §2, "Setchain Epoch-proofs").
 
-A client adds an element through a *single* server and later gets the
+A client adds an element through a *single* server (``Session.inject``,
+through ``Deployment.admit`` like every other element) and later gets the
 Setchain state from a (possibly different) single server.  It trusts an epoch
 — and therefore the inclusion of its element — once the returned ``proofs``
 set contains at least ``f + 1`` valid epoch-proofs for that epoch from
@@ -43,17 +44,8 @@ class SetchainClient:
         self.name = name
         self.scheme = scheme
         self.quorum = quorum
-        #: Elements this client has added, for bookkeeping.
-        self.added: list[Element] = []
 
     # -- operations ----------------------------------------------------------------
-
-    def add(self, server: BaseSetchainServer, element: Element) -> bool:
-        """``S.add_v(e)`` against a single server ``v``."""
-        accepted = server.add(element)
-        if accepted:
-            self.added.append(element)
-        return accepted
 
     def get(self, server: BaseSetchainServer) -> SetchainView:
         """``S.get_w()`` against a single server ``w``."""

@@ -37,9 +37,6 @@ class Collector:
         self.size_flushes = 0
         self.timeout_flushes = 0
 
-    def __len__(self) -> int:
-        return len(self._batch)
-
     @property
     def pending(self) -> tuple[object, ...]:
         """Current batch contents (defensive copy, for external inspection).

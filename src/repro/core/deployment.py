@@ -143,14 +143,6 @@ class Deployment:
         if stop is not None:
             stop()
 
-    def __enter__(self) -> "Deployment":
-        if not self._started:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     def run(self, until: float | None = None) -> None:
         """Run the simulation for the configured experiment duration.
 

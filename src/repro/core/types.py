@@ -51,9 +51,6 @@ class EpochProof(SlotValue):
     def __hash__(self) -> int:
         return self._hash
 
-    def canonical_bytes(self) -> bytes:
-        return self._canonical
-
 
 def hash_batch_payload(batch_hash: str) -> str:
     """Canonical string a server signs when emitting a hash-batch."""
@@ -83,9 +80,6 @@ class HashBatch(SlotValue):
         #: Canonical encoding (hashed once per batch).
         self._canonical = (f"hash-batch|{batch_hash}|{signer}|"
                            f"{signature.hex()}").encode()
-
-    def canonical_bytes(self) -> bytes:
-        return self._canonical
 
 
 @dataclass(frozen=True)

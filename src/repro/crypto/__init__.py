@@ -12,15 +12,13 @@ key.  This package provides, on the standard library alone:
 * :mod:`repro.crypto.keys` — key pairs and the PKI registry.
 """
 
-from .hashing import sha512_hex, hash_batch, hash_epoch, hash_bytes, canonical_bytes_of
+from .hashing import hash_batch, hash_epoch, canonical_bytes_of
 from .keys import KeyPair, PublicKeyInfrastructure
 from .signatures import SignatureScheme
 
 __all__ = [
-    "sha512_hex",
     "hash_batch",
     "hash_epoch",
-    "hash_bytes",
     "canonical_bytes_of",
     "KeyPair",
     "PublicKeyInfrastructure",

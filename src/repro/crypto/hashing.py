@@ -8,8 +8,8 @@ canonical encodings before hashing, which also matches the paper's observation
 (Appendix G) that implementations impose a deterministic internal order.
 
 The canonical encodings themselves are cached on the objects
-(``Element``/``EpochProof``/``HashBatch`` compute ``canonical_bytes()`` once
-at construction), so hashing a batch is a sort of precomputed byte strings
+(``Element``/``EpochProof``/``HashBatch`` compute ``_canonical`` once at
+construction), so hashing a batch is a sort of precomputed byte strings
 plus one SHA-512 pass; and a deployment hashes each flushed batch and each
 epoch once, not once per server (``SignatureScheme`` holds the memos).
 """
@@ -20,36 +20,21 @@ import hashlib
 from typing import Iterable
 
 
-def sha512_hex(data: bytes) -> str:
-    """Hex-encoded SHA-512 of ``data`` (the paper's hash function, FIPS 180-4)."""
-    return hashlib.sha512(data).hexdigest()
-
-
-def hash_bytes(data: bytes) -> bytes:
-    """Raw SHA-512 digest of ``data``."""
-    return hashlib.sha512(data).digest()
-
-
-def _canonical_item(item: object) -> bytes:
+def canonical_bytes_of(item: object) -> bytes:
     """Stable byte encoding of a batch/epoch item.
 
     Supports the payload types that flow through the algorithms: bytes,
-    strings, and objects exposing ``canonical_bytes()`` (elements and
-    epoch-proofs).
+    strings, and the value types that cache theirs in ``_canonical``
+    (elements, epoch-proofs and hash-batches).
     """
-    canonical = getattr(item, "canonical_bytes", None)
-    if callable(canonical):
-        return canonical()
+    canonical = getattr(item, "_canonical", None)
+    if canonical is not None:
+        return canonical
     if isinstance(item, bytes):
         return item
     if isinstance(item, str):
         return item.encode()
     return repr(item).encode()
-
-
-def canonical_bytes_of(item: object) -> bytes:
-    """Public alias of the canonical item encoding (used by compressors too)."""
-    return _canonical_item(item)
 
 
 def canonical_many(items: Iterable[object]) -> list[bytes]:
@@ -60,7 +45,7 @@ def canonical_many(items: Iterable[object]) -> list[bytes]:
     per item, which adds up over million-element flushes.  Anything else goes
     through the generic :func:`canonical_bytes_of` dispatch.
     """
-    return [getattr(item, "_canonical", None) or _canonical_item(item)
+    return [getattr(item, "_canonical", None) or canonical_bytes_of(item)
             for item in items]
 
 

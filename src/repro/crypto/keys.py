@@ -66,19 +66,5 @@ class PublicKeyInfrastructure:
             raise CryptoError(f"owner {owner!r} already registered with a different key")
         self._keys[owner] = public
 
-    def public_key_of(self, owner: str) -> bytes:
-        """Public key bound to ``owner``; raises :class:`CryptoError` if unknown."""
-        try:
-            return self._keys[owner]
-        except KeyError:
-            raise CryptoError(f"no public key registered for {owner!r}") from None
-
     def knows(self, owner: str) -> bool:
         return owner in self._keys
-
-    def owners(self) -> list[str]:
-        """All registered process identifiers, sorted for determinism."""
-        return sorted(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)

@@ -328,7 +328,7 @@ class MessageLoss(FaultEvent):
                    note=f"rate={rate:g}", open_ended=self.until is None)
         if self.until is not None:
             ctx.sim.call_at(self.until,
-                            lambda: ctx.network.remove_drop_rule(rule))
+                            lambda: ctx.network.remove_rule(rule))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -363,7 +363,7 @@ class Duplicate(FaultEvent):
                    note=f"rate={rate:g}", open_ended=self.until is None)
         if self.until is not None:
             ctx.sim.call_at(self.until,
-                            lambda: ctx.network.remove_duplicate_rule(rule))
+                            lambda: ctx.network.remove_rule(rule))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -400,7 +400,7 @@ class DelaySpike(FaultEvent):
                    open_ended=self.until is None)
         if self.until is not None:
             ctx.sim.call_at(self.until,
-                            lambda: ctx.network.remove_delay_rule(rule))
+                            lambda: ctx.network.remove_rule(rule))
 
 
 @dataclass(frozen=True, kw_only=True)

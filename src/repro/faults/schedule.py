@@ -49,11 +49,6 @@ class FaultScheduleConfig:
         times += [event.until for event in self.events if event.until is not None]
         return max(times, default=0.0)
 
-    def extended(self, *events: FaultEvent) -> "FaultScheduleConfig":
-        """A copy with ``events`` appended."""
-        return FaultScheduleConfig(events=self.events + tuple(events),
-                                   availability_window=self.availability_window)
-
     # -- serialisation ----------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:

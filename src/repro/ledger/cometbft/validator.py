@@ -40,20 +40,6 @@ class ValidatorSet:
         """Members of the most recent epoch, sorted."""
         return self._epochs[-1][1]
 
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
-    @property
-    def max_faulty(self) -> int:
-        """Largest f with f < n/3."""
-        return (self.size - 1) // 3
-
-    @property
-    def quorum(self) -> int:
-        """Votes needed to progress: 2f + 1."""
-        return 2 * self.max_faulty + 1
-
     # -- height-keyed view ------------------------------------------------------
 
     def names_at(self, height: int) -> tuple[str, ...]:

@@ -27,12 +27,6 @@ class Mempool:
         #: Simulated time each tx_id first entered this mempool (latency stage 1-3).
         self.arrival_times: dict[int, float] = {}
 
-    def __len__(self) -> int:
-        return len(self._txs)
-
-    def __contains__(self, tx_id: int) -> bool:
-        return tx_id in self._txs
-
     @property
     def size_bytes(self) -> int:
         return self._bytes

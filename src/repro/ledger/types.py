@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from ..errors import LedgerError
 from ..values import SlotValue
@@ -61,8 +61,8 @@ def new_transaction(payload: Any, size_bytes: int, origin: str,
 class Block:
     """A finalized ledger block: an ordered sequence of transactions.
 
-    ``B[i]`` in the paper is 1-indexed; here :meth:`__getitem__` is 0-indexed
-    like normal Python, and iteration yields transactions in order.
+    ``B[i]`` in the paper is 1-indexed; ``transactions[i]`` is 0-indexed like
+    normal Python.
     """
 
     height: int
@@ -73,17 +73,3 @@ class Block:
     def __post_init__(self) -> None:
         if self.height < 1:
             raise LedgerError("block heights start at 1")
-
-    def __len__(self) -> int:
-        return len(self.transactions)
-
-    def __iter__(self) -> Iterator[Transaction]:
-        return iter(self.transactions)
-
-    def __getitem__(self, index: int) -> Transaction:
-        return self.transactions[index]
-
-    @property
-    def size_bytes(self) -> int:
-        """Total modelled size of the block body."""
-        return sum(tx.size_bytes for tx in self.transactions)

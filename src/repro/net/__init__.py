@@ -14,7 +14,6 @@ correct ones.
 from .message import Message
 from .latency import (
     LatencyModel,
-    ConstantLatency,
     UniformLatency,
     lan_profile,
     wan_profile,
@@ -25,7 +24,6 @@ from .node import NetworkNode
 __all__ = [
     "Message",
     "LatencyModel",
-    "ConstantLatency",
     "UniformLatency",
     "lan_profile",
     "wan_profile",

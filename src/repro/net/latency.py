@@ -35,22 +35,6 @@ class LatencyModel(ABC):
         """
 
 
-class ConstantLatency(LatencyModel):
-    """Fixed delay for every message; optional per-byte transmission cost."""
-
-    def __init__(self, base: float = 0.001, per_byte: float = 0.0,
-                 extra_delay: float = 0.0) -> None:
-        super().__init__(extra_delay)
-        if base < 0 or per_byte < 0:
-            raise ConfigurationError("latency parameters cannot be negative")
-        self.base = base
-        self.per_byte = per_byte
-
-    def delay(self, rng: DeterministicRNG, sender: str, recipient: str,
-              size_bytes: int) -> float:
-        return self.base + self.per_byte * size_bytes + self.extra_delay
-
-
 class UniformLatency(LatencyModel):
     """Delay drawn uniformly from ``[low, high]`` plus per-byte transmission cost."""
 

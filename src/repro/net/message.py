@@ -36,8 +36,3 @@ class Message:
     payload: Any
     size_bytes: int = 0
     msg_id: int = field(default_factory=lambda: next(_msg_counter))
-
-    def reply(self, msg_type: str, payload: Any, size_bytes: int = 0) -> "Message":
-        """Build a response message addressed back to the sender."""
-        return Message(sender=self.recipient, recipient=self.sender,
-                       msg_type=msg_type, payload=payload, size_bytes=size_bytes)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from ..errors import NetworkError
 from ..sim.scheduler import Simulator
-from .latency import ConstantLatency, LatencyModel
+from .latency import LatencyModel
 from .message import Message
 from .node import NetworkNode
 
@@ -40,9 +40,9 @@ class Network:
     declaratively by :mod:`repro.faults` and remain usable directly in tests.
     """
 
-    def __init__(self, sim: Simulator, latency: LatencyModel | None = None) -> None:
+    def __init__(self, sim: Simulator, latency: LatencyModel) -> None:
         self.sim = sim
-        self.latency = latency if latency is not None else ConstantLatency()
+        self.latency = latency
         self._nodes: dict[str, NetworkNode] = {}
         self._drop_rules: list[DropRule] = []
         self._duplicate_rules: list[DuplicateRule] = []
@@ -54,7 +54,7 @@ class Network:
         #: slow path on this single flag, so the fault-free hot path builds
         #: no envelope and walks no rule list.
         self._faulty = False
-        #: Sorted node names, rebuilt on registration (broadcast hot path).
+        #: Sorted node names, rebuilt on registration (multicast hot path).
         self._sorted_names: tuple[str, ...] = ()
         #: Names of nodes that retired; sends to them drop instead of erroring.
         self._departed: set[str] = set()
@@ -107,9 +107,6 @@ class Network:
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     # -- fault injection -------------------------------------------------------
 
     def _refresh_faulty(self) -> None:
@@ -121,20 +118,9 @@ class Network:
         self._drop_rules.append(rule)
         self._refresh_faulty()
 
-    def remove_drop_rule(self, rule: DropRule) -> None:
-        """Uninstall a drop rule (no-op if it is not installed)."""
-        if rule in self._drop_rules:
-            self._drop_rules.remove(rule)
-        self._refresh_faulty()
-
     def add_duplicate_rule(self, rule: DuplicateRule) -> None:
         """Deliver a second copy of every message for which ``rule`` is true."""
         self._duplicate_rules.append(rule)
-        self._refresh_faulty()
-
-    def remove_duplicate_rule(self, rule: DuplicateRule) -> None:
-        if rule in self._duplicate_rules:
-            self._duplicate_rules.remove(rule)
         self._refresh_faulty()
 
     def add_delay_rule(self, rule: DelayRule) -> None:
@@ -142,9 +128,13 @@ class Network:
         self._delay_rules.append(rule)
         self._refresh_faulty()
 
-    def remove_delay_rule(self, rule: DelayRule) -> None:
-        if rule in self._delay_rules:
-            self._delay_rules.remove(rule)
+    def remove_rule(self, rule: DropRule | DelayRule) -> None:
+        """Uninstall a drop, duplicate or delay rule (no-op if it is not
+        installed)."""
+        for rules in (self._drop_rules, self._duplicate_rules,
+                      self._delay_rules):
+            if rule in rules:
+                rules.remove(rule)
         self._refresh_faulty()
 
     @staticmethod

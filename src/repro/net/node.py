@@ -97,23 +97,6 @@ class NetworkNode:
         self.bytes_sent += size_bytes
         self.network.transmit(message)
 
-    def broadcast(self, msg_type: str, payload: Any, size_bytes: int = 0,
-                  include_self: bool = False) -> None:
-        """Send the same message to every registered node (optionally including self).
-
-        Routed through :meth:`~repro.net.network.Network.multicast`, so the
-        payload object and size accounting are shared across recipients.
-        Silently dropped while crashed.
-        """
-        if self.crashed:
-            return
-        network = self.network
-        recipients = network.node_names() if include_self else None
-        sent = network.multicast(self.name, msg_type, payload, size_bytes,
-                                 recipients=recipients)
-        self.messages_sent += sent
-        self.bytes_sent += size_bytes * sent
-
     # -- receiving ------------------------------------------------------------
 
     def deliver(self, message: Message) -> None:

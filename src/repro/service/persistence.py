@@ -13,10 +13,11 @@ the chain (``repro service inspect``).
 
 The database path is deliberately *not* an :class:`~repro.config.ExperimentConfig`
 field: configs are echoed byte-for-byte into ``RunResult`` artifacts, and the
-golden artifacts must stay identical.  It is an argument instead
-(``build_deployment(config, db_path=...)``, ``Session(..., db_path=...)``);
-without one the ``sqlite`` backend runs on ``:memory:`` and behaves exactly
-like the ideal ledger.
+golden artifacts must stay identical.  It is an argument instead,
+``build_deployment(config, db_path=...)``, which ``ServiceRuntime(db=...)``
+calls: the runtime opens the database, closes it on ``stop()`` and rolls it
+back on ``kill()``.  Without one the ``sqlite`` backend runs on ``:memory:``
+and behaves exactly like the ideal ledger.
 """
 
 from __future__ import annotations

@@ -32,8 +32,10 @@ from typing import Any, Iterator
 from ..analysis.throughput import PAPER_ROLLING_WINDOW, recent_throughput
 from ..api.results import RunResult
 from ..api.session import Session, _resolve_config
+from ..core.deployment import build_deployment
 from ..core.types import HashBatch
 from ..errors import ConfigurationError, SimulationError
+from ..experiments.runner import scaled_config
 from ..faults.events import Crash, FaultEvent, Recover, Targets
 from ..workload.elements import Element, make_elements
 from .persistence import SqliteLedger
@@ -66,14 +68,16 @@ class ServiceRuntime:
         config = _resolve_config(scenario)
         if self.db_path is not None:
             config = config.with_overrides(ledger_backend="sqlite")
-        self.session = Session(config, scale=scale, seed=seed, inject=False,
-                               db_path=self.db_path)
-        self.deployment = self.session.deployment
-        self.config = self.session.config
+        # The runtime owns the database: it opens it here and closes (stop)
+        # or abandons (kill) it, so it builds the deployment itself.
+        self.deployment = build_deployment(scaled_config(config, scale),
+                                           seed=seed, db_path=self.db_path)
+        self.config = self.deployment.config
 
         #: Blocks replayed from a persisted ledger at startup (0 for fresh runs).
         self.recovered_blocks = self._restore()
-        self.session.start()
+        self.deployment.start(inject=False)
+        self.session = Session(self.deployment, scale=scale)
 
         self._lock = threading.RLock()
         self._queue: deque[tuple[str, int]] = deque()

@@ -81,10 +81,6 @@ class Element(SlotValue):
     def __hash__(self) -> int:
         return self._hash
 
-    def canonical_bytes(self) -> bytes:
-        """Stable encoding used for batch/epoch hashing (cached)."""
-        return self._canonical
-
 
 def make_element(client: str, size_bytes: int, body_digest: str = "",
                  created_at: float = 0.0, valid: bool = True,

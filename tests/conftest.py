@@ -8,11 +8,23 @@ from repro.config import LedgerConfig, SetchainConfig
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SignatureScheme
 from repro.ledger.ideal import IdealLedger
-from repro.net.latency import ConstantLatency
+from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
 from repro.workload.generator import ArbitrumLikeGenerator
 from repro.sim.rng import DeterministicRNG
+
+
+class ConstantLatency(LatencyModel):
+    """The tests' latency model: a fixed delay (plus a per-byte cost), so
+    same-instant deliveries are easy to arrange."""
+
+    def __init__(self, base=0.001, per_byte=0.0, extra_delay=0.0) -> None:
+        super().__init__(extra_delay)
+        self.base, self.per_byte = base, per_byte
+
+    def delay(self, rng, sender, recipient, size_bytes):
+        return self.base + self.per_byte * size_bytes + self.extra_delay
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from repro.analysis.analytical import (
 )
 from repro.analysis.committime import commit_time_quantiles
 from repro.analysis.efficiency import efficiency_at, efficiency_profile
-from repro.analysis.latency import latency_cdf, stage_latencies
+from repro.analysis.latency import LatencyCDF, stage_latencies
 from repro.analysis.metrics import MetricsCollector
 from repro.analysis.report import render_series, render_table
 from repro.analysis.throughput import (
@@ -199,7 +199,7 @@ def test_efficiency_uses_total_added_override():
 # -- latency ------------------------------------------------------------------------------
 
 def test_latency_cdf_quantiles_and_fractions():
-    cdf = latency_cdf([1.0, 2.0, 3.0, 4.0])
+    cdf = LatencyCDF("committed", (1.0, 2.0, 3.0, 4.0))
     assert cdf.count == 4
     assert cdf.fraction_below(2.0) == pytest.approx(0.5)
     assert cdf.fraction_below(10.0) == 1.0
@@ -286,7 +286,7 @@ def test_stdlib_forms_match_arange_searchsorted_histogram_quantile_linspace():
             nearest = int(np.argmin(np.abs(np.asarray(series.times) - probe)))
             assert series.at(probe) == series.values[nearest]
 
-        cdf = latency_cdf(commits)
+        cdf = LatencyCDF("committed", tuple(sorted(commits)))
         for q in (0.0, 0.5, 0.9, 0.99, 1.0, rng.random(), rng.random()):
             assert cdf.quantile(q) == float(np.quantile(times, q))
         points = rng.choice((1, 2, 10, 100, rng.randrange(3, 60)))

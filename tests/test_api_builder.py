@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Scenario, ScenarioBuilder
+from repro.api import Scenario
 from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
 
@@ -90,12 +90,3 @@ def test_backend_validation():
 def test_auto_label_matches_legacy_format():
     config = Scenario.hashchain().rate(5_000).collector(500).servers(7).build()
     assert config.label == "hashchain rate=5000 c=500 n=7"
-
-
-def test_from_config_round_trips():
-    original = (Scenario.compresschain().rate(2_500).servers(7).collector(500)
-                .delay_ms(100).byzantine(f=3).backend("ideal")
-                .label("round-trip").build())
-    rebuilt = ScenarioBuilder.from_config(original).build()
-    assert rebuilt == original
-

@@ -25,10 +25,6 @@ def test_run_returns_a_populated_result(result: RunResult):
     assert result.first_commit is not None
 
 
-def test_dict_round_trip_is_exact(result: RunResult):
-    assert RunResult.from_dict(result.to_dict()) == result
-
-
 def test_json_round_trip_is_exact(result: RunResult):
     assert RunResult.from_json(result.to_json()) == result
     # ... even through an actual parse/re-serialise cycle.

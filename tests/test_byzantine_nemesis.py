@@ -12,11 +12,10 @@ import pytest
 from repro.api import RunResult, Scenario, Session, run
 from repro.api.catalog import SCENARIOS, select
 from repro.api.cli import main
-from repro.api.parallel import RunSpec, reset_run_counters, run_specs
+from repro.api.parallel import RunSpec, iter_spec_results, reset_run_counters
 from repro.core.byzantine import (
     BEHAVIOURS,
     ByzantineBehaviour,
-    WithholdBehaviour,
     resolve_behaviour,
 )
 from repro.core.deployment import build_deployment
@@ -62,17 +61,17 @@ def test_server_becomes_byzantine_and_back_mid_run():
     deployment.start()
     deployment.sim.run_until(1.0)
     server = deployment.servers[3]
-    assert not server.is_byzantine and server.byzantine_behaviour is None
+    assert not server.is_byzantine
     deployment.apply(BecomeByzantine(targets=SERVER_3, behaviour="withhold"))
-    assert server.is_byzantine and server.byzantine_behaviour == "withhold"
+    assert server.is_byzantine and server._byz.name == "withhold"
     # An already-Byzantine server belongs to the event that turned it.
     (skipped,) = deployment.apply(
         BecomeByzantine(targets=SERVER_3, behaviour="silent"))
     assert "skipped" in skipped["note"]
-    assert server.byzantine_behaviour == "withhold"
+    assert server._byz.name == "withhold"
     # Switching behaviours on the server detaches the previous one first.
     server.become_byzantine("silent")
-    assert server.byzantine_behaviour == "silent"
+    assert server._byz.name == "silent"
     deployment.apply(BecomeCorrect(targets=SERVER_3))
     assert not server.is_byzantine
     deployment.apply(BecomeCorrect(targets=SERVER_3))  # idempotent
@@ -349,7 +348,7 @@ def test_auto_revert_skips_servers_reclaimed_by_a_later_event():
     deployment.start()
     deployment.sim.run_until(3.5)
     # The first window's t=3 auto-revert must not release the second claim.
-    assert deployment.servers[9].byzantine_behaviour == "withhold"
+    assert deployment.servers[9]._byz.name == "withhold"
     deployment.sim.run_until(6.5)
     assert not deployment.servers[9].is_byzantine
 
@@ -366,7 +365,7 @@ def test_become_byzantine_on_already_byzantine_target_skips():
     deployment.sim.run_until(4.0)
     # The overlapping event was skipped: the original behaviour survives its
     # window, and the skipped event opened no Byzantine window of its own.
-    assert deployment.servers[9].byzantine_behaviour == "silent"
+    assert deployment.servers[9]._byz.name == "silent"
     skipped = [entry for entry in deployment.fault_injector.applied
                if "skipped" in entry.get("note", "")]
     assert len(skipped) == 1 and skipped[0]["at"] == 2.0
@@ -427,7 +426,7 @@ def test_open_ended_byzantine_counts_until_matching_become_correct():
     # An interposed BecomeCorrect closes the window statically.
     config = (byz_scenario()
               .become_byzantine(1.0, "server-3", behaviour="silent")
-              .become_correct(1.5, "server-3")
+              .faults(BecomeCorrect(at=1.5, targets=Targets(nodes=("server-3",))))
               .crash(2.0, count=1, until=3.0)
               .build())
     assert config.faults is not None
@@ -497,7 +496,7 @@ def test_builder_sugar_builds_events_and_round_trips():
     config = (byz_scenario()
               .become_byzantine(1.0, "server-3", behaviour="withhold",
                                 until=2.0)
-              .become_correct(3.0, "server-3")
+              .faults(BecomeCorrect(at=3.0, targets=Targets(nodes=("server-3",))))
               .build())
     events = config.faults.events
     assert [type(e) for e in events] == [BecomeByzantine, BecomeCorrect]
@@ -548,8 +547,8 @@ def test_byz_scenarios_are_byte_identical_to_goldens(scenario, artifact):
 def test_same_byz_seed_same_json_regardless_of_jobs():
     specs = [RunSpec(name="byz/smoke", seed=7),
              RunSpec(name="byz/golden/vanilla-silent", seed=7)]
-    serial = [result.to_json() for result in run_specs(specs, jobs=1)]
-    parallel = [result.to_json() for result in run_specs(specs, jobs=4)]
+    serial = [result.to_json() for result in iter_spec_results(specs, jobs=1)]
+    parallel = [result.to_json() for result in iter_spec_results(specs, jobs=4)]
     assert serial == parallel
 
 

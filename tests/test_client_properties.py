@@ -105,8 +105,7 @@ def test_client_add_get_and_commit_check_on_live_cluster(sim, network, scheme,
                             ideal_ledger)
     client = SetchainClient("client-0", scheme, quorum=small_setchain_config.quorum)
     element = make_element("client-0", 120)
-    assert client.add(cluster[0], element)
-    assert client.added == [element]
+    assert cluster[0].add(element)
     # Before anything reaches the ledger the element is uncommitted.
     early = client.check_commit(client.get(cluster[1]), element)
     assert not early.committed and early.epoch is None

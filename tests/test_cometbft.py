@@ -9,9 +9,10 @@ from repro.ledger.cometbft.consensus import ConsensusState, Vote, VoteType, bloc
 from repro.ledger.cometbft.engine import CometBFTNetwork
 from repro.ledger.cometbft.validator import ValidatorSet
 from repro.ledger.types import Block, new_transaction
-from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
+
+from conftest import ConstantLatency
 
 
 class RecordingApp(Application):
@@ -40,9 +41,9 @@ def make_cluster(n=4, block_rate=2.0, block_size=100_000, seed=0):
 
 def test_validator_set_quorum_math():
     vs = ValidatorSet([f"v{i}" for i in range(4)])
-    assert vs.max_faulty == 1 and vs.quorum == 3
+    assert vs.quorum_at(1) == 3
     vs10 = ValidatorSet([f"v{i}" for i in range(10)])
-    assert vs10.max_faulty == 3 and vs10.quorum == 7
+    assert vs10.quorum_at(1) == 7
 
 
 def test_validator_proposer_rotates_round_robin():
@@ -90,7 +91,7 @@ def test_appended_transaction_commits_on_every_node():
     node.append(tx)
     sim.run_until(5.0)
     for app in apps:
-        assert any(t.tx_id == tx.tx_id for block in app.blocks for t in block)
+        assert any(t.tx_id == tx.tx_id for block in app.blocks for t in block.transactions)
 
 
 def test_all_nodes_commit_same_blocks_in_same_order():
@@ -99,10 +100,10 @@ def test_all_nodes_commit_same_blocks_in_same_order():
     for i in range(20):
         nodes[i % 4].append(new_transaction(f"tx{i}", 100, nodes[i % 4].name))
     sim.run_until(15.0)
-    reference = [[t.tx_id for t in block] for block in apps[0].blocks]
+    reference = [[t.tx_id for t in block.transactions] for block in apps[0].blocks]
     assert len(reference) >= 1
     for app in apps[1:]:
-        assert [[t.tx_id for t in block] for block in app.blocks] == reference
+        assert [[t.tx_id for t in block.transactions] for block in app.blocks] == reference
 
 
 def test_block_rate_is_respected_under_load():
@@ -124,8 +125,9 @@ def test_block_size_cap_limits_block_bytes():
     for _ in range(10):
         node.append(new_transaction("x", 400, node.name))
     sim.run_until(10.0)
-    assert all(block.size_bytes <= 1_000 for app in apps for block in app.blocks)
-    total = sum(len(block) for block in apps[0].blocks)
+    assert all(sum(tx.size_bytes for tx in block.transactions) <= 1_000
+               for app in apps for block in app.blocks)
+    total = sum(len(block.transactions) for block in apps[0].blocks)
     assert total == 10
 
 
@@ -135,7 +137,7 @@ def test_gossip_fills_all_mempools():
     tx = new_transaction("gossip-me", 100, nodes[0].name)
     nodes[0].append(tx)
     sim.run_until(1.0)
-    assert all(tx.tx_id in node.mempool or tx.tx_id in node.inclusion_height
+    assert all(tx.tx_id in node.mempool.arrival_times or tx.tx_id in node.inclusion_height
                for node in nodes)
 
 
@@ -158,7 +160,7 @@ def test_crash_fault_minority_does_not_stop_progress():
         nodes[i % 3].append(new_transaction(f"tx{i}", 100, nodes[i % 3].name))
     sim.run_until(30.0)
     live_apps = apps[:3]
-    committed = [sum(len(b) for b in app.blocks) for app in live_apps]
+    committed = [sum(len(b.transactions) for b in app.blocks) for app in live_apps]
     assert all(c == 10 for c in committed)
     assert cluster.min_committed_height() >= 1
 

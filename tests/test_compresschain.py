@@ -18,7 +18,7 @@ def cluster(sim, network, scheme, small_setchain_config, ideal_ledger):
 def test_add_goes_to_collector_not_ledger(cluster, ideal_ledger):
     server = cluster[0]
     server.add(make_element("c", 100))
-    assert len(server.collector) == 1
+    assert len(server.collector.pending) == 1
     assert ideal_ledger.pending_count() == 0
 
 
@@ -28,7 +28,7 @@ def test_collector_limit_triggers_compressed_append(sim, cluster, ideal_ledger,
     for _ in range(small_setchain_config.collector_limit):
         server.add(make_element("c", 100))
     assert server.batches_appended == 1
-    assert len(server.collector) == 0
+    assert len(server.collector.pending) == 0
     assert ideal_ledger.pending_count() == 1
 
 

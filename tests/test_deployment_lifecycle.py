@@ -27,13 +27,6 @@ def test_stop_is_idempotent_and_halts_block_production():
     assert deployment.ledger_backend.height == height
 
 
-def test_context_manager_starts_and_stops():
-    with build_deployment(small_config(), seed=1) as deployment:
-        assert deployment.started
-        deployment.run(until=2.0)
-    assert deployment.stopped
-
-
 def test_double_start_and_start_after_stop_are_errors():
     deployment = build_deployment(small_config(), seed=1)
     deployment.start()

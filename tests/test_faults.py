@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import Scenario, Session, run
 from repro.api.catalog import select
-from repro.api.parallel import RunSpec, reset_run_counters, run_specs
+from repro.api.parallel import RunSpec, iter_spec_results, reset_run_counters
 from repro.config import ExperimentConfig, FaultScheduleConfig
 from repro.core.deployment import build_deployment
 from repro.errors import ConfigurationError
@@ -81,7 +81,7 @@ def test_schedule_rejects_non_events():
 def test_schedule_last_time_and_extended():
     schedule = FaultScheduleConfig(events=(Crash(at=3.0, until=9.0),))
     assert schedule.last_time == 9.0
-    extended = schedule.extended(Heal(at=20.0))
+    extended = FaultScheduleConfig(events=schedule.events + (Heal(at=20.0),))
     assert extended.last_time == 20.0
     assert len(extended.events) == 2 and not schedule.events == extended.events
 
@@ -302,9 +302,9 @@ def test_crashed_hashchain_server_loses_collector_contents():
     deployment.sim.run_until(1.05)  # mid-collector fill
     server = deployment.servers[0]
     server.collector.add(object())
-    assert len(server.collector) > 0
+    assert len(server.collector.pending) > 0
     server.crash()
-    assert len(server.collector) == 0
+    assert len(server.collector.pending) == 0
 
 
 def test_cometbft_validator_crash_and_blocksync_recovery():
@@ -384,8 +384,8 @@ def test_catalog_has_at_least_twenty_chaos_scenarios_that_build():
 
 def test_same_chaos_seed_same_json_regardless_of_jobs():
     specs = [RunSpec(name="chaos/smoke", seed=7)]
-    serial = [result.to_json() for result in run_specs(specs, jobs=1)]
-    parallel = [result.to_json() for result in run_specs(specs, jobs=4)]
+    serial = [result.to_json() for result in iter_spec_results(specs, jobs=1)]
+    parallel = [result.to_json() for result in iter_spec_results(specs, jobs=4)]
     assert serial == parallel
 
 

@@ -29,10 +29,12 @@ from repro.errors import MempoolFullError
 from repro.ledger.cometbft import engine
 from repro.ledger.cometbft.engine import CometBFTNetwork, CometBFTNode
 from repro.ledger.types import Transaction, new_transaction
-from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
+from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
+
+from conftest import ConstantLatency
 
 DELAYS_GOLDEN = Path(__file__).parent / "golden" / "network_delays.json"
 
@@ -296,13 +298,13 @@ def test_the_fate_of_a_copy_is_decided_when_it_is_sent():
         slow = lambda m: 0.5 if to("cometbft-2")(m) else 0.0
         world.at(1.0, lambda: net.add_drop_rule(drop))
         world.append_at(1.1, 0, "dropped")
-        world.at(1.2, lambda: net.remove_drop_rule(drop))
+        world.at(1.2, lambda: net.remove_rule(drop))
         world.at(1.3, lambda: net.add_delay_rule(slow))
         world.append_at(1.4, 0, "slowed")
-        world.at(1.5, lambda: net.remove_delay_rule(slow))
+        world.at(1.5, lambda: net.remove_rule(slow))
         world.at(1.6, lambda: net.add_duplicate_rule(twice))
         world.append_at(1.7, 0, "doubled")
-        world.at(1.8, lambda: net.remove_duplicate_rule(twice))
+        world.at(1.8, lambda: net.remove_rule(twice))
 
     world = both(quarter_second, script,
                  [0.45, 0.56, 0.8, 1.15, 1.4, 1.7, 1.96, 2.2, 6.0],
@@ -327,7 +329,7 @@ def test_block_sync_admits_what_arrived_before_it_marks_inclusion():
         world.at(0.0, lambda: world.network.add_drop_rule(deaf))
         for k in range(8):
             world.append_at(0.3 + 0.4 * k, k % 3, f"tx{k}")
-        world.at(4.6, lambda: world.network.remove_drop_rule(deaf))
+        world.at(4.6, lambda: world.network.remove_rule(deaf))
 
     world = both(lambda: ConstantLatency(0.002), script, [12.0])
     lagging = world.node(3)
@@ -393,7 +395,7 @@ def _session_shows(session) -> dict:
     nodes = list(deployment.ledger_backend.nodes.values())
     shown = seen(deployment.network, nodes)
     shown["servers"] = [(server.epoch, server.scan_cache_hits,
-                         len(server.committed_epoch_numbers()))
+                         len(server._committed_epochs))
                         for server in deployment.servers]
     return shown
 
@@ -408,7 +410,7 @@ def _drive(oracle: bool, how: str) -> tuple[list[dict], str, int]:
                 session.run_for(0.013)
                 shown.append(_session_shows(session))
         elif how == "stepped":
-            while session.now < 2.5 and session.step():
+            while session.now < 2.5 and session.deployment.sim.step():
                 pass
         session.run()
         shown.append(_session_shows(session))

@@ -30,7 +30,7 @@ def test_flush_appends_fixed_size_hash_batch(cluster, ideal_ledger, small_setcha
     tx = ideal_ledger._pending[0]
     assert isinstance(tx.payload, HashBatch)
     assert tx.size_bytes == HASH_BATCH_SIZE
-    assert server.store.is_local(tx.payload.batch_hash)
+    assert server.store.get(tx.payload.batch_hash) is not None
 
 
 def test_hash_reversal_recovers_foreign_batches(sim, cluster, small_setchain_config):

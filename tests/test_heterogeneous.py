@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import Scenario
 from repro.api.catalog import SCENARIOS
-from repro.api.parallel import RunSpec, run_specs
+from repro.api.parallel import RunSpec, iter_spec_results
 from repro.core.byzantine import WithholdBehaviour
 from repro.core.deployment import build_deployment
 from repro.core.hashchain import HashchainServer
@@ -26,10 +26,12 @@ from repro.crypto.signatures import SignatureScheme
 from repro.faults.budget import budget_states
 from repro.config import LedgerConfig, SetchainConfig
 from repro.ledger.ideal import IdealLedger
-from repro.net.latency import ConstantLatency, RegionalLatency
+from repro.net.latency import RegionalLatency
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
 from repro.workload.elements import make_element
+
+from conftest import ConstantLatency
 
 
 # -- mixed-algorithm properties ------------------------------------------------
@@ -213,8 +215,8 @@ def test_wan_consensus_commits_blocks_despite_jitter():
 def test_topology_scenarios_byte_identical_across_jobs(scenario):
     specs = [RunSpec(name=scenario, seed=21), RunSpec(name=scenario, seed=22),
              RunSpec(name="smoke", seed=23)]
-    serial = [result.to_json() for result in run_specs(specs, jobs=1)]
-    parallel = [result.to_json() for result in run_specs(specs, jobs=4)]
+    serial = [result.to_json() for result in iter_spec_results(specs, jobs=1)]
+    parallel = [result.to_json() for result in iter_spec_results(specs, jobs=4)]
     assert serial == parallel
     assert serial[0] != serial[1]  # different seeds genuinely differ
 

@@ -38,7 +38,7 @@ def test_appended_tx_eventually_in_block(sim, ledger):
     handle.append(tx)
     sim.run_until(2.0)
     assert ledger.height >= 1
-    assert any(tx.tx_id == t.tx_id for block in app.blocks for t in block)
+    assert any(tx.tx_id == t.tx_id for block in app.blocks for t in block.transactions)
     assert ledger.inclusion_height[tx.tx_id] == app.blocks[0].height
 
 
@@ -50,10 +50,10 @@ def test_all_subscribers_see_same_blocks_in_order(sim, ledger):
     for i in range(10):
         handles[i % 3].append(new_transaction(f"tx{i}", 50, f"s{i % 3}"))
     sim.run_until(5.0)
-    reference = [[t.tx_id for t in block] for block in apps[0].blocks]
+    reference = [[t.tx_id for t in block.transactions] for block in apps[0].blocks]
     assert reference  # something was committed
     for app in apps[1:]:
-        assert [[t.tx_id for t in block] for block in app.blocks] == reference
+        assert [[t.tx_id for t in block.transactions] for block in app.blocks] == reference
 
 
 def test_duplicate_submit_is_ignored(sim, ledger):
@@ -64,7 +64,7 @@ def test_duplicate_submit_is_ignored(sim, ledger):
     handle.append(tx)
     handle.append(tx)
     sim.run_until(3.0)
-    appearances = sum(1 for block in app.blocks for t in block if t.tx_id == tx.tx_id)
+    appearances = sum(1 for block in app.blocks for t in block.transactions if t.tx_id == tx.tx_id)
     assert appearances == 1
 
 
@@ -77,10 +77,10 @@ def test_block_size_cap_splits_transactions(sim, ledger):
     sim.run_until(1.01)
     # Only two 400-byte txs fit into the 1000-byte first block.
     assert len(app.blocks) == 1
-    assert len(app.blocks[0]) == 2
+    assert len(app.blocks[0].transactions) == 2
     sim.run_until(2.01)
     assert len(app.blocks) == 2
-    assert sum(len(b) for b in app.blocks) == 4
+    assert sum(len(b.transactions) for b in app.blocks) == 4
 
 
 def test_oversized_transaction_goes_alone(sim, ledger):
@@ -90,8 +90,8 @@ def test_oversized_transaction_goes_alone(sim, ledger):
     handle.append(new_transaction("huge", 5000, "server-0"))
     handle.append(new_transaction("small", 10, "server-0"))
     sim.run_until(1.01)
-    assert len(app.blocks[0]) == 1
-    assert app.blocks[0][0].size_bytes == 5000
+    assert len(app.blocks[0].transactions) == 1
+    assert app.blocks[0].transactions[0].size_bytes == 5000
 
 
 def test_no_empty_blocks(sim, ledger):

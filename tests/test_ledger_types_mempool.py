@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import LedgerError, MempoolFullError
 from repro.ledger.mempool import Mempool
-from repro.ledger.types import Block, Transaction, new_transaction
+from repro.ledger.types import Block, new_transaction
 
 
 def tx(size=100, origin="server-0", payload="x"):
@@ -23,15 +23,6 @@ def test_transaction_negative_size_rejected():
         new_transaction("p", -1, "o")
 
 
-def test_block_indexing_and_iteration():
-    txs = tuple(tx(size=10 * i) for i in range(1, 4))
-    block = Block(height=1, transactions=txs, proposer="p", timestamp=1.0)
-    assert len(block) == 3
-    assert block[0] is txs[0]
-    assert list(block) == list(txs)
-    assert block.size_bytes == 10 + 20 + 30
-
-
 def test_block_height_must_start_at_one():
     with pytest.raises(LedgerError):
         Block(height=0, transactions=(), proposer="p", timestamp=0.0)
@@ -43,8 +34,8 @@ def test_mempool_add_and_contains():
     pool = Mempool(max_txs=10, max_bytes=10_000)
     t = tx()
     assert pool.add(t, now=1.0)
-    assert t.tx_id in pool
-    assert len(pool) == 1
+    assert pool.pending() == [t]
+    assert len(pool.pending()) == 1
     assert pool.size_bytes == 100
     assert pool.arrival_times[t.tx_id] == 1.0
 
@@ -54,7 +45,7 @@ def test_mempool_duplicate_add_is_noop():
     t = tx()
     assert pool.add(t, now=1.0)
     assert not pool.add(t, now=2.0)
-    assert len(pool) == 1
+    assert len(pool.pending()) == 1
     assert pool.arrival_times[t.tx_id] == 1.0  # first arrival is kept
 
 
@@ -82,7 +73,7 @@ def test_reap_respects_fifo_and_byte_budget():
     reaped = pool.reap(max_bytes=250)
     assert reaped == txs[:2]
     # Reaping does not remove.
-    assert len(pool) == 5
+    assert len(pool.pending()) == 5
 
 
 def test_reap_oversized_head_goes_alone():
@@ -105,12 +96,12 @@ def test_remove_committed_frees_space():
     for t in txs:
         pool.add(t, 0.0)
     pool.remove_committed(txs[:2])
-    assert len(pool) == 1
+    assert len(pool.pending()) == 1
     assert pool.size_bytes == 100
     assert pool.pending() == [txs[2]]
     # Removing a tx that is not present is harmless.
     pool.remove_committed([tx()])
-    assert len(pool) == 1
+    assert len(pool.pending()) == 1
 
 
 def test_arrival_times_survive_removal():

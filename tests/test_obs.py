@@ -26,7 +26,7 @@ import pytest
 from repro.analysis.metrics import MetricsCollector
 from repro.api import Scenario, Session, run
 from repro.api.cli import _write_collapsed, main as cli_main
-from repro.api.parallel import RunSpec, execute_spec, reset_run_counters, run_specs
+from repro.api.parallel import RunSpec, execute_spec, iter_spec_results, reset_run_counters
 from repro.api.results import RunResult
 from repro.errors import ConfigurationError
 from repro.faults import Crash, Targets
@@ -358,8 +358,8 @@ def test_trace_files_are_byte_identical_across_worker_counts(
                        trace_out=str(tmp_path / f"{tag}-{name.replace('/', '_')}{suffix}"))
 
     scenarios = ["smoke", "bench/vanilla"]
-    run_specs([spec("serial", name) for name in scenarios], jobs=1)
-    run_specs([spec("pool", name) for name in scenarios], jobs=4)
+    for tag, jobs in (("serial", 1), ("pool", 4)):
+        list(iter_spec_results([spec(tag, name) for name in scenarios], jobs))
     for name in scenarios:
         safe = name.replace("/", "_")
         serial = (tmp_path / f"serial-{safe}{suffix}").read_bytes()

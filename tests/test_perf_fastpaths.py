@@ -1,11 +1,12 @@
 """PR 2 fast paths: event-queue compaction, crypto caches, collector views,
 multicast, and the parallel sweep determinism guarantees."""
 
+import os
+
 import pytest
 
-from repro.api.parallel import RunSpec, default_jobs, run_specs
+from repro.api.parallel import RunSpec, iter_spec_results, jobs_arg
 from repro.core.collector import Collector
-from repro.core.types import EpochProof, HashBatch
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import SignatureScheme
 from repro.errors import NetworkError
@@ -13,7 +14,8 @@ from repro.net.network import Network
 from repro.net.node import NetworkNode
 from repro.sim.events import EventQueue
 from repro.sim.scheduler import Simulator
-from repro.workload.elements import make_element
+
+from conftest import ConstantLatency
 
 
 # -- event queue --------------------------------------------------------------
@@ -96,21 +98,6 @@ def test_verify_failures_are_not_cached():
     assert scheme.verify("server-0", "payload", good)
 
 
-def test_canonical_bytes_are_cached_and_stable():
-    element = make_element("client-1", 120)
-    assert element.canonical_bytes() is element.canonical_bytes()
-    proof = EpochProof(epoch_number=3, epoch_hash="ab", signature=b"\x01",
-                       signer="s0")
-    assert proof.canonical_bytes() == (
-        b"proof|3|ab|s0|01")
-    hb = HashBatch(batch_hash="cd", signature=b"\x02", signer="s1")
-    assert hb.canonical_bytes() == b"hash-batch|cd|s1|02"
-    # Equality/hash semantics ignore the cache field.
-    assert hb == HashBatch(batch_hash="cd", signature=b"\x02", signer="s1")
-    assert hash(proof) == hash(EpochProof(epoch_number=3, epoch_hash="ab",
-                                          signature=b"\x01", signer="s0"))
-
-
 # -- collector ----------------------------------------------------------------
 
 def test_pending_view_is_zero_copy_and_pending_is_a_snapshot():
@@ -147,7 +134,7 @@ class _Sink(NetworkNode):
 
 def _mesh(n):
     sim = Simulator(seed=1)
-    network = Network(sim)
+    network = Network(sim, latency=ConstantLatency())
     nodes = [_Sink(f"n{i}", sim) for i in range(n)]
     for node in nodes:
         network.register(node)
@@ -157,19 +144,18 @@ def _mesh(n):
 def test_broadcast_shares_one_payload_object():
     sim, network, nodes = _mesh(4)
     payload = {"k": "v"}
-    nodes[0].broadcast("ping", payload, size_bytes=10)
+    assert network.multicast("n0", "ping", payload, size_bytes=10) == 3
     sim.run_until_idle()
     received = [m for node in nodes[1:] for m in node.seen]
     assert len(received) == 3
     assert all(m.payload is payload for m in received)
     assert not nodes[0].seen
-    assert nodes[0].messages_sent == 3
-    assert nodes[0].bytes_sent == 30
+    assert network.bytes_delivered == 30
 
 
 def test_broadcast_include_self_delivers_locally():
     sim, network, nodes = _mesh(3)
-    nodes[0].broadcast("ping", "x", include_self=True)
+    network.multicast("n0", "ping", "x", recipients=network.node_names())
     sim.run_until_idle()
     assert len(nodes[0].seen) == 1
     assert all(len(node.seen) == 1 for node in nodes)
@@ -179,7 +165,7 @@ def test_multicast_respects_drop_rules_and_partitions():
     sim, network, nodes = _mesh(4)
     network.add_drop_rule(lambda m: m.recipient == "n2")
     network.partition({"n0"}, {"n3"})
-    nodes[0].broadcast("ping", "x")
+    network.multicast("n0", "ping", "x")
     sim.run_until_idle()
     assert len(nodes[1].seen) == 1
     assert not nodes[2].seen and not nodes[3].seen
@@ -198,19 +184,19 @@ def test_same_seed_same_json_regardless_of_jobs():
     specs = [RunSpec(name="smoke", seed=11),
              RunSpec(name="quickstart", seed=12),
              RunSpec(name="bench/vanilla", seed=13)]
-    serial = [result.to_json() for result in run_specs(specs, jobs=1)]
-    parallel = [result.to_json() for result in run_specs(specs, jobs=4)]
+    serial = [result.to_json() for result in iter_spec_results(specs, jobs=1)]
+    parallel = [result.to_json() for result in iter_spec_results(specs, jobs=4)]
     assert serial == parallel
 
 
 def test_run_specs_order_is_input_order():
     specs = [RunSpec(name="quickstart", seed=1), RunSpec(name="smoke", seed=1)]
-    results = run_specs(specs, jobs=2)
+    results = iter_spec_results(specs, jobs=2)
     assert [r.label for r in results] == ["quickstart", "smoke"]
 
 
 def test_default_jobs_is_positive():
-    assert default_jobs() >= 1
+    assert jobs_arg("auto") == (os.cpu_count() or 1) >= 1
 
 
 def test_cli_sweep_jobs_matches_serial(tmp_path):

@@ -304,7 +304,7 @@ def test_a_traced_run_reads_the_same_however_the_clock_is_advanced():
     while ticked.now + 0.013 < straight.now:
         ticked.run_for(0.013)
     ticked.run()
-    while stepped.now < 2.0 and stepped.step():
+    while stepped.now < 2.0 and stepped.deployment.sim.step():
         pass
     stepped.run()
     reference = straight.deployment.tracer
@@ -425,7 +425,7 @@ def _shows(deployment, full: bool) -> list:
         if full:
             rows.append([(digest, sorted(signers)) for digest, signers
                          in server.hash_to_signers.items()])
-            rows.append(sorted(server.committed_epoch_numbers()))
+            rows.append(sorted(server._committed_epochs))
     return rows
 
 

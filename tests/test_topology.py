@@ -22,9 +22,11 @@ from repro.config import ExperimentConfig, RegionSpec, SetchainConfig, TopologyC
 from repro.core.deployment import Deployment, build_deployment, build_latency
 from repro.core.vanilla import VanillaServer
 from repro.errors import ConfigurationError
-from repro.net.latency import ConstantLatency, RegionalLatency
+from repro.net.latency import RegionalLatency
 from repro.sim.rng import DeterministicRNG
 from repro.topology.components import ALGORITHMS, LATENCY_PROFILES, LEDGER_BACKENDS
+
+from conftest import ConstantLatency
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

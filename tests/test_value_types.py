@@ -27,6 +27,7 @@ from repro.ledger import types as ledger_types
 from repro.ledger.types import Transaction, new_transaction
 from repro.values import SlotValue
 from repro.workload.elements import Element, make_elements
+from repro.crypto.hashing import canonical_bytes_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -127,9 +128,9 @@ def test_pickle_and_copy_round_trip_equal_and_hash_equal(cls):
                   copy.deepcopy(value)):
         assert clone == value and hash(clone) == hash(value)
         assert clone is not value and type(clone) is cls
-    if hasattr(value, "canonical_bytes"):
-        assert pickle.loads(pickle.dumps(value)).canonical_bytes() \
-            == value.canonical_bytes()
+    if hasattr(value, "_canonical"):
+        assert canonical_bytes_of(pickle.loads(pickle.dumps(value))) \
+            == canonical_bytes_of(value)
 
 
 @pytest.mark.parametrize("cls", TYPES)
@@ -161,13 +162,13 @@ def test_validation_errors_are_raised_by_the_constructors():
 def test_defaults_and_cached_encodings():
     element = Element(1, "c", 10, "d")
     assert (element.signature, element.created_at, element.valid) == (b"", 0.0, True)
-    assert element.canonical_bytes() == b"element|1|c|10|d"
+    assert canonical_bytes_of(element) == b"element|1|c|10|d"
     proof = EpochProof(2, "h", b"\xab", "server-0")
     assert proof.size_bytes == 139
-    assert proof.canonical_bytes() == b"proof|2|h|server-0|ab"
+    assert canonical_bytes_of(proof) == b"proof|2|h|server-0|ab"
     batch = HashBatch("h", b"\xcd", "server-0")
     assert batch.size_bytes == 139
-    assert batch.canonical_bytes() == b"hash-batch|h|server-0|cd"
+    assert canonical_bytes_of(batch) == b"hash-batch|h|server-0|cd"
     first, second = make_elements("c", [5, 6], created_at=2.0)
     assert second.element_id == first.element_id + 1
     assert second == Element(second.element_id, "c", 6,

@@ -57,7 +57,7 @@ def test_epoch_proofs_reach_quorum(sim, cluster, small_setchain_config):
     epoch = view.epoch_of(element)
     signers = {p.signer for p in view.proofs_for(epoch)}
     assert len(signers) >= small_setchain_config.quorum
-    assert epoch in cluster[1].committed_epoch_numbers()
+    assert epoch in cluster[1]._committed_epochs
 
 
 def test_invalid_elements_in_ledger_are_not_epoched(sim, cluster, ideal_ledger):

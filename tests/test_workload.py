@@ -9,6 +9,7 @@ from repro.sim.scheduler import Simulator
 from repro.workload.clients import ClientPool, InjectionClient
 from repro.workload.elements import Element, make_element
 from repro.workload.generator import MIN_ELEMENT_SIZE, ArbitrumLikeGenerator, ElementSizeStats
+from repro.crypto.hashing import canonical_bytes_of
 
 
 class SinkServer:
@@ -37,8 +38,8 @@ def test_element_rejects_non_positive_size():
 def test_element_canonical_bytes_stable_and_distinct():
     a = make_element("c", 100)
     b = make_element("c", 100)
-    assert a.canonical_bytes() == a.canonical_bytes()
-    assert a.canonical_bytes() != b.canonical_bytes()
+    assert canonical_bytes_of(a) == canonical_bytes_of(a)
+    assert canonical_bytes_of(a) != canonical_bytes_of(b)
 
 
 # -- generator -----------------------------------------------------------------------
